@@ -6,7 +6,6 @@ experiment, and packing counts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import numpy as np
 from .cubes import CubeSkeleton, helly_intersection, hyperplane_decomposition, is_convex
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph
-from .hhs import HQCReport, HHSInstance, _setdist, is_hierarchically_quasiconvex, space_hull
+from .hhs import HQCReport, HHSInstance, is_hierarchically_quasiconvex, space_hull
 from .median import (
     MedianAlgebra,
     connectify_and_close_in,
@@ -36,6 +35,8 @@ class TreeProduct:
     """Virtual median graph: the product of factor trees under the l1 metric.
 
     Vertices are mixed-radix encoded tuples; medians are computed factorwise.
+    Implements the median-space protocol of `median` (neighbors, dist_pair,
+    pairwise_distances, median_bulk).
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -121,7 +122,7 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     enc = sorted({space.encode(p) for p in points})
     if not enc:
         raise PipelineError("no input points")
-    result = connectify_and_close_in(space, space.dist_pair, enc, C)
+    result = connectify_and_close_in(space, enc, C)
     closure = sorted(result.closure)
     pd = space.pairwise_distances(closure)
     sub_edges = [

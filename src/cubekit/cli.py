@@ -20,7 +20,6 @@ from .applications import (
     PipelineError,
     bounded_packing_count,
     coarse_helly_experiment,
-    hqc_convex_correspondence,
     promote_to_cube_complex,
     tree_approximate,
 )
@@ -41,14 +40,12 @@ from .hhs import (
     product_region,
     validate_instance,
 )
-from .jsonio import atomic_write, canonical_dumps, load_json, parse_number
+from .jsonio import as_number, atomic_write, canonical_dumps, load_json
 from .median import MedianError, is_median_graph
 from .projection import (
     ProjectionError,
     ProjectionSystem,
     build_quasitree,
-    check_bbf_distance_formula,
-    fit_lower_threshold,
     piece_embedding_check,
 )
 from .walls import Wallspace, WallspaceError, dual_cube_complex
@@ -196,8 +193,8 @@ def cmd_dual(args) -> int:
 def cmd_build_quasitree(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit build-quasitree")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--K", type=parse_number, required=True)
-    p.add_argument("--L", type=parse_number, default=1)
+    p.add_argument("--K", type=as_number, required=True)
+    p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
     s = ProjectionSystem.from_dict(load_json(a.inp))
@@ -216,7 +213,7 @@ def cmd_build_quasitree(args) -> int:
 def cmd_df_check(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit df-check")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--s", type=parse_number, required=True)
+    p.add_argument("--s", type=as_number, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -250,8 +247,8 @@ def _coloured(h: HHSInstance, K, L):
 def cmd_psi(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit psi")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--K", type=parse_number, default=None)
-    p.add_argument("--L", type=parse_number, default=1)
+    p.add_argument("--K", type=as_number, default=None)
+    p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -292,8 +289,8 @@ def cmd_psi(args) -> int:
 def cmd_promote(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit promote")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--K", type=parse_number, default=None)
-    p.add_argument("--L", type=parse_number, default=1)
+    p.add_argument("--K", type=as_number, default=None)
+    p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--C", type=int, default=None)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
@@ -340,8 +337,8 @@ def cmd_helly(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit helly")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--K", type=parse_number, default=None)
-    p.add_argument("--L", type=parse_number, default=1)
+    p.add_argument("--K", type=as_number, default=None)
+    p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))

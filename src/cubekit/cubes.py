@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UnitGraph
-from .median import MedianAlgebra, interval, median_candidates
+from .graphs import UnitGraph, gate_map
+from .hhs import space_hull
+from .median import MedianAlgebra
 
 
 class ConvexityError(ValueError):
@@ -58,12 +59,11 @@ def _max_crossing(masks: list[np.ndarray]) -> int:
     k = len(masks)
     if k == 0:
         return 0
-    cross = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = masks[i], masks[j]
-            if (a & b).any() and (a & ~b).any() and (~a & b).any() and (~a & ~b).any():
-                cross[i, j] = cross[j, i] = True
+    # classes i, j cross when all four quarter-spaces are nonempty; the
+    # products count the vertices of each quarter for every pair at once
+    a = np.array(masks, dtype=np.float64)
+    b = 1.0 - a
+    cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
     import networkx as nx
 
     G = nx.Graph()
@@ -99,62 +99,43 @@ class CubeSkeleton:
 
 
 def hyperplane_decomposition(m: MedianAlgebra) -> CubeSkeleton:
-    """Group edges into parallelism classes and verify halfspace convexity."""
-    g = m.graph
-    edge_lists, masks = _edge_classes(g)
+    """Group edges into parallelism classes (hyperplanes) with their halfspaces.
+
+    Both halfspaces of every class are convex, by the theorem that the
+    Theta-classes of a median graph bound convex halfspaces (Djokovic 1973;
+    Chepoi 2000); `MedianAlgebra.from_graph` has verified medianness, so
+    convexity is not re-checked here.  The dimension is the algebra's rank.
+    """
+    edge_lists, masks = _edge_classes(m.graph)
     halfspaces = []
     for mask in masks:
-        for side in (mask, ~mask):
-            ok, witness = _convex_mask(m.dist, side)
-            if not ok:
-                raise ConvexityError(f"halfspace not convex at {witness}")
         h0 = frozenset(int(v) for v in np.flatnonzero(mask))
         h1 = frozenset(int(v) for v in np.flatnonzero(~mask))
         if min(h1) < min(h0):
             h0, h1 = h1, h0
         halfspaces.append((h0, h1))
-    dim = _max_crossing(masks)
     return CubeSkeleton(
         median=m,
         hyperplanes=tuple(tuple(sorted(e)) for e in edge_lists),
         halfspaces=tuple(halfspaces),
-        dimension=dim,
+        dimension=m.rank,
     )
-
-
-def _convex_mask(D: np.ndarray, mask: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
-    members = np.flatnonzero(mask)
-    out = ~mask
-    for a in members:
-        rows = D[a][None, :] + D[members, :] == D[a, members][:, None]
-        bad = rows & out[None, :]
-        if bad.any():
-            i = int(np.argmax(bad.any(axis=1)))
-            return False, (int(a), int(members[i]))
-    return True, None
 
 
 def is_convex(m: MedianAlgebra, S) -> bool:
     """Interval-closure convexity: every geodesic between members stays inside."""
-    mask = np.zeros(m.n, dtype=bool)
-    mask[sorted(set(int(v) for v in S))] = True
-    ok, _ = _convex_mask(m.dist, mask)
-    return ok
+    members = set(int(v) for v in S)
+    return int(space_hull(m.dist, members).sum()) == len(members)
 
 
 def interval_closure(m: MedianAlgebra, S) -> frozenset[int]:
     """Fixpoint of adding all geodesic intervals between member pairs."""
-    mask = np.zeros(m.n, dtype=bool)
-    mask[sorted(set(int(v) for v in S))] = True
+    members = set(int(v) for v in S)
     while True:
-        members = np.flatnonzero(mask)
-        new = mask.copy()
-        for a in members:
-            rows = m.dist[a][None, :] + m.dist[members, :] == m.dist[a, members][:, None]
-            new |= rows.any(axis=0)
-        if (new == mask).all():
-            return frozenset(int(v) for v in np.flatnonzero(mask))
-        mask = new
+        mask = space_hull(m.dist, members)
+        if int(mask.sum()) == len(members):
+            return frozenset(members)
+        members = set(int(v) for v in np.flatnonzero(mask))
 
 
 def convex_hull(c: CubeSkeleton, S) -> frozenset[int]:
@@ -189,6 +170,8 @@ class HullBoundReport:
 def hull_neighbourhood_check(c: CubeSkeleton, Z, r: int) -> HullBoundReport:
     """Check hull(N_r(Z)) within N_{d*r}(Z) for convex Z; d = dimension."""
     members = sorted(set(int(v) for v in Z))
+    if not members:
+        raise ConvexityError("hull bound of the empty set is undefined")
     if not is_convex(c.median, members):
         raise ConvexityError("Z is not convex")
     D = c.median.dist
@@ -213,7 +196,11 @@ def helly_intersection(c: CubeSkeleton, family) -> HellyResult:
     families fold the last two members into their (convex) intersection.
     """
     sets = [frozenset(int(v) for v in S) for S in family]
+    if not sets:
+        raise ConvexityError("Helly intersection of an empty family is undefined")
     for idx, S in enumerate(sets):
+        if not S:
+            raise ConvexityError(f"family member {idx} is empty")
         if not is_convex(c.median, S):
             raise ConvexityError(f"family member {idx} is not convex")
     for i in range(len(sets)):
@@ -242,7 +229,6 @@ def _helly_point(m: MedianAlgebra, sets: list[frozenset[int]]) -> int:
 def gate(m: MedianAlgebra, S, x: int) -> int:
     """Nearest point of a convex set; unique in a median graph."""
     members = sorted(set(int(v) for v in S))
-    d = m.dist[x, members]
-    best = int(d.min())
-    picks = [members[i] for i in np.flatnonzero(d == best)]
-    return min(picks)
+    if not members:
+        raise ConvexityError("gate to the empty set is undefined")
+    return int(gate_map(m.dist[[x]], members)[0])

@@ -12,10 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import UnitGraph
 from .hhs import (
     Colouring,
-    Domain,
     HHSInstance,
     InstanceError,
     _setdist,
@@ -58,15 +56,12 @@ class ColouredSystem:
     def chi(self) -> int:
         return len(self.class_ids)
 
-    def orbit_domain(self, colour: int, g: int) -> Domain:
-        return self.instance.by_id[self.class_ids[colour][self.orbit[colour][g]]]
-
 
 def build_coloured_system(
     h: HHSInstance, colouring: Colouring, K, L, orbit=None
 ) -> ColouredSystem:
     """Per-colour systems from the rho tables, their quasitrees, and the
-    базepoint assignment; refuses K below any colour's measured constant."""
+    basepoint assignment; refuses K below any colour's measured constant."""
     class_ids = tuple(tuple(sorted(cls)) for cls in colouring.classes)
     systems = []
     reports = []
@@ -366,21 +361,3 @@ def shadow_path_report(cs: ColouredSystem, psi: PsiImage, path, D: int) -> Shado
         )
     return ShadowPathReport(D=D, per_colour=tuple(out))
 
-
-def bbf_near_pi_slack(cs: ColouredSystem, psi: PsiImage) -> int:
-    """max over colours, domains U in the colour, ambient g of the distance
-    in U between the flat projection of psi(g) and g's own projection."""
-    from .projection import flat_projection
-
-    h = cs.instance
-    worst = 0
-    for ci, cls in enumerate(cs.class_ids):
-        q = cs.quasitrees[ci]
-        for pos, uid in enumerate(cls):
-            dom = h.by_id[uid]
-            off = q.offsets[pos]
-            for g in range(h.n):
-                flat = flat_projection(q, pos, psi.maps[ci][g])
-                local = [v - off for v in flat]
-                worst = max(worst, _setdist(dom.dist, dom.pi[g], local))
-    return worst

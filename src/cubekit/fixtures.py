@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 
-from .graphs import UnitGraph, grid_graph, path_graph, random_tree, spider_graph
+from .graphs import UnitGraph, gate_map, grid_graph, path_graph, random_tree, spider_graph
 from .hhs import (
     REL_CONTAINS,
     REL_NESTED,
@@ -18,6 +18,7 @@ from .hhs import (
     HHSInstance,
     validate_instance,
 )
+from .median import lex_least_geodesic
 from .projection import ProjectionSystem, axes_in_tree_system, verify_projection_axioms
 
 
@@ -53,21 +54,10 @@ def identity_instance(g: UnitGraph) -> HHSInstance:
     return _with_measured_E(HHSInstance(ambient=g, domains=(dom,), E=0))
 
 
-def _tree_gates(tree: UnitGraph, line: list[int]) -> list[int]:
-    D = tree.distance_matrix
-    gates = []
-    for v in range(tree.n):
-        d = D[v, line]
-        hits = np.flatnonzero(d == d.min())
-        assert len(hits) == 1, "line is not gated"
-        gates.append(line[int(hits[0])])
-    return gates
-
-
 def _axes_domains(tree: UnitGraph, axes: list[list[int]]) -> list[Domain]:
     k = len(axes)
     locals_ = [{v: t for t, v in enumerate(a)} for a in axes]
-    gates = [_tree_gates(tree, a) for a in axes]
+    gates = [gate_map(tree.distance_matrix, a).tolist() for a in axes]
     doms = []
     for i, axis in enumerate(axes):
         pi = tuple(frozenset([locals_[i][gates[i][v]]]) for v in range(tree.n))
@@ -107,7 +97,7 @@ def spider_with_axes(legs: int, leg_length: int, include_tree_domain: bool = Fal
 def _add_tree_domain(tree: UnitGraph, axes: list[list[int]], doms: list[Domain]) -> list[Domain]:
     k = len(axes)
     locals_ = [{v: t for t, v in enumerate(a)} for a in axes]
-    gates = [_tree_gates(tree, a) for a in axes]
+    gates = [gate_map(tree.distance_matrix, a).tolist() for a in axes]
     out = []
     for i, d in enumerate(doms):
         rel = dict(d.rel)
@@ -154,22 +144,16 @@ def tree_with_axes(
         a, b = (int(x) for x in rng.choice(leaves, size=2, replace=False))
         if D[a, b] < min_length:
             continue
-        path = _tree_geodesic(tree, a, b)
+        path = lex_least_geodesic(tree, a, b)
         if any(set(path) == set(ax) for ax in axes):
             continue
         ok = True
         for ax in axes:
             for line, other in ((ax, path), (path, ax)):
-                gset = {_gate_on(D, line, v) for v in other}
-                idx = sorted(gset)
+                idx = sorted(set(gate_map(D[other], line).tolist()))
                 if len(idx) > 1 and int(D[np.ix_(idx, idx)].max()) > overlap_cap:
                     ok = False
         if not ok:
-            continue
-        gated = all(
-            len(np.flatnonzero(D[v, path] == D[v, path].min())) == 1 for v in range(n)
-        )
-        if not gated:
             continue
         axes.append(path)
     if len(axes) < k_axes:
@@ -178,24 +162,6 @@ def tree_with_axes(
     if include_tree_domain:
         doms = _add_tree_domain(tree, axes, doms)
     return _with_measured_E(HHSInstance(ambient=tree, domains=tuple(doms), E=0))
-
-
-def _gate_on(D: np.ndarray, line: list[int], v: int) -> int:
-    d = D[v, line]
-    return line[int(np.flatnonzero(d == d.min())[0])]
-
-
-def _tree_geodesic(tree: UnitGraph, a: int, b: int) -> list[int]:
-    D = tree.distance_matrix
-    path = [a]
-    cur = a
-    while cur != b:
-        for w in tree.neighbors(cur):
-            if D[w, b] == D[cur, b] - 1:
-                path.append(w)
-                cur = w
-                break
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +224,10 @@ def random_axes_system(n: int, k_lines: int, seed: int) -> ProjectionSystem:
         a, b = (int(x) for x in rng.choice(leaves, size=2, replace=False))
         if D[a, b] < 2:
             continue
-        path = _tree_geodesic(tree, a, b)
+        path = lex_least_geodesic(tree, a, b)
         if any(set(path) == set(l) for l in lines):
             continue
-        if all(
-            len(np.flatnonzero(D[v, path] == D[v, path].min())) == 1 for v in range(n)
-        ):
-            lines.append(path)
+        lines.append(path)
     if len(lines) < k_lines:
         raise ValueError(f"could not place {k_lines} lines; vary the seed")
     return axes_in_tree_system(tree, lines)

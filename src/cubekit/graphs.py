@@ -8,7 +8,7 @@ connectivity is enforced wherever a metric is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,13 +96,15 @@ class UnitGraph:
             raise DisconnectedGraphError(int(bad[0]), int(bad[1]))
         return dist.astype(np.int32)
 
+    def dist_pair(self, u: int, v: int) -> int:
+        return int(self.distance_matrix[u, v])
+
     def is_connected(self) -> bool:
-        ncomp, _ = csgraph.connected_components(self._sparse, directed=False)
-        return ncomp == 1
+        return bool(component_labels(self._sparse).max() == 0)
 
     def require_connected(self) -> None:
-        ncomp, lab = csgraph.connected_components(self._sparse, directed=False)
-        if ncomp > 1:
+        lab = component_labels(self._sparse)
+        if lab.max() > 0:
             u = int(np.argmax(lab == 0))
             v = int(np.argmax(lab == 1))
             raise DisconnectedGraphError(u, v)
@@ -142,6 +144,26 @@ def all_pairs_distances(g: UnitGraph) -> np.ndarray:
     return g.distance_matrix
 
 
+def component_labels(adjacency) -> np.ndarray:
+    """Connected-component label of every vertex of a symmetric boolean
+    adjacency matrix (dense, e.g. `dist <= step`, or sparse).
+
+    Labels count up from 0 in the order of each component's least vertex.
+    """
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    return labels
+
+
+def gate_map(D: np.ndarray, target) -> np.ndarray:
+    """For each row x of D, the first entry of `target` nearest to x.
+
+    On a tree the nearest point of a geodesic (any subtree) is unique, as is
+    the gate of a convex set in a median graph.
+    """
+    target = np.asarray(target, dtype=np.int64)
+    return target[np.argmin(D[:, target], axis=1)]
+
+
 # ---------------------------------------------------------------------------
 # fixture constructors
 
@@ -167,14 +189,6 @@ def grid_graph(rows: int, cols: int) -> UnitGraph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return UnitGraph(rows * cols, tuple(edges))
-
-
-def grid_index(r: int, c: int, cols: int) -> int:
-    return r * cols + c
-
-
-def grid_coords(v: int, cols: int) -> tuple[int, int]:
-    return divmod(v, cols)
 
 
 def hypercube_graph(d: int) -> UnitGraph:
@@ -210,26 +224,6 @@ def random_tree(n: int, rng: np.random.Generator) -> UnitGraph:
     """Uniform-ish random tree: each vertex i>0 attaches to a random earlier vertex."""
     edges = tuple((int(rng.integers(0, i)), i) for i in range(1, n))
     return UnitGraph(n, edges)
-
-
-def random_connected_graph(n: int, extra_edges: int, rng: np.random.Generator) -> UnitGraph:
-    """Random tree plus `extra_edges` random chords (deduplicated)."""
-    tree = random_tree(n, rng)
-    present = set(tree.edges)
-    edges = list(tree.edges)
-    tries = 0
-    while len(edges) < n - 1 + extra_edges and tries < 50 * (extra_edges + 1):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        tries += 1
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in present:
-            continue
-        present.add(key)
-        edges.append(key)
-    return UnitGraph(n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

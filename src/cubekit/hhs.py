@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import UnitGraph
-from .median import MedianAlgebra, is_median_graph
+from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
 
 REL_NESTED = "nested"      # self is strictly nested in other
 REL_CONTAINS = "contains"  # other is strictly nested in self
@@ -36,6 +36,10 @@ class OrderNotTotalError(InstanceError):
 
 def _setdist(D: np.ndarray, A, B) -> int:
     return int(D[np.ix_(sorted(A), sorted(B))].min())
+
+
+def _in_range(S, n: int) -> bool:
+    return all(0 <= v < n for v in S)
 
 
 def _setdiam(D: np.ndarray, A) -> int:
@@ -178,9 +182,6 @@ class InstanceDiagnostics:
     E_min: int
     ok: bool
 
-    def failures(self) -> list[Finding]:
-        return [f for f in self.findings if not f.ok]
-
 
 def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     """Full axiom scan; every finding carries its measured constant.
@@ -188,7 +189,10 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     Each failing check names its first offending pair as witness.  A pair
     flagged by `relation-schema` or `rho-presence` lacks the data the
     consistency scan reads, so `tuple-consistency` skips it: a defective
-    instance yields diagnostics, never an exception.
+    instance yields diagnostics, never an exception.  `rho-presence` flags a
+    rho that is missing, empty or names a vertex outside the target space,
+    and a rho_map that is missing, does not have one row per vertex of the
+    containing domain, or names a vertex outside the nested space.
     """
     findings: list[Finding] = []
     ids = h.domain_ids()
@@ -216,11 +220,19 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
                 continue
             r = U.rel.get(V.id)
             if r in (REL_TRANS, REL_NESTED):
-                missing = V.id not in U.rho or not U.rho[V.id]
+                rho = U.rho.get(V.id)
+                missing = not rho or not _in_range(rho, V.space.n)
                 if not missing:
                     rho_diam = max(rho_diam, _setdiam(V.dist, U.rho[V.id]))
+            elif r == REL_CONTAINS:
+                rows = U.rho_map.get(V.id)
+                missing = (
+                    rows is None
+                    or len(rows) != U.space.n
+                    or not _in_range(frozenset().union(*rows), V.space.n)
+                )
             else:
-                missing = r == REL_CONTAINS and V.id not in U.rho_map
+                missing = False
             if missing:
                 flagged.add(frozenset((U.id, V.id)))
                 if witness is None:
@@ -682,12 +694,6 @@ class Colouring:
     @property
     def chi(self) -> int:
         return len(self.classes)
-
-    def class_of(self, domain_id: str) -> int:
-        for i, cls in enumerate(self.classes):
-            if domain_id in cls:
-                return i
-        raise InstanceError(f"domain {domain_id} is uncoloured")
 
 
 def find_bbf_colouring(h: HHSInstance) -> Colouring:

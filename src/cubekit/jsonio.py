@@ -13,6 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 
+def as_number(x) -> int | Fraction:
+    """Exact value of an int, Fraction, float or string ('3/2', '1.5');
+    integral values come back as int."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f
+
+
 def encode_number(x):
     if isinstance(x, (int, np.integer)):
         return int(x)
@@ -26,19 +35,12 @@ def encode_number(x):
     raise TypeError(f"not a number: {x!r}")
 
 
-def decode_number(v):
+def decode_number(v) -> int | Fraction:
+    """Inverse of encode_number: [p, q] or a plain number, as_number-normalized
+    (so [p, 1] decodes to the int p)."""
     if isinstance(v, list):
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, (int, float)):
-        f = Fraction(v)
-        return int(f) if f.denominator == 1 else f
-    raise ValueError(f"not a serialized number: {v!r}")
-
-
-def parse_number(text: str):
-    """Integers, fractions ('3/2'), and decimal strings ('1.5'), exactly."""
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f
+        return as_number(Fraction(int(v[0]), int(v[1])))
+    return as_number(v)
 
 
 def jsonable(obj):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph, all_pairs_distances
+from .graphs import UnitGraph, all_pairs_distances, component_labels
 
 
 class MedianError(ValueError):
@@ -55,12 +55,14 @@ def median_candidates(D: np.ndarray, x: int, y: int, z: int) -> np.ndarray:
 def is_median_graph(g: UnitGraph) -> tuple[bool, tuple[int, int, int] | None]:
     """Decide medianness; on failure return a witness triple with 0 or >=2 medians.
 
-    Bit-packed interval scan: one pass per vertex pair, vectorized over the
-    third vertex.
+    A tree is a median graph (the median of a triple is the centre of the
+    tripod it spans), so a connected graph with n - 1 edges is accepted
+    without a scan.  Any other graph gets a bit-packed interval scan: one
+    pass per vertex pair, vectorized over the third vertex.
     """
     g.require_connected()
     n = g.n
-    if n <= 2:
+    if n <= 2 or len(g.edges) == n - 1:
         return True, None
     D = g.distance_matrix
     # IT[x, y] = packed bits over v of "v in I(x, y)"
@@ -108,6 +110,13 @@ class MedianAlgebra:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.graph.neighbors(v)
 
+    def dist_pair(self, u: int, v: int) -> int:
+        return int(self.dist[u, v])
+
+    def pairwise_distances(self, verts) -> np.ndarray:
+        idx = np.asarray(verts, dtype=np.int64)
+        return self.dist[np.ix_(idx, idx)]
+
     def median(self, x: int, y: int, z: int) -> int:
         cand = median_candidates(self.dist, x, y, z)
         if cand.size != 1:
@@ -141,9 +150,11 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # ---------------------------------------------------------------------------
 # subalgebras
 #
-# The closure engine works against any object exposing median_bulk(a, b_arr, c)
-# over integer vertex ids (MedianAlgebra here, the tree-product space in the
-# promotion pipeline).
+# The closure and bridging engines work against any median space with four
+# methods over integer vertex ids: neighbors(v), dist_pair(u, v),
+# pairwise_distances(verts) and median_bulk(a, b_arr, c).  MedianAlgebra
+# implements them from its distance matrix, applications.TreeProduct
+# factorwise over a product of trees.
 
 
 def closure_of(space, seed) -> frozenset[int]:
@@ -190,36 +201,6 @@ def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | 
 # connectivity of subsets
 
 
-def connectivity_components(dist: np.ndarray, members: list[int], step: int) -> list[list[int]]:
-    """Partition `members` into components of the "distance <= step" graph."""
-    k = len(members)
-    if k == 0:
-        return []
-    sub = dist[np.ix_(members, members)] <= step
-    seen = [False] * k
-    comps = []
-    for s in range(k):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(members[i])
-            for j in np.flatnonzero(sub[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_c_connected(dist: np.ndarray, S, C: int) -> bool:
-    members = sorted(set(int(v) for v in S))
-    return len(connectivity_components(dist, members, C)) <= 1
-
-
 def minimal_connection_constant(dist: np.ndarray, S) -> int:
     """Least C for which S is C-connected."""
     members = sorted(set(int(v) for v in S))
@@ -227,7 +208,7 @@ def minimal_connection_constant(dist: np.ndarray, S) -> int:
         return 0
     sub = dist[np.ix_(members, members)]
     for c in sorted(set(sub.flatten().tolist())):
-        if c > 0 and len(connectivity_components(dist, members, int(c))) == 1:
+        if c > 0 and component_labels(sub <= c).max() == 0:
             return int(c)
     return int(sub.max())
 
@@ -301,22 +282,6 @@ def lex_least_geodesic(space, u: int, v: int) -> list[int]:
     return path
 
 
-class _GraphSpace:
-    """Adapter giving MedianAlgebra the neighbor/dist protocol of the engine."""
-
-    def __init__(self, m: MedianAlgebra):
-        self.m = m
-
-    def neighbors(self, v: int):
-        return self.m.neighbors(v)
-
-    def dist_pair(self, u: int, v: int) -> int:
-        return int(self.m.dist[u, v])
-
-    def median_bulk(self, a, b_arr, c):
-        return self.m.median_bulk(a, b_arr, c)
-
-
 @dataclass(frozen=True)
 class ConnectifyResult:
     a_prime: frozenset[int]
@@ -325,22 +290,22 @@ class ConnectifyResult:
     one_connected: bool
 
 
-def connectify_and_close_in(space, dist_lookup, A, C: int) -> ConnectifyResult:
+def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     """Bridge C-close 1-connected pieces of A with geodesics, then close.
 
-    `dist_lookup(u, v)` must return the ambient distance; `space` follows the
-    engine protocol (neighbors / dist_pair / median_bulk).
+    `space` is a median space (see "subalgebras" above).  Every ordered pair
+    of pieces at most C apart is joined by the lex-least geodesic from its
+    lexicographically least closest pair (u, v).
     """
     members = sorted(set(int(v) for v in A))
     if not members:
         raise MedianError("empty subset")
-    k = len(members)
-    sub = np.array([[dist_lookup(u, v) for v in members] for u in members], dtype=np.int64)
+    sub = space.pairwise_distances(members)
     # maximal 1-connected pieces = components of the induced unit-step graph
-    comp_id = _components_from_matrix(sub, 1)
+    comp_id = component_labels(sub <= 1)
     n_pieces = comp_id.max() + 1
     if n_pieces > 1:
-        cc = _components_from_matrix(sub, C)
+        cc = component_labels(sub <= C)
         if cc.max() > 0:
             i = int(np.argmax(cc == 0))
             j = int(np.argmax(cc == 1))
@@ -348,52 +313,31 @@ def connectify_and_close_in(space, dist_lookup, A, C: int) -> ConnectifyResult:
                 f"subset is not {C}-connected: vertices {members[i]} and {members[j]} "
                 "lie in different pieces"
             )
+    pieces = [np.flatnonzero(comp_id == i) for i in range(n_pieces)]
     added: set[int] = set()
-    for i in range(n_pieces):
-        vi = [members[t] for t in range(k) if comp_id[t] == i]
-        for j in range(n_pieces):
+    for i, vi in enumerate(pieces):
+        for j, vj in enumerate(pieces):
             if j == i:
                 continue
-            vj = [members[t] for t in range(k) if comp_id[t] == j]
-            pairs = [(u, v) for u in vi for v in vj]
-            dmin = min(dist_lookup(u, v) for u, v in pairs)
+            block = sub[np.ix_(vi, vj)]
+            dmin = block.min()
             if dmin > C:
                 continue
-            u, v = min((u, v) for u, v in pairs if dist_lookup(u, v) == dmin)
-            added.update(lex_least_geodesic(space, u, v))
+            # members are sorted, so row-major order is (u, v) lex order
+            a, b = np.unravel_index(int(np.argmax(block == dmin)), block.shape)
+            added.update(lex_least_geodesic(space, members[vi[a]], members[vj[b]]))
     a_prime = frozenset(members) | frozenset(added)
     closure = closure_of(space, a_prime)
     cl = sorted(closure)
-    clmat = np.array([[dist_lookup(u, v) for v in cl] for u in cl], dtype=np.int64)
-    one_conn = _components_from_matrix(clmat, 1).max() == 0
-    haus = max(min(dist_lookup(u, v) for v in members) for u in cl)
+    clmat = space.pairwise_distances(cl)
+    one_conn = component_labels(clmat <= 1).max() == 0
+    haus = clmat[:, np.searchsorted(cl, members)].min(axis=1).max()
     return ConnectifyResult(a_prime, closure, int(haus), bool(one_conn))
-
-
-def _components_from_matrix(sub: np.ndarray, step: int) -> np.ndarray:
-    k = sub.shape[0]
-    adj = sub <= step
-    comp = -np.ones(k, dtype=np.int64)
-    nxt = 0
-    for s in range(k):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = nxt
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(adj[i]):
-                if comp[j] < 0:
-                    comp[j] = nxt
-                    stack.append(int(j))
-        nxt += 1
-    return comp
 
 
 def connectify_and_close(m: MedianAlgebra, A, C: int) -> ConnectifyResult:
     """The bridging procedure on a median graph; see connectify_and_close_in."""
-    space = _GraphSpace(m)
-    return connectify_and_close_in(space, lambda u, v: int(m.dist[u, v]), A, C)
+    return connectify_and_close_in(m, A, C)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +353,7 @@ def check_isometric_subalgebra(m: MedianAlgebra, Y) -> bool:
     if not members:
         raise MedianError("empty subset")
     sub = m.dist[np.ix_(members, members)]
-    comp = _components_from_matrix(sub, 1)
+    comp = component_labels(sub <= 1)
     if comp.max() > 0:
         i = int(np.argmax(comp == 0))
         j = int(np.argmax(comp == 1))

@@ -10,13 +10,16 @@ of pairs whose mutual flat-distances on every other piece stay below K.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
-from .graphs import UnitGraph
+from .graphs import UnitGraph, gate_map
+from .jsonio import as_number, decode_number, encode_number
 
 
 class ProjectionError(ValueError):
@@ -28,13 +31,6 @@ class QuasitreeParameterError(ProjectionError):
 
 
 Number = int | Fraction
-
-
-def _as_number(x) -> Number:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class ProjectionSystem:
                     raise ProjectionError(f"projection ({i},{j}) leaves piece {i}")
                 canon[(i, j)] = s
         object.__setattr__(self, "proj", canon)
-        object.__setattr__(self, "theta", _as_number(self.theta))
+        object.__setattr__(self, "theta", as_number(self.theta))
 
     @property
     def count(self) -> int:
@@ -82,7 +78,7 @@ class ProjectionSystem:
         return {
             "pieces": [p.to_dict() for p in self.pieces],
             "proj": {f"{i},{j}": sorted(s) for (i, j), s in sorted(self.proj.items())},
-            "theta": _number_to_json(self.theta),
+            "theta": encode_number(self.theta),
         }
 
     @staticmethod
@@ -92,20 +88,7 @@ class ProjectionSystem:
         for key, val in d["proj"].items():
             i, j = key.split(",")
             proj[(int(i), int(j))] = frozenset(int(v) for v in val)
-        return ProjectionSystem(pieces, proj, _number_from_json(d["theta"]))
-
-
-def _number_to_json(x: Number):
-    x = _as_number(x)
-    if isinstance(x, int):
-        return x
-    return [x.numerator, x.denominator]
-
-
-def _number_from_json(v) -> Number:
-    if isinstance(v, list):
-        return _as_number(Fraction(int(v[0]), int(v[1])))
-    return _as_number(v)
+        return ProjectionSystem(pieces, proj, decode_number(d["theta"]))
 
 
 @dataclass(frozen=True)
@@ -147,16 +130,6 @@ def verify_projection_axioms(s: ProjectionSystem) -> AxiomReport:
     return AxiomReport(p0, theta_min, ok, tuple(sorted(set(violations))), p2)
 
 
-def tree_gate(tree: UnitGraph, target: list[int], x: int) -> int:
-    """Unique nearest point of a subtree; uniqueness is asserted."""
-    D = tree.distance_matrix
-    d = D[x, target]
-    best = np.flatnonzero(d == d.min())
-    if len(best) != 1:
-        raise ProjectionError(f"nearest-point projection of {x} is not unique")
-    return int(target[int(best[0])])
-
-
 def axes_in_tree_system(tree: UnitGraph, lines: list[list[int]]) -> ProjectionSystem:
     """Nearest-point projections between geodesic lines of a tree."""
     if not tree.is_tree():
@@ -180,8 +153,8 @@ def axes_in_tree_system(tree: UnitGraph, lines: list[list[int]]) -> ProjectionSy
         for j in range(k):
             if i == j:
                 continue
-            gates = {tree_gate(tree, lines[i], v) for v in lines[j]}
-            proj[(i, j)] = frozenset(local[i][g] for g in gates)
+            gates = gate_map(D[lines[j]], lines[i])
+            proj[(i, j)] = frozenset(local[i][int(g)] for g in gates)
     pieces = tuple(UnitGraph(len(line), tuple((t, t + 1) for t in range(len(line) - 1))) for line in lines)
     sys0 = ProjectionSystem(pieces, proj, 0)
     report = verify_projection_axioms(sys0)
@@ -219,17 +192,10 @@ class QuasiTreeSpace:
         return range(start, start + self.system.pieces[piece].n)
 
     @cached_property
-    def _unit_weights(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges)
-
-    @cached_property
     def distance_matrix(self):
         """Exact all-pairs distances: integer matrix when L is an integer,
         else a dict-of-dict of Fractions via Dijkstra."""
         if isinstance(self.L, int):
-            import scipy.sparse as sp
-            import scipy.sparse.csgraph as csgraph
-
             rows, cols, data = [], [], []
             for u, v, w in self.edges:
                 rows += [u, v]
@@ -269,15 +235,15 @@ class QuasiTreeSpace:
             return d
         if v not in mat[u]:
             raise ProjectionError(f"vertices {u},{v} are in different components")
-        return _as_number(mat[u][v])
+        return as_number(mat[u][v])
 
     def to_dict(self) -> dict:
         return {
             "system": self.system.to_dict(),
-            "K": _number_to_json(self.K),
-            "L": _number_to_json(self.L),
+            "K": encode_number(self.K),
+            "L": encode_number(self.L),
             "piece_of": list(self.piece_of),
-            "edges": [[u, v, _number_to_json(w)] for u, v, w in self.edges],
+            "edges": [[u, v, encode_number(w)] for u, v, w in self.edges],
             "attachments": [list(a) for a in self.attachments],
             "connected": self.connected,
         }
@@ -285,13 +251,13 @@ class QuasiTreeSpace:
     @staticmethod
     def from_dict(d: dict) -> "QuasiTreeSpace":
         system = ProjectionSystem.from_dict(d["system"])
-        return build_quasitree(system, _number_from_json(d["K"]), _number_from_json(d["L"]))
+        return build_quasitree(system, decode_number(d["K"]), decode_number(d["L"]))
 
 
 def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
     """Assemble the glued space; refuses K below the system constant."""
-    K = _as_number(K)
-    L = _as_number(L)
+    K = as_number(K)
+    L = as_number(L)
     if L <= 0:
         raise QuasitreeParameterError("edge length L must be positive")
     if K < s.theta:
@@ -319,7 +285,7 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
                 for u in sorted(s.proj[(i, j)]):
                     for v in sorted(s.proj[(j, i)]):
                         edges.append((offsets[i] + u, offsets[j] + v, L))
-    q = QuasiTreeSpace(
+    return QuasiTreeSpace(
         system=s,
         K=K,
         L=L,
@@ -327,30 +293,8 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
         piece_of=tuple(piece_of),
         edges=tuple(edges),
         attachments=tuple(attachments),
-        connected=True,
+        connected=UnitGraph(total, tuple((u, v) for u, v, _ in edges)).is_connected(),
     )
-    connected = _is_connected(q)
-    object.__setattr__(q, "connected", connected)
-    return q
-
-
-def _is_connected(q: QuasiTreeSpace) -> bool:
-    adj = [[] for _ in range(q.n)]
-    for u, v, _ in q.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * q.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == q.n
 
 
 def flat_projection(q: QuasiTreeSpace, U: int, x: int) -> frozenset[int]:
@@ -407,7 +351,7 @@ class DistanceFormulaReport:
 
 def check_bbf_distance_formula(q: QuasiTreeSpace, Kprime, samples) -> DistanceFormulaReport:
     """Check  sum_{>=K'}/2 <= d <= 6K + 4*sum_{>=K}  on the sampled pairs."""
-    Kprime = _as_number(Kprime)
+    Kprime = as_number(Kprime)
     if Kprime <= q.K:
         raise ProjectionError(f"K'={Kprime} must exceed K={q.K}")
     out = []

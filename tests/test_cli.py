@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+
+import pytest
 
 from cubekit.cli import main
 from cubekit.fixtures import spider_with_axes
@@ -20,3 +23,137 @@ def test_validate_reports_missing_rho_as_defect(tmp_path):
     assert not report["ok"]
     bad = [f for f in report["findings"] if f["check"] == "rho-presence" and not f["ok"]]
     assert bad and bad[0]["witness"] == ["axis0", "axis1"]
+
+
+@pytest.mark.parametrize("defect", ["rho-out-of-range", "short-rho-map"])
+def test_validate_reports_bad_rho_data_as_defect(defect, tmp_path):
+    h = spider_with_axes(6, 8, include_tree_domain=True)
+    if defect == "rho-out-of-range":
+        target, field, pair = "axis0", "rho", ["axis0", "axis1"]
+        value = {**h.by_id["axis0"].rho, "axis1": frozenset([999])}
+    else:
+        target, field, pair = "tree", "rho_map", ["tree", "axis0"]
+        rows = h.by_id["tree"].rho_map
+        value = {**rows, "axis0": rows["axis0"][:3]}
+    doms = tuple(
+        dataclasses.replace(d, **{field: value}) if d.id == target else d
+        for d in h.domains
+    )
+    inp = tmp_path / "broken.json"
+    out = tmp_path / "report.json"
+    inp.write_text(json.dumps(HHSInstance(h.ambient, doms, h.E).to_dict()))
+    assert main(["validate", "--in", str(inp), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    bad = [f for f in report["findings"] if f["check"] == "rho-presence" and not f["ok"]]
+    assert bad and bad[0]["witness"] == pair
+
+
+# ---------------------------------------------------------------------------
+# golden runs: every subcommand on small seeded fixtures
+#
+# Each case runs twice; both runs must give the same exit code and stdout
+# (the determinism promise of the CLI), and that stdout must hash to the pin.
+# A pin changes only when a report is meant to change.
+
+FIXTURES = {
+    "tree": ["tree-axes", "--n", "30"],
+    "lines": ["product-lines", "--n", "4"],
+    "spider": ["spider-axes", "--tree-domain"],
+    "axes": ["axes-system", "--n", "40"],
+    "q3": ["q3-walls"],
+}
+
+# 3x4 grid (median) and K_{2,3} (not median), as graph JSON
+GRAPHS = {
+    "grid": {
+        "n": 12,
+        "edges": [[r * 4 + c, r * 4 + c + 1] for r in range(3) for c in range(3)]
+        + [[r * 4 + c, r * 4 + c + 4] for r in range(2) for c in range(4)],
+    },
+    "k23": {"n": 5, "edges": [[i, 2 + j] for i in range(2) for j in range(3)]},
+}
+
+CASES = {
+    **{f"gen-{name}": ["gen-fixture", *spec] for name, spec in FIXTURES.items()},
+    "validate-tree": ["validate", "--in", "{tree}"],
+    "validate-lines": ["validate", "--in", "{lines}"],
+    "validate-spider": ["validate", "--in", "{spider}"],
+    "median-check-grid": ["median-check", "--in", "{grid}"],
+    "median-check-k23": ["median-check", "--in", "{k23}"],
+    "dual-q3": ["dual", "--in", "{q3}"],
+    "build-quasitree-fraction": ["build-quasitree", "--in", "{axes}", "--K", "41/2", "--L", "3/2"],
+    "build-quasitree-int": ["build-quasitree", "--in", "{axes}", "--K", "3"],
+    "df-check-tree": ["df-check", "--in", "{tree}", "--s", "600", "--samples", "40"],
+    "df-check-lines": ["df-check", "--in", "{lines}", "--s", "1", "--samples", "40"],
+    "psi-tree": ["psi", "--in", "{tree}", "--samples", "40"],
+    "psi-spider": ["psi", "--in", "{spider}", "--samples", "40"],
+    "psi-lines": ["psi", "--in", "{lines}", "--samples", "20"],
+    "promote-tree": ["promote", "--in", "{tree}"],
+    "promote-lines": ["promote", "--in", "{lines}"],
+    "helly-tree": ["helly", "--in", "{tree}", "--R", "5"],
+    "helly-spider": ["helly", "--in", "{spider}", "--R", "5"],
+    "pack-tree": ["pack", "--in", "{tree}", "--R", "3"],
+    "pack-spider": ["pack", "--in", "{spider}", "--R", "2"],
+    "missing-input": ["validate", "--in", "{missing}"],
+    "unknown-subcommand": ["frobnicate"],
+}
+
+# case -> (exit code, SHA-256 of stdout)
+PINS = {
+    "gen-tree": (0, "56512fd81c21196ccff17c76a9f57cf9312e860742eb54cf78d8e4c54b95c9d6"),
+    "gen-lines": (0, "e8f3e7f5e99b0bf52f0f81d18ad55086d8bb914714e4bfcea6b503a3fb096cf6"),
+    "gen-spider": (0, "48eeae32f3febcee52b5f78698fd5f8f97b9c71432ae7102bb8650e27396ff66"),
+    "gen-axes": (0, "5f79f0122ca004b4eff5d628cdc45f2785fc3e8609637a08e55f441c460a63c5"),
+    "gen-q3": (0, "304547cddc539efcfd1a499410ceea7196e41fc4f5d4ffb4ea8d2ad9d9f2865c"),
+    "validate-tree": (0, "4f53fb8fdd29356f3778cbdfc5c3e19214d5a4bea1079a65f411b693bb1af5b6"),
+    "validate-lines": (0, "f4bb296dd1a7afc4576887c67e59491043e31a0fd63f61375b56f1621735feee"),
+    "validate-spider": (0, "b452dd80299acf18f5a19c9a67a93ec2f88e33e3c6b16f6b4239b759a4f4c5c3"),
+    "median-check-grid": (0, "39ac04795bb47ea07b78b694c9b3f6daf2ed1a07d502da4d253b6bf3c0f56fc0"),
+    "median-check-k23": (0, "7b34d9e7f7269fe3ccfeb561eaacb931e7c7b8932d35b99c38b1ebcf3f0a61f9"),
+    "dual-q3": (0, "b4c55fa051413d39aa28032e540da1511e43ada16fbe3628e41e807294387816"),
+    "build-quasitree-fraction": (0, "a60f88fd3bf34dc39fcd95fdb029be3572e035cf36d954872280692c29249012"),
+    "build-quasitree-int": (0, "53a1b3f0e84bf905f717bcbff13eab7ab29b1311cbfd04001d33b3aee40b25d7"),
+    "df-check-tree": (0, "927a6597744cfadd1db656e883219d41039941a749cf0271989d0947a4665fd5"),
+    "df-check-lines": (0, "6e5d34800e31b67578523044d0a6252f26bb1141d5c580b2397b542f8e5c0ac7"),
+    "psi-tree": (0, "9a07188086fee676d0470d1de43f8bc848560f7231c0da58e8b5c114dbf5a030"),
+    "psi-spider": (0, "f28d471746d92ee9ab5ab6eaf241826b270b9c2dab475867f4fd2e400c6c512e"),
+    "psi-lines": (0, "63a376f29324c5c590bd3fddeee8b34f012e7946215b4721566c90f41c864f48"),
+    "promote-tree": (0, "9fe8349e99528abdc7c789c00b727df53dc4d68feeddae4f3b73ea5cec38395c"),
+    "promote-lines": (0, "e8e132c7a84e2c3fc4d73415788ad7fabda599ed66c97d03a3c371cedd306b77"),
+    "helly-tree": (0, "82b6f97cd84e3dc1ea80bfd60755897aadf0949e247d13e6b27bea7eedc7e016"),
+    "helly-spider": (0, "6a1ad6e110835aef63d42ecde2bae020ab6edd74b320ae99034fa10a57ff2a88"),
+    "pack-tree": (0, "6696edb93a8ecc017a7fc43b8986a3d932399a30474ea74bac76a5eb3b4eb3df"),
+    "pack-spider": (0, "7d49561fbe07b1a94c9e9692373be8b23562571e0b6209e9bda5b75b4b46987a"),
+    "missing-input": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "unknown-subcommand": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    paths = {"missing": str(d / "missing.json")}
+    for name, spec in FIXTURES.items():
+        paths[name] = str(d / f"{name}.json")
+        assert main(["gen-fixture", *spec, "--out", paths[name]]) == 0
+    for name, graph in GRAPHS.items():
+        paths[name] = str(d / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(graph, fh)
+    return paths
+
+
+def _run(capsys, args):
+    capsys.readouterr()
+    code = main(args)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_golden_report(case, inputs, capsys):
+    args = [a.format(**inputs) for a in CASES[case]]
+    first = _run(capsys, args)
+    second = _run(capsys, args)
+    assert first == second
+    code, out = first
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == PINS[case]

@@ -102,6 +102,26 @@ def test_hull_empty_raises(grid33_skel):
         convex_hull(grid33_skel, [])
 
 
+def test_hull_bound_empty_raises(grid33_skel):
+    with pytest.raises(ConvexityError, match="empty set"):
+        hull_neighbourhood_check(grid33_skel, [], 1)
+
+
+def test_helly_empty_family_raises(grid33_skel):
+    with pytest.raises(ConvexityError, match="empty family"):
+        helly_intersection(grid33_skel, [])
+
+
+def test_helly_empty_member_raises(grid33_skel):
+    with pytest.raises(ConvexityError, match="member 0 is empty"):
+        helly_intersection(grid33_skel, [[]])
+
+
+def test_gate_to_empty_set_raises(grid33_skel):
+    with pytest.raises(ConvexityError, match="empty set"):
+        gate(grid33_skel.median, [], 0)
+
+
 # --- hull-neighbourhood bound -------------------------------------------------
 
 

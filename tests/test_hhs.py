@@ -90,6 +90,25 @@ def test_missing_rho_map_diagnosed():
     assert bad and bad[0].witness == ("tree", "axis0")
 
 
+def test_rho_outside_target_space_diagnosed(spider):
+    rho = dict(spider.by_id["axis0"].rho)
+    rho["axis1"] = frozenset([999])
+    diag = validate_instance(_with_domain(spider, "axis0", rho=rho))
+    assert not diag.ok
+    bad = [f for f in diag.findings if f.check == "rho-presence" and not f.ok]
+    assert bad and bad[0].witness == ("axis0", "axis1")
+
+
+def test_short_rho_map_diagnosed():
+    h = spider_with_axes(6, 8, include_tree_domain=True)
+    rho_map = dict(h.by_id["tree"].rho_map)
+    rho_map["axis0"] = rho_map["axis0"][:3]
+    diag = validate_instance(_with_domain(h, "tree", rho_map=rho_map))
+    assert not diag.ok
+    bad = [f for f in diag.findings if f.check == "rho-presence" and not f.ok]
+    assert bad and bad[0].witness == ("tree", "axis0")
+
+
 def test_tree_with_axes_valid_measured():
     h = tree_with_axes(40, 3, seed=11)
     diag = validate_instance(h)

@@ -1,0 +1,145 @@
+"""Property tests of facts the program relies on without re-checking them.
+
+Halfspace convexity and the dimension of the hyperplane pass, medianness of
+trees, uniqueness of gates on tree geodesics and the component labelling are
+taken on trust at run time; here they are checked against the brute-force
+oracles of `helpers` on small grids, hypercubes, random trees and products of
+two trees.  Examples are derandomized, so the suite stays deterministic.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubekit.cubes import hyperplane_decomposition
+from cubekit.graphs import (
+    UnitGraph,
+    component_labels,
+    gate_map,
+    grid_graph,
+    hypercube_graph,
+)
+from cubekit.jsonio import decode_number, encode_number
+from cubekit.median import MedianAlgebra, is_median_graph, lex_least_geodesic
+from helpers import oracle_all_dists, oracle_interval_closure, oracle_medians_of
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def trees(draw, min_n=1, max_n=12):
+    n = draw(st.integers(min_n, max_n))
+    return UnitGraph(n, tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)))
+
+
+def tree_product(a: UnitGraph, b: UnitGraph) -> UnitGraph:
+    """Cartesian product; vertex (x, y) has index x * b.n + y."""
+    edges = [(u * b.n + y, v * b.n + y) for u, v in a.edges for y in range(b.n)]
+    edges += [(x * b.n + u, x * b.n + v) for x in range(a.n) for u, v in b.edges]
+    return UnitGraph(a.n * b.n, tuple(edges))
+
+
+@st.composite
+def median_graphs(draw):
+    """A grid, hypercube, tree or product of two trees, vertices relabelled."""
+    kind = draw(st.sampled_from(["grid", "cube", "tree", "product"]))
+    if kind == "grid":
+        g = grid_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    elif kind == "cube":
+        g = hypercube_graph(draw(st.integers(0, 4)))
+    elif kind == "tree":
+        g = draw(trees())
+    else:
+        g = tree_product(draw(trees(max_n=5)), draw(trees(max_n=5)))
+    perm = draw(st.permutations(range(g.n)))
+    return UnitGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _crosses(h, k) -> bool:
+    return all(a & b for a in h for b in k)
+
+
+def oracle_dimension(halfspaces) -> int:
+    """Largest family of pairwise-crossing hyperplanes, by exhaustive search."""
+    for size in range(len(halfspaces), 0, -1):
+        for fam in itertools.combinations(halfspaces, size):
+            if all(_crosses(h, k) for h, k in itertools.combinations(fam, 2)):
+                return size
+    return 0
+
+
+@PROPERTY
+@given(median_graphs())
+def test_halfspaces_are_convex_and_dimension_is_max_crossing(g):
+    skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+    for h0, h1 in skel.halfspaces:
+        assert h0 | h1 == frozenset(range(g.n)) and not h0 & h1
+        for side in (h0, h1):
+            assert oracle_interval_closure(g.n, g.edges, side) == set(side)
+    assert skel.dimension == oracle_dimension(skel.halfspaces)
+
+
+@PROPERTY
+@given(trees())
+def test_trees_are_median_graphs(tree):
+    dist = oracle_all_dists(tree.n, tree.edges)
+    for x, y, z in itertools.combinations(range(tree.n), 3):
+        assert len(oracle_medians_of(dist, x, y, z)) == 1
+    assert is_median_graph(tree) == (True, None)
+
+
+@PROPERTY
+@given(trees(min_n=2), st.data())
+def test_gate_map_is_the_nearest_point_of_a_tree_path(tree, data):
+    a, b = data.draw(st.lists(st.integers(0, tree.n - 1), min_size=2, max_size=2))
+    path = lex_least_geodesic(tree, a, b)
+    dist = oracle_all_dists(tree.n, tree.edges)
+    gates = gate_map(tree.distance_matrix, path)
+    for v in range(tree.n):
+        best = min(dist[v][p] for p in path)
+        assert [p for p in path if dist[v][p] == best] == [gates[v]]
+
+
+def oracle_labels(adj) -> list[int]:
+    """Components numbered by depth-first search from the least unseen vertex."""
+    k = len(adj)
+    label = [-1] * k
+    nxt = 0
+    for s in range(k):
+        if label[s] >= 0:
+            continue
+        stack = [s]
+        label[s] = nxt
+        while stack:
+            i = stack.pop()
+            for j in range(k):
+                if adj[i][j] and label[j] < 0:
+                    label[j] = nxt
+                    stack.append(j)
+        nxt += 1
+    return label
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_component_labels_match_search_order(k, seed, step):
+    rng = np.random.default_rng(seed)
+    sub = rng.integers(0, 6, size=(k, k))
+    sub = np.minimum(sub, sub.T)
+    np.fill_diagonal(sub, 0)
+    adj = sub <= step
+    assert component_labels(adj).tolist() == oracle_labels(adj.tolist())
+
+
+@PROPERTY
+@given(st.fractions(max_denominator=50) | st.integers(-10**6, 10**6), st.integers(1, 5))
+def test_number_codec_round_trip(x, scale):
+    f = Fraction(x)
+    # [p, q] need not be in lowest terms; an integral value decodes to int
+    unreduced = [f.numerator * scale, f.denominator * scale]
+    for back in (decode_number(encode_number(x)), decode_number(unreduced)):
+        assert back == x
+        assert isinstance(back, int) == (f.denominator == 1)
