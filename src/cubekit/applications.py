@@ -15,11 +15,7 @@ from .cubes import CubeSkeleton, helly_intersection, hyperplane_decomposition, i
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph
 from .hhs import HQCReport, HHSInstance, is_hierarchically_quasiconvex, space_hull
-from .median import (
-    MedianAlgebra,
-    connectify_and_close_in,
-    median_bulk_on,
-)
+from .median import MedianAlgebra, connectify_and_close_in, tree_medians
 from .projection import QuasiTreeSpace
 
 
@@ -34,9 +30,11 @@ class PipelineError(ValueError):
 class TreeProduct:
     """Virtual median graph: the product of factor trees under the l1 metric.
 
-    Vertices are mixed-radix encoded tuples; medians are computed factorwise.
-    Implements the median-space protocol of `median` (neighbors, dist_pair,
-    pairwise_distances, median_bulk).
+    Vertices are mixed-radix encoded tuples.  Implements the median-space
+    protocol of `median` (neighbors, dist_pair, pairwise_distances,
+    median_bulk).  Medians are computed factorwise: each factor is a tree, so
+    its median is the deepest pairwise lowest common ancestor (`tree_medians`),
+    and median_bulk broadcasts a vertex `a` or `c` against the array b_arr.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -61,13 +59,14 @@ class TreeProduct:
             v //= s
         return tuple(reversed(out))
 
-    def decode_bulk(self, arr: np.ndarray) -> list[np.ndarray]:
+    def decode_bulk(self, arr) -> list[np.ndarray]:
         out = []
-        rem = arr.astype(np.int64)
-        for s in reversed(self.sizes):
-            out.append(rem % s)
-            rem = rem // s
-        return list(reversed(out))
+        rem = np.asarray(arr, dtype=np.int64)
+        for s in reversed(self.sizes[1:]):
+            rem, digit = np.divmod(rem, s)
+            out.append(digit)
+        out.append(rem)
+        return out[::-1]
 
     def dist_pair(self, u: int, v: int) -> int:
         cu, cv = self.decode(u), self.decode(v)
@@ -81,17 +80,15 @@ class TreeProduct:
                 out.append(self.encode(coords[:i] + (w,) + coords[i + 1 :]))
         return sorted(out)
 
-    def median_bulk(self, a: int, b_arr: np.ndarray, c: int) -> np.ndarray:
-        ca, cc = self.decode(a), self.decode(c)
-        cb = self.decode_bulk(np.asarray(b_arr, dtype=np.int64))
-        meds = None
-        for i, D in enumerate(self.dists):
-            mi = median_bulk_on(D, ca[i], cb[i], cc[i])
-            meds = mi if meds is None else meds * self.sizes[i] + mi
+    def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
+        ca, cb, cc = (self.decode_bulk(x) for x in (a, b_arr, c))
+        meds = 0
+        for f, s, xa, xb, xc in zip(self.factors, self.sizes, ca, cb, cc):
+            meds = meds * s + tree_medians(f, xa, xb, xc)
         return meds
 
     def pairwise_distances(self, verts: list[int]) -> np.ndarray:
-        arrs = self.decode_bulk(np.array(verts, dtype=np.int64))
+        arrs = self.decode_bulk(verts)
         total = np.zeros((len(verts), len(verts)), dtype=np.int64)
         for D, idx in zip(self.dists, arrs):
             total += D[np.ix_(idx, idx)]
@@ -125,13 +122,7 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     result = connectify_and_close_in(space, enc, C)
     closure = sorted(result.closure)
     pd = space.pairwise_distances(closure)
-    sub_edges = [
-        (i, j)
-        for i in range(len(closure))
-        for j in range(i + 1, len(closure))
-        if pd[i, j] == 1
-    ]
-    g = UnitGraph(len(closure), tuple(sub_edges))
+    g = UnitGraph(len(closure), np.argwhere(np.triu(pd == 1, 1)).tolist())
     median = MedianAlgebra.from_graph(g)
     isometric = bool((median.dist == pd).all())
     skeleton = hyperplane_decomposition(median)

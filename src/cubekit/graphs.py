@@ -96,6 +96,26 @@ class UnitGraph:
             raise DisconnectedGraphError(int(bad[0]), int(bad[1]))
         return dist.astype(np.int32)
 
+    @cached_property
+    def ancestor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """For a tree rooted at vertex 0: lca_depth[u, v], the depth of the
+        lowest common ancestor of u and v, and anc[v, k], the ancestor of v
+        at depth k (for k <= depth of v)."""
+        D = self.distance_matrix
+        depth = D[0]
+        lca_depth = (depth[:, None] + depth[None, :] - D) // 2
+        parent = np.zeros(self.n, dtype=np.int64)
+        if self.edges:
+            u, v = np.array(self.edges, dtype=np.int64).T
+            v_below = depth[v] > depth[u]
+            parent[np.where(v_below, v, u)] = np.where(v_below, u, v)
+        anc = np.empty((self.n, int(depth.max()) + 1), dtype=np.int64)
+        x = np.arange(self.n)
+        for k in range(anc.shape[1] - 1, -1, -1):
+            x = np.where(depth[x] > k, parent[x], x)
+            anc[:, k] = x
+        return lca_depth, anc
+
     def dist_pair(self, u: int, v: int) -> int:
         return int(self.distance_matrix[u, v])
 

@@ -15,10 +15,14 @@ import numpy as np
 
 def as_number(x) -> int | Fraction:
     """Exact value of an int, Fraction, float or string ('3/2', '1.5');
-    integral values come back as int."""
+    integral values come back as int.  A zero denominator ('1/0') is a
+    ValueError, like any other malformed number."""
     if isinstance(x, (int, np.integer)):
         return int(x)
-    f = Fraction(x)
+    try:
+        f = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
     return int(f) if f.denominator == 1 else f
 
 
@@ -39,7 +43,10 @@ def decode_number(v) -> int | Fraction:
     """Inverse of encode_number: [p, q] or a plain number, as_number-normalized
     (so [p, 1] decodes to the int p)."""
     if isinstance(v, list):
-        return as_number(Fraction(int(v[0]), int(v[1])))
+        p, q = int(v[0]), int(v[1])
+        if q == 0:
+            raise ValueError(f"zero denominator in {v!r}")
+        return as_number(Fraction(p, q))
     return as_number(v)
 
 

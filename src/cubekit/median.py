@@ -36,6 +36,9 @@ def _popcount_rows(a: np.ndarray) -> np.ndarray:
     return table[a].sum(axis=-1)
 
 
+_MASK_CELLS = 1 << 22  # cap on the cells of one interval mask in median_bulk
+
+
 def interval_matrix(D: np.ndarray, x: int) -> np.ndarray:
     """Boolean matrix M[y, v] = (v lies on a geodesic from x to y)."""
     return D[x][None, :] + D == D[x][:, None]
@@ -123,23 +126,48 @@ class MedianAlgebra:
             raise NotMedianGraphError((x, y, z), int(cand.size))
         return int(cand[0])
 
-    def median_bulk(self, a: int, b_arr: np.ndarray, c: int) -> np.ndarray:
-        """Medians m(a, b, c) for every b in b_arr, vectorized."""
-        return median_bulk_on(self.dist, a, b_arr, c)
+    def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
+        """Medians m(a, b, c) for every b in b_arr, vectorized; `a` and `c`
+        are each a vertex or an array aligned with b_arr."""
+        D = self.dist
+        b_arr = np.asarray(b_arr, dtype=np.int64)
+        a, c = (np.broadcast_to(np.asarray(x, dtype=np.int64), b_arr.shape) for x in (a, c))
+        meds = np.empty(b_arr.shape, dtype=np.int64)
+        step = max(1, _MASK_CELLS // self.n)  # rows per chunk of |rows| x n masks
+        for lo in range(0, len(b_arr), step):
+            ra, rb, rc = a[lo : lo + step], b_arr[lo : lo + step], c[lo : lo + step]
+            Da, Db, Dc = D[ra], D[rb], D[rc]
+            combined = (
+                (Da + Db == D[ra, rb][:, None])
+                & (Db + Dc == D[rb, rc][:, None])
+                & (Da + Dc == D[ra, rc][:, None])
+            )
+            counts = combined.sum(axis=1)
+            if (counts != 1).any():
+                bad = int(np.flatnonzero(counts != 1)[0])
+                raise NotMedianGraphError(
+                    (int(ra[bad]), int(rb[bad]), int(rc[bad])), int(counts[bad])
+                )
+            meds[lo : lo + step] = np.argmax(combined, axis=1)
+        return meds
 
 
-def median_bulk_on(D: np.ndarray, a: int, b_arr: np.ndarray, c: int) -> np.ndarray:
-    """Medians m(a, b, c) over a distance matrix, for every b in b_arr."""
-    b_arr = np.asarray(b_arr, dtype=np.int64)
-    iab = D[a][None, :] + D[b_arr, :] == D[a, b_arr][:, None]
-    ibc = D[b_arr, :] + D[c][None, :] == D[b_arr, c][:, None]
-    iac = (D[a] + D[c] == D[a, c])[None, :]
-    combined = iab & ibc & iac
-    meds = np.argmax(combined, axis=1)
-    if (combined.sum(axis=1) != 1).any():
-        bad = int(np.flatnonzero(combined.sum(axis=1) != 1)[0])
-        raise NotMedianGraphError((a, int(b_arr[bad]), c), int(combined[bad].sum()))
-    return meds
+def tree_medians(tree: UnitGraph, a, b, c) -> np.ndarray:
+    """Medians m(a, b, c) in a tree, for aligned arrays (or scalars) a, b, c.
+
+    The median of a triple is the deepest of its three pairwise lowest common
+    ancestors (Bender & Farach-Colton 2000 for the LCA tables); with the tree
+    rooted at vertex 0, lca(u, v) is the ancestor of u at depth
+    (depth(u) + depth(v) - d(u, v)) / 2.
+    """
+    lca_depth, anc = tree.ancestor_table
+    L, n = lca_depth.ravel(), tree.n
+    a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
+    k_ab, k_bc, k_ac = L.take(a * n + b), L.take(b * n + c), L.take(a * n + c)
+    # the deepest lca is an ancestor of b unless it is lca(a, c) alone
+    x = np.where(k_ac > np.maximum(k_ab, k_bc), a, b)
+    k = np.maximum(np.maximum(k_ab, k_bc), k_ac)
+    return anc.ravel().take(x * anc.shape[1] + k)
 
 
 def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
@@ -152,13 +180,21 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 #
 # The closure and bridging engines work against any median space with four
 # methods over integer vertex ids: neighbors(v), dist_pair(u, v),
-# pairwise_distances(verts) and median_bulk(a, b_arr, c).  MedianAlgebra
-# implements them from its distance matrix, applications.TreeProduct
-# factorwise over a product of trees.
+# pairwise_distances(verts) and median_bulk(a, b_arr, c).  median_bulk takes
+# a 1-D array b_arr; `a` and `c` are each a vertex or an array aligned with
+# b_arr, and row i of the result is m(a[i], b_arr[i], c[i]).  MedianAlgebra
+# implements it with interval masks over its distance matrix,
+# applications.TreeProduct factorwise with tree_medians.
+
+
+def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (a, b) for a in arr[:rows], b in arr, in row-major order."""
+    return np.repeat(arr[:rows], len(arr)), np.tile(arr, rows)
 
 
 def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed`: worklist fixpoint."""
+    """Smallest median-closed superset of `seed`: worklist fixpoint, one
+    median_bulk call over every pair of the current set per popped vertex."""
     members = sorted(set(int(v) for v in seed))
     if not members:
         raise MedianError("closure of the empty set is undefined")
@@ -167,11 +203,8 @@ def closure_of(space, seed) -> frozenset[int]:
     while queue:
         c = queue.pop()
         arr = np.fromiter(in_set, dtype=np.int64)
-        fresh: set[int] = set()
-        for a in arr:
-            meds = space.median_bulk(int(a), arr, c)
-            fresh.update(int(v) for v in set(meds.tolist()) - in_set)
-        for v in sorted(fresh):
+        meds = space.median_bulk(*_pairs(arr, len(arr)), c)
+        for v in sorted(set(meds[~np.isin(meds, arr)].tolist())):
             in_set.add(v)
             queue.append(v)
     return frozenset(in_set)
@@ -183,18 +216,21 @@ def subalgebra_closure(m: MedianAlgebra, A) -> frozenset[int]:
 
 
 def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:
+    """Whether S holds every median of its triples; on failure the witness
+    (a, b, c) has the least (a, c) with a <= c, then the least b."""
     members = np.array(sorted(set(int(v) for v in S)), dtype=np.int64)
-    sset = set(members.tolist())
-    for a in members:
-        for c in members:
-            if c < a:
-                continue
-            meds = m.median_bulk(int(a), members, int(c))
-            out = set(meds.tolist()) - sset
-            if out:
-                bad = int(np.flatnonzero(~np.isin(meds, members))[0])
-                return False, (int(a), int(members[bad]), int(c))
-    return True, None
+    least = None  # (a, c, b) of the least escaping triple
+    for i, c in enumerate(members.tolist()):
+        a, b = _pairs(members, i + 1)
+        out = np.flatnonzero(~np.isin(m.median_bulk(a, b, c), members))
+        if out.size:
+            j = int(out[0])  # row-major order: least a, then least b
+            if least is None or (a[j], c) < least[:2]:
+                least = (int(a[j]), c, int(b[j]))
+    if least is None:
+        return True, None
+    a, c, b = least
+    return False, (a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +266,9 @@ def median_defect(m: MedianAlgebra, A) -> int:
     """Largest distance from a median of an A-triple back to A."""
     members = np.array(sorted(set(int(v) for v in A)), dtype=np.int64)
     worst = 0
-    for a in members:
-        for c in members:
-            if c < a:
-                continue
-            meds = m.median_bulk(int(a), members, int(c))
-            d = m.dist[np.ix_(meds, members)].min(axis=1).max()
-            worst = max(worst, int(d))
+    for i, c in enumerate(members.tolist()):
+        meds = np.unique(m.median_bulk(*_pairs(members, i + 1), c))
+        worst = max(worst, int(m.dist[np.ix_(meds, members)].min(axis=1).max()))
     return worst
 
 

@@ -48,6 +48,20 @@ def test_validate_reports_bad_rho_data_as_defect(defect, tmp_path):
     assert bad and bad[0]["witness"] == pair
 
 
+@pytest.mark.parametrize(
+    "command, fixture",
+    [("build-quasitree", ["axes-system", "--n", "40"]), ("promote", ["tree-axes", "--n", "30"])],
+    ids=["build-quasitree", "promote"],
+)
+def test_zero_denominator_flag_is_an_input_error(command, fixture, tmp_path, capsys):
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", *fixture, "--out", inp]) == 0
+    capsys.readouterr()
+    # rejected by argparse like `--K abc`, not a ZeroDivisionError traceback
+    assert main([command, "--in", inp, "--K", "1/0"]) == 1
+    assert "invalid as_number value: '1/0'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # golden runs: every subcommand on small seeded fixtures
 #

@@ -15,11 +15,13 @@ from cubekit.graphs import (
 from cubekit.median import (
     MedianAlgebra,
     MedianError,
+    NotMedianGraphError,
     check_isometric_subalgebra,
     connectify_and_close,
     is_median_closed,
     is_median_graph,
     median_candidates,
+    median_defect,
     median_subset_report,
     median_triple,
     subalgebra_closure,
@@ -163,6 +165,32 @@ def test_closure_matches_oracle_random(grid55):
         assert subalgebra_closure(grid55, seed) == frozenset(
             oracle_closure(grid55.n, grid55.graph.edges, seed)
         )
+
+
+def test_median_closed_witness_is_least_a_then_c_then_b():
+    m = MedianAlgebra.from_graph(grid_graph(4, 4))
+    S = [0, 1, 4, 7, 13]
+    # escaping triples include (1, 7, 4) (least c) and (0, 13, 7) (least a)
+    assert m.median(1, 7, 4) == 5 and m.median(0, 13, 7) == 5
+    assert is_median_closed(m, S) == (False, (0, 13, 7))
+    assert median_defect(m, S) == 1
+
+
+def test_median_bulk_broadcasts_a_and_c(grid55):
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.integers(0, grid55.n, size=30) for _ in range(3))
+    expected = [median_triple(grid55, *t) for t in zip(a, b, c)]
+    assert grid55.median_bulk(a, b, c).tolist() == expected
+    assert grid55.median_bulk(int(a[0]), b, c).tolist() == [
+        median_triple(grid55, int(a[0]), y, z) for y, z in zip(b, c)
+    ]
+
+
+def test_median_bulk_on_a_non_median_graph_names_the_triple():
+    m = MedianAlgebra(complete_bipartite_graph(2, 3), rank=1)  # skips the check
+    with pytest.raises(NotMedianGraphError) as err:
+        m.median_bulk(np.array([0, 2]), np.array([0, 3]), np.array([2, 4]))
+    assert err.value.witness == (2, 3, 4) and err.value.count == 2
 
 
 def test_closure_of_empty_raises(grid33):

@@ -1,10 +1,12 @@
 """Property tests of facts the program relies on without re-checking them.
 
 Halfspace convexity and the dimension of the hyperplane pass, medianness of
-trees, uniqueness of gates on tree geodesics and the component labelling are
-taken on trust at run time; here they are checked against the brute-force
-oracles of `helpers` on small grids, hypercubes, random trees and products of
-two trees.  Examples are derandomized, so the suite stays deterministic.
+trees, uniqueness of gates on tree geodesics, the component labelling, the
+median closure and the lowest-common-ancestor medians of a product of trees
+are taken on trust at run time; here they are checked against the
+brute-force oracles of `helpers` on small grids, hypercubes, random trees and
+products of trees.  Examples are derandomized, so the suite stays
+deterministic.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubekit.applications import TreeProduct
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     UnitGraph,
@@ -23,8 +26,14 @@ from cubekit.graphs import (
     hypercube_graph,
 )
 from cubekit.jsonio import decode_number, encode_number
-from cubekit.median import MedianAlgebra, is_median_graph, lex_least_geodesic
-from helpers import oracle_all_dists, oracle_interval_closure, oracle_medians_of
+from cubekit.median import (
+    MedianAlgebra,
+    closure_of,
+    is_median_graph,
+    lex_least_geodesic,
+    median_candidates,
+)
+from helpers import oracle_all_dists, oracle_closure, oracle_interval_closure, oracle_medians_of
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -35,11 +44,27 @@ def trees(draw, min_n=1, max_n=12):
     return UnitGraph(n, tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)))
 
 
-def tree_product(a: UnitGraph, b: UnitGraph) -> UnitGraph:
-    """Cartesian product; vertex (x, y) has index x * b.n + y."""
-    edges = [(u * b.n + y, v * b.n + y) for u, v in a.edges for y in range(b.n)]
-    edges += [(x * b.n + u, x * b.n + v) for x in range(a.n) for u, v in b.edges]
-    return UnitGraph(a.n * b.n, tuple(edges))
+@st.composite
+def relabelled_trees(draw, max_n=12):
+    """Random trees with permuted labels: vertex 0, the root of the ancestor
+    tables, may be any vertex, and a parent may carry a larger label."""
+    return relabel(draw(trees(max_n=max_n)), draw)
+
+
+def relabel(g: UnitGraph, draw) -> UnitGraph:
+    perm = draw(st.permutations(range(g.n)))
+    return UnitGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def tree_product(*factors: UnitGraph) -> UnitGraph:
+    """Cartesian product, vertices mixed-radix encoded as in TreeProduct:
+    (x, y) has index x * b.n + y for factors (a, b)."""
+    g = factors[0]
+    for b in factors[1:]:
+        edges = [(u * b.n + y, v * b.n + y) for u, v in g.edges for y in range(b.n)]
+        edges += [(x * b.n + u, x * b.n + v) for x in range(g.n) for u, v in b.edges]
+        g = UnitGraph(g.n * b.n, tuple(edges))
+    return g
 
 
 @st.composite
@@ -54,8 +79,14 @@ def median_graphs(draw):
         g = draw(trees())
     else:
         g = tree_product(draw(trees(max_n=5)), draw(trees(max_n=5)))
-    perm = draw(st.permutations(range(g.n)))
-    return UnitGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+    return relabel(g, draw)
+
+
+@st.composite
+def tree_factors(draw):
+    """Two or three small relabelled trees, at most 36 product vertices."""
+    count = draw(st.integers(2, 3))
+    return tuple(draw(relabelled_trees(max_n=6 if count == 2 else 3)) for _ in range(count))
 
 
 def _crosses(h, k) -> bool:
@@ -143,3 +174,38 @@ def test_number_codec_round_trip(x, scale):
     for back in (decode_number(encode_number(x)), decode_number(unreduced)):
         assert back == x
         assert isinstance(back, int) == (f.denominator == 1)
+
+
+@PROPERTY
+@given(median_graphs(), st.data())
+def test_closure_of_matches_the_saturation_oracle(g, data):
+    seed = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    expected = oracle_closure(g.n, g.edges, seed)
+    assert closure_of(MedianAlgebra.from_graph(g), seed) == frozenset(expected)
+
+
+@PROPERTY
+@given(tree_factors(), st.data())
+def test_tree_product_medians_match_the_explicit_product(factors, data):
+    space = TreeProduct(factors)
+    D = tree_product(*factors).distance_matrix
+    k = data.draw(st.integers(1, 20))
+    vertices = st.lists(st.integers(0, space.n - 1), min_size=k, max_size=k)
+    a, b, c = (np.array(data.draw(vertices)) for _ in range(3))
+
+    def brute(triples):
+        return [int(median_candidates(D, *t)[0]) for t in triples]
+
+    assert space.median_bulk(a, b, c).tolist() == brute(zip(a, b, c))
+    x, z = int(a[0]), int(c[0])
+    assert space.median_bulk(x, b, z).tolist() == brute((x, y, z) for y in b)
+    assert space.median_bulk(a, b, z).tolist() == brute((p, y, z) for p, y in zip(a, b))
+
+
+@PROPERTY
+@given(tree_factors(), st.data())
+def test_tree_product_closure_matches_the_saturation_oracle(factors, data):
+    product = tree_product(*factors)
+    seed = data.draw(st.sets(st.integers(0, product.n - 1), min_size=1, max_size=4))
+    expected = oracle_closure(product.n, product.edges, seed)
+    assert closure_of(TreeProduct(factors), seed) == frozenset(expected)
