@@ -6,6 +6,7 @@ experiment, and packing counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +44,13 @@ class TreeProduct:
                 raise PipelineError(f"factor {i} is not a tree")
         self.factors = tuple(factors)
         self.sizes = tuple(f.n for f in factors)
+        self.n = math.prod(self.sizes)
+        if self.n - 1 > np.iinfo(np.int64).max:
+            raise PipelineError(
+                f"product of {len(self.sizes)} trees has {self.n} vertices; "
+                "encoded ids would not fit in int64"
+            )
         self.dists = tuple(f.distance_matrix for f in factors)
-        self.n = int(np.prod(self.sizes))
 
     def encode(self, coords) -> int:
         v = 0

@@ -7,6 +7,7 @@ quality.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,13 +17,14 @@ from .hhs import (
     Colouring,
     HHSInstance,
     InstanceError,
-    _setdist,
+    _blockwise,
     is_hierarchy_path,
     relevant_domains,
     unparametrised_qg_on_metric,
 )
 from .projection import (
     AxiomReport,
+    ProjectionError,
     ProjectionSystem,
     QuasitreeParameterError,
     QuasiTreeSpace,
@@ -95,32 +97,18 @@ def build_coloured_system(
     slack = 0
     for ci, cls in enumerate(class_ids):
         doms = [h.by_id[i] for i in cls]
+        # worst[pos, g]: max over U != V of d_U(pi_U(g), rho(V, U)), V = doms[pos]
+        worst = np.zeros((len(doms), h.n), dtype=np.int64)
+        for pos, V in enumerate(doms):
+            for U in doms:
+                if U.id != V.id:
+                    col = U.setdist[:, sorted(h.rho_of(V, U))].min(axis=1)
+                    np.maximum(worst[pos], col, out=worst[pos])
         if orbit is not None:
             table = tuple(cls.index(orbit[ci][g]) for g in range(h.n))
-        elif len(doms) == 1:
-            table = tuple(0 for _ in range(h.n))
         else:
-            table = []
-            for g in range(h.n):
-                best = None
-                best_pos = 0
-                for pos, V in enumerate(doms):
-                    worst = max(
-                        _setdist(U.dist, U.pi[g], h.rho_of(V, U))
-                        for U in doms
-                        if U.id != V.id
-                    )
-                    if best is None or worst < best:
-                        best = worst
-                        best_pos = pos
-                table.append(best_pos)
-            table = tuple(table)
-        for g in range(h.n):
-            V = h.by_id[cls[table[g]]]
-            for U in doms:
-                if U.id == V.id:
-                    continue
-                slack = max(slack, _setdist(U.dist, U.pi[g], h.rho_of(V, U)))
+            table = tuple(np.argmin(worst, axis=0).tolist())
+        slack = max(slack, int(worst[table, np.arange(h.n)].max()))
         orbit_tables.append(table)
     return ColouredSystem(
         instance=h,
@@ -157,11 +145,24 @@ def psi_map(cs: ColouredSystem) -> PsiImage:
     return PsiImage(tuple(maps))
 
 
-def product_distance(cs: ColouredSystem, psi: PsiImage, x: int, y: int):
-    return sum(
-        cs.quasitrees[ci].dist(psi.maps[ci][x], psi.maps[ci][y])
-        for ci in range(cs.chi)
-    )
+def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
+    """chi x m matrix of the distances between us[i][k] and vs[i][k] in the
+    quasitree of colour i.  Raises ProjectionError, as QuasiTreeSpace.dist
+    does, for the first pair (least k, then least colour) that lies in two
+    components."""
+    rows = []
+    for q, u, v in zip(cs.quasitrees, us, vs):
+        mat = q.distance_matrix
+        if isinstance(mat, np.ndarray):
+            rows.append(mat[u, v])
+        else:
+            rows.append([mat[a].get(b, -1) for a, b in zip(u.tolist(), v.tolist())])
+    dists = np.array(rows)
+    bad = np.argwhere(dists.T < 0)
+    if bad.size:
+        k, ci = bad[0]
+        raise ProjectionError(f"vertices {us[ci][k]},{vs[ci][k]} are in different components")
+    return dists
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,16 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
     pairs = [(int(x), int(y)) for x, y in samples]
     if len(pairs) < 2:
         raise EmbeddingError("need at least two sample pairs")
-    DG = cs.instance.dist
+    xs, ys = np.array(pairs, dtype=np.int64).T
+    maps = [np.asarray(mp) for mp in psi.maps]
+    DP = _quasitree_dists(cs, [mp[xs] for mp in maps], [mp[ys] for mp in maps]).sum(axis=0)
+    DG = cs.instance.dist[xs, ys]
     rows = []
     k_up = Fraction(1)
     k_low = Fraction(1)
     add = Fraction(0)
-    for x, y in pairs:
-        dg = int(DG[x, y])
-        dp = Fraction(product_distance(cs, psi, x, y))
+    for x, y, dg, dp in zip(xs.tolist(), ys.tolist(), DG.tolist(), DP.tolist()):
+        dp = Fraction(dp)
         rows.append(((x, y), dg, dp))
         if dg > 0 and dp > 0:
             k_up = max(k_up, dp / dg)
@@ -208,39 +211,48 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
 # quasimedian defect
 
 
-def _codomain_median(q: QuasiTreeSpace, a: int, b: int, c: int) -> tuple[int, bool]:
-    """Exact graph median of the quasitree when the triple has one; else the
-    least-index sum-of-distances minimizer (flagged True)."""
+def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Per triple of the aligned arrays a, b, c: the exact graph median of the
+    quasitree when the triple has one, else the least-index sum-of-distances
+    minimizer, flagged True."""
     mat = q.distance_matrix
     if isinstance(mat, np.ndarray):
-        mask = (
-            (mat[a] + mat[b] == mat[a, b])
-            & (mat[b] + mat[c] == mat[b, c])
-            & (mat[c] + mat[a] == mat[c, a])
-        )
-        hits = np.flatnonzero(mask)
-        if hits.size == 1:
-            return int(hits[0]), False
-        score = mat[a] + mat[b] + mat[c]
-        return int(np.argmin(score)), True
-    best = None
-    best_v = -1
-    exact = []
-    for v in range(q.n):
-        da, db, dc = q.dist(a, v), q.dist(b, v), q.dist(c, v)
-        if (
-            da + db == q.dist(a, b)
-            and db + dc == q.dist(b, c)
-            and dc + da == q.dist(c, a)
-        ):
-            exact.append(v)
-        s = da + db + dc
-        if best is None or s < best:
-            best = s
-            best_v = v
-    if len(exact) == 1:
-        return exact[0], False
-    return best_v, True
+
+        def block(sl):
+            ra, rb, rc = mat[a[sl]], mat[b[sl]], mat[c[sl]]
+            mask = (
+                (ra + rb == mat[a[sl], b[sl]][:, None])
+                & (rb + rc == mat[b[sl], c[sl]][:, None])
+                & (rc + ra == mat[c[sl], a[sl]][:, None])
+            )
+            hits = mask.sum(axis=1)
+            mu = np.where(hits == 1, mask.argmax(axis=1), np.argmin(ra + rb + rc, axis=1))
+            return np.stack([mu, hits != 1])
+
+        mu, flagged = _blockwise(len(a), block)
+        return mu, flagged.astype(bool)
+    # Fraction distances (non-integer L) sit in a dict of dicts: scan per triple
+    mu, flagged = [], []
+    for ta, tb, tc in zip(a.tolist(), b.tolist(), c.tolist()):
+        best = None
+        best_v = -1
+        exact = []
+        for v in range(q.n):
+            da, db, dc = q.dist(ta, v), q.dist(tb, v), q.dist(tc, v)
+            if (
+                da + db == q.dist(ta, tb)
+                and db + dc == q.dist(tb, tc)
+                and dc + da == q.dist(tc, ta)
+            ):
+                exact.append(v)
+            s = da + db + dc
+            if best is None or s < best:
+                best = s
+                best_v = v
+        unique = len(exact) == 1
+        mu.append(exact[0] if unique else best_v)
+        flagged.append(not unique)
+    return np.array(mu, dtype=np.int64), np.array(flagged, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -253,30 +265,30 @@ class QuasimedianReport:
 
 def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> QuasimedianReport:
     """Distance between the image of the instance median and the
-    coordinate-wise codomain median, per sampled triple."""
+    coordinate-wise codomain median, per sampled triple.
+
+    One `hhs_median` call over all triples gives the instance medians; the
+    codomain medians are computed per colour for all triples at once.
+    """
     from .hhs import hhs_median
 
-    h = cs.instance
-    counts: dict[Fraction, int] = {}
-    rows = []
-    fallback: set[int] = set()
-    worst = Fraction(0)
-    for x, y, z in triples:
-        x, y, z = int(x), int(y), int(z)
-        m, _ = hhs_median(h, x, y, z)
-        defect = Fraction(0)
-        for ci in range(cs.chi):
-            q = cs.quasitrees[ci]
-            a, b, c = psi.maps[ci][x], psi.maps[ci][y], psi.maps[ci][z]
-            mu, flagged = _codomain_median(q, a, b, c)
-            if flagged:
-                fallback.add(ci)
-            defect += Fraction(q.dist(psi.maps[ci][m], mu))
-        counts[defect] = counts.get(defect, 0) + 1
-        rows.append(((x, y, z), defect))
-        worst = max(worst, defect)
+    xyz = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    x, y, z = xyz.T
+    m, _ = hhs_median(cs.instance, x, y, z)
+    maps = [np.asarray(mp) for mp in psi.maps]
+    mus = []
+    fallback = []
+    for ci, (q, mp) in enumerate(zip(cs.quasitrees, maps)):
+        mu, flagged = _codomain_medians(q, mp[x], mp[y], mp[z])
+        mus.append(mu)
+        if flagged.any():
+            fallback.append(ci)
+    dists = _quasitree_dists(cs, [mp[m] for mp in maps], mus)
+    defects = [Fraction(d) for d in dists.sum(axis=0).tolist()]
+    counts = Counter(defects)
     hist = tuple((str(k), counts[k]) for k in sorted(counts))
-    return QuasimedianReport(worst, hist, tuple(sorted(fallback)), tuple(rows))
+    rows = tuple(zip(map(tuple, xyz.tolist()), defects))
+    return QuasimedianReport(max(defects, default=Fraction(0)), hist, tuple(fallback), rows)
 
 
 # ---------------------------------------------------------------------------

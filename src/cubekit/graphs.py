@@ -119,11 +119,16 @@ class UnitGraph:
     def dist_pair(self, u: int, v: int) -> int:
         return int(self.distance_matrix[u, v])
 
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Connected-component label of every vertex (see `component_labels`)."""
+        return component_labels(self._sparse)
+
     def is_connected(self) -> bool:
-        return bool(component_labels(self._sparse).max() == 0)
+        return bool(self.components.max() == 0)
 
     def require_connected(self) -> None:
-        lab = component_labels(self._sparse)
+        lab = self.components
         if lab.max() > 0:
             u = int(np.argmax(lab == 0))
             v = int(np.argmax(lab == 1))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .graphs import UnitGraph
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
+from .median import tree_medians
 
 REL_NESTED = "nested"      # self is strictly nested in other
 REL_CONTAINS = "contains"  # other is strictly nested in self
@@ -49,6 +50,25 @@ def _setdiam(D: np.ndarray, A) -> int:
     return int(D[np.ix_(idx, idx)].max())
 
 
+# Triples per block wherever a (triples x vertices) array is built: bounds
+# the memory of the batched medians, as median_bulk's cap on mask cells does.
+BLOCK = 128
+
+
+def _blockwise(m: int, fn) -> np.ndarray:
+    """fn(sl) over the consecutive slices sl of range(m), BLOCK rows each,
+    joined along the last axis."""
+    parts = [fn(slice(lo, lo + BLOCK)) for lo in range(0, max(m, 1), BLOCK)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _as_arrays(*vs) -> tuple[bool, list[np.ndarray]]:
+    """(all scalar?, the arguments broadcast to aligned 1-D int64 arrays)."""
+    scalar = all(np.ndim(v) == 0 for v in vs)
+    arrays = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in vs)
+    return scalar, np.broadcast_arrays(*arrays)
+
+
 @dataclass(frozen=True)
 class Domain:
     """One domain: its space, the projection from the ambient graph, its
@@ -65,8 +85,10 @@ class Domain:
     def dist(self) -> np.ndarray:
         return self.space.distance_matrix
 
-    def pi_rep(self, x: int) -> int:
-        return min(self.pi[x])
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """reps[x] = min(pi[x]), the least vertex of each projection."""
+        return np.array([min(p) for p in self.pi], dtype=np.int64)
 
     @cached_property
     def setdist(self) -> np.ndarray:
@@ -408,13 +430,19 @@ class DistanceFormulaFit:
     max_lower_slack: Fraction
 
 
-def projection_sum(h: HHSInstance, x: int, y: int, s) -> int:
+def projection_sum(h: HHSInstance, x, y, s):
     """Sum of d_U(x, y) over the domains where x, y project more than s apart.
 
     The threshold is strict, as in `relevant_domains`: a domain with
-    d_U(x, y) == s contributes nothing.
+    d_U(x, y) == s contributes nothing.  x, y are ambient vertices (an int is
+    returned) or aligned arrays of them (an array of sums, one per pair).
     """
-    return sum(v for v in (h.d_U(d, x, y) for d in h.domains) if v > s)
+    scalar, (x, y) = _as_arrays(x, y)
+    total = np.zeros(len(x), dtype=np.int64)
+    for d in h.domains:
+        v = h.d_U_matrix(d)[x, y]
+        total += np.where(v > s, v, 0)
+    return int(total[0]) if scalar else total
 
 
 def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
@@ -423,26 +451,38 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
     S is `projection_sum(h, x, y, s)`, which counts only the domains with
     d_U(x, y) > s (strict threshold).  B(A) = max(0, max(S/A - d),
     max(d - A*S)) over the sample; with that (A, B) both distance-formula
-    inequalities hold on every sampled pair.
+    inequalities hold on every sampled pair.  When no A <= 2^20 qualifies,
+    A is 2^20 + 1.  The search runs in integers: A*B(A) = max(0, max(S - A*d),
+    A*max(d - A*S)).
     """
     if s < 100 * h.E:
         raise InstanceError(f"threshold s={s} is below 100*E={100 * h.E}")
-    rows = []
-    for x, y in samples:
-        x, y = int(x), int(y)
-        rows.append(((x, y), int(h.dist[x, y]), projection_sum(h, x, y, s)))
-    A = 1
-    while True:
-        b_needed = Fraction(0)
-        for _, d, S in rows:
-            b_needed = max(b_needed, Fraction(S, A) - d, Fraction(d - A * S))
-        if b_needed <= A * s or A > 1 << 20:
-            break
-        A += 1
-    B = max(b_needed, Fraction(0))
-    up = max((Fraction(A * S + B - d) for _, d, S in rows), default=Fraction(0))
-    low = max((Fraction(d) - (Fraction(S, A) - B) for _, d, S in rows), default=Fraction(0))
-    return DistanceFormulaFit(int(s), A, B, tuple(rows), up, low)
+    xy = np.array([(int(x), int(y)) for x, y in samples], dtype=np.int64).reshape(-1, 2)
+    d = h.dist[xy[:, 0], xy[:, 1]].astype(np.int64)
+    S = projection_sum(h, xy[:, 0], xy[:, 1], s)
+    rows = tuple(
+        ((x, y), dd, ss) for (x, y), dd, ss in zip(xy.tolist(), d.tolist(), S.tolist())
+    )
+
+    def times_b(A: int) -> int:
+        return max(int((S - A * d).max(initial=0)), A * int((d - A * S).max(initial=0)))
+
+    # B(A) falls and A*s grows with A (d, S >= 0), so the least A with
+    # B(A) <= A*s is found by bisection; past 2^20 the search gives up
+    lo, hi = 1, (1 << 20) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if times_b(mid) <= mid * mid * s:
+            hi = mid
+        else:
+            lo = mid + 1
+    A = lo
+    B = Fraction(times_b(A), A)
+    up = low = Fraction(0)
+    if rows:
+        up = B + int((A * S - d).max())
+        low = B + Fraction(int((A * d - S).max()), A)
+    return DistanceFormulaFit(int(s), A, B, rows, up, low)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +612,7 @@ def is_hierarchy_path(h: HHSInstance, path: list[int], D: int) -> tuple[bool, st
     if not lipschitz:
         raise InstanceError("path breaks the ambient coarse-Lipschitz clause")
     for dom in h.domains:
-        shadow = [dom.pi_rep(v) for v in path]
+        shadow = dom.reps[path].tolist()
         if not is_unparametrised_quasigeodesic(dom.space, shadow, D):
             return False, dom.id
     if not lower:
@@ -721,29 +761,46 @@ def find_bbf_colouring(h: HHSInstance) -> Colouring:
 # coarse median
 
 
-def domain_coarse_median(h: HHSInstance, dom: Domain, x: int, y: int, z: int) -> int:
-    """Tree median of representatives when the space is a tree, else the
-    least-index minimizer of the summed distances to the three projections."""
+def domain_coarse_median(h: HHSInstance, dom: Domain, x, y, z):
+    """Coarse median of x, y, z in one domain: the tree median of the
+    representatives min(pi[.]) when the space is a tree, else the least-index
+    minimizer of the summed distances to the three projections.
+
+    x, y, z are ambient vertices (an int is returned) or aligned arrays of
+    them (an array of medians, one per triple).
+    """
+    scalar, (x, y, z) = _as_arrays(x, y, z)
     if dom.space.is_tree():
-        reps = [dom.pi_rep(x), dom.pi_rep(y), dom.pi_rep(z)]
-        D = dom.dist
-        mask = (
-            (D[reps[0]] + D[reps[1]] == D[reps[0], reps[1]])
-            & (D[reps[1]] + D[reps[2]] == D[reps[1], reps[2]])
-            & (D[reps[2]] + D[reps[0]] == D[reps[2], reps[0]])
+        r = dom.reps
+        med = tree_medians(dom.space, r[x], r[y], r[z])
+    else:
+        S = dom.setdist
+        med = _blockwise(
+            len(x), lambda sl: np.argmin(S[x[sl]] + S[y[sl]] + S[z[sl]], axis=1)
         )
-        return int(np.flatnonzero(mask)[0])
-    D = dom.dist
-    score = sum(D[:, sorted(dom.pi[w])].min(axis=1) for w in (x, y, z))
-    return int(np.argmin(score))
+    return int(med[0]) if scalar else med
 
 
-def hhs_median(h: HHSInstance, x: int, y: int, z: int) -> tuple[int, int]:
-    """Ambient vertex realizing the per-domain coarse medians best;
-    returns (vertex, achieved max defect)."""
+def hhs_median(h: HHSInstance, x, y, z):
+    """Ambient vertex realizing the per-domain coarse medians best, and the
+    achieved max defect: the least-index g minimizing max over domains U of
+    d_U(pi_U(g), m_U), with m_U the coarse median in U.
+
+    x, y, z are ambient vertices, giving (vertex, defect) as ints, or aligned
+    arrays of them, giving (vertices, defects) as arrays, one per triple.
+    """
+    scalar, (x, y, z) = _as_arrays(x, y, z)
     targets = [domain_coarse_median(h, dom, x, y, z) for dom in h.domains]
-    score = np.stack(
-        [dom.setdist[:, t] for dom, t in zip(h.domains, targets)]
-    ).max(axis=0)
-    best_v = int(np.argmin(score))
-    return best_v, int(score[best_v])
+
+    def best(sl):
+        score = None
+        for dom, t in zip(h.domains, targets):
+            col = dom.setdist[:, t[sl]]
+            score = col if score is None else np.maximum(score, col, out=score)
+        return np.argmin(score, axis=0)
+
+    best_v = _blockwise(len(x), best)
+    defect = np.max([dom.setdist[best_v, t] for dom, t in zip(h.domains, targets)], axis=0)
+    if scalar:
+        return int(best_v[0]), int(defect[0])
+    return best_v, defect

@@ -136,3 +136,106 @@ def lex_geodesic(graph, a, b):
         path.append(nxt)
         cur = nxt
     return path
+
+
+# ---------------------------------------------------------------------------
+# the per-triple and per-pair rules of the measure path (psi, df-check)
+
+
+def oracle_is_tree(n, edges):
+    return len(edges) == n - 1 and None not in oracle_bfs(n, edges, 0)
+
+
+def oracle_set_dist(dist, A, B):
+    """Least distance between the vertex sets A and B."""
+    return min(dist[a][b] for a in A for b in B)
+
+
+def oracle_coarse_median(domains, x, y, z):
+    """Coarse median of an ambient triple, one triple at a time.
+
+    `domains` lists (dist, pi, is_tree) per domain: dist a list of lists,
+    pi[g] the set a vertex g projects to.  In a tree domain the target is the
+    median of the least projection points; otherwise it is the least vertex
+    minimizing the summed distances to the three projections.  Returns the
+    least ambient vertex minimizing the worst distance from its projection to
+    the targets, with that distance.
+    """
+    targets = []
+    for dist, pi, tree in domains:
+        if tree:
+            t = oracle_medians_of(dist, *(min(pi[w]) for w in (x, y, z)))[0]
+        else:
+            score = [
+                sum(oracle_set_dist(dist, pi[w], [v]) for w in (x, y, z))
+                for v in range(len(dist))
+            ]
+            t = score.index(min(score))
+        targets.append(t)
+    n = len(domains[0][1])
+    score = [
+        max(oracle_set_dist(dist, pi[g], [t]) for (dist, pi, _), t in zip(domains, targets))
+        for g in range(n)
+    ]
+    best = score.index(min(score))
+    return best, score[best]
+
+
+def oracle_codomain_median(distfn, n, a, b, c):
+    """(the unique vertex between each pair of a, b, c, False) when there is
+    one, else (the least vertex minimizing the summed distances, True)."""
+    exact = [
+        v
+        for v in range(n)
+        if distfn(a, v) + distfn(b, v) == distfn(a, b)
+        and distfn(b, v) + distfn(c, v) == distfn(b, c)
+        and distfn(c, v) + distfn(a, v) == distfn(c, a)
+    ]
+    if len(exact) == 1:
+        return exact[0], False
+    score = [distfn(a, v) + distfn(b, v) + distfn(c, v) for v in range(n)]
+    return score.index(min(score)), True
+
+
+def oracle_orbit(n, doms, table=None):
+    """Orbit table and slack of one colour class, one vertex at a time.
+
+    `doms` lists (dist, pi, rho) per domain of the class, where rho[j] is the
+    shadow of the class's j-th domain in this one.  Unless a table is given,
+    vertex g goes to the least position V minimizing max over U != V of
+    d_U(pi_U(g), rho_U(V)); the slack is the largest such value at the
+    table's positions.
+    """
+    def worst(g, pos):
+        vals = [
+            oracle_set_dist(dist, pi[g], rho[pos])
+            for u, (dist, pi, rho) in enumerate(doms)
+            if u != pos
+        ]
+        return max(vals, default=0)
+
+    if table is None:
+        table = []
+        for g in range(n):
+            vals = [worst(g, pos) for pos in range(len(doms))]
+            table.append(vals.index(min(vals)))
+    return table, max(worst(g, table[g]) for g in range(n))
+
+
+def oracle_df_fit(rows, s):
+    """Distance-formula constants by the Fraction loop: the least A >= 1
+    with B(A) = max(0, S/A - d, d - A*S over rows) <= A*s, that B, and the
+    largest upper and lower slacks.  `rows` holds (pair, d, S)."""
+    from fractions import Fraction
+
+    A = 1
+    while True:
+        b = Fraction(0)
+        for _, d, S in rows:
+            b = max(b, Fraction(S, A) - d, Fraction(d - A * S))
+        if b <= A * s or A > 1 << 20:
+            break
+        A += 1
+    up = max((A * S + b - d for _, d, S in rows), default=Fraction(0))
+    low = max((d - (Fraction(S, A) - b) for _, d, S in rows), default=Fraction(0))
+    return A, b, up, low

@@ -102,6 +102,8 @@ CASES = {
     "psi-tree": ["psi", "--in", "{tree}", "--samples", "40"],
     "psi-spider": ["psi", "--in", "{spider}", "--samples", "40"],
     "psi-lines": ["psi", "--in", "{lines}", "--samples", "20"],
+    # Fraction distances (L = 3/2); colour 0 falls back and one defect is 3/2
+    "psi-tree-fraction": ["psi", "--in", "{tree}", "--samples", "40", "--L", "3/2"],
     "promote-tree": ["promote", "--in", "{tree}"],
     "promote-lines": ["promote", "--in", "{lines}"],
     "helly-tree": ["helly", "--in", "{tree}", "--R", "5"],
@@ -132,6 +134,7 @@ PINS = {
     "psi-tree": (0, "9a07188086fee676d0470d1de43f8bc848560f7231c0da58e8b5c114dbf5a030"),
     "psi-spider": (0, "f28d471746d92ee9ab5ab6eaf241826b270b9c2dab475867f4fd2e400c6c512e"),
     "psi-lines": (0, "63a376f29324c5c590bd3fddeee8b34f012e7946215b4721566c90f41c864f48"),
+    "psi-tree-fraction": (0, "08fcae7ca0a21ded23a5dc23b50c1eb6175a3f6c87b8d4acb9f737b0602ec5ef"),
     "promote-tree": (0, "9fe8349e99528abdc7c789c00b727df53dc4d68feeddae4f3b73ea5cec38395c"),
     "promote-lines": (0, "e8e132c7a84e2c3fc4d73415788ad7fabda599ed66c97d03a3c371cedd306b77"),
     "helly-tree": (0, "82b6f97cd84e3dc1ea80bfd60755897aadf0949e247d13e6b27bea7eedc7e016"),
