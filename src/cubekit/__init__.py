@@ -14,11 +14,9 @@ from .graphs import (
 from .median import (
     MedianAlgebra,
     check_isometric_subalgebra,
-    connectify_and_close,
     is_median_graph,
     median_subset_report,
     median_triple,
-    subalgebra_closure,
 )
 from .cubes import (
     CubeSkeleton,
@@ -69,13 +67,11 @@ from .embedding import (
     measure_embedding,
     psi_map,
     quasimedian_defect,
-    shadow_path_report,
 )
 from .applications import (
     TreeProduct,
     bounded_packing_count,
     coarse_helly_experiment,
-    hqc_convex_correspondence,
     promote_to_cube_complex,
     tree_approximate,
 )

@@ -1,6 +1,5 @@
 """End of the pipeline: tree approximation of quasitrees, promotion of a
-point cloud in a product of trees to a cube skeleton, the convex-image
-correspondence for hierarchically quasiconvex sets, the coarse Helly
+point cloud in a product of trees to a cube skeleton, the coarse Helly
 experiment, and packing counts.
 """
 
@@ -12,10 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubes import CubeSkeleton, helly_intersection, hyperplane_decomposition, is_convex
+from .cubes import CubeSkeleton, _max_crossing, helly_intersection, hyperplane_decomposition
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph
-from .hhs import HQCReport, HHSInstance, is_hierarchically_quasiconvex, space_hull
+from .hhs import HHSInstance, space_hull
 from .median import MedianAlgebra, connectify_and_close_in, tree_medians
 from .projection import QuasiTreeSpace
 
@@ -120,7 +119,15 @@ class PromoteResult:
 
 def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     """Bridge and close a C-connected point set inside a product of trees;
-    return the cube skeleton of the closure with its correspondence data."""
+    return the cube skeleton of the closure with its correspondence data.
+
+    The closure is median-closed by construction.  Once it is 1-connected it
+    is also isometric in the product, hence a median graph: project a path in
+    H from u to v by x -> m(u, v, x); the projected points stay in H and in
+    I(u, v) and move at most 1 per step, so the first one other than u is a
+    neighbour of u one step closer to v.  So medianness is not re-checked,
+    and the Theta-classes are read off the factor trees (`_product_classes`).
+    """
     space = TreeProduct(tuple(factors))
     enc = sorted({space.encode(p) for p in points})
     if not enc:
@@ -129,9 +136,11 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     closure = sorted(result.closure)
     pd = space.pairwise_distances(closure)
     g = UnitGraph(len(closure), np.argwhere(np.triu(pd == 1, 1)).tolist())
-    median = MedianAlgebra.from_graph(g)
-    isometric = bool((median.dist == pd).all())
-    skeleton = hyperplane_decomposition(median)
+    g.require_connected()
+    isometric = bool((g.distance_matrix == pd).all())
+    edge_lists, masks = _product_classes(space, closure, g.edges)
+    median = MedianAlgebra(g, _max_crossing(masks))
+    skeleton = hyperplane_decomposition(median, (edge_lists, masks))
     tuples = tuple(space.decode(v) for v in closure)
     return PromoteResult(
         skeleton=skeleton,
@@ -144,6 +153,31 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
         input_size=len(enc),
         closure_size=len(closure),
     )
+
+
+def _product_classes(space: TreeProduct, closure: list[int], edges):
+    """Theta-classes of an isometric subgraph of a product of trees, as
+    (edge lists, side masks) in the form of `cubes._edge_classes`.
+
+    An edge moves one coordinate f along one tree edge {x, y}; that label
+    (f, {x, y}) is its class, and the closure vertices whose f-coordinate is
+    nearer x than y form one side of it.
+    """
+    coords = space.decode_bulk(closure)
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    factor = np.argmax([c[u] != c[v] for c in coords], axis=0)
+    index: dict[tuple[int, int, int], int] = {}
+    edge_lists: list[list[tuple[int, int]]] = []
+    masks: list[np.ndarray] = []
+    for e, f in zip(edges, factor.tolist()):
+        x, y = sorted((int(coords[f][e[0]]), int(coords[f][e[1]])))
+        k = index.setdefault((f, x, y), len(edge_lists))
+        if k == len(edge_lists):
+            D = space.dists[f]
+            edge_lists.append([])
+            masks.append(D[coords[f], x] < D[coords[f], y])
+        edge_lists[k].append(e)
+    return edge_lists, masks
 
 
 # ---------------------------------------------------------------------------
@@ -195,64 +229,6 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
             best = (add, mult, root, tree)
     add, mult, root, tree = best
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
-
-
-# ---------------------------------------------------------------------------
-# hierarchically quasiconvex sets <-> convex subcomplexes
-
-
-@dataclass(frozen=True)
-class ConvexCorrespondenceReport:
-    hqc: HQCReport
-    hull_sizes: tuple[int, ...]
-    z_prime_size: int
-    hausdorff: int
-    convex: bool
-
-
-def hqc_convex_correspondence(
-    cs: ColouredSystem,
-    psi: PsiImage,
-    Z,
-    trees: list[TreeApproxResult],
-    k0: int | None = None,
-    kfun: dict | None = None,
-) -> ConvexCorrespondenceReport:
-    """Compare the image of Z with the product of per-colour tree hulls."""
-    h = cs.instance
-    pts = sorted(set(int(v) for v in Z))
-    if k0 is None:
-        k0 = h.E
-    if kfun is None:
-        kfun = {h.E: 2 * h.E + 2}
-    hqc = is_hierarchically_quasiconvex(h, pts, k0, kfun)
-    hull_masks = []
-    phi = []
-    for ci in range(cs.chi):
-        image = [psi.maps[ci][z] for z in pts]
-        phi.append(image)
-        tdist = trees[ci].tree.distance_matrix
-        hull_masks.append(np.flatnonzero(space_hull(tdist, image)))
-    convex = all(
-        is_convex(MedianAlgebra.from_graph(trees[ci].tree), hull_masks[ci])
-        for ci in range(cs.chi)
-    )
-    # Hausdorff between the image of Z and the product of hulls, in l1
-    per_colour = [
-        trees[ci].tree.distance_matrix[np.ix_(hull_masks[ci], phi[ci])]
-        for ci in range(cs.chi)
-    ]
-    total = per_colour[0]
-    for nxt in per_colour[1:]:
-        total = (total[:, None, :] + nxt[None, :, :]).reshape(-1, nxt.shape[1])
-    hausdorff = int(total.min(axis=1).max())
-    return ConvexCorrespondenceReport(
-        hqc=hqc,
-        hull_sizes=tuple(len(m) for m in hull_masks),
-        z_prime_size=int(np.prod([len(m) for m in hull_masks])),
-        hausdorff=hausdorff,
-        convex=convex,
-    )
 
 
 # ---------------------------------------------------------------------------

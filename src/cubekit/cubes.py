@@ -3,6 +3,9 @@ dimension, the hull-neighbourhood bound, and the Helly property.
 
 An edge class (hyperplane) is the set of edges inducing the same vertex
 bipartition by relative distance; its two sides are convex halfspaces.
+The classes of a graph are found by one pass over its edges, or taken from
+the caller where the graph's construction names them: in a median-closed
+subset of a product of trees every class is one edge of one factor tree.
 """
 
 from __future__ import annotations
@@ -50,7 +53,13 @@ def _edge_classes(g: UnitGraph) -> tuple[list[list[tuple[int, int]]], list[np.nd
 
 
 def crossing_dimension(g: UnitGraph) -> int:
-    """Max size of a pairwise-crossing family of edge classes."""
+    """Max size of a pairwise-crossing family of edge classes.
+
+    A tree needs no class pass: each edge is its own class, and no two cross
+    (cutting two edges leaves one of the four quarters empty).
+    """
+    if g.is_tree():
+        return min(1, len(g.edges))
     _, masks = _edge_classes(g)
     return _max_crossing(masks)
 
@@ -98,15 +107,21 @@ class CubeSkeleton:
         return out
 
 
-def hyperplane_decomposition(m: MedianAlgebra) -> CubeSkeleton:
+def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     """Group edges into parallelism classes (hyperplanes) with their halfspaces.
 
     Both halfspaces of every class are convex, by the theorem that the
     Theta-classes of a median graph bound convex halfspaces (Djokovic 1973;
-    Chepoi 2000); `MedianAlgebra.from_graph` has verified medianness, so
-    convexity is not re-checked here.  The dimension is the algebra's rank.
+    Chepoi 2000); the type of `m` guarantees medianness, so convexity is not
+    re-checked here.  The dimension is the algebra's rank.
+
+    `classes` is (edge lists, side masks) of the Theta-classes, as
+    `_edge_classes` returns them, when the caller already knows them (the
+    promoted closure reads them off its factor trees); by default they are
+    computed from the graph.  Classes come in the order of their first edge,
+    the side holding the least vertex first, and each class's edges sorted.
     """
-    edge_lists, masks = _edge_classes(m.graph)
+    edge_lists, masks = _edge_classes(m.graph) if classes is None else classes
     halfspaces = []
     for mask in masks:
         h0 = frozenset(int(v) for v in np.flatnonzero(mask))

@@ -1,7 +1,6 @@
 """The per-colour projection systems, the map into the product of
 quasitree spaces, and the empirical measurements attached to it:
-quasiisometry constants, quasimedian defect, and shadow quasigeodesic
-quality.
+quasiisometry constants and quasimedian defect.
 """
 
 from __future__ import annotations
@@ -13,15 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hhs import (
-    Colouring,
-    HHSInstance,
-    InstanceError,
-    _blockwise,
-    is_hierarchy_path,
-    relevant_domains,
-    unparametrised_qg_on_metric,
-)
+from .hhs import Colouring, HHSInstance, _blockwise
 from .projection import (
     AxiomReport,
     ProjectionError,
@@ -289,87 +280,3 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
     hist = tuple((str(k), counts[k]) for k in sorted(counts))
     rows = tuple(zip(map(tuple, xyz.tolist()), defects))
     return QuasimedianReport(max(defects, default=Fraction(0)), hist, tuple(fallback), rows)
-
-
-# ---------------------------------------------------------------------------
-# shadows of hierarchy paths
-
-
-@dataclass(frozen=True)
-class ColourShadowReport:
-    colour: int
-    mu: int
-    relevant: tuple[str, ...]
-    containment_slack: Fraction | None
-    containment_violations: int
-
-
-@dataclass(frozen=True)
-class ShadowPathReport:
-    D: int
-    per_colour: tuple[ColourShadowReport, ...]
-
-
-def shadow_path_report(cs: ColouredSystem, psi: PsiImage, path, D: int) -> ShadowPathReport:
-    """Least unparametrised-quasigeodesic constant of each colour shadow,
-    plus the 6K neighbourhood containment over relevant domains."""
-    h = cs.instance
-    path = [int(v) for v in path]
-    ok, bad = is_hierarchy_path(h, path, D)
-    if not ok:
-        raise InstanceError(f"not a {D}-hierarchy path; domain {bad} fails")
-    x0, xT = path[0], path[-1]
-    rel_ids = relevant_domains(h, x0, xT, 100 * D)
-    out = []
-    for ci, cls in enumerate(cs.class_ids):
-        q = cs.quasitrees[ci]
-        shadow = [psi.maps[ci][v] for v in path]
-        dedup = sorted(set(shadow))
-        diam = 0
-        for a in dedup:
-            for b in dedup:
-                if a < b:
-                    d = q.dist(a, b)
-                    diam = max(diam, int(d) if isinstance(d, int) else int(d) + 1)
-        lo, hi = 1, max(1, diam)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if unparametrised_qg_on_metric(q.dist, shadow, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        mu = lo
-        relevant_here = [u for u in rel_ids if u in cls]
-        slack = None
-        violations = 0
-        for uid in relevant_here:
-            dom = h.by_id[uid]
-            pos = cls.index(uid)
-            piece_verts = list(q.piece_vertices(pos))
-            a_t = next(
-                (t for t in range(len(path)) if h.d_U(dom, path[t], x0) >= 2 * D), None
-            )
-            b_t = next(
-                (t for t in range(len(path) - 1, -1, -1) if h.d_U(dom, path[t], xT) >= 2 * D),
-                None,
-            )
-            if a_t is None or b_t is None or a_t > b_t:
-                continue
-            for t in range(a_t, b_t + 1):
-                d = min(q.dist(shadow[t], v) for v in piece_verts)
-                gap = Fraction(d) - 6 * q.K
-                if slack is None or gap > slack:
-                    slack = gap
-                if gap > 0:
-                    violations += 1
-        out.append(
-            ColourShadowReport(
-                colour=ci,
-                mu=mu,
-                relevant=tuple(relevant_here),
-                containment_slack=slack,
-                containment_violations=violations,
-            )
-        )
-    return ShadowPathReport(D=D, per_colour=tuple(out))
-

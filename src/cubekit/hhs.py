@@ -35,6 +35,18 @@ class OrderNotTotalError(InstanceError):
     pass
 
 
+class SearchBudgetError(InstanceError):
+    """The quasigeodesic milestone search visited more nodes than its budget."""
+
+    def __init__(self, budget: int, length: int):
+        self.budget = budget
+        self.length = length
+        super().__init__(
+            f"quasigeodesic search exceeded its budget of {budget} nodes "
+            f"on a path of {length} points"
+        )
+
+
 def _setdist(D: np.ndarray, A, B) -> int:
     return int(D[np.ix_(sorted(A), sorted(B))].min())
 
@@ -505,7 +517,8 @@ def unparametrised_qg_on_metric(distfn, path: list[int], D: int, budget: int = 2
     Searches for milestones 0 = i_0 < ... < i_K = T-1 whose subsampled
     sequence is a (D, D)-quasigeodesic and such that every segment
     path[i_k .. i_{k+1}] between consecutive milestones has diameter at most
-    D.  Raises RuntimeError once the search visits more than `budget` nodes.
+    D.  Raises SearchBudgetError once the search visits more than `budget`
+    nodes.
     """
     if not path:
         raise InstanceError("empty path")
@@ -537,7 +550,6 @@ def unparametrised_qg_on_metric(distfn, path: list[int], D: int, budget: int = 2
 
     de = row(0)[R - 1]
     K_cap = int(D * (de + D))  # rank difference bound for the endpoint pair
-    counter = [0]
 
     def compatible(hist, run: int, rank: int) -> bool:
         drow = row(run)
@@ -550,30 +562,41 @@ def unparametrised_qg_on_metric(distfn, path: list[int], D: int, budget: int = 2
                 return False
         return True
 
-    def search(hist, run: int, used: int, rank: int) -> bool:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise RuntimeError("quasigeodesic search budget exceeded")
+    def moves(run: int, used: int):
+        """Next milestones: the same run (multiplicity permitting), then each
+        later run within reach."""
+        if used < mult[run]:
+            yield run, used + 1
+        for nxt in range(run + 1, reach[run] + 1):
+            yield nxt, 1
+
+    # Depth-first search with an explicit stack, so path length is not
+    # bounded by the recursion limit: hist[k] is the (run, rank) of the k-th
+    # milestone and frames[k] iterates its untried moves.  Ranks grow by one
+    # per milestone, so a milestone's rank is its depth.  Nodes are visited
+    # in preorder, the moves of each in the order `moves` yields them.
+    hist = [(0, 0)]
+    frames = []
+    run, used = 0, 1
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetError(budget, len(path))
         if run == R - 1:
             return True
-        if rank >= K_cap:
+        frames.append(moves(run, used) if len(hist) - 1 < K_cap else iter(()))
+        while frames:
+            rank = len(hist)  # rank of a move from the deepest milestone
+            step = next((m for m in frames[-1] if compatible(hist, m[0], rank)), None)
+            if step is not None:
+                break
+            frames.pop()
+            hist.pop()
+        else:
             return False
-        # stay in the same run (multiplicity permitting) or advance within reach
-        if used < mult[run]:
-            if compatible(hist, run, rank + 1):
-                hist.append((run, rank + 1))
-                if search(hist, run, used + 1, rank + 1):
-                    return True
-                hist.pop()
-        for nxt in range(run + 1, reach[run] + 1):
-            if compatible(hist, nxt, rank + 1):
-                hist.append((nxt, rank + 1))
-                if search(hist, nxt, 1, rank + 1):
-                    return True
-                hist.pop()
-        return False
-
-    return search([(0, 0)], 0, 1, 0)
+        run, used = step
+        hist.append((run, rank))
 
 
 def is_unparametrised_quasigeodesic(space: UnitGraph, path: list[int], D: int) -> bool:

@@ -52,6 +52,9 @@ def decode_number(v) -> int | Fraction:
 
 def jsonable(obj):
     """Recursively convert values (numpy, Fraction, sets) to JSON-safe types."""
+    t = type(obj)
+    if t is int or t is str:  # most scalars of a report; type(True) is bool
+        return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

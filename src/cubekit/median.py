@@ -3,7 +3,11 @@ and the connectify-and-close procedure.
 
 The median of a triple is realized as the unique vertex in the triple
 intersection of pairwise metric intervals, computed from the distance
-matrix.  All subset operations are exact fixpoint computations.
+matrix, or factorwise from lowest common ancestors in a product of trees.
+All subset operations are exact fixpoint computations; the median closure
+evaluates each triple of its result once.  Recognition (`is_median_graph`)
+is for graphs of unknown type; a graph whose construction already makes it
+median, such as a promoted closure, is not re-scanned.
 """
 
 from __future__ import annotations
@@ -86,7 +90,14 @@ def is_median_graph(g: UnitGraph) -> tuple[bool, tuple[int, int, int] | None]:
 
 @dataclass(frozen=True)
 class MedianAlgebra:
-    """A verified median graph together with its metric and rank."""
+    """A median graph together with its metric and rank.
+
+    `from_graph` verifies medianness and computes the rank.  A caller may
+    construct `MedianAlgebra(g, rank)` directly only when the type of g
+    already guarantees medianness: for instance a connected median-closed
+    subset of a median graph, which is isometric and hence itself a median
+    graph (`applications.promote_to_cube_complex`).
+    """
 
     graph: UnitGraph
     rank: int
@@ -179,12 +190,13 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # subalgebras
 #
 # The closure and bridging engines work against any median space with four
-# methods over integer vertex ids: neighbors(v), dist_pair(u, v),
-# pairwise_distances(verts) and median_bulk(a, b_arr, c).  median_bulk takes
-# a 1-D array b_arr; `a` and `c` are each a vertex or an array aligned with
-# b_arr, and row i of the result is m(a[i], b_arr[i], c[i]).  MedianAlgebra
-# implements it with interval masks over its distance matrix,
-# applications.TreeProduct factorwise with tree_medians.
+# methods over integer vertex ids: neighbors(v), in increasing order,
+# dist_pair(u, v), pairwise_distances(verts) and median_bulk(a, b_arr, c).
+# median_bulk takes a 1-D array b_arr; `a` and `c` are each a vertex or an
+# array aligned with b_arr, and row i of the result is
+# m(a[i], b_arr[i], c[i]).  MedianAlgebra implements it with interval masks
+# over its distance matrix, applications.TreeProduct factorwise with
+# tree_medians.
 
 
 def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,26 +205,30 @@ def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed`: worklist fixpoint, one
-    median_bulk call over every pair of the current set per popped vertex."""
+    """Smallest median-closed superset of `seed`: worklist fixpoint.
+
+    When c is popped, one median_bulk call evaluates m(a, b, c) over the
+    unordered pairs a < b of the vertices popped before it.  Every triple of
+    the final set is thereby evaluated exactly once, when its last member is
+    popped: about |S|^3 / 6 median evaluations for a closure S.
+    """
     members = sorted(set(int(v) for v in seed))
     if not members:
         raise MedianError("closure of the empty set is undefined")
     in_set = set(members)
     queue = list(members)
+    done: list[int] = []
     while queue:
         c = queue.pop()
-        arr = np.fromiter(in_set, dtype=np.int64)
-        meds = space.median_bulk(*_pairs(arr, len(arr)), c)
-        for v in sorted(set(meds[~np.isin(meds, arr)].tolist())):
-            in_set.add(v)
-            queue.append(v)
+        arr = np.array(done, dtype=np.int64)
+        i, j = np.triu_indices(len(arr), 1)
+        meds = space.median_bulk(arr[i], arr[j], c)
+        for v in np.unique(meds).tolist():
+            if v not in in_set:
+                in_set.add(v)
+                queue.append(v)
+        done.append(c)
     return frozenset(in_set)
-
-
-def subalgebra_closure(m: MedianAlgebra, A) -> frozenset[int]:
-    """Median-saturation fixpoint containing A; minimal by construction."""
-    return closure_of(m, A)
 
 
 def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:
@@ -279,7 +295,7 @@ def median_subset_report(m: MedianAlgebra, A, C: int, M: int) -> SubsetReport:
         raise MedianError("empty subset")
     min_c = minimal_connection_constant(m.dist, members)
     min_m = median_defect(m, members)
-    closure = subalgebra_closure(m, members)
+    closure = closure_of(m, members)
     cl = sorted(closure)
     haus = int(m.dist[np.ix_(cl, members)].min(axis=1).max())
     return SubsetReport(
@@ -300,17 +316,14 @@ def median_subset_report(m: MedianAlgebra, A, C: int, M: int) -> SubsetReport:
 
 
 def lex_least_geodesic(space, u: int, v: int) -> list[int]:
-    """Shortest u->v path choosing the least-index neighbor at every step."""
+    """Shortest u->v path choosing the least-index neighbor at every step.
+
+    d(u, v) is computed once; each step takes the first neighbor, in
+    increasing order, one step closer to v.
+    """
     path = [u]
-    cur = u
-    while cur != v:
-        step = None
-        for w in space.neighbors(cur):
-            if space.dist_pair(w, v) == space.dist_pair(cur, v) - 1:
-                if step is None or w < step:
-                    step = w
-        path.append(step)
-        cur = step
+    for d in range(space.dist_pair(u, v) - 1, -1, -1):
+        path.append(next(w for w in space.neighbors(path[-1]) if space.dist_pair(w, v) == d))
     return path
 
 
@@ -365,11 +378,6 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     one_conn = component_labels(clmat <= 1).max() == 0
     haus = clmat[:, np.searchsorted(cl, members)].min(axis=1).max()
     return ConnectifyResult(a_prime, closure, int(haus), bool(one_conn))
-
-
-def connectify_and_close(m: MedianAlgebra, A, C: int) -> ConnectifyResult:
-    """The bridging procedure on a median graph; see connectify_and_close_in."""
-    return connectify_and_close_in(m, A, C)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,30 @@
 """Direct tests of `applications`."""
 
+import itertools
+
+import numpy as np
 import pytest
 
-from cubekit.applications import PipelineError, TreeProduct
-from cubekit.graphs import path_graph
+from cubekit import applications
+from cubekit.applications import (
+    PipelineError,
+    TreeProduct,
+    bounded_packing_count,
+    coarse_helly_experiment,
+    promote_to_cube_complex,
+    tree_approximate,
+)
+from cubekit.cli import main
+from cubekit.embedding import (
+    EmbeddingError,
+    build_coloured_system,
+    default_constants,
+    psi_map,
+)
+from cubekit.fixtures import identity_instance, tree_with_axes
+from cubekit.graphs import DisconnectedGraphError, path_graph, random_tree
+from cubekit.hhs import find_bbf_colouring, product_region, space_hull
+from cubekit.median import ConnectifyResult
 
 
 def test_tree_product_size_is_exact_and_ids_fit_in_int64():
@@ -18,3 +39,121 @@ def test_tree_product_too_large_for_int64_is_refused():
     # 300^8 ~ 6.6e19 > 2^63: np.prod wrapped this to a negative size
     with pytest.raises(PipelineError, match="int64"):
         TreeProduct((path_graph(300),) * 8)
+
+
+# ---------------------------------------------------------------------------
+# promotion
+
+
+def _far_corners(space, A, C):
+    """A closure of two product corners, as no real bridging would return."""
+    corners = frozenset({0, space.n - 1})
+    return ConnectifyResult(corners, corners, 0, False)
+
+
+def test_a_closure_that_is_not_1_connected_fails_with_a_witness(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(applications, "connectify_and_close_in", _far_corners)
+    with pytest.raises(DisconnectedGraphError) as err:
+        promote_to_cube_complex([(0, 0), (2, 2)], (path_graph(3), path_graph(3)), 4)
+    assert (err.value.u, err.value.v) == (0, 1)
+    # through the CLI it is malformed input: exit 1 with the witness
+    inp = str(tmp_path / "tree.json")
+    assert main(["gen-fixture", "tree-axes", "--n", "30", "--out", inp]) == 0
+    capsys.readouterr()
+    assert main(["promote", "--in", inp]) == 1
+    assert "no path joins vertex 0 to vertex 1" in capsys.readouterr().err
+
+
+def test_promoted_corner_path_and_square():
+    # two opposite corners of a 2x2 square, bridged through the lesser corner
+    res = promote_to_cube_complex([(0, 0), (1, 1)], (path_graph(2), path_graph(2)), 2)
+    assert res.vertex_tuples == ((0, 0), (0, 1), (1, 1))
+    assert res.skeleton.hyperplanes == (((0, 1),), ((1, 2),))
+    assert res.skeleton.halfspaces == (
+        (frozenset({0}), frozenset({1, 2})),
+        (frozenset({0, 1}), frozenset({2})),
+    )
+    assert (res.dimension, res.input_size, res.closure_size, res.hausdorff) == (1, 2, 3, 1)
+    # the whole square: its two hyperplanes cross
+    full = promote_to_cube_complex([(0, 0), (0, 1), (1, 0), (1, 1)], (path_graph(2),) * 2, 1)
+    assert full.skeleton.hyperplanes == (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    assert full.dimension == 2
+
+
+# ---------------------------------------------------------------------------
+# packing
+
+
+def _oracle_packing(h, family, R):
+    """Largest pairwise R-close subfamily, least in lexicographic order."""
+    close = lambda i, j: min(int(h.dist[a, b]) for a in family[i] for b in family[j]) <= R
+    for size in range(len(family), 0, -1):
+        for sub in itertools.combinations(range(len(family)), size):
+            if all(close(i, j) for i, j in itertools.combinations(sub, 2)):
+                return size, sub
+    return 0, ()
+
+
+def test_packing_is_exact_up_to_twenty_members():
+    h = identity_instance(random_tree(30, np.random.default_rng(3)))
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(h.n).tolist()
+    family = [sorted(perm[i : i + 2]) for i in range(0, 24, 2)]  # 12 disjoint pairs
+    for R in (1, 2, 3, 4):
+        assert bounded_packing_count(h, family, R) == _oracle_packing(h, family, R)
+    path = identity_instance(path_graph(25))
+    assert bounded_packing_count(path, [[v] for v in range(20)], 2) == (3, (0, 1, 2))
+
+
+def test_packing_is_greedy_beyond_twenty_members():
+    # 25 singletons on a path: the greedy pass starts from the best-connected
+    # member, so it finds a largest clique but not the least one
+    h = identity_instance(path_graph(25))
+    family = [[v] for v in range(25)]
+    assert bounded_packing_count(h, family, 1) == (2, (1, 2))
+    assert bounded_packing_count(h, family, 2) == (3, (2, 3, 4))
+
+
+def test_packing_rejects_overlapping_members():
+    h = identity_instance(path_graph(5))
+    with pytest.raises(EmbeddingError, match="overlap at 2"):
+        bounded_packing_count(h, [[0, 1, 2], [2, 3]], 1)
+
+
+# ---------------------------------------------------------------------------
+# coarse Helly
+
+
+@pytest.fixture(scope="module")
+def helly_setup():
+    h = tree_with_axes(30, 4, 0)
+    _, K = default_constants(h)
+    cs = build_coloured_system(h, find_bbf_colouring(h), K, 1)
+    psi = psi_map(cs)
+    sets = [sorted(r) for r in (product_region(h, u) for u in sorted(h.domain_ids())) if r][:3]
+    trees = [tree_approximate(q) for q in cs.quasitrees]
+    return h, cs, psi, sets, trees
+
+
+def test_coarse_helly_point_is_close_to_every_set(helly_setup):
+    h, cs, psi, sets, trees = helly_setup
+    res = coarse_helly_experiment(cs, psi, sets, 5, trees)
+    assert len(sets) == 3 and res.hull_bound_ok  # trees have dimension 1
+    assert res.r == max(min(int(h.dist[res.center, v]) for v in S) for S in sets)
+    # each colour's Helly point lies within the inflation of every set's hull
+    for ci, tree in enumerate(trees):
+        D = tree.tree.distance_matrix
+        for S in sets:
+            hull = np.flatnonzero(space_hull(D, [psi.maps[ci][z] for z in S]))
+            assert int(D[res.helly_points[ci], hull].min()) <= res.inflation
+    # the centre is an ambient vertex whose image is l1-nearest the Helly points
+    l1 = [sum(int(t.tree.distance_matrix[psi.maps[ci][g], res.helly_points[ci]])
+              for ci, t in enumerate(trees)) for g in range(h.n)]
+    assert l1[res.center] == min(l1) and res.center == l1.index(min(l1))
+
+
+def test_coarse_helly_refuses_sets_farther_apart_than_r(helly_setup):
+    h, cs, psi, sets, trees = helly_setup
+    d = int(h.dist[np.ix_(sets[0], sets[1])].min())
+    with pytest.raises(EmbeddingError, match=f"sets 0 and 1 are {d} apart"):
+        coarse_helly_experiment(cs, psi, sets[:2], d - 1, trees)

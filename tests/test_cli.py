@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubekit
 from cubekit.cli import main
 from cubekit.fixtures import spider_with_axes
 from cubekit.hhs import HHSInstance
@@ -174,3 +179,21 @@ def test_golden_report(case, inputs, capsys):
     assert first == second
     code, out = first
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == PINS[case]
+
+
+@pytest.mark.parametrize("case", ["promote-tree", "psi-tree"])
+def test_reports_are_byte_identical_across_fresh_interpreters(case, inputs):
+    # two interpreters with different string-hash seeds: any dependence on
+    # set or dict order of hashed strings would show in the bytes
+    src = str(Path(cubekit.__file__).resolve().parents[1])
+    args = [a.format(**inputs) for a in CASES[case]]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        run = subprocess.run(
+            [sys.executable, "-m", "cubekit.cli", *args],
+            capture_output=True, env=env, timeout=300, check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == PINS[case][1]

@@ -18,6 +18,7 @@ from cubekit.hhs import (
     HHSInstance,
     InstanceError,
     OrderNotTotalError,
+    SearchBudgetError,
     check_consistent_tuple,
     distance_formula_fit,
     find_bbf_colouring,
@@ -29,6 +30,7 @@ from cubekit.hhs import (
     projection_sum,
     relevant_domains,
     theta_hull,
+    unparametrised_qg_on_metric,
     validate_instance,
 )
 from helpers import grid_v, lex_geodesic, oracle_unparam_qg
@@ -264,6 +266,22 @@ def test_qg_agrees_with_exhaustive_oracle():
 def test_empty_path_rejected():
     with pytest.raises(InstanceError):
         is_unparametrised_quasigeodesic(path_graph(3), [], 1)
+
+
+def test_long_geodesic_is_searched_without_recursion():
+    # one milestone per point: 1,500 levels deep, past the recursion limit
+    assert unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2)
+
+
+def test_search_budget_exhaustion_is_a_typed_error():
+    with pytest.raises(SearchBudgetError) as err:
+        unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=100)
+    assert isinstance(err.value, InstanceError)
+    assert (err.value.budget, err.value.length) == (100, 1500)
+    # the first branch reaches the end in exactly 1,500 nodes, one per point
+    assert unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=1500)
+    with pytest.raises(SearchBudgetError):
+        unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=1499)
 
 
 # --- hierarchy paths ---------------------------------------------------------------

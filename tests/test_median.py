@@ -17,14 +17,14 @@ from cubekit.median import (
     MedianError,
     NotMedianGraphError,
     check_isometric_subalgebra,
-    connectify_and_close,
+    closure_of,
+    connectify_and_close_in,
     is_median_closed,
     is_median_graph,
     median_candidates,
     median_defect,
     median_subset_report,
     median_triple,
-    subalgebra_closure,
 )
 from helpers import grid_v, oracle_all_dists, oracle_closure, oracle_is_median, oracle_medians_of
 
@@ -142,19 +142,19 @@ def test_rank_is_cube_dimension(grid33):
 
 
 def test_singleton_closed(grid33):
-    assert subalgebra_closure(grid33, [4]) == frozenset([4])
+    assert closure_of(grid33, [4]) == frozenset([4])
 
 
 def test_two_corners_closed(grid33):
     expected = oracle_closure(9, grid33.graph.edges, {0, 8})
     assert expected == {0, 8}
-    assert subalgebra_closure(grid33, [0, 8]) == frozenset(expected)
+    assert closure_of(grid33, [0, 8]) == frozenset(expected)
 
 
 def test_three_corners_closure_matches_saturation_oracle(grid33):
     # the saturation oracle is the source of truth for the expected set
     expected = oracle_closure(9, grid33.graph.edges, {0, 2, 6})
-    assert subalgebra_closure(grid33, [0, 2, 6]) == frozenset(expected)
+    assert closure_of(grid33, [0, 2, 6]) == frozenset(expected)
 
 
 def test_closure_matches_oracle_random(grid55):
@@ -162,7 +162,7 @@ def test_closure_matches_oracle_random(grid55):
     for _ in range(12):
         k = int(rng.integers(2, 5))
         seed = [int(v) for v in rng.choice(grid55.n, size=k, replace=False)]
-        assert subalgebra_closure(grid55, seed) == frozenset(
+        assert closure_of(grid55, seed) == frozenset(
             oracle_closure(grid55.n, grid55.graph.edges, seed)
         )
 
@@ -195,7 +195,7 @@ def test_median_bulk_on_a_non_median_graph_names_the_triple():
 
 def test_closure_of_empty_raises(grid33):
     with pytest.raises(MedianError):
-        subalgebra_closure(grid33, [])
+        closure_of(grid33, [])
 
 
 # --- subset reports ---------------------------------------------------------
@@ -232,8 +232,8 @@ def test_boundary_cycle_not_0_median(grid55):
 
 
 def test_connectify_fixpoint(grid33):
-    closed = sorted(subalgebra_closure(grid33, [0, 1, 2]))
-    res = connectify_and_close(grid33, closed, C=3)
+    closed = sorted(closure_of(grid33, [0, 1, 2]))
+    res = connectify_and_close_in(grid33, closed, C=3)
     assert res.a_prime == frozenset(closed)
     assert res.closure == frozenset(closed)
     assert res.hausdorff == 0 and res.one_connected
@@ -243,7 +243,7 @@ def test_connectify_two_segments():
     m = MedianAlgebra.from_graph(grid_graph(4, 4))
     seg_a = [grid_v(r, 0, 4) for r in range(4)]
     seg_b = [grid_v(r, 2, 4) for r in range(4)]
-    res = connectify_and_close(m, seg_a + seg_b, C=2)
+    res = connectify_and_close_in(m, seg_a + seg_b, C=2)
     assert res.one_connected
     ok_closed, _ = is_median_closed(m, res.closure)
     assert ok_closed
@@ -252,7 +252,7 @@ def test_connectify_two_segments():
 
 def test_connectify_sparse_path():
     m = MedianAlgebra.from_graph(path_graph(11))
-    res = connectify_and_close(m, [0, 2, 4, 6, 8, 10], C=2)
+    res = connectify_and_close_in(m, [0, 2, 4, 6, 8, 10], C=2)
     assert res.one_connected
     assert res.closure == frozenset(range(11))
     assert res.hausdorff == 1
@@ -260,7 +260,7 @@ def test_connectify_sparse_path():
 
 def test_connectify_requires_c_connected(grid55):
     with pytest.raises(MedianError):
-        connectify_and_close(grid55, [0, 24], C=2)
+        connectify_and_close_in(grid55, [0, 24], C=2)
 
 
 def test_connectify_random_property(grid55):
@@ -270,7 +270,7 @@ def test_connectify_random_property(grid55):
         for _ in range(10):
             walk.append(int(rng.choice(grid55.graph.neighbors(walk[-1]))))
         subset = sorted(set(walk[::2]))  # 2-connected by construction
-        res = connectify_and_close(grid55, subset, C=2)
+        res = connectify_and_close_in(grid55, subset, C=2)
         assert res.one_connected
         assert is_median_closed(grid55, res.closure)[0]
         assert res.hausdorff >= 0
@@ -285,7 +285,7 @@ def test_whole_graph_isometric(grid33):
 
 
 def test_closure_of_bridged_corners_isometric(grid33):
-    Y = connectify_and_close(grid33, [0, 2, 6], C=2).closure
+    Y = connectify_and_close_in(grid33, [0, 2, 6], C=2).closure
     assert check_isometric_subalgebra(grid33, Y)
 
 

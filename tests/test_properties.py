@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubekit.applications import TreeProduct
+from cubekit.applications import TreeProduct, promote_to_cube_complex
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     UnitGraph,
@@ -28,12 +28,20 @@ from cubekit.graphs import (
 from cubekit.jsonio import decode_number, encode_number
 from cubekit.median import (
     MedianAlgebra,
+    check_isometric_subalgebra,
     closure_of,
     is_median_graph,
     lex_least_geodesic,
     median_candidates,
+    minimal_connection_constant,
 )
-from helpers import oracle_all_dists, oracle_closure, oracle_interval_closure, oracle_medians_of
+from helpers import (
+    lex_geodesic,
+    oracle_all_dists,
+    oracle_closure,
+    oracle_interval_closure,
+    oracle_medians_of,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -209,3 +217,33 @@ def test_tree_product_closure_matches_the_saturation_oracle(factors, data):
     seed = data.draw(st.sets(st.integers(0, product.n - 1), min_size=1, max_size=4))
     expected = oracle_closure(product.n, product.edges, seed)
     assert closure_of(TreeProduct(factors), seed) == frozenset(expected)
+
+
+@PROPERTY
+@given(tree_factors(), st.data())
+def test_tree_product_lex_least_geodesic_matches_the_explicit_product(factors, data):
+    space = TreeProduct(factors)
+    a, b = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2))
+    assert lex_least_geodesic(space, a, b) == lex_geodesic(tree_product(*factors), a, b)
+
+
+@PROPERTY
+@given(tree_factors(), st.data())
+def test_promoted_skeleton_matches_the_graph_hyperplane_pass(factors, data):
+    # promote reads the Theta-classes off the factor trees and trusts the
+    # closure to be a median graph; the graph pass re-derives both
+    space = TreeProduct(factors)
+    ids = sorted(data.draw(st.sets(st.integers(0, space.n - 1), min_size=1, max_size=5)))
+    pd = space.pairwise_distances(ids)
+    least = max(1, minimal_connection_constant(pd, range(len(ids))))
+    C = data.draw(st.integers(least, max(least, int(pd.max()))))
+    res = promote_to_cube_complex([space.decode(v) for v in ids], factors, C)
+    g = res.skeleton.graph
+    expected = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+    assert res.skeleton.hyperplanes == expected.hyperplanes
+    assert res.skeleton.halfspaces == expected.halfspaces
+    assert res.skeleton.dimension == res.dimension == expected.dimension
+    assert res.isometric and res.one_connected
+    closure = [space.encode(t) for t in res.vertex_tuples]
+    explicit = MedianAlgebra.from_graph(tree_product(*factors))
+    assert check_isometric_subalgebra(explicit, closure)
