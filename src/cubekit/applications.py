@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .cubes import CubeSkeleton, _max_crossing, helly_intersection, hyperplane_decomposition
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
@@ -193,41 +195,62 @@ class TreeApproxResult:
 
 
 def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult:
-    """Shortest-path spanning tree minimizing the worst additive distortion
-    over all pairs, greedily over candidate roots; distortion is reported,
-    never assumed."""
+    """Shortest-path spanning tree of least distortion over candidate roots.
+
+    The candidates are every vertex, or every (n // max_roots)-th one beyond
+    `max_roots` vertices.  In the tree of root r, each vertex v != r hangs from
+    its least neighbour u with d(r, u) + w(u, v) = d(r, v).  That rule reads
+    only row r of the distance matrix, not a visit order, so one numpy pass
+    over the arcs (v <- u, w) sorted by (v, u, w) finds the parents for all
+    roots at once.  Roots with the same edge set
+    share their scores, so each distinct tree is scored once, under its least
+    root.  The winner minimizes (additive, multiplicative, root).  Both are
+    two-sided, since td, the unit tree's metric, can fall below d, the
+    quasitree's, once an edge weighs more than 1: additive = max |td - d|
+    and multiplicative = max(td / d, d / td) over d > 0, a float ratio
+    rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a subgraph
+    of a unit-weight graph, so td >= d.  Distortion is reported, never
+    assumed.
+    """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
     n = q.n
     mat = q.distance_matrix
     if not isinstance(mat, np.ndarray):
         raise PipelineError("tree approximation requires integer edge lengths")
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-    for u, v, w in q.edges:
-        adj[u].append((v, int(w)))
-        adj[v].append((u, int(w)))
-    roots = list(range(n)) if n <= max_roots else list(range(0, n, max(1, n // max_roots)))
+    roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
+    if n == 1:
+        codes = np.zeros((1, 0), dtype=np.int64)
+    else:
+        u, v, w = np.array([(a, b, int(c)) for a, b, c in q.edges], dtype=np.int64).T
+        head, tail, w = np.r_[v, u], np.r_[u, v], np.r_[w, w]
+        order = np.lexsort((w, tail, head))
+        head, tail, w = head[order], tail[order], w[order]
+        M = mat[roots]
+        # index of each root's first arc into v that lies on a geodesic from
+        # the root; the root itself has none and gets the sentinel len(head)
+        ok = M[:, tail] + w == M[:, head]
+        pos = np.where(ok, np.arange(len(head)), len(head))
+        first = np.minimum.reduceat(pos, np.flatnonzero(np.r_[True, head[1:] != head[:-1]]), axis=1)
+        parent = np.append(tail, -1)[first]
+        child = np.arange(n)
+        codes = np.minimum(child, parent) * n + np.maximum(child, parent)
+        codes[parent < 0] = n * n
+        codes = np.sort(codes, axis=1)[:, :-1]
+    _, distinct = np.unique(codes, axis=0, return_index=True)
     best = None
-    for root in roots:
-        parent = [-1] * n
-        order = sorted(range(n), key=lambda v: (mat[root, v], v))
-        for v in order:
-            if v == root:
-                continue
-            for u, w in sorted(adj[v]):
-                if mat[root, u] + w == mat[root, v]:
-                    parent[v] = u
-                    break
-        edges = tuple((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
-        tree = UnitGraph(n, edges)
-        td = tree.distance_matrix
-        add = int((td - mat).max())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(mat > 0, td / np.maximum(mat, 1), 1.0)
+    for i in distinct.tolist():
+        lo, hi = np.divmod(codes[i], n)
+        tree = sp.csr_matrix((np.ones(n - 1, dtype=np.int8), (lo, hi)), shape=(n, n))
+        td = csgraph.shortest_path(tree, directed=False, unweighted=True)
+        add = int(np.abs(td - mat).max())
+        ratio = np.where(mat > 0, np.maximum(td, mat) / np.maximum(np.minimum(td, mat), 1), 1.0)
         mult = Fraction(ratio.max()).limit_denominator(10**6)
-        if best is None or (add, mult, root) < best[:3]:
-            best = (add, mult, root, tree)
-    add, mult, root, tree = best
+        if best is None or (add, mult, int(roots[i])) < best[:3]:
+            best = (add, mult, int(roots[i]), i)
+    add, mult, root, i = best
+    lo, hi = np.divmod(codes[i], n)
+    tree = UnitGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
 
 

@@ -6,6 +6,7 @@ quasiisometry constants and quasimedian defect.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,28 +175,46 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
     xs, ys = np.array(pairs, dtype=np.int64).T
     maps = [np.asarray(mp) for mp in psi.maps]
     DP = _quasitree_dists(cs, [mp[xs] for mp in maps], [mp[ys] for mp in maps]).sum(axis=0)
-    DG = cs.instance.dist[xs, ys]
-    rows = []
-    k_up = Fraction(1)
-    k_low = Fraction(1)
-    add = Fraction(0)
-    for x, y, dg, dp in zip(xs.tolist(), ys.tolist(), DG.tolist(), DP.tolist()):
-        dp = Fraction(dp)
-        rows.append(((x, y), dg, dp))
-        if dg > 0 and dp > 0:
-            k_up = max(k_up, dp / dg)
-            k_low = max(k_low, Fraction(dg) / dp)
-        elif dg == 0:
-            add = max(add, dp)
-        else:
-            add = max(add, Fraction(dg))
+    DG = cs.instance.dist[xs, ys].astype(np.int64)
+    rows = tuple(
+        ((x, y), dg, Fraction(dp))
+        for x, y, dg, dp in zip(xs.tolist(), ys.tolist(), DG.tolist(), DP.tolist())
+    )
+    # exact integers throughout: Fraction distances (non-integer L) are
+    # scaled by their common denominator, and DG with them
+    scale = 1
+    if DP.dtype == object:
+        scale = math.lcm(*(d.denominator for d in DP.tolist()))
+        DP = np.array([int(d * scale) for d in DP.tolist()], dtype=np.int64)
+    DGs = DG * scale
+    both = (DG > 0) & (DP > 0)
+    k_up = _max_ratio(DP[both], DGs[both], Fraction(1))
+    k_low = _max_ratio(DGs[both], DP[both], Fraction(1))
+    add = max(
+        Fraction(0),
+        Fraction(int(DP[DG == 0].max(initial=0)), scale),
+        Fraction(int(DG[(DG > 0) & (DP <= 0)].max(initial=0))),
+    )
     return EmbeddingReport(
         kappa_lower=k_low,
         kappa_upper=k_up,
         additive=add,
         kappa=max(k_low, k_up, add),
-        samples=tuple(rows),
+        samples=rows,
     )
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray, floor: Fraction) -> Fraction:
+    """max(floor, max of num / den), exactly, over aligned int64 arrays with
+    den > 0: the float argmax, moved while int64 cross-multiplication finds a
+    larger ratio, becomes the one Fraction."""
+    if not num.size:
+        return floor
+    ratio = num / den
+    i = int(np.argmax(ratio))
+    while (larger := np.flatnonzero(num * den[i] > num[i] * den)).size:
+        i = int(larger[np.argmax(ratio[larger])])
+    return max(floor, Fraction(int(num[i]), int(den[i])))
 
 
 # ---------------------------------------------------------------------------

@@ -661,11 +661,23 @@ def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
 
 
 def space_hull(space_dist: np.ndarray, points) -> np.ndarray:
-    """Union of all geodesics between pairs of `points`, as a boolean mask."""
+    """Union of all geodesics between pairs of `points`, as a boolean mask.
+
+    `space_dist` must be the metric of a connected unit graph, as every
+    domain space, median graph and tree here is.  Such a graph is a tree
+    exactly when it has n - 1 edges, that is, when 2(n - 1) entries of its
+    metric equal 1.  On a tree one anchor a among the points suffices: for
+    members p and q, the median m of a, p, q lies on all three geodesics, so
+    [p, q] = [p, m] + [m, q] lies in [a, p] + [a, q].  The geodesics from a
+    to the other members thus cover every pair's, and their union is the
+    subtree spanned by `points`.  Other graphs scan all pairs.
+    """
     pts = sorted(set(int(p) for p in points))
-    mask = np.zeros(space_dist.shape[0], dtype=bool)
+    n = space_dist.shape[0]
+    mask = np.zeros(n, dtype=bool)
     mask[pts] = True
-    for a in pts:
+    tree = np.count_nonzero(space_dist == 1) == 2 * (n - 1)
+    for a in pts[:1] if tree else pts:
         rows = space_dist[a][None, :] + space_dist[pts, :] == space_dist[a, pts][:, None]
         mask |= rows.any(axis=0)
     return mask

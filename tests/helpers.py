@@ -239,3 +239,94 @@ def oracle_df_fit(rows, s):
     up = max((A * S + b - d for _, d, S in rows), default=Fraction(0))
     low = max((d - (Fraction(S, A) - b) for _, d, S in rows), default=Fraction(0))
     return A, b, up, low
+
+
+# ---------------------------------------------------------------------------
+# tree approximation and hulls
+
+
+def oracle_weighted_dists(n, edges, src):
+    """Distances from src over weighted edges (u, v, w), by relaxing every
+    edge until nothing changes."""
+    dist = [None] * n
+    dist[src] = 0
+    changed = True
+    while changed:
+        changed = False
+        for u, v, w in edges:
+            for a, b in ((u, v), (v, u)):
+                if dist[a] is not None and (dist[b] is None or dist[a] + w < dist[b]):
+                    dist[b] = dist[a] + w
+                    changed = True
+    return dist
+
+
+def oracle_tree_approximate(n, edges, max_roots=64):
+    """Shortest-path tree per candidate root, one root at a time.
+
+    Candidates are every vertex, or every (n // max_roots)-th past max_roots.
+    Each vertex v other than the root hangs from its first neighbour u in
+    (u, w) order with d(root, u) + w = d(root, v).  The tree is scored
+    two-sided against the weighted metric d, exactly: additive max |td - d|,
+    multiplicative max(td / d, d / td) over d > 0.  Returns (root, additive,
+    multiplicative, sorted tree edges) of the least (additive,
+    multiplicative, root).
+    """
+    from fractions import Fraction
+
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    full = [oracle_weighted_dists(n, edges, s) for s in range(n)]
+    roots = list(range(n)) if n <= max_roots else list(range(0, n, max(1, n // max_roots)))
+    best = None
+    for r in roots:
+        d = full[r]
+        tree = []
+        for v in range(n):
+            if v != r:
+                p = next(u for u, w in sorted(adj[v]) if d[u] + w == d[v])
+                tree.append((min(v, p), max(v, p)))
+        tree.sort()
+        td = oracle_all_dists(n, tree)
+        add = max(abs(td[a][b] - full[a][b]) for a in range(n) for b in range(n))
+        mult = max(
+            (
+                Fraction(max(td[a][b], full[a][b]), min(td[a][b], full[a][b]))
+                for a in range(n)
+                for b in range(n)
+                if full[a][b] > 0
+            ),
+            default=Fraction(1),
+        )
+        if best is None or (add, mult, r) < best[:3]:
+            best = (add, mult, r, tree)
+    add, mult, r, tree = best
+    return r, add, mult, tree
+
+
+def oracle_hull(n, edges, points):
+    """Vertices on some geodesic between two of `points`, all pairs scanned."""
+    dist = oracle_all_dists(n, edges)
+    return sorted(
+        v for v in range(n)
+        if any(dist[a][v] + dist[v][b] == dist[a][b] for a in points for b in points)
+    )
+
+
+def oracle_kappa(rows):
+    """(kappa_lower, kappa_upper, additive) by the per-pair Fraction loop over
+    rows (pair, d_G, d_product)."""
+    from fractions import Fraction
+
+    k_up, k_low, add = Fraction(1), Fraction(1), Fraction(0)
+    for _, dg, dp in rows:
+        if dg > 0 and dp > 0:
+            k_up = max(k_up, Fraction(dp) / dg)
+            k_low = max(k_low, Fraction(dg) / dp)
+        elif dg == 0:
+            add = max(add, Fraction(dp))
+        else:
+            add = max(add, Fraction(dg))
+    return k_low, k_up, add

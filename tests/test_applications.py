@@ -1,9 +1,13 @@
 """Direct tests of `applications`."""
 
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubekit import applications
 from cubekit.applications import (
@@ -22,9 +26,13 @@ from cubekit.embedding import (
     psi_map,
 )
 from cubekit.fixtures import identity_instance, tree_with_axes
-from cubekit.graphs import DisconnectedGraphError, path_graph, random_tree
+from cubekit.graphs import DisconnectedGraphError, UnitGraph, path_graph, random_tree
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
 from cubekit.median import ConnectifyResult
+from cubekit.projection import ProjectionSystem, build_quasitree
+from helpers import oracle_tree_approximate
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def test_tree_product_size_is_exact_and_ids_fit_in_int64():
@@ -157,3 +165,113 @@ def test_coarse_helly_refuses_sets_farther_apart_than_r(helly_setup):
     d = int(h.dist[np.ix_(sets[0], sets[1])].min())
     with pytest.raises(EmbeddingError, match=f"sets 0 and 1 are {d} apart"):
         coarse_helly_experiment(cs, psi, sets[:2], d - 1, trees)
+
+
+# ---------------------------------------------------------------------------
+# tree approximation
+
+
+@st.composite
+def small_trees(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    return UnitGraph(n, tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)))
+
+
+@st.composite
+def quasitrees(draw):
+    """The quasitree of 1-3 random tree pieces with random shadows, glued
+    with edges of length L in {1, 2, 3}, its vertices relabelled.  K is large,
+    so every pair of pieces is glued and the space is connected."""
+    pieces = tuple(draw(small_trees()) for _ in range(draw(st.integers(1, 3))))
+    proj = {
+        (i, j): frozenset(draw(st.sets(st.integers(0, p.n - 1), min_size=1, max_size=2)))
+        for i, p in enumerate(pieces)
+        for j in range(len(pieces))
+        if i != j
+    }
+    q = build_quasitree(ProjectionSystem(pieces, proj, 0), 10**6, draw(st.sampled_from([1, 2, 3])))
+    perm = draw(st.permutations(range(q.n)))
+    return relabel_quasitree(q, perm)
+
+
+def relabel_quasitree(q, perm):
+    piece_of = [0] * q.n
+    for v, p in enumerate(q.piece_of):
+        piece_of[perm[v]] = p
+    return dataclasses.replace(
+        q,
+        edges=tuple((perm[u], perm[v], w) for u, v, w in q.edges),
+        piece_of=tuple(piece_of),
+    )
+
+
+def check_tree_approximate(q, max_roots=64):
+    res = tree_approximate(q, max_roots)
+    root, add, mult, tree = oracle_tree_approximate(q.n, q.edges, max_roots)
+    assert (res.root, res.additive, res.multiplicative) == (root, add, mult)
+    assert list(res.tree.edges) == tree
+    return res
+
+
+@PROPERTY
+@given(quasitrees(), st.sampled_from([2, 5, 64]))
+def test_tree_approximate_matches_the_per_root_oracle(q, max_roots):
+    check_tree_approximate(q, max_roots)
+
+
+def test_a_quasitree_that_is_a_tree_is_its_own_approximation():
+    tree = random_tree(25, np.random.default_rng(5))
+    q = build_quasitree(ProjectionSystem((tree,), {}, 0), 1, 1)
+    res = check_tree_approximate(q)
+    assert (res.root, res.additive, res.multiplicative) == (0, 0, 1)
+    assert res.tree == tree
+
+
+def test_a_one_vertex_quasitree():
+    q = build_quasitree(ProjectionSystem((path_graph(1),), {}, 0), 1, 1)
+    res = check_tree_approximate(q)
+    assert (res.tree.n, res.tree.edges, res.root, res.additive, res.multiplicative) == (
+        1, (), 0, 0, 1,
+    )
+
+
+def test_past_max_roots_only_every_stride_th_vertex_is_a_root():
+    pieces = (random_tree(9, np.random.default_rng(6)), path_graph(8))
+    q = build_quasitree(ProjectionSystem(pieces, {(0, 1): {3, 4}, (1, 0): {0, 7}}, 0), 10, 2)
+    q = relabel_quasitree(q, np.random.default_rng(7).permutation(q.n).tolist())
+    assert q.n == 17
+    res = check_tree_approximate(q, max_roots=4)  # stride 17 // 4 = 4
+    assert res.root in (0, 4, 8, 12, 16)
+
+
+def test_tree_approximate_refuses_disconnected_and_fraction_spaces():
+    pieces = (path_graph(3), path_graph(3))
+    system = ProjectionSystem(pieces, {(0, 1): {0}, (1, 0): {2}}, 0)
+    q = build_quasitree(system, 10, 1)
+    cut = dataclasses.replace(
+        q, edges=tuple(e for e in q.edges if e[2] == 1 and q.piece_of[e[0]] == q.piece_of[e[1]]),
+        connected=False,
+    )
+    with pytest.raises(PipelineError, match="disconnected"):
+        tree_approximate(cut)
+    with pytest.raises(PipelineError, match="integer edge lengths"):
+        tree_approximate(build_quasitree(system, 10, Fraction(3, 2)))
+
+
+def test_tree_shorter_than_its_quasitree_is_reported_two_sided():
+    """At L = 2 a unit tree edge can stand for a quasitree edge of length 2,
+    so the tree may be shorter than the quasitree: the report counts that."""
+    h = tree_with_axes(200, 4, 0)
+    _, K = default_constants(h)
+    cs = build_coloured_system(h, find_bbf_colouring(h), K, 2)
+    q = cs.quasitrees[0]
+    res = tree_approximate(q)
+    diff = res.tree.distance_matrix - q.distance_matrix
+    assert diff.min() < 0
+    assert res.additive == int(np.abs(diff).max()) >= 2
+    d = q.distance_matrix
+    pos = d > 0
+    td = res.tree.distance_matrix
+    assert res.multiplicative == Fraction(
+        float((np.maximum(td, d)[pos] / np.minimum(td, d)[pos]).max())
+    ).limit_denominator(10**6)

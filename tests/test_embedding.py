@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cubekit.embedding import (
     PsiImage,
+    _max_ratio,
     build_coloured_system,
     default_constants,
     measure_embedding,
@@ -44,6 +45,7 @@ from helpers import (
     oracle_coarse_median,
     oracle_df_fit,
     oracle_is_tree,
+    oracle_kappa,
     oracle_orbit,
     oracle_set_dist,
 )
@@ -228,6 +230,40 @@ def test_measure_embedding_sums_the_colour_distances_per_pair(h, L, data):
         for x, y in pairs
     ]
     assert report.samples == tuple(expected)
+
+
+@PROPERTY
+@given(axes_instances(), st.sampled_from([1, Fraction(3, 2)]), st.data())
+def test_measure_embedding_kappa_matches_the_fraction_loop(h, L, data):
+    """Kappa against the per-pair Fraction loop, for psi and for a psi that
+    collapses each even vertex onto the next one's image (pairs with
+    d_G > 0 = d_product); pairs (x, x) give d_G = 0."""
+    cs = coloured(h, L)
+    psi = psi_map(cs)
+    collapsed = PsiImage(tuple(tuple(m[v - v % 2] for v in range(h.n)) for m in psi.maps))
+    pairs = random_triples(h, data, 40)[:, :2].tolist() + [[0, 0], [0, 1]]
+    dist = oracle_all_dists(h.n, h.ambient.edges)
+    for image in (psi, collapsed):
+        report = measure_embedding(cs, image, pairs)
+        rows = [
+            ((x, y), dist[x][y], sum(q.dist(m[x], m[y]) for q, m in zip(cs.quasitrees, image.maps)))
+            for x, y in pairs
+        ]
+        k_low, k_up, add = oracle_kappa(rows)
+        assert (report.kappa_lower, report.kappa_upper, report.additive) == (k_low, k_up, add)
+        assert report.kappa == max(k_low, k_up, add)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 10**9)), max_size=12), st.data())
+def test_max_ratio_is_the_exact_maximum(pairs, data):
+    # ratios (b + k) / (b + k - 1) near 1 + 1/b tie in floating point
+    b = data.draw(st.integers(10**8, 10**9))
+    pairs += [(b + k, b + k - 1) for k in data.draw(st.lists(st.integers(0, 3), max_size=3))]
+    num = np.array([p for p, _ in pairs], dtype=np.int64)
+    den = np.array([q for _, q in pairs], dtype=np.int64)
+    expected = max([Fraction(1)] + [Fraction(p, q) for p, q in pairs])
+    assert _max_ratio(num, den, Fraction(1)) == expected
 
 
 def test_disconnected_quasitree_names_the_pair():

@@ -5,7 +5,8 @@ trees, uniqueness of gates on tree geodesics, the component labelling, the
 median closure and the lowest-common-ancestor medians of a product of trees
 are taken on trust at run time; here they are checked against the
 brute-force oracles of `helpers` on small grids, hypercubes, random trees and
-products of trees.  Examples are derandomized, so the suite stays
+products of trees.  The one-anchor hull on trees is checked against the
+all-pairs hull.  Examples are derandomized, so the suite stays
 deterministic.
 """
 
@@ -20,11 +21,14 @@ from cubekit.applications import TreeProduct, promote_to_cube_complex
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     UnitGraph,
+    complete_bipartite_graph,
     component_labels,
+    cycle_graph,
     gate_map,
     grid_graph,
     hypercube_graph,
 )
+from cubekit.hhs import space_hull
 from cubekit.jsonio import decode_number, encode_number
 from cubekit.median import (
     MedianAlgebra,
@@ -39,6 +43,7 @@ from helpers import (
     lex_geodesic,
     oracle_all_dists,
     oracle_closure,
+    oracle_hull,
     oracle_interval_closure,
     oracle_medians_of,
 )
@@ -247,3 +252,36 @@ def test_promoted_skeleton_matches_the_graph_hyperplane_pass(factors, data):
     closure = [space.encode(t) for t in res.vertex_tuples]
     explicit = MedianAlgebra.from_graph(tree_product(*factors))
     assert check_isometric_subalgebra(explicit, closure)
+
+
+@st.composite
+def hull_graphs(draw):
+    """A relabelled tree, where `space_hull` takes one anchor, or a grid,
+    cycle or K_{2,3}, where it must scan all pairs."""
+    kind = draw(st.sampled_from(["tree", "grid", "cycle", "k23"]))
+    if kind == "tree":
+        g = draw(trees())
+    elif kind == "grid":
+        g = grid_graph(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    elif kind == "cycle":
+        g = cycle_graph(draw(st.integers(3, 9)))
+    else:
+        g = complete_bipartite_graph(2, 3)
+    return relabel(g, draw)
+
+
+@PROPERTY
+@given(hull_graphs(), st.data())
+def test_space_hull_matches_the_all_pairs_hull(g, data):
+    pts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    mask = space_hull(g.distance_matrix, pts)
+    assert np.flatnonzero(mask).tolist() == oracle_hull(g.n, g.edges, pts)
+
+
+def test_space_hull_scans_all_pairs_off_trees():
+    # from the anchor 0 alone, the geodesics of K_{2,3} miss vertex 1, which
+    # lies between 2 and 3; on a 6-cycle the anchor 0 misses the arc 2..4
+    k23 = complete_bipartite_graph(2, 3)
+    assert np.flatnonzero(space_hull(k23.distance_matrix, [0, 2, 3])).tolist() == [0, 1, 2, 3]
+    c6 = cycle_graph(6)
+    assert np.flatnonzero(space_hull(c6.distance_matrix, [0, 2, 4])).tolist() == list(range(6))
