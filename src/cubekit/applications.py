@@ -228,10 +228,11 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
         head, tail, w = head[order], tail[order], w[order]
         M = mat[roots]
         # index of each root's first arc into v that lies on a geodesic from
-        # the root; the root itself has none and gets the sentinel len(head)
+        # the root; the root itself has none and gets the sentinel len(head).
+        # Every vertex heads some arc (q is connected, n > 1).
         ok = M[:, tail] + w == M[:, head]
         pos = np.where(ok, np.arange(len(head)), len(head))
-        first = np.minimum.reduceat(pos, np.flatnonzero(np.r_[True, head[1:] != head[:-1]]), axis=1)
+        first = np.minimum.reduceat(pos, np.searchsorted(head, np.arange(n)), axis=1)
         parent = np.append(tail, -1)[first]
         child = np.arange(n)
         codes = np.minimum(child, parent) * n + np.maximum(child, parent)

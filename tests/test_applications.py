@@ -249,7 +249,7 @@ def test_tree_approximate_refuses_disconnected_and_fraction_spaces():
     system = ProjectionSystem(pieces, {(0, 1): {0}, (1, 0): {2}}, 0)
     q = build_quasitree(system, 10, 1)
     cut = dataclasses.replace(
-        q, edges=tuple(e for e in q.edges if e[2] == 1 and q.piece_of[e[0]] == q.piece_of[e[1]]),
+        q, edges=tuple(e for e in q.edges if q.piece_of[e[0]] == q.piece_of[e[1]]),
         connected=False,
     )
     with pytest.raises(PipelineError, match="disconnected"):
@@ -265,13 +265,7 @@ def test_tree_shorter_than_its_quasitree_is_reported_two_sided():
     _, K = default_constants(h)
     cs = build_coloured_system(h, find_bbf_colouring(h), K, 2)
     q = cs.quasitrees[0]
-    res = tree_approximate(q)
+    res = check_tree_approximate(q)
     diff = res.tree.distance_matrix - q.distance_matrix
     assert diff.min() < 0
     assert res.additive == int(np.abs(diff).max()) >= 2
-    d = q.distance_matrix
-    pos = d > 0
-    td = res.tree.distance_matrix
-    assert res.multiplicative == Fraction(
-        float((np.maximum(td, d)[pos] / np.minimum(td, d)[pos]).max())
-    ).limit_denominator(10**6)
