@@ -10,12 +10,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
-from .cubes import CubeSkeleton, _max_crossing, helly_intersection, hyperplane_decomposition
+from .cubes import (
+    CubeSkeleton,
+    _max_crossing,
+    crossing_dimension,
+    helly_intersection,
+    hyperplane_decomposition,
+)
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
-from .graphs import UnitGraph
+from .graphs import UnitGraph, tree_distance_matrix
 from .hhs import HHSInstance, space_hull
 from .median import MedianAlgebra, connectify_and_close_in, tree_medians
 from .projection import QuasiTreeSpace
@@ -202,15 +206,15 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     its least neighbour u with d(r, u) + w(u, v) = d(r, v).  That rule reads
     only row r of the distance matrix, not a visit order, so one numpy pass
     over the arcs (v <- u, w) sorted by (v, u, w) finds the parents for all
-    roots at once.  Roots with the same edge set
-    share their scores, so each distinct tree is scored once, under its least
-    root.  The winner minimizes (additive, multiplicative, root).  Both are
-    two-sided, since td, the unit tree's metric, can fall below d, the
-    quasitree's, once an edge weighs more than 1: additive = max |td - d|
-    and multiplicative = max(td / d, d / td) over d > 0, a float ratio
-    rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a subgraph
-    of a unit-weight graph, so td >= d.  Distortion is reported, never
-    assumed.
+    roots at once.  Roots with the same edge set share their scores, so each
+    distinct tree is scored once, under its least root, on the metric from
+    `tree_distance_matrix`.  The winner minimizes (additive, multiplicative,
+    root).  Both are two-sided, since td, the unit tree's metric, can fall
+    below d, the quasitree's, once an edge weighs more than 1: additive =
+    max |td - d| and multiplicative = max(td / d, d / td) over d > 0, a float
+    ratio rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a
+    subgraph of a unit-weight graph, so td >= d.  Distortion is reported,
+    never assumed.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
@@ -242,8 +246,7 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     best = None
     for i in distinct.tolist():
         lo, hi = np.divmod(codes[i], n)
-        tree = sp.csr_matrix((np.ones(n - 1, dtype=np.int8), (lo, hi)), shape=(n, n))
-        td = csgraph.shortest_path(tree, directed=False, unweighted=True)
+        td = tree_distance_matrix(n, [(a, b, 1) for a, b in zip(lo.tolist(), hi.tolist())])
         add = int(np.abs(td - mat).max())
         ratio = np.where(mat > 0, np.maximum(td, mat) / np.maximum(np.minimum(td, mat), 1), 1.0)
         mult = Fraction(ratio.max()).limit_denominator(10**6)
@@ -304,15 +307,16 @@ def coarse_helly_experiment(
     for ci in range(cs.chi):
         tree = trees[ci].tree
         tdist = tree.distance_matrix
-        skel = hyperplane_decomposition(MedianAlgebra.from_graph(tree))
+        # a tree is a median graph, so it needs no recognition or class pass
+        median = MedianAlgebra(tree, crossing_dimension(tree))
         inflated = []
         for hv in hulls[ci]:
             ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
             hull = np.flatnonzero(space_hull(tdist, ball))
-            if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > skel.dimension * r_infl:
+            if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > median.rank * r_infl:
                 hull_bound_ok = False
             inflated.append(frozenset(int(v) for v in hull))
-        res = helly_intersection(skel, inflated)
+        res = helly_intersection(median, inflated)
         if not res.found:
             raise EmbeddingError(
                 f"inflated images in colour {ci} fail to intersect (pair {res.witness_pair})"

@@ -97,8 +97,20 @@ def _skeleton_dict(c: CubeSkeleton) -> dict:
     }
 
 
-def _pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[int, int]]:
-    return [(int(a), int(b)) for a, b in rng.integers(0, n, size=(count, 2))]
+def _count(text: str) -> int:
+    """argparse type of a count flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
+def _samples(rng: np.random.Generator, n: int, count: int, width: int) -> list[tuple[int, ...]]:
+    """`count` tuples of `width` vertices drawn uniformly from range(n)."""
+    return list(map(tuple, rng.integers(0, n, size=(count, width)).tolist()))
 
 
 def cmd_gen_fixture(args) -> int:
@@ -214,13 +226,13 @@ def cmd_df_check(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit df-check")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--s", type=as_number, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))
     rng = fixtures.rng_from_seed(a.seed, stream=2)
-    pairs = _pairs(rng, h.n, a.samples)
+    pairs = _samples(rng, h.n, a.samples, 2)
     fit = distance_formula_fit(h, a.s, pairs)
     report = {
         "command": "df-check",
@@ -249,7 +261,7 @@ def cmd_psi(args) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
@@ -260,11 +272,8 @@ def cmd_psi(args) -> int:
         _, a.K = default_constants(h)
     col, cs, psi = _coloured(h, a.K, a.L)
     rng = fixtures.rng_from_seed(a.seed, stream=3)
-    pairs = _pairs(rng, h.n, a.samples)
-    triples = [
-        (int(x), int(y), int(z))
-        for x, y, z in rng.integers(0, h.n, size=(max(2, a.samples // 2), 3))
-    ]
+    pairs = _samples(rng, h.n, a.samples, 2)
+    triples = _samples(rng, h.n, max(2, a.samples // 2), 3)
     emb = measure_embedding(cs, psi, pairs)
     qm = quasimedian_defect(cs, psi, triples)
     report = {
@@ -376,7 +385,7 @@ def cmd_pack(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit pack")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--count", type=_count, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)

@@ -204,11 +204,13 @@ class HellyResult:
     witness_pair: tuple[int, int] | None
 
 
-def helly_intersection(c: CubeSkeleton, family) -> HellyResult:
-    """Common vertex of pairwise-intersecting convex sets, or a disjoint pair.
+def helly_intersection(m: MedianAlgebra, family) -> HellyResult:
+    """Common vertex of pairwise-intersecting convex sets of a median graph,
+    or a disjoint pair.
 
     For up to three members the point is the median of pairwise picks; larger
     families fold the last two members into their (convex) intersection.
+    Only the metric and the median are read, so no hyperplane pass is needed.
     """
     sets = [frozenset(int(v) for v in S) for S in family]
     if not sets:
@@ -216,13 +218,13 @@ def helly_intersection(c: CubeSkeleton, family) -> HellyResult:
     for idx, S in enumerate(sets):
         if not S:
             raise ConvexityError(f"family member {idx} is empty")
-        if not is_convex(c.median, S):
+        if not is_convex(m, S):
             raise ConvexityError(f"family member {idx} is not convex")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if not (sets[i] & sets[j]):
                 return HellyResult(False, None, (i, j))
-    vertex = _helly_point(c.median, sets)
+    vertex = _helly_point(m, sets)
     assert all(vertex in S for S in sets)
     return HellyResult(True, vertex, None)
 

@@ -3,6 +3,10 @@
 Vertices are integers 0..n-1.  Distances are geodesic edge counts, computed
 once per graph and cached.  Construction rejects loops and multi-edges;
 connectivity is enforced wherever a metric is needed.
+
+Every tree metric of the package (unit graphs that are trees, quasitrees
+that are trees, candidate approximating trees) comes from one exact kernel,
+`tree_distance_matrix`; other graphs go through scipy's BFS.
 """
 
 from __future__ import annotations
@@ -87,13 +91,18 @@ class UnitGraph:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs geodesic distances (edge counts), int matrix."""
-        if self.n == 1:
-            return np.zeros((1, 1), dtype=np.int32)
+        """All-pairs geodesic distances (edge counts), int32 matrix.
+
+        A graph with n - 1 edges goes through `tree_distance_matrix`, any
+        other through scipy's BFS.  A disconnected graph raises
+        DisconnectedGraphError(0, v), v the least vertex not joined to 0,
+        on either path.
+        """
+        if len(self.edges) == self.n - 1:
+            unit = [(u, v, 1) for u, v in self.edges]
+            return tree_distance_matrix(self.n, unit).astype(np.int32)
+        self.require_connected()
         dist = csgraph.shortest_path(self._sparse, method="D", unweighted=True)
-        if np.isinf(dist).any():
-            bad = np.argwhere(np.isinf(dist))[0]
-            raise DisconnectedGraphError(int(bad[0]), int(bad[1]))
         return dist.astype(np.int32)
 
     @cached_property
@@ -167,6 +176,82 @@ class UnitGraph:
 def all_pairs_distances(g: UnitGraph) -> np.ndarray:
     """Geodesic edge-count matrix; raises DisconnectedGraphError on disconnected input."""
     return g.distance_matrix
+
+
+def tree_distance_matrix(n: int, edges) -> np.ndarray:
+    """All-pairs distances of a tree with positive integer edge lengths, int64.
+
+    The tree is given by its n - 1 edges (u, v, w), each of length w.  One
+    iterative preorder from vertex 0 (a stack, recording each vertex's
+    parent) lists every subtree as one contiguous run of positions.  Seen
+    from a child v of p, across the edge of length w, every vertex outside
+    v's subtree is w farther than from p and every vertex inside it w
+    nearer, so
+
+        row(v) = row(p) + w,  minus 2w on the run of v's subtree.
+
+    Columns are kept in preorder positions.  The root's row is the weighted
+    depth, a prefix sum of +w at the start and -w past the end of each run.
+    The rows of inner vertices follow in preorder, so parents come first,
+    and then all leaves in one batch, as a leaf's run is its own position.
+    One column gather returns vertex order.  That is O(n^2) numpy int64
+    work in at most n row operations, with no recursion and no floats.
+
+    Raises DisconnectedGraphError(0, x), x the least vertex not reached from
+    0, when the edges do not join every vertex.
+    """
+    if len(edges) != n - 1:
+        raise GraphError(f"a tree on {n} vertices has {n - 1} edges, not {len(edges)}")
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in edges:
+        nbrs[a].append((b, c))
+        nbrs[b].append((a, c))
+    parent = [-1] * n
+    up = [0] * n  # length of the edge to the parent
+    seen = [True] + [False] * (n - 1)
+    order = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, c in nbrs[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                up[y] = c
+                stack.append(y)
+    if len(order) < n:
+        raise DisconnectedGraphError(0, seen.index(False))
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    order, parent, size = np.array(order), np.array(parent), np.array(size)
+    up = np.array(up, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    stop = pos + size  # v's subtree holds positions pos[v] .. stop[v] - 1
+    step = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(step, pos, up)
+    np.add.at(step, stop, -up)
+    R = np.empty((n, n), dtype=np.int64)  # R[v, pos[x]] = d(v, x)
+    R[0] = np.cumsum(step[:n])
+    rest = order[1:]
+    inner = rest[size[rest] > 1]
+    for x, p, a, b, wx in zip(
+        inner.tolist(),
+        parent[inner].tolist(),
+        pos[inner].tolist(),
+        stop[inner].tolist(),
+        up[inner].tolist(),
+    ):
+        row = R[x]
+        np.add(R[p], wx, out=row)
+        run = row[a:b]
+        np.subtract(run, 2 * wx, out=run)
+    leaf = rest[size[rest] == 1]
+    R[leaf] = R[parent[leaf]] + up[leaf, None]
+    R[leaf, pos[leaf]] = 0
+    return R[:, pos]
 
 
 def component_labels(adjacency) -> np.ndarray:

@@ -103,9 +103,16 @@ class Domain:
         return np.array([min(p) for p in self.pi], dtype=np.int64)
 
     @cached_property
+    def singleton(self) -> bool:
+        """Whether every projection pi[x] is one vertex, namely reps[x]."""
+        return all(len(p) == 1 for p in self.pi)
+
+    @cached_property
     def setdist(self) -> np.ndarray:
         """Matrix S[x, v] = distance from the projection of ambient x to v."""
         D = self.dist
+        if self.singleton:
+            return D[self.reps]
         return np.stack([D[sorted(p)].min(axis=0) for p in self.pi])
 
 
@@ -139,11 +146,9 @@ class HHSInstance:
 
     def d_U_matrix(self, U: Domain) -> np.ndarray:
         """Full matrix of d_U(x, y) over ambient pairs."""
-        reps = [sorted(p) for p in U.pi]
-        if all(len(r) == 1 for r in reps):
-            idx = [r[0] for r in reps]
-            return U.dist[np.ix_(idx, idx)]
-        return np.stack([U.setdist[:, r].min(axis=1) for r in reps], axis=1)
+        if U.singleton:
+            return U.dist[np.ix_(U.reps, U.reps)]
+        return np.stack([U.setdist[:, sorted(p)].min(axis=1) for p in U.pi], axis=1)
 
     def rho_of(self, source: Domain, target: Domain) -> frozenset[int]:
         """The shadow of `source` inside `target`'s space."""
@@ -452,7 +457,7 @@ def projection_sum(h: HHSInstance, x, y, s):
     scalar, (x, y) = _as_arrays(x, y)
     total = np.zeros(len(x), dtype=np.int64)
     for d in h.domains:
-        v = h.d_U_matrix(d)[x, y]
+        v = d.dist[d.reps[x], d.reps[y]] if d.singleton else h.d_U_matrix(d)[x, y]
         total += np.where(v > s, v, 0)
     return int(total[0]) if scalar else total
 

@@ -96,7 +96,8 @@ class MedianAlgebra:
     construct `MedianAlgebra(g, rank)` directly only when the type of g
     already guarantees medianness: for instance a connected median-closed
     subset of a median graph, which is isometric and hence itself a median
-    graph (`applications.promote_to_cube_complex`).
+    graph (`applications.promote_to_cube_complex`), or a tree
+    (`applications.coarse_helly_experiment`).
     """
 
     graph: UnitGraph

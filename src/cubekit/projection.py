@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .graphs import UnitGraph, gate_map
+from .graphs import UnitGraph, gate_map, tree_distance_matrix
 from .jsonio import as_number, decode_number, encode_number
 
 
@@ -193,8 +193,12 @@ class QuasiTreeSpace:
 
     @cached_property
     def distance_matrix(self):
-        """Exact all-pairs distances: integer matrix when L is an integer,
-        else a dict-of-dict of Fractions via Dijkstra."""
+        """Exact all-pairs distances: an int64 matrix when L is an integer,
+        from `tree_distance_matrix` when the glued space is a tree and from
+        scipy's Dijkstra otherwise (-1 between components); else a
+        dict-of-dict of Fractions via Dijkstra."""
+        if isinstance(self.L, int) and self.connected and len(self.edges) == self.n - 1:
+            return tree_distance_matrix(self.n, self.edges)
         if isinstance(self.L, int):
             rows, cols, data = [], [], []
             for u, v, w in self.edges:

@@ -67,6 +67,27 @@ def test_zero_denominator_flag_is_an_input_error(command, fixture, tmp_path, cap
     assert "invalid as_number value: '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["psi", "--samples", "-3"], "--samples"),
+        (["df-check", "--s", "600", "--samples", "-3"], "--samples"),
+        (["pack", "--R", "3", "--count", "-2"], "--count"),
+        (["psi", "--samples", "many"], "--samples"),
+    ],
+    ids=["psi-samples", "df-check-samples", "pack-count", "not-a-number"],
+)
+def test_negative_count_is_an_input_error(args, flag, tmp_path, capsys):
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", "tree-axes", "--n", "30", "--out", inp]) == 0
+    capsys.readouterr()
+    # rejected by argparse, naming the flag, before any numpy array is sized
+    assert main([args[0], "--in", inp, *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be a non-negative integer" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # golden runs: every subcommand on small seeded fixtures
 #

@@ -109,12 +109,12 @@ def test_hull_bound_empty_raises(grid33_skel):
 
 def test_helly_empty_family_raises(grid33_skel):
     with pytest.raises(ConvexityError, match="empty family"):
-        helly_intersection(grid33_skel, [])
+        helly_intersection(grid33_skel.median, [])
 
 
 def test_helly_empty_member_raises(grid33_skel):
     with pytest.raises(ConvexityError, match="member 0 is empty"):
-        helly_intersection(grid33_skel, [[]])
+        helly_intersection(grid33_skel.median, [[]])
 
 
 def test_gate_to_empty_set_raises(grid33_skel):
@@ -166,7 +166,7 @@ def test_hull_bound_random_trials():
 
 
 def test_helly_whole_twice(grid33_skel):
-    res = helly_intersection(grid33_skel, [range(9), range(9)])
+    res = helly_intersection(grid33_skel.median, [range(9), range(9)])
     assert res.found and 0 <= res.vertex < 9
 
 
@@ -174,20 +174,20 @@ def test_helly_three_strips(grid33_skel):
     rows01 = [grid_v(r, c, 3) for r in (0, 1) for c in range(3)]
     cols12 = [grid_v(r, c, 3) for r in range(3) for c in (1, 2)]
     diag_hull = convex_hull(grid33_skel, [0, 8])
-    res = helly_intersection(grid33_skel, [rows01, cols12, diag_hull])
+    res = helly_intersection(grid33_skel.median, [rows01, cols12, diag_hull])
     assert res.found
     expected = set(rows01) & set(cols12) & diag_hull
     assert res.vertex in expected
 
 
 def test_helly_disjoint_witness(grid33_skel):
-    res = helly_intersection(grid33_skel, [[0], [8]])
+    res = helly_intersection(grid33_skel.median, [[0], [8]])
     assert not res.found and res.witness_pair == (0, 1)
 
 
 def test_helly_nonconvex_member(grid33_skel):
     with pytest.raises(ConvexityError):
-        helly_intersection(grid33_skel, [[0, 8]])
+        helly_intersection(grid33_skel.median, [[0, 8]])
 
 
 def test_helly_random_families():
@@ -200,7 +200,7 @@ def test_helly_random_families():
             k = int(rng.integers(1, 4))
             fam.append(convex_hull(skel, [int(v) for v in rng.choice(20, size=k, replace=False)]))
         if all(a & b for a in fam for b in fam):
-            res = helly_intersection(skel, fam)
+            res = helly_intersection(skel.median, fam)
             assert res.found
             assert all(res.vertex in S for S in fam)
             done += 1
@@ -212,7 +212,7 @@ def test_helly_on_tree():
     a = convex_hull(skel, [0, 10])
     b = convex_hull(skel, [10, 20])
     c = convex_hull(skel, [0, 20])
-    res = helly_intersection(skel, [a, b, c])
+    res = helly_intersection(skel.median, [a, b, c])
     assert res.found
 
 

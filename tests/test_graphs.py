@@ -1,5 +1,12 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubekit.graphs import (
     DisconnectedGraphError,
@@ -15,6 +22,7 @@ from cubekit.graphs import (
     random_tree,
     spider_graph,
     star_graph,
+    tree_distance_matrix,
     verify_isomorphism,
 )
 from helpers import oracle_all_dists
@@ -95,3 +103,94 @@ def test_isomorphism():
     mapping = {v: v for v in range(6)}
     assert verify_isomorphism(cycle_graph(6), cycle_graph(6), mapping)
     assert not verify_isomorphism(path_graph(3), path_graph(3), {0: 0, 1: 1, 2: 1})
+
+
+# --- the tree kernel --------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def scipy_distances(n, edges):
+    """Reference all-pairs distances: scipy's Dijkstra on the weighted edges."""
+    u, v, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return csgraph.shortest_path(sp.csr_matrix((w, (u, v)), shape=(n, n)), directed=False)
+
+
+@st.composite
+def weighted_trees(draw, max_n=40, max_w=1):
+    """(n, edges): a random tree with permuted labels, so vertex 0, the
+    root of the preorder, may sit anywhere, with lengths in 1..max_w."""
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(range(n)))
+    edges = [
+        (perm[draw(st.integers(0, i - 1))], perm[i], draw(st.integers(1, max_w)))
+        for i in range(1, n)
+    ]
+    return n, edges
+
+
+@PROPERTY
+@given(weighted_trees(max_w=1) | weighted_trees(max_w=4))
+def test_tree_kernel_matches_scipy(tree):
+    n, edges = tree
+    D = tree_distance_matrix(n, edges)
+    assert D.dtype == np.int64
+    assert (D == scipy_distances(n, edges)).all()
+
+
+@PROPERTY
+@given(weighted_trees(max_w=1))
+def test_tree_graph_distances_match_bfs(tree):
+    n, edges = tree
+    g = UnitGraph(n, tuple((u, v) for u, v, _ in edges))
+    assert g.distance_matrix.dtype == np.int32
+    assert (g.distance_matrix == np.array(oracle_all_dists(n, g.edges))).all()
+
+
+def test_tree_kernel_on_one_and_two_vertices():
+    assert tree_distance_matrix(1, []).tolist() == [[0]]
+    assert tree_distance_matrix(2, [(1, 0, 3)]).tolist() == [[0, 3], [3, 0]]
+    assert UnitGraph(2, ((0, 1),)).distance_matrix.tolist() == [[0, 1], [1, 0]]
+
+
+def test_tree_kernel_refuses_a_wrong_edge_count():
+    with pytest.raises(GraphError):
+        tree_distance_matrix(3, [(0, 1, 1)])
+
+
+def test_tree_kernel_runs_a_long_path_without_recursion():
+    n = 3000
+    # a recursive walk would need about n frames; leave it 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        D = tree_distance_matrix(n, [(i, i + 1, 1) for i in range(n - 1)])
+    finally:
+        sys.setrecursionlimit(limit)
+    line = np.arange(n)
+    assert (D[0] == line).all() and (D[:, 0] == line).all()
+    assert (D[n // 2] == np.abs(line - n // 2)).all()
+    assert int(D.sum()) == (n - 1) * n * (n + 1) // 3  # sum of |i - j|
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, ((0, 1), (1, 2), (2, 0))),  # triangle, isolated 3
+        (4, ((1, 2), (2, 3), (3, 1))),  # isolated 0, triangle
+        (6, ((0, 5), (1, 2), (2, 3), (3, 4), (4, 1))),  # edge 0-5, 4-cycle
+        (6, ((0, 1), (1, 2), (2, 0), (4, 5))),  # fewer than n - 1 edges
+        (5, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3))),  # more than n - 1 edges
+    ],
+)
+def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
+    g = UnitGraph(n, edges)
+    # the witness of the BFS path: the first unreachable pair in row order
+    old = np.argwhere(np.isinf(csgraph.shortest_path(g._sparse, unweighted=True)))[0]
+    with pytest.raises(DisconnectedGraphError) as exc:
+        g.distance_matrix
+    assert (exc.value.u, exc.value.v) == tuple(old.tolist())
+    if len(edges) == n - 1:
+        with pytest.raises(DisconnectedGraphError) as exc:
+            tree_distance_matrix(n, [(u, v, 1) for u, v in edges])
+        assert (exc.value.u, exc.value.v) == tuple(old.tolist())

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubekit.fixtures import (
     identity_instance,
@@ -10,7 +12,7 @@ from cubekit.fixtures import (
     spider_with_axes,
     tree_with_axes,
 )
-from cubekit.graphs import grid_graph, path_graph
+from cubekit.graphs import UnitGraph, grid_graph, path_graph
 from cubekit.hhs import (
     REL_ORTH,
     REL_TRANS,
@@ -495,3 +497,44 @@ def test_projection_sum_matches_manual(grid9):
     x, y = grid_v(0, 0, 9), grid_v(5, 7, 9)
     assert projection_sum(grid9, x, y, 6) == 7
     assert projection_sum(grid9, x, y, 3) == 12
+
+
+# --- singleton projections ------------------------------------------------------
+
+
+def _random_tree(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return UnitGraph(n, tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)))
+
+
+@st.composite
+def one_domain_instances(draw):
+    """An ambient tree and one domain whose projections hold one vertex
+    each, or (when `wide`) up to three."""
+    ambient = _random_tree(draw, 10)
+    space = _random_tree(draw, 8)
+    most = 3 if draw(st.booleans()) else 1
+    pi = tuple(
+        frozenset(draw(st.lists(st.integers(0, space.n - 1), min_size=1, max_size=most)))
+        for _ in range(ambient.n)
+    )
+    return HHSInstance(ambient, (Domain("U", space, pi, {}, {}),), 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(one_domain_instances(), st.integers(0, 3))
+def test_singleton_projections_match_the_general_path(h, s):
+    (dom,) = h.domains
+    assert dom.singleton == all(len(p) == 1 for p in dom.pi)
+    general = dataclasses.replace(dom)
+    general.__dict__["singleton"] = False  # force the per-vertex stacks
+    g = HHSInstance(h.ambient, (general,), h.E)
+    assert dom.setdist.dtype == general.setdist.dtype
+    assert (dom.setdist == general.setdist).all()
+    assert (h.d_U_matrix(dom) == g.d_U_matrix(general)).all()
+    x, y = np.divmod(np.arange(h.n * h.n), h.n)
+    assert (projection_sum(h, x, y, s) == projection_sum(g, x, y, s)).all()
+    for a, b in [(0, h.n - 1), (h.n // 2, 0)]:
+        assert h.d_U(dom, a, b) == min(
+            int(dom.dist[p, q]) for p in dom.pi[a] for q in dom.pi[b]
+        )

@@ -2,6 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubekit.fixtures import (
     chain_system,
@@ -10,7 +14,7 @@ from cubekit.fixtures import (
     tripod_system,
     two_piece_system,
 )
-from cubekit.graphs import path_graph, spider_graph
+from cubekit.graphs import UnitGraph, path_graph, spider_graph
 from cubekit.projection import (
     ProjectionError,
     ProjectionSystem,
@@ -277,6 +281,44 @@ def test_tripod_embedding(tripod_q):
     for U in range(3):
         rep = piece_embedding_check(tripod_q, U)
         assert rep.isometric and rep.totally_geodesic
+
+
+# --- tree-shaped quasitrees ------------------------------------------------------
+
+
+@st.composite
+def tree_chain_systems(draw):
+    """One to three random tree pieces with one-vertex projections, glued
+    at K = 1 into a chain 0 - 1 - 2: piece 1 sends pieces 0 and 2 to two
+    ends of a diameter, at least 2 apart, so 0 and 2 never attach."""
+    k = draw(st.integers(1, 3))
+    pieces = []
+    for i in range(k):
+        n = draw(st.integers(3 if i == 1 else 1, 12))
+        pieces.append(UnitGraph(n, tuple((draw(st.integers(0, j - 1)), j) for j in range(1, n))))
+    proj = {}
+    for i in range(k):
+        spot = frozenset([draw(st.integers(0, pieces[i].n - 1))])
+        for j in range(k):
+            if j != i:
+                proj[(i, j)] = spot
+    if k == 3:
+        D = pieces[1].distance_matrix
+        a, b = np.unravel_index(np.argmax(D), D.shape)
+        proj[(1, 0)], proj[(1, 2)] = frozenset([int(a)]), frozenset([int(b)])
+    return ProjectionSystem(tuple(pieces), proj, 0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tree_chain_systems(), st.sampled_from([1, 3]))
+def test_tree_shaped_quasitree_matches_dijkstra(s, L):
+    q = build_quasitree(s, K=1, L=L)
+    assert q.connected and len(q.edges) == q.n - 1
+    u, v, w = np.array(q.edges, dtype=np.int64).reshape(-1, 3).T
+    adj = sp.csr_matrix((w, (u, v)), shape=(q.n, q.n))
+    expected = csgraph.shortest_path(adj, method="D", directed=False)
+    assert q.distance_matrix.dtype == np.int64
+    assert (q.distance_matrix == expected).all()
 
 
 # --- serialization -----------------------------------------------------------------

@@ -6,8 +6,9 @@ median closure and the lowest-common-ancestor medians of a product of trees
 are taken on trust at run time; here they are checked against the
 brute-force oracles of `helpers` on small grids, hypercubes, random trees and
 products of trees.  The one-anchor hull on trees is checked against the
-all-pairs hull.  Examples are derandomized, so the suite stays
-deterministic.
+all-pairs hull.  The median operation of products of random trees obeys the
+median axioms, and a wallspace comes back from its dual cube complex.
+Examples are derandomized, so the suite stays deterministic.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from cubekit.graphs import (
 )
 from cubekit.hhs import space_hull
 from cubekit.jsonio import decode_number, encode_number
+from cubekit.walls import Wallspace, dual_cube_complex, principal_orientation, walls_of_skeleton
 from cubekit.median import (
     MedianAlgebra,
     check_isometric_subalgebra,
@@ -285,3 +287,60 @@ def test_space_hull_scans_all_pairs_off_trees():
     assert np.flatnonzero(space_hull(k23.distance_matrix, [0, 2, 3])).tolist() == [0, 1, 2, 3]
     c6 = cycle_graph(6)
     assert np.flatnonzero(space_hull(c6.distance_matrix, [0, 2, 4])).tolist() == list(range(6))
+
+
+@PROPERTY
+@given(tree_factors())
+def test_median_axioms_on_products_of_random_trees(factors):
+    """Majority, symmetry and the associativity law
+    m(m(x, w, y), w, z) = m(x, w, m(y, w, z)) over every triple and
+    quadruple of vertices of the explicit product graph."""
+    g = tree_product(*factors)
+    m = MedianAlgebra.from_graph(g)
+    n = g.n
+    x, y, z = (a.ravel() for a in np.indices((n, n, n)))
+    M = m.median_bulk(x, y, z).reshape(n, n, n)
+    v = np.arange(n)
+    assert (M[v[:, None], v[:, None], v] == v[:, None]).all()
+    for perm in itertools.permutations(range(3)):
+        assert (M.transpose(perm) == M).all()
+    X, W, Y, Z = np.indices((n, n, n, n))
+    assert (M[M[X, W, Y], W, Z] == M[X, W, M[Y, W, Z]]).all()
+
+
+def wall(points: int, side) -> tuple[frozenset[int], frozenset[int]]:
+    """The bipartition {side, rest} of range(points), in Wallspace's order."""
+    side = frozenset(side)
+    return Wallspace(points, ((side, frozenset(range(points)) - side),)).walls[0]
+
+
+@st.composite
+def wallspaces(draw):
+    """Distinct walls on a small ground set: the halfspaces of a random
+    median graph with its points relabelled, or random bipartitions."""
+    if draw(st.booleans()):
+        g = draw(median_graphs())
+        return Wallspace(g.n, hyperplane_decomposition(MedianAlgebra.from_graph(g)).halfspaces)
+    n = draw(st.integers(2, 6))
+    sides = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), max_size=5))
+    return Wallspace(n, tuple(sorted({wall(n, a) for a in sides}, key=lambda w: sorted(w[0]))))
+
+
+@PROPERTY
+@given(wallspaces())
+def test_wallspace_dual_walls_round_trip(w):
+    """The dual's hyperplanes are the walls: its walls split the coherent
+    orientations by their side of each wall, and pulled back along
+    x -> principal orientation of x they give the walls of w again."""
+    dual = dual_cube_complex(w)
+    back = walls_of_skeleton(dual.skeleton)
+    sides = [o.sides for o in dual.orientations]
+    by_wall = {
+        wall(len(sides), (j for j, o in enumerate(sides) if o[i] == 0)) for i in range(len(w.walls))
+    }
+    assert len(back.walls) == len(w.walls)
+    assert set(back.walls) == by_wall
+    index = {o: j for j, o in enumerate(sides)}
+    image = [index[principal_orientation(w, x).sides] for x in range(w.points)]
+    pulled = {wall(w.points, (x for x in range(w.points) if image[x] in a)) for a, _ in back.walls}
+    assert pulled == set(w.walls)
