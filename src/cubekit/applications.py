@@ -19,7 +19,7 @@ from .cubes import (
     hyperplane_decomposition,
 )
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
-from .graphs import UnitGraph, tree_distance_matrix
+from .graphs import UnitGraph, maximal_cliques, tree_distance_matrix
 from .hhs import HHSInstance, space_hull
 from .median import MedianAlgebra, connectify_and_close_in, tree_medians
 from .projection import QuasiTreeSpace
@@ -133,6 +133,14 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     I(u, v) and move at most 1 per step, so the first one other than u is a
     neighbour of u one step closer to v.  So medianness is not re-checked,
     and the Theta-classes are read off the factor trees (`_product_classes`).
+
+    `isometric` is measured, not assumed, and without a search: the edges
+    of H are exactly the pairs at product distance pd = 1, and pd is a
+    metric, so d_H = pd if and only if every x != y has a neighbour z with
+    pd(z, y) = pd(x, y) - 1 (`_is_path_metric`).  If so, d_H <= pd by
+    induction on pd; and d_H >= pd always, as pd grows by at most 1 along
+    each edge of a path.  Conversely, the next vertex of a geodesic of H
+    from x to y is such a z.
     """
     space = TreeProduct(tuple(factors))
     enc = sorted({space.encode(p) for p in points})
@@ -143,7 +151,7 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     pd = space.pairwise_distances(closure)
     g = UnitGraph(len(closure), np.argwhere(np.triu(pd == 1, 1)).tolist())
     g.require_connected()
-    isometric = bool((g.distance_matrix == pd).all())
+    isometric = _is_path_metric(g, pd)
     edge_lists, masks = _product_classes(space, closure, g.edges)
     median = MedianAlgebra(g, _max_crossing(masks))
     skeleton = hyperplane_decomposition(median, (edge_lists, masks))
@@ -159,6 +167,25 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
         input_size=len(enc),
         closure_size=len(closure),
     )
+
+
+def _is_path_metric(g: UnitGraph, pd: np.ndarray) -> bool:
+    """Whether pd, a metric whose pairs at distance 1 are the edges of the
+    connected graph g, is its path metric: near[x, y], the least pd(z, y)
+    over the neighbours z of x, is pd(x, y) - 1 for every x != y.  The rows
+    pd[z] are gathered along arcs x -> z grouped by x and reduced with
+    `np.minimum.reduceat`; each group is nonempty, as a connected graph on
+    n > 1 vertices leaves no vertex without a neighbour.
+    """
+    if g.n == 1:
+        return True
+    u, v = np.array(g.edges, dtype=np.int64).T
+    tail, head = np.r_[u, v], np.r_[v, u]
+    order = np.argsort(tail, kind="stable")
+    starts = np.searchsorted(tail[order], np.arange(g.n))
+    near = np.minimum.reduceat(pd[head[order]], starts, axis=0)
+    apart = ~np.eye(g.n, dtype=bool)
+    return bool((near[apart] == pd[apart] - 1).all())
 
 
 def _product_classes(space: TreeProduct, closure: list[int], edges):
@@ -214,7 +241,9 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     max |td - d| and multiplicative = max(td / d, d / td) over d > 0, a float
     ratio rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a
     subgraph of a unit-weight graph, so td >= d.  Distortion is reported,
-    never assumed.
+    never assumed.  The returned tree carries td as its `distance_matrix`,
+    so the Helly experiment, `TreeProduct` and the promote C default read
+    it instead of computing it again.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
@@ -251,10 +280,13 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
         ratio = np.where(mat > 0, np.maximum(td, mat) / np.maximum(np.minimum(td, mat), 1), 1.0)
         mult = Fraction(ratio.max()).limit_denominator(10**6)
         if best is None or (add, mult, int(roots[i])) < best[:3]:
-            best = (add, mult, int(roots[i]), i)
-    add, mult, root, i = best
+            best = (add, mult, int(roots[i]), i, td)
+    add, mult, root, i, td = best
     lo, hi = np.divmod(codes[i], n)
     tree = UnitGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
+    # the winner's metric comes with its tree: it fills the cache of the
+    # cached property, so no consumer of the tree computes it again
+    vars(tree)["distance_matrix"] = td.astype(np.int32)
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
 
 
@@ -364,17 +396,8 @@ def bounded_packing_count(h: HHSInstance, family, R: int) -> tuple[int, tuple[in
             if int(DG[np.ix_(sets[i], sets[j])].min()) <= R:
                 close[i, j] = close[j, i] = True
     if k <= 20:
-        import networkx as nx
-
-        G = nx.Graph()
-        G.add_nodes_from(range(k))
-        G.add_edges_from(zip(*np.nonzero(np.triu(close))))
         # largest clique, ties broken lexicographically
-        cliques = sorted(
-            (tuple(int(v) for v in sorted(c)) for c in nx.find_cliques(G)),
-            key=lambda c: (-len(c), c),
-        )
-        best = cliques[0] if cliques else ()
+        best = min(maximal_cliques(close), key=lambda c: (-len(c), c), default=())
         return len(best), best
     order = sorted(range(k), key=lambda v: (-int(close[v].sum()), v))
     clique: list[int] = []

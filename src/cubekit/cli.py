@@ -345,7 +345,7 @@ def cmd_promote(args) -> int:
 def cmd_helly(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit helly")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--R", type=int, required=True)
+    p.add_argument("--R", type=_count, required=True)
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--out", default=None)
@@ -384,7 +384,7 @@ def cmd_helly(args) -> int:
 def cmd_pack(args) -> int:
     p = argparse.ArgumentParser(prog="cubekit pack")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--R", type=int, required=True)
+    p.add_argument("--R", type=_count, required=True)
     p.add_argument("--count", type=_count, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UnitGraph, gate_map
+from .graphs import UnitGraph, gate_map, maximal_cliques
 from .hhs import space_hull
 from .median import MedianAlgebra
 
@@ -65,6 +65,8 @@ def crossing_dimension(g: UnitGraph) -> int:
 
 
 def _max_crossing(masks: list[np.ndarray]) -> int:
+    """Size of the largest clique of the crossing graph of the classes with
+    these side masks (`graphs.maximal_cliques`)."""
     k = len(masks)
     if k == 0:
         return 0
@@ -73,12 +75,7 @@ def _max_crossing(masks: list[np.ndarray]) -> int:
     a = np.array(masks, dtype=np.float64)
     b = 1.0 - a
     cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(k))
-    G.add_edges_from(zip(*np.nonzero(np.triu(cross))))
-    return max(len(c) for c in nx.find_cliques(G))
+    return max(len(c) for c in maximal_cliques(cross))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,8 @@ def tree_with_axes(
     tree = random_tree(n, rng)
     D = tree.distance_matrix
     leaves = [v for v in range(n) if tree.degree(v) == 1]
+    if k_axes and len(leaves) < 2:
+        raise ValueError(f"could not place {k_axes} axes: the tree has {len(leaves)} leaves")
     axes: list[list[int]] = []
     attempts = 0
     while len(axes) < k_axes and attempts < 400:
@@ -217,6 +219,8 @@ def random_axes_system(n: int, k_lines: int, seed: int) -> ProjectionSystem:
     tree = random_tree(n, rng)
     D = tree.distance_matrix
     leaves = [v for v in range(n) if tree.degree(v) == 1]
+    if k_lines and len(leaves) < 2:
+        raise ValueError(f"could not place {k_lines} lines: the tree has {len(leaves)} leaves")
     lines: list[list[int]] = []
     attempts = 0
     while len(lines) < k_lines and attempts < 600:

@@ -6,7 +6,11 @@ connectivity is enforced wherever a metric is needed.
 
 Every tree metric of the package (unit graphs that are trees, quasitrees
 that are trees, candidate approximating trees) comes from one exact kernel,
-`tree_distance_matrix`; other graphs go through scipy's BFS.
+`tree_distance_matrix`.  Every other integer metric (unit graphs that are not
+trees, quasitrees at integer L) comes from `integer_distance_matrix`, Dial's
+bucketed shortest paths from all sources at once.  Connected components come
+from one labelling over an arc list, `arc_component_labels`, and cliques from
+one Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 
 class GraphError(ValueError):
@@ -81,29 +83,20 @@ class UnitGraph:
         return self.adjacency[v]
 
     @cached_property
-    def _sparse(self) -> sp.csr_matrix:
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n), dtype=np.int8)
-        rows = [u for u, v in self.edges] + [v for u, v in self.edges]
-        cols = [v for u, v in self.edges] + [u for u, v in self.edges]
-        data = np.ones(len(rows), dtype=np.int8)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
-    @cached_property
     def distance_matrix(self) -> np.ndarray:
         """All-pairs geodesic distances (edge counts), int32 matrix.
 
         A graph with n - 1 edges goes through `tree_distance_matrix`, any
-        other through scipy's BFS.  A disconnected graph raises
+        other through `integer_distance_matrix` with unit weights (a BFS from
+        every source at once).  A disconnected graph raises
         DisconnectedGraphError(0, v), v the least vertex not joined to 0,
         on either path.
         """
+        unit = [(u, v, 1) for u, v in self.edges]
         if len(self.edges) == self.n - 1:
-            unit = [(u, v, 1) for u, v in self.edges]
             return tree_distance_matrix(self.n, unit).astype(np.int32)
         self.require_connected()
-        dist = csgraph.shortest_path(self._sparse, method="D", unweighted=True)
-        return dist.astype(np.int32)
+        return integer_distance_matrix(self.n, unit).astype(np.int32)
 
     @cached_property
     def ancestor_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +123,9 @@ class UnitGraph:
 
     @cached_property
     def components(self) -> np.ndarray:
-        """Connected-component label of every vertex (see `component_labels`)."""
-        return component_labels(self._sparse)
+        """Connected-component label of every vertex (see `arc_component_labels`)."""
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return arc_component_labels(self.n, u, v)
 
     def is_connected(self) -> bool:
         return bool(self.components.max() == 0)
@@ -254,14 +248,133 @@ def tree_distance_matrix(n: int, edges) -> np.ndarray:
     return R[:, pos]
 
 
+def integer_distance_matrix(n: int, edges) -> np.ndarray:
+    """All-pairs distances of a graph with positive integer edge lengths,
+    int64, with -1 between vertices that no path joins.
+
+    The graph is given by its edges (u, v, w), each of length w.  This is
+    Dial's bucketed shortest paths (Dial, "Algorithm 360", CACM 1969) run
+    from every source at once.  A pair (s, v) is the code s * n + v, and
+    bucket t holds the codes reached at distance t.  The least bucket is
+    settled: codes settled earlier are dropped, duplicates are removed by a
+    stamp (each copy writes its own position into D, and the one copy whose
+    write stands is kept, no sort), and D[s, v] = t.  Its codes then follow
+    every arc v -> x of length w (gathered from a CSR arc list with
+    `np.repeat`), and the unsettled (s, x) go to bucket t + w.  Each pair is
+    settled once, at its least distance, since lengths are positive.  Unit
+    lengths make this a breadth-first search from every source.
+    """
+    u, v, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    tail, head, w = np.r_[u, v], np.r_[v, u], np.r_[w, w]
+    order = np.argsort(tail, kind="stable")
+    head, w = head[order], w[order]
+    start = np.searchsorted(tail[order], np.arange(n + 1))  # arcs of x: start[x]..start[x+1]-1
+    lengths = np.unique(w).tolist()
+    D = np.full(n * n, -1, dtype=np.int64)
+    buckets = {0: [np.arange(n) * (n + 1)]}
+    while buckets:
+        t = min(buckets)
+        codes = np.concatenate(buckets.pop(t))
+        codes = codes[D[codes] < 0]
+        stamp = -2 - np.arange(len(codes))  # negative, so still "unsettled"
+        D[codes] = stamp
+        codes = codes[D[codes] == stamp]
+        D[codes] = t
+        x = codes % n
+        deg = start[x + 1] - start[x]
+        first = np.repeat(start[x] - np.cumsum(deg) + deg, deg)
+        arc = first + np.arange(len(first))
+        nxt = np.repeat(codes - x, deg) + head[arc]
+        keep = D[nxt] < 0
+        nxt, step = nxt[keep], w[arc[keep]]
+        for c in lengths:
+            sel = nxt[step == c]
+            if len(sel):
+                buckets.setdefault(t + c, []).append(sel)
+    return D.reshape(n, n)
+
+
+def arc_component_labels(n: int, u, v) -> np.ndarray:
+    """Connected-component label of every vertex of the graph on n vertices
+    with arcs u[i] - v[i] (either direction; loops are harmless).
+
+    Min-label hooking with pointer jumping: lab[x] is a vertex of x's
+    component no larger than x, and every vertex points at a root (a vertex
+    labelled by itself).  Each round hooks the root at each end of an arc to
+    the smaller of the two ends' labels, then jumps pointers (lab = lab[lab])
+    until every vertex points at a root again.  A round that changes nothing
+    leaves every arc with equal labels at both ends, so each component
+    carries one label, its least vertex.  Labels count up from 0 in the
+    order of each component's least vertex.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    lab = np.arange(n)
+    while True:
+        low = np.minimum(lab[u], lab[v])
+        hooked = lab.copy()
+        np.minimum.at(hooked, lab[u], low)
+        np.minimum.at(hooked, lab[v], low)
+        while True:
+            jumped = hooked[hooked]
+            if (jumped == hooked).all():
+                break
+            hooked = jumped
+        if (hooked == lab).all():
+            break
+        lab = hooked
+    return np.unique(lab, return_inverse=True)[1]
+
+
 def component_labels(adjacency) -> np.ndarray:
     """Connected-component label of every vertex of a symmetric boolean
-    adjacency matrix (dense, e.g. `dist <= step`, or sparse).
-
-    Labels count up from 0 in the order of each component's least vertex.
+    adjacency matrix (dense, e.g. `dist <= step`), as `arc_component_labels`.
     """
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    return labels
+    u, v = np.nonzero(adjacency)
+    return arc_component_labels(len(adjacency), u, v)
+
+
+def maximal_cliques(adjacency) -> list[tuple[int, ...]]:
+    """Every maximal clique of the graph of a symmetric boolean adjacency
+    matrix (the diagonal is ignored), each as an increasing tuple.
+
+    Bron-Kerbosch with pivoting (Bron & Kerbosch, CACM 1973; Tomita et al.
+    2006) over int bitsets: a clique R grows by the candidates P, X holds
+    the vertices already tried, and only candidates outside the
+    neighbourhood of a pivot, a vertex of P | X with the most neighbours
+    in P, are branched on.  The recursion is as deep as the largest clique.
+    A graph with no vertices has no maximal clique.
+    """
+    adj = np.asarray(adjacency, dtype=bool)
+    nbrs = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") & ~(1 << i)
+        for i, row in enumerate(adj)
+    ]
+    out: list[tuple[int, ...]] = []
+
+    def expand(clique: list[int], p: int, x: int) -> None:
+        if not p and not x:
+            out.append(tuple(sorted(clique)))
+            return
+        px, pivot, most = p | x, -1, -1
+        while px:
+            low = px & -px
+            i = low.bit_length() - 1
+            if (c := (p & nbrs[i]).bit_count()) > most:
+                pivot, most = i, c
+            px ^= low
+        branch = p & ~nbrs[pivot]
+        while branch:
+            low = branch & -branch
+            i = low.bit_length() - 1
+            expand(clique + [i], p & nbrs[i], x & nbrs[i])
+            p ^= low
+            x |= low
+            branch ^= low
+
+    if len(adj):
+        expand([], (1 << len(adj)) - 1, 0)
+    return out
 
 
 def gate_map(D: np.ndarray, target) -> np.ndarray:

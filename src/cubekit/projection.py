@@ -15,10 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
-from .graphs import UnitGraph, gate_map, tree_distance_matrix
+from .graphs import UnitGraph, gate_map, integer_distance_matrix, tree_distance_matrix
 from .jsonio import as_number, decode_number, encode_number
 
 
@@ -195,21 +193,12 @@ class QuasiTreeSpace:
     def distance_matrix(self):
         """Exact all-pairs distances: an int64 matrix when L is an integer,
         from `tree_distance_matrix` when the glued space is a tree and from
-        scipy's Dijkstra otherwise (-1 between components); else a
+        `integer_distance_matrix` otherwise (-1 between components); else a
         dict-of-dict of Fractions via Dijkstra."""
-        if isinstance(self.L, int) and self.connected and len(self.edges) == self.n - 1:
-            return tree_distance_matrix(self.n, self.edges)
         if isinstance(self.L, int):
-            rows, cols, data = [], [], []
-            for u, v, w in self.edges:
-                rows += [u, v]
-                cols += [v, u]
-                data += [int(w), int(w)]
-            mat = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-            dist = csgraph.shortest_path(mat, method="D")
-            if np.isinf(dist).any():
-                dist[np.isinf(dist)] = -1
-            return dist.astype(np.int64)
+            if self.connected and len(self.edges) == self.n - 1:
+                return tree_distance_matrix(self.n, self.edges)
+            return integer_distance_matrix(self.n, self.edges)
         adj: list[list[tuple[int, Number]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
             adj[u].append((v, w))

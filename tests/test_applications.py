@@ -210,6 +210,11 @@ def check_tree_approximate(q, max_roots=64):
     root, add, mult, tree = oracle_tree_approximate(q.n, q.edges, max_roots)
     assert (res.root, res.additive, res.multiplicative) == (root, add, mult)
     assert list(res.tree.edges) == tree
+    # the tree carries the metric it was scored on, the same as a fresh one
+    assert "distance_matrix" in vars(res.tree)
+    carried = res.tree.distance_matrix
+    assert carried.dtype == np.int32
+    assert (carried == UnitGraph(q.n, res.tree.edges).distance_matrix).all()
     return res
 
 

@@ -74,8 +74,10 @@ def test_zero_denominator_flag_is_an_input_error(command, fixture, tmp_path, cap
         (["df-check", "--s", "600", "--samples", "-3"], "--samples"),
         (["pack", "--R", "3", "--count", "-2"], "--count"),
         (["psi", "--samples", "many"], "--samples"),
+        (["pack", "--R", "-1"], "--R"),
+        (["helly", "--R", "-1"], "--R"),
     ],
-    ids=["psi-samples", "df-check-samples", "pack-count", "not-a-number"],
+    ids=["psi-samples", "df-check-samples", "pack-count", "not-a-number", "pack-R", "helly-R"],
 )
 def test_negative_count_is_an_input_error(args, flag, tmp_path, capsys):
     inp = str(tmp_path / "fixture.json")
@@ -86,6 +88,50 @@ def test_negative_count_is_an_input_error(args, flag, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"argument {flag}: must be a non-negative integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["tree-axes", "axes-system"])
+def test_fixture_without_two_leaves_is_an_input_error(kind, capsys):
+    # a one-vertex tree has no leaf pair to draw an axis between
+    assert main(["gen-fixture", kind, "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: could not place 4" in captured.err and "the tree has 0 leaves" in captured.err
+    assert captured.out == ""
+
+
+# Every subcommand the benchmark workloads run, on numpy alone: importing
+# cubekit and running them must leave scipy and networkx unimported.
+NUMPY_ONLY = """
+import pkgutil, sys
+import cubekit
+from cubekit.cli import main
+for info in pkgutil.iter_modules(cubekit.__path__):
+    __import__(f"cubekit.{info.name}")
+assert main(["gen-fixture", "tree-axes", "--n", "40", "--out", "t.json"]) == 0
+assert main(["gen-fixture", "product-lines", "--n", "4", "--out", "l.json"]) == 0
+runs = [
+    ["validate", "--in", "t.json"],
+    ["df-check", "--in", "t.json", "--s", "2000", "--samples", "40"],
+    ["psi", "--in", "t.json", "--samples", "40"],
+    ["pack", "--in", "t.json", "--R", "3"],
+    ["promote", "--in", "t.json"],
+    ["helly", "--in", "t.json", "--R", "5"],
+    ["promote", "--in", "l.json"],
+]
+for args in runs:
+    assert main([*args, "--out", "report.json"]) == 0, args
+print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "networkx"}))
+"""
+
+
+def test_cli_paths_import_neither_scipy_nor_networkx(tmp_path):
+    src = str(Path(cubekit.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

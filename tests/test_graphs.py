@@ -18,6 +18,7 @@ from cubekit.graphs import (
     cycle_graph,
     grid_graph,
     hypercube_graph,
+    integer_distance_matrix,
     path_graph,
     random_tree,
     spider_graph,
@@ -111,7 +112,8 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def scipy_distances(n, edges):
-    """Reference all-pairs distances: scipy's Dijkstra on the weighted edges."""
+    """Reference all-pairs distances: scipy's Dijkstra on the weighted edges
+    (inf between components)."""
     u, v, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     return csgraph.shortest_path(sp.csr_matrix((w, (u, v)), shape=(n, n)), directed=False)
 
@@ -186,7 +188,7 @@ def test_tree_kernel_runs_a_long_path_without_recursion():
 def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
     g = UnitGraph(n, edges)
     # the witness of the BFS path: the first unreachable pair in row order
-    old = np.argwhere(np.isinf(csgraph.shortest_path(g._sparse, unweighted=True)))[0]
+    old = np.argwhere(np.isinf(scipy_distances(n, [(u, v, 1) for u, v in g.edges])))[0]
     with pytest.raises(DisconnectedGraphError) as exc:
         g.distance_matrix
     assert (exc.value.u, exc.value.v) == tuple(old.tolist())
@@ -194,3 +196,56 @@ def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
         with pytest.raises(DisconnectedGraphError) as exc:
             tree_distance_matrix(n, [(u, v, 1) for u, v in edges])
         assert (exc.value.u, exc.value.v) == tuple(old.tolist())
+
+
+# --- the integer kernel ------------------------------------------------------
+
+
+@st.composite
+def weighted_graphs(draw, max_n=30, max_w=4):
+    """(n, edges): a random simple graph, often disconnected, on permuted
+    labels, with lengths in 1..max_w."""
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    keys = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    return n, [(perm[a], perm[b], draw(st.integers(1, max_w))) for a, b in keys]
+
+
+def expected_integer_distances(n, edges):
+    ref = scipy_distances(n, edges)
+    return np.where(np.isinf(ref), -1, ref)
+
+
+@PROPERTY
+@given(weighted_graphs(max_w=1) | weighted_graphs(max_w=4))
+def test_integer_kernel_matches_scipy(graph):
+    n, edges = graph
+    D = integer_distance_matrix(n, edges)
+    assert D.dtype == np.int64
+    assert (D == expected_integer_distances(n, edges)).all()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [grid_graph(4, 6), grid_graph(7, 7), hypercube_graph(4), cycle_graph(9), complete_bipartite_graph(3, 4)],
+    ids=["grid-4x6", "grid-7x7", "Q4", "C9", "K34"],
+)
+def test_integer_kernel_on_unit_graphs(g):
+    edges = [(u, v, 1) for u, v in g.edges]
+    D = integer_distance_matrix(g.n, edges)
+    assert (D == expected_integer_distances(g.n, edges)).all()
+    assert (g.distance_matrix == np.array(oracle_all_dists(g.n, g.edges))).all()
+    assert g.distance_matrix.dtype == np.int32
+
+
+def test_integer_kernel_marks_unreachable_pairs():
+    D = integer_distance_matrix(5, [(0, 1, 3), (1, 2, 1), (3, 4, 2)])
+    assert D.tolist() == [
+        [0, 3, 4, -1, -1],
+        [3, 0, 1, -1, -1],
+        [4, 1, 0, -1, -1],
+        [-1, -1, -1, 0, 2],
+        [-1, -1, -1, 2, 0],
+    ]
+    assert integer_distance_matrix(1, []).tolist() == [[0]]

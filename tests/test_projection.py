@@ -321,6 +321,27 @@ def test_tree_shaped_quasitree_matches_dijkstra(s, L):
     assert (q.distance_matrix == expected).all()
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from([(20, 3), (30, 4)]),
+    st.integers(0, 2),
+    st.sampled_from([1, 3]),
+)
+def test_glued_quasitree_matches_dijkstra(seed, shape, extra_K, L):
+    try:
+        s = random_axes_system(*shape, seed)
+    except ValueError:  # the lines could not be placed
+        return
+    q = build_quasitree(s, K=s.theta + extra_K, L=L)
+    u, v, w = np.array(q.edges, dtype=np.int64).reshape(-1, 3).T
+    adj = sp.csr_matrix((w, (u, v)), shape=(q.n, q.n))
+    expected = csgraph.shortest_path(adj, method="D", directed=False)
+    expected[np.isinf(expected)] = -1
+    assert q.distance_matrix.dtype == np.int64
+    assert (q.distance_matrix == expected).all()
+
+
 # --- serialization -----------------------------------------------------------------
 
 

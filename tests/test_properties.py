@@ -5,7 +5,9 @@ trees, uniqueness of gates on tree geodesics, the component labelling, the
 median closure and the lowest-common-ancestor medians of a product of trees
 are taken on trust at run time; here they are checked against the
 brute-force oracles of `helpers` on small grids, hypercubes, random trees and
-products of trees.  The one-anchor hull on trees is checked against the
+products of trees.  The component labelling over arc lists, the maximal
+clique search and the promoted closure's isometry check (against a BFS) are
+checked the same way.  The one-anchor hull on trees is checked against the
 all-pairs hull.  The median operation of products of random trees obeys the
 median axioms, and a wallspace comes back from its dual cube complex.
 Examples are derandomized, so the suite stays deterministic.
@@ -18,16 +20,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubekit.applications import TreeProduct, promote_to_cube_complex
+from cubekit.applications import TreeProduct, _is_path_metric, promote_to_cube_complex
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     UnitGraph,
+    arc_component_labels,
     complete_bipartite_graph,
     component_labels,
     cycle_graph,
     gate_map,
     grid_graph,
     hypercube_graph,
+    maximal_cliques,
 )
 from cubekit.hhs import space_hull
 from cubekit.jsonio import decode_number, encode_number
@@ -36,6 +40,7 @@ from cubekit.median import (
     MedianAlgebra,
     check_isometric_subalgebra,
     closure_of,
+    connectify_and_close_in,
     is_median_graph,
     lex_least_geodesic,
     median_candidates,
@@ -178,6 +183,83 @@ def test_component_labels_match_search_order(k, seed, step):
     np.fill_diagonal(sub, 0)
     adj = sub <= step
     assert component_labels(adj).tolist() == oracle_labels(adj.tolist())
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20))
+def test_arc_component_labels_match_search_order(k, arcs):
+    # arcs in one direction only, with loops and repeats
+    arcs = [(a % k, b % k) for a, b in arcs]
+    adj = np.zeros((k, k), dtype=bool)
+    for a, b in arcs:
+        adj[a, b] = adj[b, a] = True
+    u, v = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+    assert arc_component_labels(k, u, v).tolist() == oracle_labels(adj.tolist())
+
+
+def oracle_maximal_cliques(adj) -> list[tuple[int, ...]]:
+    """Every clique no vertex can join, by exhaustive search over subsets."""
+    k = len(adj)
+    clique = lambda c: all(adj[i][j] for i, j in itertools.combinations(c, 2))
+    return [
+        c
+        for size in range(1, k + 1)
+        for c in itertools.combinations(range(k), size)
+        if clique(c) and not any(clique(c + (v,)) for v in range(k) if v not in c)
+    ]
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 0.8]))
+def test_maximal_cliques_match_brute_force(k, seed, density):
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((k, k)) < density, 1)
+    adj = adj | adj.T
+    expected = oracle_maximal_cliques(adj.tolist())
+    found = maximal_cliques(adj)
+    assert sorted(found) == sorted(expected) and len(set(found)) == len(found)
+    # the packing count's choice: largest, then lexicographically least
+    key = lambda c: (-len(c), c)
+    assert min(found, key=key, default=()) == min(expected, key=key, default=())
+
+
+@st.composite
+def product_subsets(draw):
+    """Vertex ids of a tree product: the product with a few vertices removed
+    (often connected and not isometric), or the median closure of a small
+    seed bridged at a random C."""
+    space = TreeProduct(draw(tree_factors()))
+    holes = draw(st.sets(st.integers(0, space.n - 1), max_size=space.n // 3))
+    ids = [v for v in range(space.n) if v not in holes]
+    if draw(st.booleans()):
+        seed = ids[:: max(1, len(ids) // 4)][:4]
+        least = max(1, minimal_connection_constant(space.pairwise_distances(seed), range(len(seed))))
+        C = least + draw(st.integers(0, 1))
+        ids = sorted(connectify_and_close_in(space, seed, C).closure)
+    return space, ids
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(product_subsets())
+def test_path_metric_check_matches_bfs(subset):
+    space, ids = subset
+    pd = space.pairwise_distances(ids)
+    g = UnitGraph(len(ids), np.argwhere(np.triu(pd == 1, 1)).tolist())
+    if g.is_connected():
+        assert _is_path_metric(g, pd) == bool((g.distance_matrix == pd).all())
+
+
+def test_path_metric_check_refuses_the_cycle_around_a_grid_centre():
+    # the 8-cycle around the centre of the 3 x 3 grid: corners at cycle
+    # distance 4, grid distance 2
+    space = TreeProduct((UnitGraph(3, ((0, 1), (1, 2))),) * 2)
+    ring = sorted(v for v in range(9) if v != 4)
+    pd = space.pairwise_distances(ring)
+    g = UnitGraph(8, np.argwhere(np.triu(pd == 1, 1)).tolist())
+    assert g.is_connected() and len(g.edges) == 8
+    assert not _is_path_metric(g, pd)
+    full = space.pairwise_distances(list(range(9)))
+    assert _is_path_metric(grid_graph(3, 3), full)
 
 
 @PROPERTY
