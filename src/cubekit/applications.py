@@ -21,7 +21,7 @@ from .cubes import (
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph, maximal_cliques, tree_distance_matrix
 from .hhs import HHSInstance, space_hull
-from .median import MedianAlgebra, connectify_and_close_in, tree_medians
+from .median import MedianAlgebra, connectify_and_close_in
 from .projection import QuasiTreeSpace
 
 
@@ -38,9 +38,10 @@ class TreeProduct:
 
     Vertices are mixed-radix encoded tuples.  Implements the median-space
     protocol of `median` (neighbors, dist_pair, pairwise_distances,
-    median_bulk).  Medians are computed factorwise: each factor is a tree, so
-    its median is the deepest pairwise lowest common ancestor (`tree_medians`),
-    and median_bulk broadcasts a vertex `a` or `c` against the array b_arr.
+    median_bulk).  Medians are computed factorwise: each factor is a tree,
+    and its median is the XOR of the three pairwise lowest common ancestors,
+    read from an n_f x n_f table built once per factor (see median_bulk).
+    median_bulk broadcasts a vertex `a` or `c` against the array b_arr.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -56,6 +57,13 @@ class TreeProduct:
                 "encoded ids would not fit in int64"
             )
         self.dists = tuple(f.distance_matrix for f in factors)
+        # lcas[f][u * s + v] is the lowest common ancestor of u and v in
+        # factor f, rooted at vertex 0, where s = f.n
+        lcas = []
+        for f in factors:
+            lca_depth, anc = f.ancestor_table
+            lcas.append(anc[np.arange(f.n)[:, None], lca_depth].ravel())
+        self.lcas = tuple(lcas)
 
     def encode(self, coords) -> int:
         v = 0
@@ -92,10 +100,24 @@ class TreeProduct:
         return sorted(out)
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
+        """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a
+        vertex or an array aligned with b_arr.
+
+        In each factor the median is lca(a, b) ^ lca(b, c) ^ lca(a, c).  Let
+        w = lca(a, b, c).  At most one pair meets strictly below w: were
+        lca(a, b) and lca(b, c) both below w, both would lie in the subtree
+        of the child of w above b, and so would a and c, against the choice
+        of w.  So two of the three pairwise ancestors are w, and equal
+        values cancel under XOR, leaving the third, say m = lca(a, b).  It
+        is the median: it lies on the path from a to b, and, being w or
+        below w on the way up from a and from b, on the paths from a and
+        from b to c, which both pass through w.
+        """
         ca, cb, cc = (self.decode_bulk(x) for x in (a, b_arr, c))
         meds = 0
-        for f, s, xa, xb, xc in zip(self.factors, self.sizes, ca, cb, cc):
-            meds = meds * s + tree_medians(f, xa, xb, xc)
+        for L, s, xa, xb, xc in zip(self.lcas, self.sizes, ca, cb, cc):
+            ra = xa * s
+            meds = meds * s + (L.take(ra + xb) ^ L.take(xb * s + xc) ^ L.take(ra + xc))
         return meds
 
     def pairwise_distances(self, verts: list[int]) -> np.ndarray:

@@ -54,6 +54,23 @@ def identity_instance(g: UnitGraph) -> HHSInstance:
     return _with_measured_E(HHSInstance(ambient=g, domains=(dom,), E=0))
 
 
+def _require_leaf_pairs(
+    D: np.ndarray, leaves: list[int], count: int, what: str, min_length: int
+) -> None:
+    """Refuse, before any draw, a tree that cannot hold `count` distinct
+    leaf-to-leaf geodesics of length >= min_length: distinct leaf pairs span
+    distinct geodesics, so it needs that many leaf pairs so far apart."""
+    if count and len(leaves) < 2:
+        raise ValueError(f"could not place {count} {what}: the tree has {len(leaves)} leaves")
+    far = int(np.triu(D[np.ix_(leaves, leaves)] >= min_length, 1).sum())
+    if far < count:
+        pairs = "pair" if far == 1 else "pairs"
+        raise ValueError(
+            f"could not place {count} {what}: the tree has {far} leaf {pairs} "
+            f"at distance >= {min_length}"
+        )
+
+
 def _axes_domains(tree: UnitGraph, axes: list[list[int]]) -> list[Domain]:
     k = len(axes)
     locals_ = [{v: t for t, v in enumerate(a)} for a in axes]
@@ -137,8 +154,7 @@ def tree_with_axes(
     tree = random_tree(n, rng)
     D = tree.distance_matrix
     leaves = [v for v in range(n) if tree.degree(v) == 1]
-    if k_axes and len(leaves) < 2:
-        raise ValueError(f"could not place {k_axes} axes: the tree has {len(leaves)} leaves")
+    _require_leaf_pairs(D, leaves, k_axes, "axes", min_length)
     axes: list[list[int]] = []
     attempts = 0
     while len(axes) < k_axes and attempts < 400:
@@ -219,8 +235,7 @@ def random_axes_system(n: int, k_lines: int, seed: int) -> ProjectionSystem:
     tree = random_tree(n, rng)
     D = tree.distance_matrix
     leaves = [v for v in range(n) if tree.degree(v) == 1]
-    if k_lines and len(leaves) < 2:
-        raise ValueError(f"could not place {k_lines} lines: the tree has {len(leaves)} leaves")
+    _require_leaf_pairs(D, leaves, k_lines, "lines", 2)
     lines: list[list[int]] = []
     attempts = 0
     while len(lines) < k_lines and attempts < 600:

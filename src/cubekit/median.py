@@ -4,8 +4,10 @@ and the connectify-and-close procedure.
 The median of a triple is realized as the unique vertex in the triple
 intersection of pairwise metric intervals, computed from the distance
 matrix, or factorwise from lowest common ancestors in a product of trees.
-All subset operations are exact fixpoint computations; the median closure
-evaluates each triple of its result once.  Recognition (`is_median_graph`)
+All subset operations are exact fixpoint computations.  The median closure
+runs in semi-naive rounds: each round evaluates only the triples with a
+member new in it, a few thousand per `median_bulk` call, so each triple of
+the result is evaluated once.  Recognition (`is_median_graph`)
 is for graphs of unknown type; a graph whose construction already makes it
 median, such as a promoted closure, is not re-scanned.
 """
@@ -196,8 +198,9 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # median_bulk takes a 1-D array b_arr; `a` and `c` are each a vertex or an
 # array aligned with b_arr, and row i of the result is
 # m(a[i], b_arr[i], c[i]).  MedianAlgebra implements it with interval masks
-# over its distance matrix, applications.TreeProduct factorwise with
-# tree_medians.
+# over its distance matrix, applications.TreeProduct factorwise as the XOR of
+# the three pairwise lowest common ancestors, read from one table per factor.
+# closure_of needs median_bulk alone.
 
 
 def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,31 +208,69 @@ def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(arr[:rows], len(arr)), np.tile(arr, rows)
 
 
-def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed`: worklist fixpoint.
+_TRIPLE_BLOCK = 1 << 13  # triples per median_bulk call in closure_of
 
-    When c is popped, one median_bulk call evaluates m(a, b, c) over the
-    unordered pairs a < b of the vertices popped before it.  Every triple of
-    the final set is thereby evaluated exactly once, when its last member is
-    popped: about |S|^3 / 6 median evaluations for a closure S.
+
+def _triple_blocks(S: np.ndarray, new_from: int):
+    """The triples (S[i], S[j], S[k]) with i < j < k and k >= new_from, as
+    aligned arrays (a, b, c) of _TRIPLE_BLOCK rows (the last may be
+    shorter).  Pairs are ordered by j, then i, so the pairs below k are the
+    prefix of length k(k - 1)/2 of one pair list; a block is a run of such
+    prefixes, the first and last possibly cut."""
+    n = len(S)
+    J = np.repeat(np.arange(n - 1), np.arange(n - 1))
+    I = np.arange(len(J)) - J * (J - 1) // 2
+    A, B = S[I], S[J]
+
+    def gather(pieces):  # pieces of (k, first pair, end pair)
+        return (
+            np.concatenate([A[p:q] for _, p, q in pieces]),
+            np.concatenate([B[p:q] for _, p, q in pieces]),
+            np.repeat(S[[k for k, _, _ in pieces]], [q - p for _, p, q in pieces]),
+        )
+
+    pieces, room = [], _TRIPLE_BLOCK
+    for k in range(new_from, n):
+        lo, hi = 0, k * (k - 1) // 2
+        while lo < hi:
+            take = min(hi - lo, room)
+            pieces.append((k, lo, lo + take))
+            lo += take
+            room -= take
+            if not room:
+                yield gather(pieces)
+                pieces, room = [], _TRIPLE_BLOCK
+    if pieces:
+        yield gather(pieces)
+
+
+def closure_of(space, seed) -> frozenset[int]:
+    """Smallest median-closed superset of `seed`: semi-naive rounds.
+
+    The members sit in an array S in discovery order, the sorted seed first.
+    A round evaluates m(S[i], S[j], S[k]) for every i < j < k with k new in
+    that round, in blocks of _TRIPLE_BLOCK triples (`_triple_blocks`), one
+    median_bulk call each.  The medians not yet in S, found by binary search
+    in the sorted members, are the next round's new members; a round that
+    finds none ends the closure.  So each triple of the result is evaluated
+    exactly once, in the round its last member joined: C(|S|, 3) median
+    evaluations for a closure S.
     """
-    members = sorted(set(int(v) for v in seed))
-    if not members:
+    S = np.unique(np.fromiter((int(v) for v in seed), dtype=np.int64))
+    if not S.size:
         raise MedianError("closure of the empty set is undefined")
-    in_set = set(members)
-    queue = list(members)
-    done: list[int] = []
-    while queue:
-        c = queue.pop()
-        arr = np.array(done, dtype=np.int64)
-        i, j = np.triu_indices(len(arr), 1)
-        meds = space.median_bulk(arr[i], arr[j], c)
-        for v in np.unique(meds).tolist():
-            if v not in in_set:
-                in_set.add(v)
-                queue.append(v)
-        done.append(c)
-    return frozenset(in_set)
+    new_from = 0
+    while new_from < len(S):
+        members = np.sort(S)
+        misses = []
+        for a, b, c in _triple_blocks(S, new_from):
+            meds = space.median_bulk(a, b, c)
+            at = np.searchsorted(members, meds).clip(max=len(S) - 1)
+            misses.append(meds[members[at] != meds])
+        new_from = len(S)
+        if misses:
+            S = np.concatenate([S, np.unique(np.concatenate(misses))])
+    return frozenset(S.tolist())
 
 
 def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:

@@ -99,6 +99,26 @@ def test_fixture_without_two_leaves_is_an_input_error(kind, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "kind, n, cause",
+    [
+        ("tree-axes", 2, "axes: the tree has 0 leaf pairs at distance >= 3"),
+        ("tree-axes", 3, "axes: the tree has 0 leaf pairs at distance >= 3"),
+        ("tree-axes", 4, "axes: the tree has 0 leaf pairs at distance >= 3"),
+        ("tree-axes", 6, "axes: the tree has 3 leaf pairs at distance >= 3"),
+        ("axes-system", 2, "lines: the tree has 0 leaf pairs at distance >= 2"),
+        ("axes-system", 3, "lines: the tree has 1 leaf pair at distance >= 2"),
+    ],
+)
+def test_fixture_whose_tree_cannot_hold_the_axes_names_the_cause(kind, n, cause, capsys):
+    # no seed can help: the drawn tree has fewer far-apart leaf pairs than axes
+    assert main(["gen-fixture", kind, "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: could not place 4 {cause}" in captured.err
+    assert "vary the seed" not in captured.err
+    assert captured.out == ""
+
+
 # Every subcommand the benchmark workloads run, on numpy alone: importing
 # cubekit and running them must leave scipy and networkx unimported.
 NUMPY_ONLY = """

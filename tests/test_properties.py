@@ -9,15 +9,19 @@ products of trees.  The component labelling over arc lists, the maximal
 clique search and the promoted closure's isometry check (against a BFS) are
 checked the same way.  The one-anchor hull on trees is checked against the
 all-pairs hull.  The median operation of products of random trees obeys the
-median axioms, and a wallspace comes back from its dual cube complex.
+median axioms, and a wallspace comes back from its dual cube complex.  The
+median closure evaluates each triple of its result once, and gives the same
+set at any block size.
 Examples are derandomized, so the suite stays deterministic.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.applications import TreeProduct, _is_path_metric, promote_to_cube_complex
@@ -36,6 +40,7 @@ from cubekit.graphs import (
 from cubekit.hhs import space_hull
 from cubekit.jsonio import decode_number, encode_number
 from cubekit.walls import Wallspace, dual_cube_complex, principal_orientation, walls_of_skeleton
+from cubekit import median
 from cubekit.median import (
     MedianAlgebra,
     check_isometric_subalgebra,
@@ -306,6 +311,78 @@ def test_tree_product_closure_matches_the_saturation_oracle(factors, data):
     seed = data.draw(st.sets(st.integers(0, product.n - 1), min_size=1, max_size=4))
     expected = oracle_closure(product.n, product.edges, seed)
     assert closure_of(TreeProduct(factors), seed) == frozenset(expected)
+
+
+class CountingSpace:
+    """A median space that counts the rows passed to its median_bulk."""
+
+    def __init__(self, space):
+        self.space, self.rows = space, 0
+
+    def median_bulk(self, a, b_arr, c):
+        self.rows += len(b_arr)
+        return self.space.median_bulk(a, b_arr, c)
+
+
+@st.composite
+def growing_seeds(draw):
+    """A median space, a grid or a product of trees, explicit or not, and a
+    seed of 3 to 8 vertices, usually one whose closure grows over rounds."""
+    kind = draw(st.sampled_from(["grid", "explicit", "product"]))
+    if kind == "grid":
+        g = grid_graph(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+        space = MedianAlgebra.from_graph(relabel(g, draw))
+    elif kind == "explicit":
+        g = tree_product(draw(trees(min_n=4, max_n=6)), draw(trees(min_n=4, max_n=6)))
+        space = MedianAlgebra.from_graph(relabel(g, draw))
+    else:
+        space = TreeProduct(tuple(draw(trees(min_n=3, max_n=5)) for _ in range(3)))
+    seed = draw(st.sets(st.integers(0, space.n - 1), min_size=3, max_size=8))
+    return space, seed
+
+
+@PROPERTY
+@given(growing_seeds())
+def test_closure_evaluates_each_triple_of_its_result_once(case):
+    space, seed = case
+    counting = CountingSpace(space)
+    closure = closure_of(counting, seed)
+    assume(len(closure) > len(seed))
+    assert counting.rows == math.comb(len(closure), 3)
+
+
+@PROPERTY
+@given(tree_factors(), st.data())
+def test_closure_is_the_same_for_every_block_size(factors, data):
+    # blocks of 1 or 7 triples cut the pairs of one k across median_bulk calls
+    product = tree_product(*factors)
+    seed = data.draw(st.sets(st.integers(0, product.n - 1), min_size=1, max_size=6))
+    expected = frozenset(oracle_closure(product.n, product.edges, seed))
+    for block in (1, 7, median._TRIPLE_BLOCK):
+        with mock.patch.object(median, "_TRIPLE_BLOCK", block):
+            assert closure_of(TreeProduct(factors), seed) == expected
+
+
+@st.composite
+def large_tree_factors(draw):
+    """Two relabelled trees of 20 to 40 vertices each."""
+    return tuple(relabel(draw(trees(min_n=20, max_n=40)), draw) for _ in range(2))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(large_tree_factors(), st.data())
+def test_tree_product_medians_on_large_factors_with_repeated_operands(factors, data):
+    space = TreeProduct(factors)
+    explicit = MedianAlgebra(tree_product(*factors), 2)
+    vertices = st.lists(st.integers(0, space.n - 1), min_size=40, max_size=40)
+    a, b, c = (np.array(data.draw(vertices)) for _ in range(3))
+    b[:10], c[10:20] = a[:10], b[10:20]  # a = b, then b = c
+    c[20:25] = b[20:25] = a[20:25]  # a = b = c
+    meds = space.median_bulk(a, b, c)
+    assert meds.tolist() == explicit.median_bulk(a, b, c).tolist()
+    assert (meds[:10] == a[:10]).all() and (meds[10:25] == b[10:25]).all()
+    x, z = int(a[0]), int(c[0])
+    assert space.median_bulk(x, b, z).tolist() == explicit.median_bulk(x, b, z).tolist()
 
 
 @PROPERTY
