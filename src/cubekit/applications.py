@@ -36,9 +36,11 @@ class PipelineError(ValueError):
 class TreeProduct:
     """Virtual median graph: the product of factor trees under the l1 metric.
 
-    Vertices are mixed-radix encoded tuples.  Implements the median-space
-    protocol of `median` (neighbors, dist_pair, pairwise_distances,
-    median_bulk).  Medians are computed factorwise: each factor is a tree,
+    Vertices are mixed-radix encoded tuples, factor 0 the most significant
+    digit.  Implements the median-space protocol of `median` (toward,
+    pairwise_distances, median_bulk).  A step from u toward v moves one
+    coordinate in which u and v differ one edge along its factor tree, toward
+    v; `toward` takes the least such id.  Medians are computed factorwise: each factor is a tree,
     and its median is the XOR of the three pairwise lowest common ancestors,
     read from an n_f x n_f table built once per factor (see median_bulk).
     median_bulk broadcasts a vertex `a` or `c` against the array b_arr.
@@ -56,6 +58,8 @@ class TreeProduct:
                 f"product of {len(self.sizes)} trees has {self.n} vertices; "
                 "encoded ids would not fit in int64"
             )
+        # strides[f] is the place value of digit f
+        self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
         self.dists = tuple(f.distance_matrix for f in factors)
         # lcas[f][u * s + v] is the lowest common ancestor of u and v in
         # factor f, rooted at vertex 0, where s = f.n
@@ -66,38 +70,24 @@ class TreeProduct:
         self.lcas = tuple(lcas)
 
     def encode(self, coords) -> int:
-        v = 0
-        for c, s in zip(coords, self.sizes):
-            v = v * s + int(c)
-        return v
+        return sum(int(c) * p for c, p in zip(coords, self.strides))
 
     def decode(self, v: int) -> tuple[int, ...]:
-        out = []
-        for s in reversed(self.sizes):
-            out.append(v % s)
-            v //= s
-        return tuple(reversed(out))
+        return tuple([v // p % s for p, s in zip(self.strides, self.sizes)])
 
     def decode_bulk(self, arr) -> list[np.ndarray]:
-        out = []
-        rem = np.asarray(arr, dtype=np.int64)
-        for s in reversed(self.sizes[1:]):
-            rem, digit = np.divmod(rem, s)
-            out.append(digit)
-        out.append(rem)
-        return out[::-1]
+        out, rem = [], np.asarray(arr, dtype=np.int64)
+        for p in self.strides[:-1]:
+            out.append(rem // p)
+            rem = rem - out[-1] * p  # about twice as fast as np.divmod on int64
+        return out + [rem]
 
-    def dist_pair(self, u: int, v: int) -> int:
-        cu, cv = self.decode(u), self.decode(v)
-        return int(sum(D[a, b] for D, a, b in zip(self.dists, cu, cv)))
-
-    def neighbors(self, v: int):
-        coords = self.decode(v)
-        out = []
-        for i, f in enumerate(self.factors):
-            for w in f.neighbors(coords[i]):
-                out.append(self.encode(coords[:i] + (w,) + coords[i + 1 :]))
-        return sorted(out)
+    def toward(self, u: int, v: int) -> int:
+        return min(
+            u + (f.toward(a, b) - a) * p
+            for f, p, a, b in zip(self.factors, self.strides, self.decode(u), self.decode(v))
+            if a != b
+        )
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a

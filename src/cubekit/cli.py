@@ -97,15 +97,24 @@ def _skeleton_dict(c: CubeSkeleton) -> dict:
     }
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: a non-negative integer."""
+def _int_at_least(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, not {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: a non-negative integer."""
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _positive(text: str) -> int:
+    """argparse type of a positive integer flag."""
+    return _int_at_least(text, 1, "positive")
 
 
 def _samples(rng: np.random.Generator, n: int, count: int, width: int) -> list[tuple[int, ...]]:
@@ -300,7 +309,7 @@ def cmd_promote(args) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
-    p.add_argument("--C", type=int, default=None)
+    p.add_argument("--C", type=_positive, default=None)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))

@@ -96,8 +96,8 @@ def spider_with_axes(legs: int, leg_length: int, include_tree_domain: bool = Fal
     With an even number of legs the axes are pairwise transverse leaf-to-leaf
     geodesics meeting only at the center, so every measured constant is zero.
     """
-    if legs % 2:
-        raise ValueError("need an even number of legs")
+    if legs < 2 or legs % 2:
+        raise ValueError(f"need an even number of legs, at least 2, not {legs}")
     tree = spider_graph(legs, leg_length)
     leg = lambda i: [0] + [1 + i * leg_length + t for t in range(leg_length)]
     axes = []

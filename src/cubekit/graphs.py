@@ -82,6 +82,15 @@ class UnitGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
+    def toward(self, u: int, v: int) -> int:
+        """The least neighbour of u one step closer to v (u != v).  Row v of
+        the symmetric metric is its column v, and a neighbour is at most one
+        step nearer v than u is."""
+        near = self.distance_matrix[v]
+        for w in self.adjacency[u]:
+            if near[w] < near[u]:
+                return w
+
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """All-pairs geodesic distances (edge counts), int32 matrix.
@@ -117,9 +126,6 @@ class UnitGraph:
             x = np.where(depth[x] > k, parent[x], x)
             anc[:, k] = x
         return lca_depth, anc
-
-    def dist_pair(self, u: int, v: int) -> int:
-        return int(self.distance_matrix[u, v])
 
     @cached_property
     def components(self) -> np.ndarray:

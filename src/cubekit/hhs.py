@@ -777,8 +777,11 @@ class Colouring:
 
 
 def find_bbf_colouring(h: HHSInstance) -> Colouring:
-    """Greedy proper colouring of the conflict graph (conflict = not transverse)."""
+    """Greedy proper colouring of the conflict graph (conflict = not transverse);
+    an instance with no domains is refused, as psi would map into an empty product."""
     ids = sorted(h.domain_ids())
+    if not ids:
+        raise InstanceError("the instance has no domains: there is nothing to colour")
     classes: list[list[str]] = []
     for uid in ids:
         U = h.by_id[uid]

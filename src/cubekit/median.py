@@ -124,11 +124,8 @@ class MedianAlgebra:
     def dist(self) -> np.ndarray:
         return all_pairs_distances(self.graph)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.graph.neighbors(v)
-
-    def dist_pair(self, u: int, v: int) -> int:
-        return int(self.dist[u, v])
+    def toward(self, u: int, v: int) -> int:
+        return self.graph.toward(u, v)
 
     def pairwise_distances(self, verts) -> np.ndarray:
         idx = np.asarray(verts, dtype=np.int64)
@@ -192,14 +189,15 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # ---------------------------------------------------------------------------
 # subalgebras
 #
-# The closure and bridging engines work against any median space with four
-# methods over integer vertex ids: neighbors(v), in increasing order,
-# dist_pair(u, v), pairwise_distances(verts) and median_bulk(a, b_arr, c).
-# median_bulk takes a 1-D array b_arr; `a` and `c` are each a vertex or an
-# array aligned with b_arr, and row i of the result is
-# m(a[i], b_arr[i], c[i]).  MedianAlgebra implements it with interval masks
-# over its distance matrix, applications.TreeProduct factorwise as the XOR of
-# the three pairwise lowest common ancestors, read from one table per factor.
+# The closure and bridging engines work against any median space with three
+# methods over integer vertex ids.  toward(u, v), for u != v, is the least
+# neighbour of u one step closer to v; pairwise_distances(verts) is the
+# distance matrix of a vertex list; median_bulk(a, b_arr, c) takes a 1-D
+# array b_arr, with `a` and `c` each a vertex or an array aligned with b_arr,
+# and row i of its result is m(a[i], b_arr[i], c[i]).  MedianAlgebra reads
+# all three off its graph's distance matrix (median_bulk by interval masks);
+# applications.TreeProduct works factorwise, with the median the XOR of the
+# three pairwise lowest common ancestors, read from one table per factor.
 # closure_of needs median_bulk alone.
 
 
@@ -250,23 +248,20 @@ def closure_of(space, seed) -> frozenset[int]:
     The members sit in an array S in discovery order, the sorted seed first.
     A round evaluates m(S[i], S[j], S[k]) for every i < j < k with k new in
     that round, in blocks of _TRIPLE_BLOCK triples (`_triple_blocks`), one
-    median_bulk call each.  The medians not yet in S, found by binary search
-    in the sorted members, are the next round's new members; a round that
-    finds none ends the closure.  So each triple of the result is evaluated
-    exactly once, in the round its last member joined: C(|S|, 3) median
-    evaluations for a closure S.
+    median_bulk call each.  The medians not in S are the next round's new
+    members; a round that finds none ends the closure.  So each triple of
+    the result is evaluated exactly once, in the round its last member
+    joined: C(|S|, 3) median evaluations for a closure S.
     """
     S = np.unique(np.fromiter((int(v) for v in seed), dtype=np.int64))
     if not S.size:
         raise MedianError("closure of the empty set is undefined")
     new_from = 0
     while new_from < len(S):
-        members = np.sort(S)
         misses = []
         for a, b, c in _triple_blocks(S, new_from):
             meds = space.median_bulk(a, b, c)
-            at = np.searchsorted(members, meds).clip(max=len(S) - 1)
-            misses.append(meds[members[at] != meds])
+            misses.append(meds[~np.isin(meds, S)])
         new_from = len(S)
         if misses:
             S = np.concatenate([S, np.unique(np.concatenate(misses))])
@@ -358,14 +353,11 @@ def median_subset_report(m: MedianAlgebra, A, C: int, M: int) -> SubsetReport:
 
 
 def lex_least_geodesic(space, u: int, v: int) -> list[int]:
-    """Shortest u->v path choosing the least-index neighbor at every step.
-
-    d(u, v) is computed once; each step takes the first neighbor, in
-    increasing order, one step closer to v.
-    """
+    """Shortest u->v path taking the least neighbour one step closer to v
+    at every step (`toward` of the median-space protocol)."""
     path = [u]
-    for d in range(space.dist_pair(u, v) - 1, -1, -1):
-        path.append(next(w for w in space.neighbors(path[-1]) if space.dist_pair(w, v) == d))
+    while path[-1] != v:
+        path.append(space.toward(path[-1], v))
     return path
 
 
@@ -382,7 +374,11 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
 
     `space` is a median space (see "subalgebras" above).  Every ordered pair
     of pieces at most C apart is joined by the lex-least geodesic from its
-    lexicographically least closest pair (u, v).
+    lexicographically least closest pair (u, v).  Those pairs come from one
+    stable sort of the member pairs (u, v) in different pieces with
+    d(u, v) <= C by (piece of u, piece of v, distance): the first pair of
+    each piece pair is a closest one, and, the members being sorted, the
+    row-major order the sort keeps among ties is (u, v) lex order.
     """
     members = sorted(set(int(v) for v in A))
     if not members:
@@ -400,19 +396,14 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
                 f"subset is not {C}-connected: vertices {members[i]} and {members[j]} "
                 "lie in different pieces"
             )
-    pieces = [np.flatnonzero(comp_id == i) for i in range(n_pieces)]
+    u, v = np.nonzero((sub <= C) & (comp_id[:, None] != comp_id[None, :]))
+    group = comp_id[u] * n_pieces + comp_id[v]
+    order = np.lexsort((sub[u, v], group))
+    _, first = np.unique(group[order], return_index=True)
+    pick = order[first]
     added: set[int] = set()
-    for i, vi in enumerate(pieces):
-        for j, vj in enumerate(pieces):
-            if j == i:
-                continue
-            block = sub[np.ix_(vi, vj)]
-            dmin = block.min()
-            if dmin > C:
-                continue
-            # members are sorted, so row-major order is (u, v) lex order
-            a, b = np.unravel_index(int(np.argmax(block == dmin)), block.shape)
-            added.update(lex_least_geodesic(space, members[vi[a]], members[vj[b]]))
+    for a, b in zip(u[pick].tolist(), v[pick].tolist()):
+        added.update(lex_least_geodesic(space, members[a], members[b]))
     a_prime = frozenset(members) | frozenset(added)
     closure = closure_of(space, a_prime)
     cl = sorted(closure)

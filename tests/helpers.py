@@ -138,6 +138,49 @@ def lex_geodesic(graph, a, b):
     return path
 
 
+def oracle_toward(n, edges, v):
+    """For every u, the least neighbour of u one step closer to v (None at
+    v itself), by a BFS from v and a scan of every edge."""
+    dist = oracle_bfs(n, edges, v)
+    best = [None] * n
+    for a, b in edges:
+        for x, w in ((a, b), (b, a)):
+            if dist[w] == dist[x] - 1 and (best[x] is None or w < best[x]):
+                best[x] = w
+    return best
+
+
+def oracle_bridge(graph, members, C):
+    """The members, with one `lex_geodesic` per ordered pair of pieces at
+    most C apart, from the lexicographically least closest pair of the two.
+    Pieces are the components of the members under distance <= 1, grown by
+    search; the piece pairs are visited one at a time."""
+    dist = oracle_all_dists(graph.n, graph.edges)
+    members = sorted(set(members))
+    pieces, seen = [], set()
+    for s in members:
+        if s in seen:
+            continue
+        piece, stack = [s], [s]
+        seen.add(s)
+        while stack:
+            x = stack.pop()
+            for y in members:
+                if y not in seen and dist[x][y] <= 1:
+                    seen.add(y)
+                    piece.append(y)
+                    stack.append(y)
+        pieces.append(piece)
+    out = set(members)
+    for P in pieces:
+        for Q in pieces:
+            if P is not Q:
+                d, u, v = min((dist[u][v], u, v) for u in P for v in Q)
+                if d <= C:
+                    out.update(lex_geodesic(graph, u, v))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the per-triple and per-pair rules of the measure path (psi, df-check)
 

@@ -40,7 +40,7 @@ def test_tree_product_size_is_exact_and_ids_fit_in_int64():
     space = TreeProduct((path_graph(300),) * 7)
     assert space.n == 300**7
     assert [int(c[0]) for c in space.decode_bulk([space.n - 1])] == [299] * 7
-    assert space.dist_pair(0, space.n - 1) == 7 * 299
+    assert space.pairwise_distances([0, space.n - 1])[0, 1] == 7 * 299
 
 
 def test_tree_product_too_large_for_int64_is_refused():

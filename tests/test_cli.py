@@ -119,6 +119,41 @@ def test_fixture_whose_tree_cannot_hold_the_axes_names_the_cause(kind, n, cause,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("C", ["0", "-1", "two"])
+def test_promote_C_must_be_a_positive_integer(C, tmp_path, capsys):
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", "tree-axes", "--n", "30", "--out", inp]) == 0
+    capsys.readouterr()
+    # refused by argparse, not as "subset is not 0-connected" after the pipeline
+    assert main(["promote", "--in", inp, "--C", C]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --C: must be a positive integer, not '{C}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("legs", ["0", "-2", "1", "3"])
+def test_spider_fixture_needs_an_even_number_of_legs_from_2(legs, capsys):
+    # zero legs would write an instance with no domains
+    assert main(["gen-fixture", "spider-axes", "--legs", legs]) == 1
+    captured = capsys.readouterr()
+    assert f"error: need an even number of legs, at least 2, not {legs}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["psi"], ["promote"], ["psi", "--K", "3"], ["helly", "--R", "5"]],
+    ids=["psi", "promote", "psi-K", "helly"],
+)
+def test_instance_without_domains_is_refused_at_colouring(args, tmp_path, capsys):
+    inp = tmp_path / "bare.json"
+    inp.write_text(json.dumps({"E": 0, "ambient": {"n": 1, "edges": []}, "domains": []}))
+    # a typed input error, not a TypeError traceback or an empty max()
+    assert main([args[0], "--in", str(inp), *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "error: the instance has no domains: there is nothing to colour" in captured.err
+    assert captured.out == ""
+
+
 # Every subcommand the benchmark workloads run, on numpy alone: importing
 # cubekit and running them must leave scipy and networkx unimported.
 NUMPY_ONLY = """

@@ -11,7 +11,9 @@ checked the same way.  The one-anchor hull on trees is checked against the
 all-pairs hull.  The median operation of products of random trees obeys the
 median axioms, and a wallspace comes back from its dual cube complex.  The
 median closure evaluates each triple of its result once, and gives the same
-set at any block size.
+set at any block size.  One step `toward` a target is the least neighbour
+one step closer, in graphs and in products of trees, and the bridging of
+pieces matches the piece-pair loop it replaced.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -54,10 +56,12 @@ from cubekit.median import (
 from helpers import (
     lex_geodesic,
     oracle_all_dists,
+    oracle_bridge,
     oracle_closure,
     oracle_hull,
     oracle_interval_closure,
     oracle_medians_of,
+    oracle_toward,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -391,6 +395,79 @@ def test_tree_product_lex_least_geodesic_matches_the_explicit_product(factors, d
     space = TreeProduct(factors)
     a, b = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2))
     assert lex_least_geodesic(space, a, b) == lex_geodesic(tree_product(*factors), a, b)
+
+
+@st.composite
+def trees_and_grids(draw):
+    """A relabelled tree of two or more vertices, or a relabelled grid."""
+    if draw(st.booleans()):
+        return relabel(draw(trees(min_n=2)), draw)
+    return relabel(grid_graph(draw(st.integers(1, 4)), draw(st.integers(2, 4))), draw)
+
+
+@PROPERTY
+@given(trees_and_grids())
+def test_toward_is_the_least_neighbour_one_step_closer(g):
+    m = MedianAlgebra.from_graph(g)
+    for v in range(g.n):
+        expected = oracle_toward(g.n, g.edges, v)
+        for u in range(g.n):
+            if u != v:
+                assert g.toward(u, v) == m.toward(u, v) == expected[u]
+
+
+@PROPERTY
+@given(tree_factors())
+def test_tree_product_toward_matches_the_explicit_product(factors):
+    space, product = TreeProduct(factors), tree_product(*factors)
+    for v in range(space.n):
+        expected = oracle_toward(product.n, product.edges, v)
+        for u in range(space.n):
+            if u != v:
+                assert space.toward(u, v) == expected[u]
+    # from a neighbour, the one step lands on the target
+    for u, v in product.edges:
+        assert space.toward(u, v) == v and space.toward(v, u) == u
+
+
+def _has_tied_closest_pairs(pd: np.ndarray, pieces: np.ndarray, C: int) -> bool:
+    """Whether two pieces at most C apart have more than one closest pair."""
+    for p, q in itertools.permutations(range(pieces.max() + 1), 2):
+        block = pd[np.ix_(pieces == p, pieces == q)]
+        if block.min() <= C and (block == block.min()).sum() > 1:
+            return True
+    return False
+
+
+@st.composite
+def scattered_seeds(draw):
+    """The product of two relabelled trees of 4 to 7 vertices, its explicit
+    graph, and a seed of three to five points, each with up to two of its
+    neighbours: pieces of one to three points, often parallel, so that two
+    pieces tend to have more than one closest pair."""
+    factors = tuple(relabel(draw(trees(min_n=4, max_n=7)), draw) for _ in range(2))
+    product = tree_product(*factors)
+    centers = draw(st.sets(st.integers(0, product.n - 1), min_size=3, max_size=5))
+    seed = set(centers)
+    for c in sorted(centers):
+        seed |= draw(st.sets(st.sampled_from(product.neighbors(c)), max_size=2))
+    return factors, product, sorted(seed)
+
+
+@PROPERTY
+@given(scattered_seeds(), st.data())
+def test_bridging_matches_the_piece_pair_oracle(case, data):
+    # three or more pieces, and a closest distance reached by two pairs:
+    # the bridge must start from the lexicographically least of them
+    factors, product, seed = case
+    space = TreeProduct(factors)
+    pd = space.pairwise_distances(seed)
+    pieces = component_labels(pd <= 1)
+    least = max(1, minimal_connection_constant(pd, range(len(seed))))
+    C = data.draw(st.integers(least, least + 2))
+    assume(pieces.max() >= 2 and _has_tied_closest_pairs(pd, pieces, C))
+    expected = oracle_bridge(product, seed, C)
+    assert connectify_and_close_in(space, seed, C).a_prime == frozenset(expected)
 
 
 @PROPERTY
