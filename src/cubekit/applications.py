@@ -19,7 +19,7 @@ from .cubes import (
     hyperplane_decomposition,
 )
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
-from .graphs import UnitGraph, maximal_cliques, tree_distance_matrix
+from .graphs import TreeIndex, UnitGraph, maximal_cliques
 from .hhs import HHSInstance, space_hull
 from .median import MedianAlgebra, connectify_and_close_in
 from .projection import QuasiTreeSpace
@@ -40,10 +40,11 @@ class TreeProduct:
     digit.  Implements the median-space protocol of `median` (toward,
     pairwise_distances, median_bulk).  A step from u toward v moves one
     coordinate in which u and v differ one edge along its factor tree, toward
-    v; `toward` takes the least such id.  Medians are computed factorwise: each factor is a tree,
-    and its median is the XOR of the three pairwise lowest common ancestors,
-    read from an n_f x n_f table built once per factor (see median_bulk).
-    median_bulk broadcasts a vertex `a` or `c` against the array b_arr.
+    v; `toward` takes the least such id.  Medians are computed factorwise:
+    each factor is a tree, and its median is the XOR of the three pairwise
+    lowest common ancestors (`TreeIndex.median`), read from a dense table
+    of the factor's `TreeIndex.lca` over all pairs, built once.  median_bulk
+    broadcasts a vertex `a` or `c` against the array b_arr.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -63,11 +64,9 @@ class TreeProduct:
         self.dists = tuple(f.distance_matrix for f in factors)
         # lcas[f][u * s + v] is the lowest common ancestor of u and v in
         # factor f, rooted at vertex 0, where s = f.n
-        lcas = []
-        for f in factors:
-            lca_depth, anc = f.ancestor_table
-            lcas.append(anc[np.arange(f.n)[:, None], lca_depth].ravel())
-        self.lcas = tuple(lcas)
+        self.lcas = tuple(
+            f.tree_index.lca(np.arange(f.n)[:, None], np.arange(f.n)).ravel() for f in factors
+        )
 
     def encode(self, coords) -> int:
         return sum(int(c) * p for c, p in zip(coords, self.strides))
@@ -91,18 +90,9 @@ class TreeProduct:
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a
-        vertex or an array aligned with b_arr.
-
-        In each factor the median is lca(a, b) ^ lca(b, c) ^ lca(a, c).  Let
-        w = lca(a, b, c).  At most one pair meets strictly below w: were
-        lca(a, b) and lca(b, c) both below w, both would lie in the subtree
-        of the child of w above b, and so would a and c, against the choice
-        of w.  So two of the three pairwise ancestors are w, and equal
-        values cancel under XOR, leaving the third, say m = lca(a, b).  It
-        is the median: it lies on the path from a to b, and, being w or
-        below w on the way up from a and from b, on the paths from a and
-        from b to c, which both pass through w.
-        """
+        vertex or an array aligned with b_arr.  In each factor the median is
+        lca(a, b) ^ lca(b, c) ^ lca(a, c), as `TreeIndex.median` proves, with
+        the three ancestors read from the factor's table."""
         ca, cb, cc = (self.decode_bulk(x) for x in (a, b_arr, c))
         meds = 0
         for L, s, xa, xb, xc in zip(self.lcas, self.sizes, ca, cb, cc):
@@ -160,7 +150,7 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
         raise PipelineError("no input points")
     result = connectify_and_close_in(space, enc, C)
     closure = sorted(result.closure)
-    pd = space.pairwise_distances(closure)
+    pd = result.closure_distances
     g = UnitGraph(len(closure), np.argwhere(np.triu(pd == 1, 1)).tolist())
     g.require_connected()
     isometric = _is_path_metric(g, pd)
@@ -246,16 +236,16 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     only row r of the distance matrix, not a visit order, so one numpy pass
     over the arcs (v <- u, w) sorted by (v, u, w) finds the parents for all
     roots at once.  Roots with the same edge set share their scores, so each
-    distinct tree is scored once, under its least root, on the metric from
-    `tree_distance_matrix`.  The winner minimizes (additive, multiplicative,
+    distinct tree is scored once, under its least root, on the metric of its
+    `TreeIndex`.  The winner minimizes (additive, multiplicative,
     root).  Both are two-sided, since td, the unit tree's metric, can fall
     below d, the quasitree's, once an edge weighs more than 1: additive =
     max |td - d| and multiplicative = max(td / d, d / td) over d > 0, a float
     ratio rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a
     subgraph of a unit-weight graph, so td >= d.  Distortion is reported,
-    never assumed.  The returned tree carries td as its `distance_matrix`,
-    so the Helly experiment, `TreeProduct` and the promote C default read
-    it instead of computing it again.
+    never assumed.  The returned tree carries td and its index as its
+    `distance_matrix` and `tree_index`, so the Helly experiment,
+    `TreeProduct` and the promote C default do not compute them again.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
@@ -287,18 +277,20 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     best = None
     for i in distinct.tolist():
         lo, hi = np.divmod(codes[i], n)
-        td = tree_distance_matrix(n, [(a, b, 1) for a, b in zip(lo.tolist(), hi.tolist())])
+        index = TreeIndex(n, [(a, b, 1) for a, b in zip(lo.tolist(), hi.tolist())])
+        td = index.distance_matrix()
         add = int(np.abs(td - mat).max())
         ratio = np.where(mat > 0, np.maximum(td, mat) / np.maximum(np.minimum(td, mat), 1), 1.0)
         mult = Fraction(ratio.max()).limit_denominator(10**6)
         if best is None or (add, mult, int(roots[i])) < best[:3]:
-            best = (add, mult, int(roots[i]), i, td)
-    add, mult, root, i, td = best
+            best = (add, mult, int(roots[i]), i, td, index)
+    add, mult, root, i, td, index = best
     lo, hi = np.divmod(codes[i], n)
     tree = UnitGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
-    # the winner's metric comes with its tree: it fills the cache of the
-    # cached property, so no consumer of the tree computes it again
+    # the winner's metric and index come with its tree: they fill the caches
+    # of the cached properties, so no consumer of the tree computes them again
     vars(tree)["distance_matrix"] = td.astype(np.int32)
+    vars(tree)["tree_index"] = index
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
 
 
@@ -393,20 +385,24 @@ def coarse_helly_experiment(
 
 def bounded_packing_count(h: HHSInstance, family, R: int) -> tuple[int, tuple[int, ...]]:
     """Size of the largest pairwise-R-close subfamily (exact by clique search
-    up to 20 members, greedy beyond); members must be pairwise disjoint."""
+    up to 20 members, greedy beyond); members must be nonempty and pairwise
+    disjoint.  One broadcast pair query over all members gives every gap."""
     sets = [sorted(set(int(v) for v in S)) for S in family]
-    for i in range(len(sets)):
+    for i, S in enumerate(sets):
+        if not S:
+            raise EmbeddingError(f"family member {i} is empty")
         for j in range(i + 1, len(sets)):
-            overlap = set(sets[i]) & set(sets[j])
+            overlap = set(S) & set(sets[j])
             if overlap:
                 raise EmbeddingError(f"family members {i},{j} overlap at {min(overlap)}")
-    DG = h.dist
     k = len(sets)
     close = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if int(DG[np.ix_(sets[i], sets[j])].min()) <= R:
-                close[i, j] = close[j, i] = True
+    if k:
+        members = np.concatenate(sets)
+        starts = np.cumsum([0] + [len(S) for S in sets[:-1]])
+        D = h.ambient.pair_distances(members[:, None], members)
+        close = np.minimum.reduceat(np.minimum.reduceat(D, starts, axis=0), starts, axis=1) <= R
+        np.fill_diagonal(close, False)
     if k <= 20:
         # largest clique, ties broken lexicographically
         best = min(maximal_cliques(close), key=lambda c: (-len(c), c), default=())

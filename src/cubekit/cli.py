@@ -401,10 +401,10 @@ def cmd_pack(args) -> int:
     h = HHSInstance.from_dict(load_json(a.inp))
     rng = fixtures.rng_from_seed(a.seed, stream=4)
     center = int(rng.integers(0, h.n))
-    D = h.dist
+    row = h.ambient.pair_distances(center, np.arange(h.n))
     family = []
     for radius in range(a.count):
-        shell = [v for v in range(h.n) if D[center, v] == radius]
+        shell = np.flatnonzero(row == radius).tolist()
         if shell:
             family.append(shell)
     N, witness = bounded_packing_count(h, family, a.R)

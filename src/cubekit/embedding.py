@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .hhs import Colouring, HHSInstance, _blockwise
+from .jsonio import as_number
 from .projection import (
     AxiomReport,
     ProjectionError,
@@ -139,11 +139,14 @@ def psi_map(cs: ColouredSystem) -> PsiImage:
 
 def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
     """chi x m matrix of the distances between us[i][k] and vs[i][k] in the
-    quasitree of colour i.  Raises ProjectionError, as QuasiTreeSpace.dist
-    does, for the first pair (least k, then least colour) that lies in two
-    components."""
+    quasitree of colour i (by `TreeIndex` query on a tree).  Raises
+    ProjectionError, as QuasiTreeSpace.dist does, for the first pair (least
+    k, then least colour) that lies in two components."""
     rows = []
     for q, u, v in zip(cs.quasitrees, us, vs):
+        if q.tree_index is not None:
+            rows.append(q.tree_index.dist(u, v))
+            continue
         mat = q.distance_matrix
         if isinstance(mat, np.ndarray):
             rows.append(mat[u, v])
@@ -157,13 +160,30 @@ def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
     return dists
 
 
+def _exact(dists: np.ndarray) -> tuple[np.ndarray, int]:
+    """(int64 values, scale) with dists = values / scale: the lcm of the
+    denominators scales Fraction distances (non-integer L)."""
+    if dists.dtype != object:
+        return dists.astype(np.int64), 1
+    vals = dists.tolist()
+    scale = math.lcm(*(d.denominator for d in vals))
+    return np.array([int(d * scale) for d in vals], dtype=np.int64), scale
+
+
+def _numbers(values: np.ndarray, scale: int) -> list:
+    """values / scale as exact numbers, int when integral, as `as_number` gives."""
+    vals = values.tolist()
+    return vals if scale == 1 else [as_number(Fraction(v, scale)) for v in vals]
+
+
 @dataclass(frozen=True)
 class EmbeddingReport:
     kappa_lower: Fraction
     kappa_upper: Fraction
     additive: Fraction
     kappa: Fraction
-    samples: tuple[tuple[tuple[int, int], int, Fraction], ...]  # pair, d_G, d_product
+    # pair, d_G, d_product: an int when integral, else a Fraction
+    samples: tuple[tuple[tuple[int, int], int, int | Fraction], ...]
 
 
 def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingReport:
@@ -174,18 +194,10 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
         raise EmbeddingError("need at least two sample pairs")
     xs, ys = np.array(pairs, dtype=np.int64).T
     maps = [np.asarray(mp) for mp in psi.maps]
-    DP = _quasitree_dists(cs, [mp[xs] for mp in maps], [mp[ys] for mp in maps]).sum(axis=0)
-    DG = cs.instance.dist[xs, ys].astype(np.int64)
-    rows = tuple(
-        ((x, y), dg, Fraction(dp))
-        for x, y, dg, dp in zip(xs.tolist(), ys.tolist(), DG.tolist(), DP.tolist())
-    )
-    # exact integers throughout: Fraction distances (non-integer L) are
-    # scaled by their common denominator, and DG with them
-    scale = 1
-    if DP.dtype == object:
-        scale = math.lcm(*(d.denominator for d in DP.tolist()))
-        DP = np.array([int(d * scale) for d in DP.tolist()], dtype=np.int64)
+    us, vs = [mp[xs] for mp in maps], [mp[ys] for mp in maps]
+    DP, scale = _exact(_quasitree_dists(cs, us, vs).sum(axis=0))  # DG is scaled with DP
+    DG = cs.instance.ambient.pair_distances(xs, ys)
+    rows = tuple(zip(zip(xs.tolist(), ys.tolist()), DG.tolist(), _numbers(DP, scale)))
     DGs = DG * scale
     both = (DG > 0) & (DP > 0)
     k_up = _max_ratio(DP[both], DGs[both], Fraction(1))
@@ -224,7 +236,10 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, floor: Fraction) -> Fraction:
 def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """Per triple of the aligned arrays a, b, c: the exact graph median of the
     quasitree when the triple has one, else the least-index sum-of-distances
-    minimizer, flagged True."""
+    minimizer, flagged True.  On a tree every triple has one, which
+    `TreeIndex.median` gives; other quasitrees scan interval masks."""
+    if q.tree_index is not None:
+        return q.tree_index.median(a, b, c), np.zeros(len(a), dtype=bool)
     mat = q.distance_matrix
     if isinstance(mat, np.ndarray):
 
@@ -270,7 +285,8 @@ class QuasimedianReport:
     max_defect: Fraction
     histogram: tuple[tuple[str, int], ...]
     fallback_colours: tuple[int, ...]
-    triples: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    # triple, defect: an int when integral, else a Fraction
+    triples: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
 
 
 def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> QuasimedianReport:
@@ -278,7 +294,8 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
     coordinate-wise codomain median, per sampled triple.
 
     One `hhs_median` call over all triples gives the instance medians; the
-    codomain medians are computed per colour for all triples at once.
+    codomain medians are computed per colour for all triples at once.  The
+    defects stay exact integers (`_exact`) until the report.
     """
     from .hhs import hhs_median
 
@@ -293,9 +310,9 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
         mus.append(mu)
         if flagged.any():
             fallback.append(ci)
-    dists = _quasitree_dists(cs, [mp[m] for mp in maps], mus)
-    defects = [Fraction(d) for d in dists.sum(axis=0).tolist()]
-    counts = Counter(defects)
-    hist = tuple((str(k), counts[k]) for k in sorted(counts))
-    rows = tuple(zip(map(tuple, xyz.tolist()), defects))
-    return QuasimedianReport(max(defects, default=Fraction(0)), hist, tuple(fallback), rows)
+    defects, scale = _exact(_quasitree_dists(cs, [mp[m] for mp in maps], mus).sum(axis=0))
+    values, counts = np.unique(defects, return_counts=True)
+    hist = tuple((str(Fraction(v, scale)), c) for v, c in zip(values.tolist(), counts.tolist()))
+    rows = tuple(zip(map(tuple, xyz.tolist()), _numbers(defects, scale)))
+    top = Fraction(int(defects.max(initial=0)), scale)
+    return QuasimedianReport(top, hist, tuple(fallback), rows)

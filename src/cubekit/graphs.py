@@ -4,13 +4,18 @@ Vertices are integers 0..n-1.  Distances are geodesic edge counts, computed
 once per graph and cached.  Construction rejects loops and multi-edges;
 connectivity is enforced wherever a metric is needed.
 
-Every tree metric of the package (unit graphs that are trees, quasitrees
-that are trees, candidate approximating trees) comes from one exact kernel,
-`tree_distance_matrix`.  Every other integer metric (unit graphs that are not
-trees, quasitrees at integer L) comes from `integer_distance_matrix`, Dial's
-bucketed shortest paths from all sources at once.  Connected components come
-from one labelling over an arc list, `arc_component_labels`, and cliques from
-one Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
+Every tree of the package (unit graphs that are trees, quasitrees that are
+trees, candidate approximating trees) is served by one table, `TreeIndex`,
+built from one iterative preorder.  It answers lowest common ancestor,
+distance and median queries on vertex arrays by binary lifting, so a caller
+that reads sampled pairs asks it for those pairs (`UnitGraph.pair_distances`)
+and never builds an n x n matrix; its dense form, `distance_matrix`, comes
+from the subtree runs of the same preorder.  Every other integer metric
+(unit graphs that are not trees, quasitrees at integer L) comes from
+`integer_distance_matrix`, Dial's bucketed shortest paths from all sources
+at once.  Connected components come from one labelling over an arc list,
+`arc_component_labels`, and cliques from one Bron-Kerbosch search,
+`maximal_cliques`.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -95,37 +100,29 @@ class UnitGraph:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs geodesic distances (edge counts), int32 matrix.
 
-        A graph with n - 1 edges goes through `tree_distance_matrix`, any
-        other through `integer_distance_matrix` with unit weights (a BFS from
-        every source at once).  A disconnected graph raises
+        A graph with n - 1 edges goes through its `tree_index`, any other
+        through `integer_distance_matrix` with unit weights (a BFS from every
+        source at once).  A disconnected graph raises
         DisconnectedGraphError(0, v), v the least vertex not joined to 0,
         on either path.
         """
-        unit = [(u, v, 1) for u, v in self.edges]
         if len(self.edges) == self.n - 1:
-            return tree_distance_matrix(self.n, unit).astype(np.int32)
+            return self.tree_index.distance_matrix().astype(np.int32)
         self.require_connected()
-        return integer_distance_matrix(self.n, unit).astype(np.int32)
+        return integer_distance_matrix(self.n, [(u, v, 1) for u, v in self.edges]).astype(np.int32)
 
     @cached_property
-    def ancestor_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """For a tree rooted at vertex 0: lca_depth[u, v], the depth of the
-        lowest common ancestor of u and v, and anc[v, k], the ancestor of v
-        at depth k (for k <= depth of v)."""
-        D = self.distance_matrix
-        depth = D[0]
-        lca_depth = (depth[:, None] + depth[None, :] - D) // 2
-        parent = np.zeros(self.n, dtype=np.int64)
-        if self.edges:
-            u, v = np.array(self.edges, dtype=np.int64).T
-            v_below = depth[v] > depth[u]
-            parent[np.where(v_below, v, u)] = np.where(v_below, u, v)
-        anc = np.empty((self.n, int(depth.max()) + 1), dtype=np.int64)
-        x = np.arange(self.n)
-        for k in range(anc.shape[1] - 1, -1, -1):
-            x = np.where(depth[x] > k, parent[x], x)
-            anc[:, k] = x
-        return lca_depth, anc
+    def tree_index(self) -> "TreeIndex":
+        """The `TreeIndex` of a graph with n - 1 edges, rooted at vertex 0;
+        it raises as `distance_matrix` does when the graph is no tree."""
+        return TreeIndex(self.n, [(u, v, 1) for u, v in self.edges])
+
+    def pair_distances(self, u, v) -> np.ndarray:
+        """d(u, v) over broadcast vertex arrays, int64: from the `tree_index`
+        when there are n - 1 edges (no matrix), else from `distance_matrix`."""
+        if len(self.edges) == self.n - 1:
+            return self.tree_index.dist(u, v)
+        return self.distance_matrix[u, v].astype(np.int64)
 
     @cached_property
     def components(self) -> np.ndarray:
@@ -178,36 +175,20 @@ def all_pairs_distances(g: UnitGraph) -> np.ndarray:
     return g.distance_matrix
 
 
-def tree_distance_matrix(n: int, edges) -> np.ndarray:
-    """All-pairs distances of a tree with positive integer edge lengths, int64.
-
-    The tree is given by its n - 1 edges (u, v, w), each of length w.  One
-    iterative preorder from vertex 0 (a stack, recording each vertex's
-    parent) lists every subtree as one contiguous run of positions.  Seen
-    from a child v of p, across the edge of length w, every vertex outside
-    v's subtree is w farther than from p and every vertex inside it w
-    nearer, so
-
-        row(v) = row(p) + w,  minus 2w on the run of v's subtree.
-
-    Columns are kept in preorder positions.  The root's row is the weighted
-    depth, a prefix sum of +w at the start and -w past the end of each run.
-    The rows of inner vertices follow in preorder, so parents come first,
-    and then all leaves in one batch, as a leaf's run is its own position.
-    One column gather returns vertex order.  That is O(n^2) numpy int64
-    work in at most n row operations, with no recursion and no floats.
-
-    Raises DisconnectedGraphError(0, x), x the least vertex not reached from
-    0, when the edges do not join every vertex.
-    """
+def _preorder(n: int, edges):
+    """One iterative preorder, from vertex 0, of the tree with edges (u, v, w):
+    int64 arrays order, parent (the root its own), depth, weighted depth,
+    pos (pos[order] = 0..n-1) and stop, v's subtree being the contiguous run
+    of positions pos[v] .. stop[v] - 1.  Raises GraphError unless there are
+    n - 1 edges, and DisconnectedGraphError(0, x), x the least vertex not
+    reached from 0, when they do not join every vertex."""
     if len(edges) != n - 1:
         raise GraphError(f"a tree on {n} vertices has {n - 1} edges, not {len(edges)}")
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b, c in edges:
         nbrs[a].append((b, c))
         nbrs[b].append((a, c))
-    parent = [-1] * n
-    up = [0] * n  # length of the edge to the parent
+    parent, depth, wd = [0] * n, [0] * n, [0] * n
     seen = [True] + [False] * (n - 1)
     order = []
     stack = [0]
@@ -217,41 +198,91 @@ def tree_distance_matrix(n: int, edges) -> np.ndarray:
         for y, c in nbrs[x]:
             if not seen[y]:
                 seen[y] = True
-                parent[y] = x
-                up[y] = c
+                parent[y], depth[y], wd[y] = x, depth[x] + 1, wd[x] + c
                 stack.append(y)
     if len(order) < n:
         raise DisconnectedGraphError(0, seen.index(False))
     size = [1] * n
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
-    order, parent, size = np.array(order), np.array(parent), np.array(size)
-    up = np.array(up, dtype=np.int64)
+    arrays = (np.array(a, dtype=np.int64) for a in (order, parent, depth, wd, size))
+    order, parent, depth, wd, size = arrays
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    stop = pos + size  # v's subtree holds positions pos[v] .. stop[v] - 1
-    step = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(step, pos, up)
-    np.add.at(step, stop, -up)
-    R = np.empty((n, n), dtype=np.int64)  # R[v, pos[x]] = d(v, x)
-    R[0] = np.cumsum(step[:n])
-    rest = order[1:]
-    inner = rest[size[rest] > 1]
-    for x, p, a, b, wx in zip(
-        inner.tolist(),
-        parent[inner].tolist(),
-        pos[inner].tolist(),
-        stop[inner].tolist(),
-        up[inner].tolist(),
-    ):
-        row = R[x]
-        np.add(R[p], wx, out=row)
-        run = row[a:b]
-        np.subtract(run, 2 * wx, out=run)
-    leaf = rest[size[rest] == 1]
-    R[leaf] = R[parent[leaf]] + up[leaf, None]
-    R[leaf, pos[leaf]] = 0
-    return R[:, pos]
+    return order, parent, depth, wd, pos, pos + size
+
+
+class TreeIndex:
+    """Lowest common ancestors, distances and medians of a tree with positive
+    integer edge lengths, given by its n - 1 edges (u, v, w), rooted at 0.
+
+    From one iterative preorder (`_preorder`) it holds each vertex's parent,
+    depth and weighted depth `wdepth`, and a binary-lifting table over
+    preorder positions: jumps[k, p], the position of the ancestor 2^k steps
+    above position p, or of the root (n log n entries).  Queries take
+    broadcastable int arrays.  For lca(u, v) let pos[u] > pos[v]: the run of
+    an ancestor y of u holds u, so it holds v once it starts at or before
+    v, and y lies above v exactly when pos[y] <= pos[v].  Halving jumps
+    climb from u to its highest ancestor x with pos[x] > pos[v]; the parent
+    of x is the answer (Bender & Farach-Colton, "The LCA problem revisited",
+    LATIN 2000).  dist(u, v) = wdepth[u] + wdepth[v] - 2 wdepth[lca(u, v)].
+    Raises as `_preorder` does.
+    """
+
+    def __init__(self, n: int, edges):
+        self.n = n
+        self.order, self.parent, self.depth, self.wdepth, self.pos, self.stop = _preorder(n, edges)
+
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        jumps = [self.pos[self.parent[self.order]]]
+        for _ in range(1, max(1, int(self.depth.max()).bit_length())):
+            jumps.append(jumps[-1][jumps[-1]])
+        return np.stack(jumps)
+
+    def lca(self, u, v) -> np.ndarray:
+        pu, pv = self.pos[u], self.pos[v]
+        low, x = np.minimum(pu, pv), np.maximum(pu, pv)
+        for jump in self.jumps[::-1]:
+            y = jump[x]
+            x = np.where(y > low, y, x)
+        # x == low only when u == v; otherwise x is the climb's end
+        return self.order[np.where(x == low, low, self.jumps[0][x])]
+
+    def dist(self, u, v) -> np.ndarray:
+        return self.wdepth[u] + self.wdepth[v] - 2 * self.wdepth[self.lca(u, v)]
+
+    def median(self, a, b, c) -> np.ndarray:
+        """m(a, b, c) = lca(a, b) ^ lca(b, c) ^ lca(a, c).  Let w = lca(a, b, c).
+        Were lca(a, b) and lca(b, c) both below w, both would lie in the
+        subtree of the child of w above b, and so would a and c.  So two of
+        the three are w and cancel, leaving the third, say lca(a, b).  It is
+        on the path from a to b and, being w or below w on the way up from a
+        and from b, on their paths to c, which pass through w."""
+        return self.lca(a, b) ^ self.lca(b, c) ^ self.lca(a, c)
+
+    def distance_matrix(self) -> np.ndarray:
+        """All-pairs distances, int64.  Seen from a child v of p, across the
+        edge of length w, every vertex outside v's subtree is w farther than
+        from p and every vertex inside it w nearer: row(v) = row(p) + w,
+        minus 2w on v's run.  Rows are built in preorder-position columns,
+        the root's the weighted depth, inner vertices parent first, the
+        leaves (whose run is their own position) in one batch."""
+        rest = self.order[1:]
+        leafy = self.stop[rest] - self.pos[rest] == 1
+        inner, leaf = rest[~leafy], rest[leafy]
+        up = self.wdepth - self.wdepth[self.parent]
+        R = np.empty((self.n, self.n), dtype=np.int64)  # R[v, pos[x]] = d(v, x)
+        R[0] = self.wdepth[self.order]
+        cols = (inner, self.parent[inner], self.pos[inner], self.stop[inner], up[inner])
+        for v, p, a, b, w in zip(*(c.tolist() for c in cols)):
+            row = R[v]
+            np.add(R[p], w, out=row)
+            run = row[a:b]
+            np.subtract(run, 2 * w, out=run)
+        R[leaf] = R[self.parent[leaf]] + up[leaf, None]
+        R[leaf, self.pos[leaf]] = 0
+        return R[:, self.pos]
 
 
 def integer_distance_matrix(n: int, edges) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .graphs import UnitGraph
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
-from .median import tree_medians
 
 REL_NESTED = "nested"      # self is strictly nested in other
 REL_CONTAINS = "contains"  # other is strictly nested in self
@@ -234,6 +233,7 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     containing domain, or names a vertex outside the nested space.
     """
     findings: list[Finding] = []
+    _require_domains(h)
     ids = h.domain_ids()
     if len(set(ids)) != len(ids):
         raise InstanceError("duplicate domain ids")
@@ -279,12 +279,14 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     findings.append(Finding("rho-presence", witness is None, rho_diam, witness))
     findings.append(Finding("rho-diameter", rho_diam <= h.E, rho_diam, None))
 
-    # projection diameters
+    # projection diameters; a singleton domain's are 0 by its type
     pi_diam = 0
     witness = None
     for U in h.domains:
         if len(U.pi) != h.n:
             raise InstanceError(f"projection table of {U.id} has wrong length")
+        if U.singleton:
+            continue
         for x in range(h.n):
             if not U.pi[x]:
                 raise InstanceError(f"empty projection of vertex {x} in {U.id}")
@@ -457,7 +459,7 @@ def projection_sum(h: HHSInstance, x, y, s):
     scalar, (x, y) = _as_arrays(x, y)
     total = np.zeros(len(x), dtype=np.int64)
     for d in h.domains:
-        v = d.dist[d.reps[x], d.reps[y]] if d.singleton else h.d_U_matrix(d)[x, y]
+        v = d.space.pair_distances(d.reps[x], d.reps[y]) if d.singleton else h.d_U_matrix(d)[x, y]
         total += np.where(v > s, v, 0)
     return int(total[0]) if scalar else total
 
@@ -475,7 +477,7 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
     if s < 100 * h.E:
         raise InstanceError(f"threshold s={s} is below 100*E={100 * h.E}")
     xy = np.array([(int(x), int(y)) for x, y in samples], dtype=np.int64).reshape(-1, 2)
-    d = h.dist[xy[:, 0], xy[:, 1]].astype(np.int64)
+    d = h.ambient.pair_distances(xy[:, 0], xy[:, 1])
     S = projection_sum(h, xy[:, 0], xy[:, 1], s)
     rows = tuple(
         ((x, y), dd, ss) for (x, y), dd, ss in zip(xy.tolist(), d.tolist(), S.tolist())
@@ -776,12 +778,16 @@ class Colouring:
         return len(self.classes)
 
 
+def _require_domains(h: HHSInstance) -> None:
+    if not h.domains:  # psi would map into an empty product
+        raise InstanceError("the instance has no domains: there is nothing to colour")
+
+
 def find_bbf_colouring(h: HHSInstance) -> Colouring:
     """Greedy proper colouring of the conflict graph (conflict = not transverse);
-    an instance with no domains is refused, as psi would map into an empty product."""
+    an instance with no domains is refused, as `validate_instance` refuses it."""
+    _require_domains(h)
     ids = sorted(h.domain_ids())
-    if not ids:
-        raise InstanceError("the instance has no domains: there is nothing to colour")
     classes: list[list[str]] = []
     for uid in ids:
         U = h.by_id[uid]
@@ -806,8 +812,8 @@ def find_bbf_colouring(h: HHSInstance) -> Colouring:
 
 def domain_coarse_median(h: HHSInstance, dom: Domain, x, y, z):
     """Coarse median of x, y, z in one domain: the tree median of the
-    representatives min(pi[.]) when the space is a tree, else the least-index
-    minimizer of the summed distances to the three projections.
+    representatives min(pi[.]) from its `TreeIndex` when the space is a tree,
+    else the least-index minimizer of the summed distances to the projections.
 
     x, y, z are ambient vertices (an int is returned) or aligned arrays of
     them (an array of medians, one per triple).
@@ -815,7 +821,7 @@ def domain_coarse_median(h: HHSInstance, dom: Domain, x, y, z):
     scalar, (x, y, z) = _as_arrays(x, y, z)
     if dom.space.is_tree():
         r = dom.reps
-        med = tree_medians(dom.space, r[x], r[y], r[z])
+        med = dom.space.tree_index.median(r[x], r[y], r[z])
     else:
         S = dom.setdist
         med = _blockwise(

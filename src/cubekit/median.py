@@ -14,7 +14,7 @@ median, such as a promoted closure, is not re-scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -163,24 +163,6 @@ class MedianAlgebra:
         return meds
 
 
-def tree_medians(tree: UnitGraph, a, b, c) -> np.ndarray:
-    """Medians m(a, b, c) in a tree, for aligned arrays (or scalars) a, b, c.
-
-    The median of a triple is the deepest of its three pairwise lowest common
-    ancestors (Bender & Farach-Colton 2000 for the LCA tables); with the tree
-    rooted at vertex 0, lca(u, v) is the ancestor of u at depth
-    (depth(u) + depth(v) - d(u, v)) / 2.
-    """
-    lca_depth, anc = tree.ancestor_table
-    L, n = lca_depth.ravel(), tree.n
-    a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
-    k_ab, k_bc, k_ac = L.take(a * n + b), L.take(b * n + c), L.take(a * n + c)
-    # the deepest lca is an ancestor of b unless it is lca(a, c) alone
-    x = np.where(k_ac > np.maximum(k_ab, k_bc), a, b)
-    k = np.maximum(np.maximum(k_ab, k_bc), k_ac)
-    return anc.ravel().take(x * anc.shape[1] + k)
-
-
 def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
     """The unique vertex between each pair of {x, y, z}."""
     return m.median(x, y, z)
@@ -197,8 +179,10 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # and row i of its result is m(a[i], b_arr[i], c[i]).  MedianAlgebra reads
 # all three off its graph's distance matrix (median_bulk by interval masks);
 # applications.TreeProduct works factorwise, with the median the XOR of the
-# three pairwise lowest common ancestors, read from one table per factor.
-# closure_of needs median_bulk alone.
+# three pairwise lowest common ancestors (graphs.TreeIndex.median), read
+# from a dense table of each factor's TreeIndex.lca.  A lone tree needs no
+# median space: its TreeIndex answers medians by query.  closure_of needs
+# median_bulk alone.
 
 
 def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,6 +351,8 @@ class ConnectifyResult:
     closure: frozenset[int]
     hausdorff: int
     one_connected: bool
+    # pairwise_distances of the sorted closure
+    closure_distances: np.ndarray = field(compare=False, repr=False)
 
 
 def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
@@ -410,7 +396,7 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     clmat = space.pairwise_distances(cl)
     one_conn = component_labels(clmat <= 1).max() == 0
     haus = clmat[:, np.searchsorted(cl, members)].min(axis=1).max()
-    return ConnectifyResult(a_prime, closure, int(haus), bool(one_conn))
+    return ConnectifyResult(a_prime, closure, int(haus), bool(one_conn), clmat)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph, gate_map, integer_distance_matrix, tree_distance_matrix
+from .graphs import TreeIndex, UnitGraph, gate_map, integer_distance_matrix
 from .jsonio import as_number, decode_number, encode_number
 
 
@@ -190,14 +190,22 @@ class QuasiTreeSpace:
         return range(start, start + self.system.pieces[piece].n)
 
     @cached_property
+    def tree_index(self) -> TreeIndex | None:
+        """The `TreeIndex` of the glued space when it is a connected tree and
+        L an integer, else None.  L-edges weigh L; LCAs do not see weights."""
+        if isinstance(self.L, int) and self.connected and len(self.edges) == self.n - 1:
+            return TreeIndex(self.n, self.edges)
+        return None
+
+    @cached_property
     def distance_matrix(self):
         """Exact all-pairs distances: an int64 matrix when L is an integer,
-        from `tree_distance_matrix` when the glued space is a tree and from
+        from the `tree_index` when the glued space is a tree and from
         `integer_distance_matrix` otherwise (-1 between components); else a
         dict-of-dict of Fractions via Dijkstra."""
         if isinstance(self.L, int):
-            if self.connected and len(self.edges) == self.n - 1:
-                return tree_distance_matrix(self.n, self.edges)
+            if self.tree_index is not None:
+                return self.tree_index.distance_matrix()
             return integer_distance_matrix(self.n, self.edges)
         adj: list[list[tuple[int, Number]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:

@@ -30,6 +30,36 @@ def oracle_all_dists(n, edges):
     return [oracle_bfs(n, edges, s) for s in range(n)]
 
 
+def oracle_root_paths(n, edges):
+    """paths[v]: the vertices from v up to vertex 0 in a tree, v first, by a
+    plain BFS from 0 (edges are (u, v) or (u, v, w))."""
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        adj[e[0]].append(e[1])
+        adj[e[1]].append(e[0])
+    parent = {0: None}
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    paths = []
+    for v in range(n):
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        paths.append(path)
+    return paths
+
+
+def oracle_lca(paths, u, v):
+    """The first vertex of u's root path that is on v's."""
+    up = set(paths[v])
+    return next(x for x in paths[u] if x in up)
+
+
 def oracle_medians_of(dist, x, y, z):
     n = len(dist)
     out = []

@@ -56,7 +56,7 @@ def test_tree_product_too_large_for_int64_is_refused():
 def _far_corners(space, A, C):
     """A closure of two product corners, as no real bridging would return."""
     corners = frozenset({0, space.n - 1})
-    return ConnectifyResult(corners, corners, 0, False)
+    return ConnectifyResult(corners, corners, 0, False, space.pairwise_distances(sorted(corners)))
 
 
 def test_a_closure_that_is_not_1_connected_fails_with_a_witness(monkeypatch, tmp_path, capsys):
@@ -126,6 +126,9 @@ def test_packing_rejects_overlapping_members():
     h = identity_instance(path_graph(5))
     with pytest.raises(EmbeddingError, match="overlap at 2"):
         bounded_packing_count(h, [[0, 1, 2], [2, 3]], 1)
+    # an empty member has no gap to the others
+    with pytest.raises(EmbeddingError, match="member 1 is empty"):
+        bounded_packing_count(h, [[0], [], [3]], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,8 @@ def test_spider_fixture_needs_an_even_number_of_legs_from_2(legs, capsys):
 
 
 @pytest.mark.parametrize(
-    "args", [["psi"], ["promote"], ["psi", "--K", "3"], ["helly", "--R", "5"]],
-    ids=["psi", "promote", "psi-K", "helly"],
+    "args", [["psi"], ["promote"], ["psi", "--K", "3"], ["helly", "--R", "5"], ["validate"]],
+    ids=["psi", "promote", "psi-K", "helly", "validate"],
 )
 def test_instance_without_domains_is_refused_at_colouring(args, tmp_path, capsys):
     inp = tmp_path / "bare.json"

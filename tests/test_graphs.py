@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cubekit.graphs import (
     DisconnectedGraphError,
     GraphError,
+    TreeIndex,
     UnitGraph,
     all_pairs_distances,
     are_isomorphic,
@@ -23,10 +24,9 @@ from cubekit.graphs import (
     random_tree,
     spider_graph,
     star_graph,
-    tree_distance_matrix,
     verify_isomorphism,
 )
-from helpers import oracle_all_dists
+from helpers import oracle_all_dists, oracle_lca, oracle_medians_of, oracle_root_paths
 
 
 def test_path_distance():
@@ -135,7 +135,7 @@ def weighted_trees(draw, max_n=40, max_w=1):
 @given(weighted_trees(max_w=1) | weighted_trees(max_w=4))
 def test_tree_kernel_matches_scipy(tree):
     n, edges = tree
-    D = tree_distance_matrix(n, edges)
+    D = TreeIndex(n, edges).distance_matrix()
     assert D.dtype == np.int64
     assert (D == scipy_distances(n, edges)).all()
 
@@ -150,14 +150,14 @@ def test_tree_graph_distances_match_bfs(tree):
 
 
 def test_tree_kernel_on_one_and_two_vertices():
-    assert tree_distance_matrix(1, []).tolist() == [[0]]
-    assert tree_distance_matrix(2, [(1, 0, 3)]).tolist() == [[0, 3], [3, 0]]
+    assert TreeIndex(1, []).distance_matrix().tolist() == [[0]]
+    assert TreeIndex(2, [(1, 0, 3)]).distance_matrix().tolist() == [[0, 3], [3, 0]]
     assert UnitGraph(2, ((0, 1),)).distance_matrix.tolist() == [[0, 1], [1, 0]]
 
 
 def test_tree_kernel_refuses_a_wrong_edge_count():
     with pytest.raises(GraphError):
-        tree_distance_matrix(3, [(0, 1, 1)])
+        TreeIndex(3, [(0, 1, 1)]).distance_matrix()
 
 
 def test_tree_kernel_runs_a_long_path_without_recursion():
@@ -166,7 +166,7 @@ def test_tree_kernel_runs_a_long_path_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        D = tree_distance_matrix(n, [(i, i + 1, 1) for i in range(n - 1)])
+        D = TreeIndex(n, [(i, i + 1, 1) for i in range(n - 1)]).distance_matrix()
     finally:
         sys.setrecursionlimit(limit)
     line = np.arange(n)
@@ -194,8 +194,56 @@ def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
     assert (exc.value.u, exc.value.v) == tuple(old.tolist())
     if len(edges) == n - 1:
         with pytest.raises(DisconnectedGraphError) as exc:
-            tree_distance_matrix(n, [(u, v, 1) for u, v in edges])
+            TreeIndex(n, [(u, v, 1) for u, v in edges]).distance_matrix()
         assert (exc.value.u, exc.value.v) == tuple(old.tolist())
+
+
+# --- the tree index ----------------------------------------------------------
+
+
+@PROPERTY
+@given(weighted_trees(max_w=1) | weighted_trees(max_w=4), st.data())
+def test_tree_index_queries_match_brute_force(tree, data):
+    n, edges = tree
+    index = TreeIndex(n, edges)
+    paths = oracle_root_paths(n, edges)
+    D = scipy_distances(n, edges)
+    u, v = np.divmod(np.arange(n * n), n)
+    assert index.lca(u, v).tolist() == [oracle_lca(paths, a, b) for a, b in zip(u, v)]
+    assert index.dist(u, v).dtype == np.int64
+    assert (index.dist(u, v) == D[u, v]).all()
+    triples = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=30))
+    a, b, c = np.array(triples).T
+    assert [[m] for m in index.median(a, b, c).tolist()] == [
+        oracle_medians_of(D, *t) for t in triples
+    ]
+    # broadcast: one vertex against an array, and scalars
+    assert (index.dist(a[0], np.arange(n)) == D[a[0]]).all()
+    assert int(index.lca(a[0], b[0])) == oracle_lca(paths, int(a[0]), int(b[0]))
+
+
+def test_tree_index_on_a_long_path_and_on_one_and_two_vertices():
+    n = 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        index = TreeIndex(n, [(i, i + 1, 1) for i in range(n - 1)])
+    finally:
+        sys.setrecursionlimit(limit)
+    rng = np.random.default_rng(0)
+    a, b, c = rng.integers(0, n, size=(3, 2000))
+    assert (index.lca(a, b) == np.minimum(a, b)).all()  # rooted at 0
+    assert (index.dist(a, b) == np.abs(a - b)).all()
+    assert (index.median(a, b, c) == np.sort([a, b, c], axis=0)[1]).all()
+    assert (index.lca(n - 1, np.arange(n)) == np.arange(n)).all()
+
+    one = TreeIndex(1, [])
+    assert int(one.lca(0, 0)) == 0 and one.distance_matrix().tolist() == [[0]]
+    assert int(one.dist(0, 0)) == 0 and int(one.median(0, 0, 0)) == 0
+    two = TreeIndex(2, [(1, 0, 3)])
+    assert two.lca(np.arange(2)[:, None], np.arange(2)).tolist() == [[0, 0], [0, 1]]
+    assert two.dist([0, 1, 1], [1, 0, 1]).tolist() == [3, 3, 0]
+    assert two.median([0, 1], [1, 1], [1, 0]).tolist() == [1, 1]
 
 
 # --- the integer kernel ------------------------------------------------------
@@ -249,3 +297,38 @@ def test_integer_kernel_marks_unreachable_pairs():
         [-1, -1, -1, 2, 0],
     ]
     assert integer_distance_matrix(1, []).tolist() == [[0]]
+
+
+# --- pair distances --------------------------------------------------------
+
+
+@PROPERTY
+@given(weighted_trees(max_w=1) | weighted_graphs(max_w=1))
+def test_pair_distances_read_the_distance_matrix_metric(graph):
+    n, edges = graph
+    g = UnitGraph(n, tuple((u, v) for u, v, _ in edges))
+    u, v = np.arange(n)[:, None], np.arange(n)
+    fresh = UnitGraph(n, g.edges)  # nothing cached
+    try:
+        D = g.distance_matrix
+    except DisconnectedGraphError as err:
+        with pytest.raises(DisconnectedGraphError) as got:
+            fresh.pair_distances(u, v)
+        assert (got.value.u, got.value.v) == (err.u, err.v)
+        return
+    got = fresh.pair_distances(u, v)
+    assert got.dtype == np.int64 and (got == D).all()
+    # a tree answers from its index, with no n x n matrix
+    assert ("distance_matrix" in vars(fresh)) == (len(g.edges) != n - 1)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(4, ((0, 1), (1, 2), (2, 0))), (4, ((1, 2), (2, 3), (3, 1))), (5, ((0, 1), (2, 3), (3, 4)))],
+)
+def test_pair_distances_on_n_minus_1_disconnected_edges_keep_the_witness(n, edges):
+    with pytest.raises(DisconnectedGraphError) as expected:
+        UnitGraph(n, edges).distance_matrix
+    with pytest.raises(DisconnectedGraphError) as got:
+        UnitGraph(n, edges).pair_distances(0, n - 1)
+    assert (got.value.u, got.value.v) == (expected.value.u, expected.value.v)

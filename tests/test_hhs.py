@@ -14,6 +14,8 @@ from cubekit.fixtures import (
 )
 from cubekit.graphs import UnitGraph, grid_graph, path_graph
 from cubekit.hhs import (
+    REL_CONTAINS,
+    REL_NESTED,
     REL_ORTH,
     REL_TRANS,
     Domain,
@@ -34,6 +36,8 @@ from cubekit.hhs import (
     theta_hull,
     unparametrised_qg_on_metric,
     validate_instance,
+    _nested_consistency,
+    _nested_consistency_all,
 )
 from helpers import grid_v, lex_geodesic, oracle_unparam_qg
 
@@ -538,3 +542,49 @@ def test_singleton_projections_match_the_general_path(h, s):
         assert h.d_U(dom, a, b) == min(
             int(dom.dist[p, q]) for p in dom.pi[a] for q in dom.pi[b]
         )
+
+
+# --- nesting consistency ----------------------------------------------------------
+
+
+@st.composite
+def nested_pairs(draw):
+    """An ambient tree with a domain "small" nested in a domain "big".  Their
+    projections hold one vertex each, or (when drawn wide) up to three, and
+    big's rho_map rows hold up to four vertices of small, or none.  Big's
+    space has a tail of ten edges off its projections; a rho at the tail's
+    end keeps the first clause above every diameter in small, so the
+    minimum shows the set diameters."""
+    ambient = _random_tree(draw, 12)
+    small_space, core = _random_tree(draw, 8), _random_tree(draw, 8)
+    k = core.n
+    tail = ((0, k),) + tuple((i, i + 1) for i in range(k, k + 9))
+    big_space = UnitGraph(k + 10, core.edges + tail)
+
+    def projections(n):
+        most = 3 if draw(st.booleans()) else 1
+        return tuple(
+            frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=most)))
+            for _ in range(ambient.n)
+        )
+
+    rows = tuple(
+        frozenset(draw(st.lists(st.integers(0, small_space.n - 1), max_size=4)))
+        for _ in range(big_space.n)
+    )
+    if draw(st.booleans()):
+        rho = frozenset([k + 9])
+    else:
+        rho = frozenset(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)))
+    small_pi, big_pi = projections(small_space.n), projections(k)
+    small = Domain("small", small_space, small_pi, {"big": REL_NESTED}, {"big": rho})
+    big = Domain("big", big_space, big_pi, {"small": REL_CONTAINS}, {}, {"small": rows})
+    return HHSInstance(ambient, (small, big), 0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(nested_pairs())
+def test_nested_consistency_of_all_vertices_matches_the_per_tuple_value(h):
+    small, big = h.domains
+    loop = [_nested_consistency(h, small, big, small.pi[x], big.pi[x]) for x in range(h.n)]
+    assert _nested_consistency_all(h, small, big).tolist() == loop

@@ -248,6 +248,13 @@ def test_connectify_two_segments():
     ok_closed, _ = is_median_closed(m, res.closure)
     assert ok_closed
     assert 0 < res.hausdorff < 4
+    # the closure's distance matrix comes with it, in sorted order
+    cl = sorted(res.closure)
+    assert (res.closure_distances == m.dist[np.ix_(cl, cl)]).all()
+    # the matrix stays out of the result's value: equal, hashable, short repr
+    again = connectify_and_close_in(m, seg_a + seg_b, C=2)
+    assert res == again and hash(res) == hash(again)
+    assert "closure_distances" not in repr(res)
 
 
 def test_connectify_sparse_path():

@@ -14,7 +14,7 @@ from cubekit.fixtures import (
     tripod_system,
     two_piece_system,
 )
-from cubekit.graphs import UnitGraph, path_graph, spider_graph
+from cubekit.graphs import UnitGraph, integer_distance_matrix, path_graph, spider_graph
 from cubekit.projection import (
     ProjectionError,
     ProjectionSystem,
@@ -160,6 +160,18 @@ def test_fractional_length():
     s = two_piece_system(4, 4)
     q = build_quasitree(s, K=1, L=Fraction(3, 2))
     assert q.dist(q.global_id(0, 0), q.global_id(1, 0)) == Fraction(3, 2)
+    assert q.tree_index is None
+
+
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_tree_quasitree_index_reads_its_weighted_metric(L):
+    q = build_quasitree(two_piece_system(5, 7, 2, 3), K=1, L=L)
+    assert len(q.edges) == q.n - 1 and q.connected
+    u, v = np.arange(q.n)[:, None], np.arange(q.n)
+    assert (q.tree_index.dist(u, v) == integer_distance_matrix(q.n, q.edges)).all()
+    assert q.tree_index.dist(q.global_id(0, 2), q.global_id(1, 3)) == L
+    # no index once the glued space has a cycle
+    assert build_quasitree(tripod_system(3), K=5, L=L).tree_index is None
 
 
 # --- flat projections and distances -------------------------------------------
