@@ -249,10 +249,10 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
+    if q.scale != 1:
+        raise PipelineError("tree approximation requires integer edge lengths")
     n = q.n
     mat = q.distance_matrix
-    if not isinstance(mat, np.ndarray):
-        raise PipelineError("tree approximation requires integer edge lengths")
     roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
     if n == 1:
         codes = np.zeros((1, 0), dtype=np.int64)

@@ -27,6 +27,7 @@ from .cubes import CubeSkeleton
 from .embedding import (
     EmbeddingError,
     build_coloured_system,
+    default_constants,
     measure_embedding,
     psi_map,
     quasimedian_defect,
@@ -259,10 +260,16 @@ def cmd_df_check(args) -> int:
     return 0
 
 
-def _coloured(h: HHSInstance, K, L):
+def _coloured(a):
+    """The coloured stage of `psi`, `promote` and `helly`: the instance of
+    --in, K defaulted from its constant (written back to `a.K` for the
+    report), the colouring, the coloured system and psi."""
+    h = HHSInstance.from_dict(load_json(a.inp))
+    if a.K is None:
+        _, a.K = default_constants(h)
     col = find_bbf_colouring(h)
-    cs = build_coloured_system(h, col, K, L)
-    return col, cs, psi_map(cs)
+    cs = build_coloured_system(h, col, a.K, a.L)
+    return h, col, cs, psi_map(cs)
 
 
 def cmd_psi(args) -> int:
@@ -274,12 +281,7 @@ def cmd_psi(args) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
-    h = HHSInstance.from_dict(load_json(a.inp))
-    if a.K is None:
-        from .embedding import default_constants
-
-        _, a.K = default_constants(h)
-    col, cs, psi = _coloured(h, a.K, a.L)
+    h, col, cs, psi = _coloured(a)
     rng = fixtures.rng_from_seed(a.seed, stream=3)
     pairs = _samples(rng, h.n, a.samples, 2)
     triples = _samples(rng, h.n, max(2, a.samples // 2), 3)
@@ -312,12 +314,7 @@ def cmd_promote(args) -> int:
     p.add_argument("--C", type=_positive, default=None)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
-    h = HHSInstance.from_dict(load_json(a.inp))
-    if a.K is None:
-        from .embedding import default_constants
-
-        _, a.K = default_constants(h)
-    col, cs, psi = _coloured(h, a.K, a.L)
+    h, col, cs, psi = _coloured(a)
     trees = [tree_approximate(q) for q in cs.quasitrees]
     pts = sorted({tuple(psi.maps[ci][g] for ci in range(cs.chi)) for g in range(h.n)})
     if a.C is None:
@@ -359,12 +356,7 @@ def cmd_helly(args) -> int:
     p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--out", default=None)
     a = p.parse_args(args)
-    h = HHSInstance.from_dict(load_json(a.inp))
-    if a.K is None:
-        from .embedding import default_constants
-
-        _, a.K = default_constants(h)
-    col, cs, psi = _coloured(h, a.K, a.L)
+    h, col, cs, psi = _coloured(a)
     sets = []
     for uid in sorted(h.domain_ids()):
         pr = product_region(h, uid)

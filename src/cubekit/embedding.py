@@ -6,7 +6,6 @@ quasiisometry constants and quasimedian defect.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,36 +137,19 @@ def psi_map(cs: ColouredSystem) -> PsiImage:
 
 
 def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
-    """chi x m matrix of the distances between us[i][k] and vs[i][k] in the
-    quasitree of colour i (by `TreeIndex` query on a tree).  Raises
-    ProjectionError, as QuasiTreeSpace.dist does, for the first pair (least
-    k, then least colour) that lies in two components."""
-    rows = []
-    for q, u, v in zip(cs.quasitrees, us, vs):
-        if q.tree_index is not None:
-            rows.append(q.tree_index.dist(u, v))
-            continue
-        mat = q.distance_matrix
-        if isinstance(mat, np.ndarray):
-            rows.append(mat[u, v])
-        else:
-            rows.append([mat[a].get(b, -1) for a, b in zip(u.tolist(), v.tolist())])
-    dists = np.array(rows)
+    """chi x m int64 matrix of the distances, in units of 1/scale, between
+    us[i][k] and vs[i][k] in the quasitree of colour i (by `TreeIndex` query
+    on a tree).  Raises ProjectionError, as QuasiTreeSpace.dist does, for the
+    first pair (least k, then least colour) that lies in two components."""
+    dists = np.array([
+        q.tree_index.dist(u, v) if q.tree_index is not None else q.distance_matrix[u, v]
+        for q, u, v in zip(cs.quasitrees, us, vs)
+    ])
     bad = np.argwhere(dists.T < 0)
     if bad.size:
         k, ci = bad[0]
         raise ProjectionError(f"vertices {us[ci][k]},{vs[ci][k]} are in different components")
     return dists
-
-
-def _exact(dists: np.ndarray) -> tuple[np.ndarray, int]:
-    """(int64 values, scale) with dists = values / scale: the lcm of the
-    denominators scales Fraction distances (non-integer L)."""
-    if dists.dtype != object:
-        return dists.astype(np.int64), 1
-    vals = dists.tolist()
-    scale = math.lcm(*(d.denominator for d in vals))
-    return np.array([int(d * scale) for d in vals], dtype=np.int64), scale
 
 
 def _numbers(values: np.ndarray, scale: int) -> list:
@@ -195,7 +177,8 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
     xs, ys = np.array(pairs, dtype=np.int64).T
     maps = [np.asarray(mp) for mp in psi.maps]
     us, vs = [mp[xs] for mp in maps], [mp[ys] for mp in maps]
-    DP, scale = _exact(_quasitree_dists(cs, us, vs).sum(axis=0))  # DG is scaled with DP
+    scale = cs.quasitrees[0].scale  # every colour shares one L
+    DP = _quasitree_dists(cs, us, vs).sum(axis=0)  # DG is scaled with DP
     DG = cs.instance.ambient.pair_distances(xs, ys)
     rows = tuple(zip(zip(xs.tolist(), ys.tolist()), DG.tolist(), _numbers(DP, scale)))
     DGs = DG * scale
@@ -218,10 +201,17 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
 
 def _max_ratio(num: np.ndarray, den: np.ndarray, floor: Fraction) -> Fraction:
     """max(floor, max of num / den), exactly, over aligned int64 arrays with
-    den > 0: the float argmax, moved while int64 cross-multiplication finds a
-    larger ratio, becomes the one Fraction."""
+    num >= 0 and den > 0: the float argmax, moved while int64
+    cross-multiplication finds a larger ratio, becomes the one Fraction.
+    Raises EmbeddingError when a cross product could leave int64."""
     if not num.size:
         return floor
+    top = int(num.max()) * int(den.max())
+    if top > np.iinfo(np.int64).max:
+        raise EmbeddingError(
+            f"exact distance ratios overflow int64: cross products reach {top}; "
+            "a smaller denominator of L keeps them exact"
+        )
     ratio = num / den
     i = int(np.argmax(ratio))
     while (larger := np.flatnonzero(num * den[i] > num[i] * den)).size:
@@ -241,43 +231,20 @@ def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarra
     if q.tree_index is not None:
         return q.tree_index.median(a, b, c), np.zeros(len(a), dtype=bool)
     mat = q.distance_matrix
-    if isinstance(mat, np.ndarray):
 
-        def block(sl):
-            ra, rb, rc = mat[a[sl]], mat[b[sl]], mat[c[sl]]
-            mask = (
-                (ra + rb == mat[a[sl], b[sl]][:, None])
-                & (rb + rc == mat[b[sl], c[sl]][:, None])
-                & (rc + ra == mat[c[sl], a[sl]][:, None])
-            )
-            hits = mask.sum(axis=1)
-            mu = np.where(hits == 1, mask.argmax(axis=1), np.argmin(ra + rb + rc, axis=1))
-            return np.stack([mu, hits != 1])
+    def block(sl):
+        ra, rb, rc = mat[a[sl]], mat[b[sl]], mat[c[sl]]
+        mask = (
+            (ra + rb == mat[a[sl], b[sl]][:, None])
+            & (rb + rc == mat[b[sl], c[sl]][:, None])
+            & (rc + ra == mat[c[sl], a[sl]][:, None])
+        )
+        hits = mask.sum(axis=1)
+        mu = np.where(hits == 1, mask.argmax(axis=1), np.argmin(ra + rb + rc, axis=1))
+        return np.stack([mu, hits != 1])
 
-        mu, flagged = _blockwise(len(a), block)
-        return mu, flagged.astype(bool)
-    # Fraction distances (non-integer L) sit in a dict of dicts: scan per triple
-    mu, flagged = [], []
-    for ta, tb, tc in zip(a.tolist(), b.tolist(), c.tolist()):
-        best = None
-        best_v = -1
-        exact = []
-        for v in range(q.n):
-            da, db, dc = q.dist(ta, v), q.dist(tb, v), q.dist(tc, v)
-            if (
-                da + db == q.dist(ta, tb)
-                and db + dc == q.dist(tb, tc)
-                and dc + da == q.dist(tc, ta)
-            ):
-                exact.append(v)
-            s = da + db + dc
-            if best is None or s < best:
-                best = s
-                best_v = v
-        unique = len(exact) == 1
-        mu.append(exact[0] if unique else best_v)
-        flagged.append(not unique)
-    return np.array(mu, dtype=np.int64), np.array(flagged, dtype=bool)
+    mu, flagged = _blockwise(len(a), block)
+    return mu, flagged.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -295,7 +262,7 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
 
     One `hhs_median` call over all triples gives the instance medians; the
     codomain medians are computed per colour for all triples at once.  The
-    defects stay exact integers (`_exact`) until the report.
+    defects stay exact integers, in units of 1/scale, until the report.
     """
     from .hhs import hhs_median
 
@@ -310,7 +277,8 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
         mus.append(mu)
         if flagged.any():
             fallback.append(ci)
-    defects, scale = _exact(_quasitree_dists(cs, [mp[m] for mp in maps], mus).sum(axis=0))
+    scale = cs.quasitrees[0].scale  # every colour shares one L
+    defects = _quasitree_dists(cs, [mp[m] for mp in maps], mus).sum(axis=0)
     values, counts = np.unique(defects, return_counts=True)
     hist = tuple((str(Fraction(v, scale)), c) for v, c in zip(values.tolist(), counts.tolist()))
     rows = tuple(zip(map(tuple, xyz.tolist()), _numbers(defects, scale)))

@@ -10,12 +10,12 @@ built from one iterative preorder.  It answers lowest common ancestor,
 distance and median queries on vertex arrays by binary lifting, so a caller
 that reads sampled pairs asks it for those pairs (`UnitGraph.pair_distances`)
 and never builds an n x n matrix; its dense form, `distance_matrix`, comes
-from the subtree runs of the same preorder.  Every other integer metric
-(unit graphs that are not trees, quasitrees at integer L) comes from
-`integer_distance_matrix`, Dial's bucketed shortest paths from all sources
-at once.  Connected components come from one labelling over an arc list,
-`arc_component_labels`, and cliques from one Bron-Kerbosch search,
-`maximal_cliques`.  All of it runs on numpy alone.
+from the subtree runs of the same preorder.  Every other metric (unit
+graphs that are not trees, quasitrees with cycles at any L, their lengths
+scaled to integers) comes from `integer_distance_matrix`, Dial's bucketed
+shortest paths from all sources at once.  Connected components come from
+one labelling over an arc list, `arc_component_labels`, and cliques from
+one Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ of pairs whose mutual flat-distances on every other piece stay below K.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -163,8 +163,18 @@ def axes_in_tree_system(tree: UnitGraph, lines: list[list[int]]) -> ProjectionSy
 # the quasitree of metric spaces
 
 
+# Scaled path lengths stay at most 2^40, so int64 holds them exactly with
+# room for the sum of three in a median scan and for sums over up to 2^20
+# colours (3 * 2^60 < 2^63).
+_MAX_SCALED_PATH = 2**40
+
+
 @dataclass(frozen=True)
 class QuasiTreeSpace:
+    """The glued space: piece edges of length 1 and, between the projection
+    sets of each attached pair, edges of length L.  `edges` keeps the exact
+    lengths; every metric query runs on int64 in units of 1/`scale`."""
+
     system: ProjectionSystem
     K: Number
     L: Number
@@ -190,53 +200,38 @@ class QuasiTreeSpace:
         return range(start, start + self.system.pieces[piece].n)
 
     @cached_property
-    def tree_index(self) -> TreeIndex | None:
-        """The `TreeIndex` of the glued space when it is a connected tree and
-        L an integer, else None.  L-edges weigh L; LCAs do not see weights."""
-        if isinstance(self.L, int) and self.connected and len(self.edges) == self.n - 1:
-            return TreeIndex(self.n, self.edges)
-        return None
+    def scale(self) -> int:
+        """The denominator of L.  Distances are held as integers in units of
+        1/scale: a piece edge weighs scale and an L-edge L * scale."""
+        return Fraction(self.L).denominator
 
     @cached_property
-    def distance_matrix(self):
-        """Exact all-pairs distances: an int64 matrix when L is an integer,
-        from the `tree_index` when the glued space is a tree and from
-        `integer_distance_matrix` otherwise (-1 between components); else a
-        dict-of-dict of Fractions via Dijkstra."""
-        if isinstance(self.L, int):
-            if self.tree_index is not None:
-                return self.tree_index.distance_matrix()
-            return integer_distance_matrix(self.n, self.edges)
-        adj: list[list[tuple[int, Number]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        full = {}
-        for src in range(self.n):
-            dist = {src: Fraction(0)}
-            heap = [(Fraction(0), src)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist.get(u, None):
-                    continue
-                for v, w in adj[u]:
-                    nd = d + w
-                    if v not in dist or nd < dist[v]:
-                        dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
-            full[src] = dist
-        return full
+    def tree_index(self) -> TreeIndex | None:
+        """The `TreeIndex` of the glued space, on the scaled weights, when it
+        is a connected tree, else None.  LCAs do not see weights."""
+        if self.connected and len(self.edges) == self.n - 1:
+            return TreeIndex(self.n, self._scaled_edges)
+        return None
+
+    @property
+    def _scaled_edges(self) -> list[tuple[int, int, int]]:
+        return [(u, v, int(w * self.scale)) for u, v, w in self.edges]
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """Exact all-pairs distances in units of 1/scale, int64: from the
+        `tree_index` when the glued space is a tree, else from
+        `integer_distance_matrix` (-1 between components)."""
+        if self.tree_index is not None:
+            return self.tree_index.distance_matrix()
+        return integer_distance_matrix(self.n, self._scaled_edges)
 
     def dist(self, u: int, v: int) -> Number:
-        mat = self.distance_matrix
-        if isinstance(mat, np.ndarray):
-            d = int(mat[u, v])
-            if d < 0:
-                raise ProjectionError(f"vertices {u},{v} are in different components")
-            return d
-        if v not in mat[u]:
+        d = int(self.distance_matrix[u, v])
+        if d < 0:
             raise ProjectionError(f"vertices {u},{v} are in different components")
-        return as_number(mat[u][v])
+        whole, rest = divmod(d, self.scale)
+        return Fraction(d, self.scale) if rest else whole
 
     def to_dict(self) -> dict:
         return {
@@ -256,7 +251,8 @@ class QuasiTreeSpace:
 
 
 def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
-    """Assemble the glued space; refuses K below the system constant."""
+    """Assemble the glued space; refuses K below the system constant and an
+    L whose scaled path lengths exceed `_MAX_SCALED_PATH`."""
     K = as_number(K)
     L = as_number(L)
     if L <= 0:
@@ -267,17 +263,20 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
             "the gluing rule is only meaningful for K >= theta"
         )
     k = s.count
-    offsets = []
-    total = 0
-    piece_of = []
-    for i, p in enumerate(s.pieces):
-        offsets.append(total)
-        piece_of.extend([i] * p.n)
-        total += p.n
-    edges: list[tuple[int, int, Number]] = []
-    for i, p in enumerate(s.pieces):
-        for u, v in p.edges:
-            edges.append((offsets[i] + u, offsets[i] + v, 1))
+    sizes = [p.n for p in s.pieces]
+    offsets = tuple(itertools.accumulate(sizes, initial=0))[:-1]
+    piece_of = tuple(i for i, size in enumerate(sizes) for _ in range(size))
+    total = len(piece_of)
+    reach = (total - 1) * max(Fraction(L).numerator, Fraction(L).denominator)
+    if reach > _MAX_SCALED_PATH:
+        raise QuasitreeParameterError(
+            f"L={L} is out of range: scaled path lengths "
+            f"(n-1)*max(numerator, denominator) = {reach} exceed 2^40, "
+            "the bound that keeps int64 distances and their sums exact"
+        )
+    edges: list[tuple[int, int, Number]] = [
+        (offsets[i] + u, offsets[i] + v, 1) for i, p in enumerate(s.pieces) for u, v in p.edges
+    ]
     attachments = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -290,8 +289,8 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
         system=s,
         K=K,
         L=L,
-        offsets=tuple(offsets),
-        piece_of=tuple(piece_of),
+        offsets=offsets,
+        piece_of=piece_of,
         edges=tuple(edges),
         attachments=tuple(attachments),
         connected=UnitGraph(total, tuple((u, v) for u, v, _ in edges)).is_connected(),

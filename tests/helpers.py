@@ -334,6 +334,19 @@ def oracle_weighted_dists(n, edges, src):
     return dist
 
 
+def oracle_metric(n, edges):
+    """d(u, v) over weighted edges (u, v, w) by `oracle_weighted_dists`, each
+    source's row computed once, on first use; None between components."""
+    rows = {}
+
+    def dist(u, v):
+        if u not in rows:
+            rows[u] = oracle_weighted_dists(n, edges, u)
+        return rows[u][v]
+
+    return dist
+
+
 def oracle_tree_approximate(n, edges, max_roots=64):
     """Shortest-path tree per candidate root, one root at a time.
 

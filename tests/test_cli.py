@@ -154,6 +154,31 @@ def test_instance_without_domains_is_refused_at_colouring(args, tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, fixture, L, cause",
+    [
+        ("psi", ["tree-axes", "--n", "30"], "1/3000000000", "exact distance ratios overflow int64"),
+        ("psi", ["tree-axes", "--n", "30"], "1e-300", f"colour 0: L=1/1{'0' * 300} is out of range"),
+        ("build-quasitree", ["axes-system", "--n", "40"], f"1/1{'0' * 22}", f"L=1/1{'0' * 22} is out of range"),
+    ],
+    ids=["psi-ratio-overflow", "psi-L-1e-300", "build-quasitree-L-1e-22"],
+)
+def test_large_L_denominator_is_refused_with_a_named_cause(command, fixture, L, cause, tmp_path):
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", *fixture, "--out", inp]) == 0
+    flags = ["--samples", "10"] if command == "psi" else ["--K", "3"]
+    # a fresh interpreter under a timeout, since the first case once looped
+    # forever on wrapped int64 cross products
+    run = subprocess.run(
+        [sys.executable, "-m", "cubekit.cli", command, "--in", inp, "--L", L, *flags],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cubekit.__file__).resolve().parents[1])},
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and cause in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 # Every subcommand the benchmark workloads run, on numpy alone: importing
 # cubekit and running them must leave scipy and networkx unimported.
 NUMPY_ONLY = """
@@ -229,7 +254,7 @@ CASES = {
     "psi-tree": ["psi", "--in", "{tree}", "--samples", "40"],
     "psi-spider": ["psi", "--in", "{spider}", "--samples", "40"],
     "psi-lines": ["psi", "--in", "{lines}", "--samples", "20"],
-    # Fraction distances (L = 3/2); colour 0 falls back and one defect is 3/2
+    # L = 3/2: distances in halves (scale 2); colour 0 falls back, one defect is 3/2
     "psi-tree-fraction": ["psi", "--in", "{tree}", "--samples", "40", "--L", "3/2"],
     "promote-tree": ["promote", "--in", "{tree}"],
     "promote-lines": ["promote", "--in", "{lines}"],

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.embedding import (
+    EmbeddingError,
     PsiImage,
     _max_ratio,
     build_coloured_system,
@@ -46,6 +47,7 @@ from helpers import (
     oracle_df_fit,
     oracle_is_tree,
     oracle_kappa,
+    oracle_metric,
     oracle_orbit,
     oracle_set_dist,
 )
@@ -154,6 +156,12 @@ def coloured(h, L):
     return build_coloured_system(h, find_bbf_colouring(h), default_constants(h)[1], L)
 
 
+def quasitree_oracles(cs):
+    """Per colour, the distance of its quasitree from the exact edge lengths
+    of `q.edges` (`oracle_metric`), independent of `QuasiTreeSpace.dist`."""
+    return [oracle_metric(q.n, q.edges) for q in cs.quasitrees]
+
+
 @PROPERTY
 @given(axes_instances(), st.sampled_from([1, Fraction(3, 2)]), st.data())
 def test_quasimedian_defect_matches_the_per_triple_reference(h, L, data):
@@ -163,16 +171,17 @@ def test_quasimedian_defect_matches_the_per_triple_reference(h, L, data):
     report = quasimedian_defect(cs, psi, xyz.tolist())
 
     domains = oracle_domains(h)
+    dists = quasitree_oracles(cs)
     rows, fallback = [], set()
     for t in map(tuple, xyz.tolist()):
         m, _ = oracle_coarse_median(domains, *t)
         defect = Fraction(0)
-        for ci, q in enumerate(cs.quasitrees):
+        for ci, (q, dist) in enumerate(zip(cs.quasitrees, dists)):
             a, b, c = (psi.maps[ci][v] for v in t)
-            mu, flagged = oracle_codomain_median(q.dist, q.n, a, b, c)
+            mu, flagged = oracle_codomain_median(dist, q.n, a, b, c)
             if flagged:
                 fallback.add(ci)
-            defect += q.dist(psi.maps[ci][m], mu)
+            defect += dist(psi.maps[ci][m], mu)
         rows.append((t, defect))
     counts = Counter(d for _, d in rows)
     assert report.triples == tuple(rows)
@@ -225,8 +234,9 @@ def test_measure_embedding_sums_the_colour_distances_per_pair(h, L, data):
     assume(len(pairs) >= 2)
     report = measure_embedding(cs, psi, pairs)
     dist = oracle_all_dists(h.n, h.ambient.edges)
+    qdists = quasitree_oracles(cs)
     expected = [
-        ((x, y), dist[x][y], sum(q.dist(m[x], m[y]) for q, m in zip(cs.quasitrees, psi.maps)))
+        ((x, y), dist[x][y], sum(qd(m[x], m[y]) for qd, m in zip(qdists, psi.maps)))
         for x, y in pairs
     ]
     assert report.samples == tuple(expected)
@@ -243,10 +253,11 @@ def test_measure_embedding_kappa_matches_the_fraction_loop(h, L, data):
     collapsed = PsiImage(tuple(tuple(m[v - v % 2] for v in range(h.n)) for m in psi.maps))
     pairs = random_triples(h, data, 40)[:, :2].tolist() + [[0, 0], [0, 1]]
     dist = oracle_all_dists(h.n, h.ambient.edges)
+    qdists = quasitree_oracles(cs)
     for image in (psi, collapsed):
         report = measure_embedding(cs, image, pairs)
         rows = [
-            ((x, y), dist[x][y], sum(q.dist(m[x], m[y]) for q, m in zip(cs.quasitrees, image.maps)))
+            ((x, y), dist[x][y], sum(qd(m[x], m[y]) for qd, m in zip(qdists, image.maps)))
             for x, y in pairs
         ]
         k_low, k_up, add = oracle_kappa(rows)
@@ -264,6 +275,16 @@ def test_max_ratio_is_the_exact_maximum(pairs, data):
     den = np.array([q for _, q in pairs], dtype=np.int64)
     expected = max([Fraction(1)] + [Fraction(p, q) for p, q in pairs])
     assert _max_ratio(num, den, Fraction(1)) == expected
+
+
+def test_max_ratio_refuses_cross_products_beyond_int64():
+    num = np.array([3, 2**33], dtype=np.int64)
+    den = np.array([2**30, 1], dtype=np.int64)
+    with pytest.raises(EmbeddingError, match="overflow int64"):
+        _max_ratio(num, den, Fraction(1))
+    # at the edge of int64 it still answers exactly
+    den[0] = 2**29
+    assert _max_ratio(num, den, Fraction(1)) == 2**33
 
 
 def test_disconnected_quasitree_names_the_pair():

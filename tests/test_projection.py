@@ -29,6 +29,7 @@ from cubekit.projection import (
     piece_embedding_check,
     verify_projection_axioms,
 )
+from helpers import oracle_metric
 
 
 # --- axiom verification ---------------------------------------------------
@@ -160,7 +161,44 @@ def test_fractional_length():
     s = two_piece_system(4, 4)
     q = build_quasitree(s, K=1, L=Fraction(3, 2))
     assert q.dist(q.global_id(0, 0), q.global_id(1, 0)) == Fraction(3, 2)
-    assert q.tree_index is None
+    # the tree index serves a fractional L too, in units of 1/scale
+    assert q.scale == 2
+    u, v = np.arange(q.n)[:, None], np.arange(q.n)
+    assert (q.tree_index.dist(u, v) == q.distance_matrix).all()
+    dist = oracle_metric(q.n, q.edges)
+    assert all(q.dist(a, b) == dist(a, b) for a in range(q.n) for b in range(q.n))
+
+
+# (system, K): tree quasitrees, then ones with cycles
+QUASITREES = {
+    "two-piece": (lambda: two_piece_system(5, 7, 2, 3), 1),
+    "chain-gated": (lambda: chain_system(6), 0),
+    "chain-cycle": (lambda: chain_system(6), 50),
+    "axes-40": (lambda: random_axes_system(40, 4, seed=0), 6),
+    "axes-30": (lambda: random_axes_system(30, 3, seed=5), 9),
+}
+
+
+@pytest.mark.parametrize("L", [1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)], ids=str)
+@pytest.mark.parametrize("case", list(QUASITREES))
+def test_dist_matches_the_weighted_oracle_at_every_L(case, L):
+    make, K = QUASITREES[case]
+    q = build_quasitree(make(), K=K, L=L)
+    assert (q.tree_index is not None) == case.startswith(("two", "chain-gated"))
+    assert q.scale == Fraction(L).denominator
+    dist = oracle_metric(q.n, q.edges)
+    for a in range(q.n):
+        assert [q.dist(a, b) for b in range(q.n)] == [dist(a, b) for b in range(q.n)]
+
+
+@pytest.mark.parametrize(
+    "L", [Fraction(1, 10**22), 10**22, Fraction(10**22 + 1, 10**22)], ids=["fine", "coarse", "near-1"]
+)
+def test_refuses_L_beyond_exact_int64_distances(L):
+    with pytest.raises(QuasitreeParameterError, match=r"L=.* is out of range"):
+        build_quasitree(two_piece_system(4, 4), K=1, L=L)
+    # the bound is on (n-1) * max(numerator, denominator), the longest scaled path
+    assert build_quasitree(two_piece_system(4, 4), K=1, L=Fraction(1, 2**40 // 7)).scale == 2**40 // 7
 
 
 @pytest.mark.parametrize("L", [1, 2, 5])
