@@ -5,7 +5,6 @@ embedding-and-promotion pipeline between them.
 
 from .graphs import (
     UnitGraph,
-    all_pairs_distances,
     grid_graph,
     hypercube_graph,
     path_graph,
@@ -16,7 +15,6 @@ from .median import (
     check_isometric_subalgebra,
     is_median_graph,
     median_subset_report,
-    median_triple,
 )
 from .cubes import (
     CubeSkeleton,

@@ -319,11 +319,14 @@ def cmd_promote(args) -> int:
     pts = sorted({tuple(psi.maps[ci][g] for ci in range(cs.chi)) for g in range(h.n)})
     if a.C is None:
         a.C = max(
-            sum(
-                int(trees[ci].tree.distance_matrix[psi.maps[ci][u], psi.maps[ci][v]])
-                for ci in range(cs.chi)
-            )
-            for u, v in h.ambient.edges
+            (
+                sum(
+                    int(trees[ci].tree.distance_matrix[psi.maps[ci][u], psi.maps[ci][v]])
+                    for ci in range(cs.chi)
+                )
+                for u, v in h.ambient.edges
+            ),
+            default=1,
         )
         a.C = max(a.C, 1)
     res = promote_to_cube_complex(pts, [t.tree for t in trees], a.C)

@@ -140,16 +140,6 @@ def is_convex(m: MedianAlgebra, S) -> bool:
     return int(space_hull(m.dist, members).sum()) == len(members)
 
 
-def interval_closure(m: MedianAlgebra, S) -> frozenset[int]:
-    """Fixpoint of adding all geodesic intervals between member pairs."""
-    members = set(int(v) for v in S)
-    while True:
-        mask = space_hull(m.dist, members)
-        if int(mask.sum()) == len(members):
-            return frozenset(members)
-        members = set(int(v) for v in np.flatnonzero(mask))
-
-
 def convex_hull(c: CubeSkeleton, S) -> frozenset[int]:
     """Intersection of all halfspaces containing S."""
     members = sorted(set(int(v) for v in S))

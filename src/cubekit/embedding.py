@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hhs import Colouring, HHSInstance, _blockwise
+from .hhs import Colouring, HHSInstance
 from .jsonio import as_number
+from .median import _blockwise, interval_medians
 from .projection import (
     AxiomReport,
     ProjectionError,
@@ -201,22 +202,16 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
 
 def _max_ratio(num: np.ndarray, den: np.ndarray, floor: Fraction) -> Fraction:
     """max(floor, max of num / den), exactly, over aligned int64 arrays with
-    num >= 0 and den > 0: the float argmax, moved while int64
-    cross-multiplication finds a larger ratio, becomes the one Fraction.
-    Raises EmbeddingError when a cross product could leave int64."""
+    num >= 0 and den > 0.  A float ratio of int64 values is within about
+    2^-51 of the exact ratio, so every exact maximum is among the ratios
+    within 2^-40 of the float maximum; their distinct (num, den) pairs are
+    compared as Fractions."""
     if not num.size:
         return floor
-    top = int(num.max()) * int(den.max())
-    if top > np.iinfo(np.int64).max:
-        raise EmbeddingError(
-            f"exact distance ratios overflow int64: cross products reach {top}; "
-            "a smaller denominator of L keeps them exact"
-        )
     ratio = num / den
-    i = int(np.argmax(ratio))
-    while (larger := np.flatnonzero(num * den[i] > num[i] * den)).size:
-        i = int(larger[np.argmax(ratio[larger])])
-    return max(floor, Fraction(int(num[i]), int(den[i])))
+    near = ratio >= ratio.max() * (1 - 2.0**-40)
+    pairs = set(zip(num[near].tolist(), den[near].tolist()))
+    return max(floor, *(Fraction(p, q) for p, q in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +222,21 @@ def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarra
     """Per triple of the aligned arrays a, b, c: the exact graph median of the
     quasitree when the triple has one, else the least-index sum-of-distances
     minimizer, flagged True.  On a tree every triple has one, which
-    `TreeIndex.median` gives; other quasitrees scan interval masks."""
+    `TreeIndex.median` gives; other quasitrees scan intervals by
+    `interval_medians`."""
     if q.tree_index is not None:
         return q.tree_index.median(a, b, c), np.zeros(len(a), dtype=bool)
     mat = q.distance_matrix
+    mu, hits = interval_medians(mat, a, b, c)
+    flagged = hits != 1
+    rows = np.flatnonzero(flagged)
 
-    def block(sl):
-        ra, rb, rc = mat[a[sl]], mat[b[sl]], mat[c[sl]]
-        mask = (
-            (ra + rb == mat[a[sl], b[sl]][:, None])
-            & (rb + rc == mat[b[sl], c[sl]][:, None])
-            & (rc + ra == mat[c[sl], a[sl]][:, None])
-        )
-        hits = mask.sum(axis=1)
-        mu = np.where(hits == 1, mask.argmax(axis=1), np.argmin(ra + rb + rc, axis=1))
-        return np.stack([mu, hits != 1])
+    def least_sum(sl):
+        r = rows[sl]
+        return np.argmin(mat[a[r]] + mat[b[r]] + mat[c[r]], axis=1)
 
-    mu, flagged = _blockwise(len(a), block)
-    return mu, flagged.astype(bool)
+    mu[rows] = _blockwise(len(rows), least_sum)
+    return mu, flagged
 
 
 @dataclass(frozen=True)

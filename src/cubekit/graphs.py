@@ -170,11 +170,6 @@ class UnitGraph:
         return UnitGraph(int(d["n"]), tuple((int(u), int(v)) for u, v in d["edges"]), labels)
 
 
-def all_pairs_distances(g: UnitGraph) -> np.ndarray:
-    """Geodesic edge-count matrix; raises DisconnectedGraphError on disconnected input."""
-    return g.distance_matrix
-
-
 def _preorder(n: int, edges):
     """One iterative preorder, from vertex 0, of the tree with edges (u, v, w):
     int64 arrays order, parent (the root its own), depth, weighted depth,

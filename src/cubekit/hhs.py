@@ -4,6 +4,10 @@ transversality), rho-points, and the battery of checks that goes with
 them: consistency, relevant domains, distance-formula fitting, hierarchy
 paths, product regions, hulls, hierarchical quasiconvexity, colourings,
 and the coarse median.
+
+Tuple consistency has one pass, `_pair_consistency`: `validate_instance`
+runs it over every vertex tuple at once, `check_consistent_tuple` over one
+given tuple.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import UnitGraph
+from .median import BLOCK, _blockwise  # noqa: F401  (BLOCK is re-exported)
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
 
 REL_NESTED = "nested"      # self is strictly nested in other
@@ -46,10 +51,6 @@ class SearchBudgetError(InstanceError):
         )
 
 
-def _setdist(D: np.ndarray, A, B) -> int:
-    return int(D[np.ix_(sorted(A), sorted(B))].min())
-
-
 def _in_range(S, n: int) -> bool:
     return all(0 <= v < n for v in S)
 
@@ -59,18 +60,6 @@ def _setdiam(D: np.ndarray, A) -> int:
     if len(idx) <= 1:
         return 0
     return int(D[np.ix_(idx, idx)].max())
-
-
-# Triples per block wherever a (triples x vertices) array is built: bounds
-# the memory of the batched medians, as median_bulk's cap on mask cells does.
-BLOCK = 128
-
-
-def _blockwise(m: int, fn) -> np.ndarray:
-    """fn(sl) over the consecutive slices sl of range(m), BLOCK rows each,
-    joined along the last axis."""
-    parts = [fn(slice(lo, lo + BLOCK)) for lo in range(0, max(m, 1), BLOCK)]
-    return np.concatenate(parts, axis=-1)
 
 
 def _as_arrays(*vs) -> tuple[bool, list[np.ndarray]]:
@@ -320,71 +309,45 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     # consistency of all vertex tuples, vectorized over the ambient vertex
     cons = 0
     cons_w = None
-    for U, V in itertools.combinations(h.domains, 2):
-        if frozenset((U.id, V.id)) in flagged:
-            continue
-        r = U.rel[V.id]
-        if r == REL_ORTH:
-            continue
-        if r == REL_TRANS:
-            vals = np.minimum(
-                U.setdist[:, sorted(h.rho_of(V, U))].min(axis=1),
-                V.setdist[:, sorted(h.rho_of(U, V))].min(axis=1),
-            )
-        elif r == REL_NESTED:
-            vals = _nested_consistency_all(h, U, V)
-        else:
-            vals = _nested_consistency_all(h, V, U)
-        worst = int(vals.max())
-        if worst > cons:
-            cons = worst
-            cons_w = (int(np.argmax(vals)), U.id, V.id)
+    for U, V, vals in _pair_consistency(h, lambda U: U.setdist, lambda U: U.pi, flagged):
+        if (worst := int(vals.max())) > cons:
+            cons, cons_w = worst, (int(np.argmax(vals)), U.id, V.id)
     findings.append(Finding("tuple-consistency", cons <= h.E, cons, cons_w))
 
     e_min = max(f.measured for f in findings)
     return InstanceDiagnostics(tuple(findings), e_min, all(f.ok for f in findings))
 
 
-def _tuple_consistency(h: HHSInstance, b: dict[str, frozenset[int]]) -> tuple[int, tuple]:
-    """Worst pairwise consistency value of a tuple; (value, (U,V)) pair."""
-    worst = 0
-    worst_pair: tuple = (None, None)
+def _pair_consistency(h: HHSInstance, rows, sets, skip):
+    """(U, V, values) for each pair U, V of domains, in combination order,
+    that is neither in `skip` (a set of frozenset id pairs) nor orthogonal.
+
+    Tuples are indexed by row: rows(U)[t, v] is the distance in U from
+    tuple t's entry to v, and sets(U)[t] is that entry as a vertex set.
+    values[t] is tuple t's consistency value for the pair: for transverse
+    U, V the lesser distance from an entry to the other's rho; for `small`
+    nested in `big` the distance from big's entry to rho(small, big), or,
+    when big has a rho_map to small, the lesser of that and the diameter
+    of small's entry joined with the image of big's entry."""
     for U, V in itertools.combinations(h.domains, 2):
-        r = U.rel[V.id]
-        if r == REL_ORTH:
+        if frozenset((U.id, V.id)) in skip or U.rel[V.id] == REL_ORTH:
             continue
-        if r == REL_TRANS:
-            val = min(
-                _setdist(U.dist, b[U.id], h.rho_of(V, U)),
-                _setdist(V.dist, b[V.id], h.rho_of(U, V)),
+        if U.rel[V.id] == REL_TRANS:
+            vals = np.minimum(
+                rows(U)[:, sorted(h.rho_of(V, U))].min(axis=1),
+                rows(V)[:, sorted(h.rho_of(U, V))].min(axis=1),
             )
-        elif r == REL_NESTED:  # U strictly inside V
-            val = _nested_consistency(h, U, V, b[U.id], b[V.id])
-        else:  # V strictly inside U
-            val = _nested_consistency(h, V, U, b[V.id], b[U.id])
-        if val > worst:
-            worst = val
-            worst_pair = (U.id, V.id)
-    return worst, worst_pair
-
-
-def _nested_consistency(h, small: Domain, big: Domain, b_small, b_big) -> int:
-    first = _setdist(big.dist, b_big, h.rho_of(small, big))
-    if small.id in big.rho_map:
-        mapped = frozenset().union(*(big.rho_map[small.id][v] for v in b_big))
-        second = _setdiam(small.dist, b_small | mapped)
-        return min(first, second)
-    return first
-
-
-def _nested_consistency_all(h, small: Domain, big: Domain) -> np.ndarray:
-    """Nesting-clause consistency value of every vertex tuple, vectorized."""
-    first = big.setdist[:, sorted(h.rho_of(small, big))].min(axis=1)
-    second = np.empty(h.n, dtype=np.int64)
-    for x in range(h.n):
-        mapped = frozenset().union(*(big.rho_map[small.id][v] for v in big.pi[x]))
-        second[x] = _setdiam(small.dist, small.pi[x] | mapped)
-    return np.minimum(first, second)
+        else:
+            small, big = (U, V) if U.rel[V.id] == REL_NESTED else (V, U)
+            vals = rows(big)[:, sorted(h.rho_of(small, big))].min(axis=1)
+            table = big.rho_map.get(small.id)
+            if table is not None:
+                diam = [
+                    _setdiam(small.dist, p.union(*(table[v] for v in q)))
+                    for p, q in zip(sets(small), sets(big))
+                ]
+                vals = np.minimum(vals, diam)
+        yield U, V, vals
 
 
 def check_consistent_tuple(h: HHSInstance, b: dict[str, frozenset[int]], kappa: int):
@@ -394,7 +357,15 @@ def check_consistent_tuple(h: HHSInstance, b: dict[str, frozenset[int]], kappa: 
             raise InstanceError(f"tuple is missing a nonempty entry for {d.id}")
         if _setdiam(d.dist, b[d.id]) > kappa:
             raise InstanceError(f"tuple entry for {d.id} has diameter above kappa")
-    value, pair = _tuple_consistency(h, b)
+    value, pair = 0, (None, None)
+    for U, V, vals in _pair_consistency(
+        h,
+        lambda U: U.dist[sorted(b[U.id])].min(axis=0, keepdims=True),
+        lambda U: (frozenset(b[U.id]),),
+        (),
+    ):
+        if int(vals[0]) > value:
+            value, pair = int(vals[0]), (U.id, V.id)
     return value <= kappa, pair, value
 
 

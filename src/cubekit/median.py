@@ -2,12 +2,15 @@
 and the connectify-and-close procedure.
 
 The median of a triple is realized as the unique vertex in the triple
-intersection of pairwise metric intervals, computed from the distance
-matrix, or factorwise from lowest common ancestors in a product of trees.
-All subset operations are exact fixpoint computations.  The median closure
-runs in semi-naive rounds: each round evaluates only the triples with a
-member new in it, a few thousand per `median_bulk` call, so each triple of
-the result is evaluated once.  Recognition (`is_median_graph`)
+intersection of pairwise metric intervals, or factorwise from lowest common
+ancestors in a product of trees.  `interval_medians` is the one interval
+scan: for aligned triples it gives the least vertex between each pair and
+how many there are, from a distance matrix, in `BLOCK`-row blocks
+(`_blockwise`, the one row-block policy for every (triples x vertices)
+array).  All subset operations are exact fixpoint computations.  The median
+closure runs in semi-naive rounds: each round evaluates only the triples
+with a member new in it, a few thousand per `median_bulk` call, so each
+triple of the result is evaluated once.  Recognition (`is_median_graph`)
 is for graphs of unknown type; a graph whose construction already makes it
 median, such as a promoted closure, is not re-scanned.
 """
@@ -19,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph, all_pairs_distances, component_labels
+from .graphs import UnitGraph, component_labels
 
 
 class MedianError(ValueError):
@@ -42,7 +45,16 @@ def _popcount_rows(a: np.ndarray) -> np.ndarray:
     return table[a].sum(axis=-1)
 
 
-_MASK_CELLS = 1 << 22  # cap on the cells of one interval mask in median_bulk
+# Triples per block wherever a (triples x vertices) array is built: bounds
+# the memory of every batched median.
+BLOCK = 128
+
+
+def _blockwise(m: int, fn) -> np.ndarray:
+    """fn(sl) over the consecutive slices sl of range(m), BLOCK rows each,
+    joined along the last axis."""
+    parts = [fn(slice(lo, lo + BLOCK)) for lo in range(0, max(m, 1), BLOCK)]
+    return np.concatenate(parts, axis=-1)
 
 
 def interval_matrix(D: np.ndarray, x: int) -> np.ndarray:
@@ -50,15 +62,23 @@ def interval_matrix(D: np.ndarray, x: int) -> np.ndarray:
     return D[x][None, :] + D == D[x][:, None]
 
 
-def interval(D: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Boolean mask of vertices on some geodesic from a to b."""
-    return D[a] + D[b] == D[a, b]
+def interval_medians(D: np.ndarray, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """For the aligned vertex arrays a, b, c: per triple, the least vertex
+    lying between each pair (0 when none does) and how many such vertices
+    the distance matrix D has."""
+    a, b, c = (np.asarray(v, dtype=np.int64) for v in (a, b, c))
 
+    def block(sl):
+        ra, rb, rc = a[sl], b[sl], c[sl]
+        Da, Db, Dc = D[ra], D[rb], D[rc]
+        mask = (
+            (Da + Db == D[ra, rb][:, None])
+            & (Db + Dc == D[rb, rc][:, None])
+            & (Da + Dc == D[ra, rc][:, None])
+        )
+        return np.stack([mask.argmax(axis=1), mask.sum(axis=1)])
 
-def median_candidates(D: np.ndarray, x: int, y: int, z: int) -> np.ndarray:
-    """Indices of vertices lying between each pair of {x, y, z}."""
-    mask = interval(D, x, y) & interval(D, y, z) & interval(D, z, x)
-    return np.flatnonzero(mask)
+    return tuple(_blockwise(len(b), block))
 
 
 def is_median_graph(g: UnitGraph) -> tuple[bool, tuple[int, int, int] | None]:
@@ -109,8 +129,8 @@ class MedianAlgebra:
     def from_graph(g: UnitGraph) -> "MedianAlgebra":
         ok, witness = is_median_graph(g)
         if not ok:
-            counts = len(median_candidates(g.distance_matrix, *witness))
-            raise NotMedianGraphError(witness, counts)
+            _, count = interval_medians(g.distance_matrix, *np.array(witness)[:, None])
+            raise NotMedianGraphError(witness, int(count[0]))
         from . import cubes  # rank is a hyperplane quantity; lazy to avoid a cycle
 
         rank = cubes.crossing_dimension(g)
@@ -122,7 +142,7 @@ class MedianAlgebra:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        return all_pairs_distances(self.graph)
+        return self.graph.distance_matrix
 
     def toward(self, u: int, v: int) -> int:
         return self.graph.toward(u, v)
@@ -132,40 +152,19 @@ class MedianAlgebra:
         return self.dist[np.ix_(idx, idx)]
 
     def median(self, x: int, y: int, z: int) -> int:
-        cand = median_candidates(self.dist, x, y, z)
-        if cand.size != 1:
-            raise NotMedianGraphError((x, y, z), int(cand.size))
-        return int(cand[0])
+        return int(self.median_bulk(x, [y], z)[0])
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr, vectorized; `a` and `c`
         are each a vertex or an array aligned with b_arr."""
-        D = self.dist
         b_arr = np.asarray(b_arr, dtype=np.int64)
         a, c = (np.broadcast_to(np.asarray(x, dtype=np.int64), b_arr.shape) for x in (a, c))
-        meds = np.empty(b_arr.shape, dtype=np.int64)
-        step = max(1, _MASK_CELLS // self.n)  # rows per chunk of |rows| x n masks
-        for lo in range(0, len(b_arr), step):
-            ra, rb, rc = a[lo : lo + step], b_arr[lo : lo + step], c[lo : lo + step]
-            Da, Db, Dc = D[ra], D[rb], D[rc]
-            combined = (
-                (Da + Db == D[ra, rb][:, None])
-                & (Db + Dc == D[rb, rc][:, None])
-                & (Da + Dc == D[ra, rc][:, None])
-            )
-            counts = combined.sum(axis=1)
-            if (counts != 1).any():
-                bad = int(np.flatnonzero(counts != 1)[0])
-                raise NotMedianGraphError(
-                    (int(ra[bad]), int(rb[bad]), int(rc[bad])), int(counts[bad])
-                )
-            meds[lo : lo + step] = np.argmax(combined, axis=1)
+        meds, counts = interval_medians(self.dist, a, b_arr, c)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            i = bad[0]
+            raise NotMedianGraphError((int(a[i]), int(b_arr[i]), int(c[i])), int(counts[i]))
         return meds
-
-
-def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
-    """The unique vertex between each pair of {x, y, z}."""
-    return m.median(x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,8 @@ def median_triple(m: MedianAlgebra, x: int, y: int, z: int) -> int:
 # distance matrix of a vertex list; median_bulk(a, b_arr, c) takes a 1-D
 # array b_arr, with `a` and `c` each a vertex or an array aligned with b_arr,
 # and row i of its result is m(a[i], b_arr[i], c[i]).  MedianAlgebra reads
-# all three off its graph's distance matrix (median_bulk by interval masks);
+# all three off its graph's distance matrix (median_bulk by the one interval
+# scan, `interval_medians`, in `BLOCK`-row blocks);
 # applications.TreeProduct works factorwise, with the median the XOR of the
 # three pairwise lowest common ancestors (graphs.TreeIndex.median), read
 # from a dense table of each factor's TreeIndex.lca.  A lone tree needs no

@@ -224,6 +224,39 @@ def oracle_set_dist(dist, A, B):
     return min(dist[a][b] for a in A for b in B)
 
 
+def oracle_tuple_consistency(domains, b):
+    """[(u, v, value)] for each pair of domain ids u before v whose domains
+    are not orthogonal, value the consistency of the tuple b (id -> vertex set).
+
+    `domains` maps each id, in domain order, to (dist, rel, rho, rho_map),
+    dist a list of lists.  Transverse u, v: the lesser distance from an entry
+    to the other's rho.  `small` nested in `big`: the distance from big's
+    entry to rho(small, big), or, when big has a rho_map to small, the lesser
+    of that and the diameter of small's entry joined with big's entry's image.
+    """
+
+    def to_rho(src, dst):  # distance in dst from b's entry to rho(src, dst)
+        return oracle_set_dist(domains[dst][0], b[dst], domains[src][2][dst])
+
+    out = []
+    for u, v in combinations(domains, 2):
+        rel = domains[u][1][v]
+        if rel == "orth":
+            continue
+        if rel == "trans":
+            value = min(to_rho(v, u), to_rho(u, v))
+        else:
+            small, big = (u, v) if rel == "nested" else (v, u)
+            value = to_rho(small, big)
+            rows = domains[big][3].get(small)
+            if rows is not None:
+                entry = set(b[small]).union(*(rows[w] for w in b[big]))
+                dist = domains[small][0]
+                value = min(value, max(dist[p][q] for p in entry for q in entry))
+        out.append((u, v, value))
+    return out
+
+
 def oracle_coarse_median(domains, x, y, z):
     """Coarse median of an ambient triple, one triple at a time.
 

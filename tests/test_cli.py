@@ -131,6 +131,24 @@ def test_promote_C_must_be_a_positive_integer(C, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "fixture",
+    [["product-lines", "--n", "1"], ["spider-axes", "--legs", "2", "--leg-length", "0"]],
+    ids=["product-lines-1", "spider-legs-0"],
+)
+def test_promote_on_an_ambient_graph_without_edges(fixture, tmp_path, capsys):
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", *fixture, "--out", inp]) == 0
+    capsys.readouterr()
+    # the default C has no ambient edge to measure; it is 1, not an empty max()
+    assert main(["promote", "--in", inp]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["C"] == 1
+    assert report["skeleton"] == {
+        "dimension": 0, "graph": {"edges": [], "n": 1}, "halfspaces": [], "hyperplanes": []
+    }
+
+
 @pytest.mark.parametrize("legs", ["0", "-2", "1", "3"])
 def test_spider_fixture_needs_an_even_number_of_legs_from_2(legs, capsys):
     # zero legs would write an instance with no domains
@@ -157,26 +175,41 @@ def test_instance_without_domains_is_refused_at_colouring(args, tmp_path, capsys
 @pytest.mark.parametrize(
     "command, fixture, L, cause",
     [
-        ("psi", ["tree-axes", "--n", "30"], "1/3000000000", "exact distance ratios overflow int64"),
         ("psi", ["tree-axes", "--n", "30"], "1e-300", f"colour 0: L=1/1{'0' * 300} is out of range"),
         ("build-quasitree", ["axes-system", "--n", "40"], f"1/1{'0' * 22}", f"L=1/1{'0' * 22} is out of range"),
     ],
-    ids=["psi-ratio-overflow", "psi-L-1e-300", "build-quasitree-L-1e-22"],
+    ids=["psi-L-1e-300", "build-quasitree-L-1e-22"],
 )
 def test_large_L_denominator_is_refused_with_a_named_cause(command, fixture, L, cause, tmp_path):
     inp = str(tmp_path / "fixture.json")
     assert main(["gen-fixture", *fixture, "--out", inp]) == 0
     flags = ["--samples", "10"] if command == "psi" else ["--K", "3"]
-    # a fresh interpreter under a timeout, since the first case once looped
-    # forever on wrapped int64 cross products
-    run = subprocess.run(
-        [sys.executable, "-m", "cubekit.cli", command, "--in", inp, "--L", L, *flags],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(cubekit.__file__).resolve().parents[1])},
-    )
+    run = _fresh_cli([command, "--in", inp, "--L", L, *flags])
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr.startswith("error: ") and cause in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_psi_at_a_large_L_denominator_is_exact_and_deterministic(tmp_path):
+    # cross products of the scaled distances pass int64 here; the exact
+    # maximum ratio is still found, the same in two fresh interpreters
+    inp = str(tmp_path / "fixture.json")
+    assert main(["gen-fixture", "tree-axes", "--n", "30", "--out", inp]) == 0
+    runs = [_fresh_cli(["psi", "--in", inp, "--L", "1/3000000000", "--samples", "10"])
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["config"]["L"] == [1, 3000000000]
+
+
+def _fresh_cli(args):
+    """The CLI in a fresh interpreter, under a timeout, since a large L once
+    looped forever on wrapped int64 cross products."""
+    return subprocess.run(
+        [sys.executable, "-m", "cubekit.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cubekit.__file__).resolve().parents[1])},
+    )
 
 
 # Every subcommand the benchmark workloads run, on numpy alone: importing

@@ -8,7 +8,6 @@ from cubekit.cubes import (
     helly_intersection,
     hull_neighbourhood_check,
     hyperplane_decomposition,
-    interval_closure,
     is_convex,
 )
 from cubekit.graphs import grid_graph, hypercube_graph, path_graph, random_tree
@@ -91,7 +90,6 @@ def test_hull_equals_interval_closure_random():
     for _ in range(15):
         k = int(rng.integers(1, 5))
         S = [int(v) for v in rng.choice(20, size=k, replace=False)]
-        assert convex_hull(skel, S) == interval_closure(skel.median, S)
         assert convex_hull(skel, S) == frozenset(
             oracle_interval_closure(20, skel.graph.edges, S)
         )

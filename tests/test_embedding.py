@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.embedding import (
-    EmbeddingError,
     PsiImage,
     _max_ratio,
     build_coloured_system,
@@ -277,14 +276,32 @@ def test_max_ratio_is_the_exact_maximum(pairs, data):
     assert _max_ratio(num, den, Fraction(1)) == expected
 
 
-def test_max_ratio_refuses_cross_products_beyond_int64():
-    num = np.array([3, 2**33], dtype=np.int64)
-    den = np.array([2**30, 1], dtype=np.int64)
-    with pytest.raises(EmbeddingError, match="overflow int64"):
-        _max_ratio(num, den, Fraction(1))
-    # at the edge of int64 it still answers exactly
-    den[0] = 2**29
-    assert _max_ratio(num, den, Fraction(1)) == 2**33
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(2**53, 2**62), st.integers(2**53, 2**62)), max_size=8), st.data())
+def test_max_ratio_is_exact_beyond_two_to_the_53(pairs, data):
+    # (b + k) / (b + k - 1) and (b + 1) / b tie in floating point near 1 + 1/b
+    b = data.draw(st.integers(2**53, 2**62))
+    pairs += [(b + k, b + k - 1) for k in data.draw(st.lists(st.integers(0, 3), max_size=3))]
+    pairs += [(b + 1, b)]
+    num = np.array([p for p, _ in pairs], dtype=np.int64)
+    den = np.array([q for _, q in pairs], dtype=np.int64)
+    expected = max([Fraction(1)] + [Fraction(p, q) for p, q in pairs])
+    assert _max_ratio(num, den, Fraction(1)) == expected
+
+
+def test_max_ratio_compares_cross_products_beyond_int64():
+    # three ratios that are all 1.0 in floating point; the last is the largest
+    num = np.array([2**60 + 1, 2**60 + 3, 2**60], dtype=np.int64)
+    den = np.array([2**60, 2**60 + 2, 2**60 - 1], dtype=np.int64)
+    assert _max_ratio(num, den, Fraction(1)) == Fraction(2**60, 2**60 - 1)
+    # here the float maximum is the second ratio, the exact one the first
+    num = np.array([3086372285490380906, 3086372285490383755], dtype=np.int64)
+    den = np.array([3086372285490380682, 3086372285490383569], dtype=np.int64)
+    assert (num / den).argmax() == 1
+    assert _max_ratio(num, den, Fraction(1)) == Fraction(int(num[0]), int(den[0]))
+    num = np.array([3, 2**62], dtype=np.int64)
+    den = np.array([2**61, 1], dtype=np.int64)
+    assert _max_ratio(num, den, Fraction(1)) == 2**62
 
 
 def test_disconnected_quasitree_names_the_pair():

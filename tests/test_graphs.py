@@ -13,7 +13,6 @@ from cubekit.graphs import (
     GraphError,
     TreeIndex,
     UnitGraph,
-    all_pairs_distances,
     are_isomorphic,
     complete_bipartite_graph,
     cycle_graph,
@@ -30,18 +29,18 @@ from helpers import oracle_all_dists, oracle_lca, oracle_medians_of, oracle_root
 
 
 def test_path_distance():
-    d = all_pairs_distances(path_graph(3))
+    d = path_graph(3).distance_matrix
     assert d[0, 2] == 2 and d[2, 0] == 2 and d[1, 1] == 0
 
 
 def test_single_vertex():
-    d = all_pairs_distances(UnitGraph(1, ()))
+    d = UnitGraph(1, ()).distance_matrix
     assert d.shape == (1, 1) and d[0, 0] == 0
 
 
 def test_cube_antipodal_matches_bfs_oracle():
     g = hypercube_graph(3)
-    d = all_pairs_distances(g)
+    d = g.distance_matrix
     oracle = oracle_all_dists(g.n, g.edges)
     assert (d == np.array(oracle)).all()
     assert d[0, 7] == 3
@@ -49,7 +48,7 @@ def test_cube_antipodal_matches_bfs_oracle():
 
 def test_distance_matrix_symmetric_zero_diagonal():
     for g in [grid_graph(3, 4), cycle_graph(7), spider_graph(3, 2)]:
-        d = all_pairs_distances(g)
+        d = g.distance_matrix
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
 
@@ -57,7 +56,7 @@ def test_distance_matrix_symmetric_zero_diagonal():
 def test_disconnected_raises_with_witness():
     g = UnitGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(DisconnectedGraphError) as exc:
-        all_pairs_distances(g)
+        g.distance_matrix
     assert {exc.value.u, exc.value.v} <= {0, 1, 2, 3}
 
 

@@ -36,10 +36,14 @@ from cubekit.hhs import (
     theta_hull,
     unparametrised_qg_on_metric,
     validate_instance,
-    _nested_consistency,
-    _nested_consistency_all,
 )
-from helpers import grid_v, lex_geodesic, oracle_unparam_qg
+from helpers import (
+    grid_v,
+    lex_geodesic,
+    oracle_all_dists,
+    oracle_tuple_consistency,
+    oracle_unparam_qg,
+)
 
 
 @pytest.fixture(scope="module")
@@ -582,9 +586,40 @@ def nested_pairs(draw):
     return HHSInstance(ambient, (small, big), 0)
 
 
+def check_tuple_consistency(h):
+    """check_consistent_tuple on every vertex tuple, and validate_instance's
+    tuple-consistency finding (value and witness), against the oracle."""
+    domains = {
+        d.id: (oracle_all_dists(d.space.n, d.space.edges), d.rel, d.rho, d.rho_map)
+        for d in h.domains
+    }
+    tuples = [{d.id: d.pi[x] for d in h.domains} for x in range(h.n)]
+    found = [oracle_tuple_consistency(domains, b) for b in tuples]
+    for b, pairs in zip(tuples, found):
+        value = max((val for _, _, val in pairs), default=0)
+        pair = next(((u, v) for u, v, val in pairs if val == value > 0), (None, None))
+        assert check_consistent_tuple(h, b, 10**6) == (True, pair, value)
+    # validate names the first pair reaching the worst value, at its least vertex
+    worst, witness = 0, None
+    for k, (u, v, _) in enumerate(found[0]):
+        column = [pairs[k][2] for pairs in found]
+        if max(column) > worst:
+            worst = max(column)
+            witness = (column.index(worst), u, v)
+    finding = next(f for f in validate_instance(h).findings if f.check == "tuple-consistency")
+    assert (finding.measured, finding.witness) == (worst, witness)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(nested_pairs())
-def test_nested_consistency_of_all_vertices_matches_the_per_tuple_value(h):
-    small, big = h.domains
-    loop = [_nested_consistency(h, small, big, small.pi[x], big.pi[x]) for x in range(h.n)]
-    assert _nested_consistency_all(h, small, big).tolist() == loop
+def test_tuple_consistency_of_nested_pairs_matches_the_oracle(h):
+    check_tuple_consistency(h)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: spider_with_axes(6, 8), lambda: tree_with_axes(20, 3, seed=5)],
+    ids=["spider", "tree-axes"],
+)
+def test_tuple_consistency_of_fixtures_matches_the_oracle(make):
+    check_tuple_consistency(make())

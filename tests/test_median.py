@@ -13,6 +13,7 @@ from cubekit.graphs import (
     random_tree,
 )
 from cubekit.median import (
+    BLOCK,
     MedianAlgebra,
     MedianError,
     NotMedianGraphError,
@@ -20,11 +21,10 @@ from cubekit.median import (
     closure_of,
     connectify_and_close_in,
     is_median_closed,
+    interval_medians,
     is_median_graph,
-    median_candidates,
     median_defect,
     median_subset_report,
-    median_triple,
 )
 from helpers import grid_v, oracle_all_dists, oracle_closure, oracle_is_median, oracle_medians_of
 
@@ -93,14 +93,14 @@ def test_agrees_with_oracle_random():
 
 def test_path_midpoint():
     m = MedianAlgebra.from_graph(path_graph(3))
-    assert median_triple(m, 0, 1, 2) == 1
+    assert m.median(0, 1, 2) == 1
 
 
 def test_absorption_everywhere(grid33):
     # m(x, x, y) = x for all pairs
     for x in range(grid33.n):
         for y in range(grid33.n):
-            assert median_triple(grid33, x, x, y) == x
+            assert grid33.median(x, x, y) == x
 
 
 def test_cube_median_frozen_from_bruteforce():
@@ -109,16 +109,16 @@ def test_cube_median_frozen_from_bruteforce():
     meds = oracle_medians_of(dist, 4, 2, 1)  # bitmasks 100, 010, 001
     assert meds == [0]
     m = MedianAlgebra.from_graph(g)
-    assert median_triple(m, 4, 2, 1) == 0
+    assert m.median(4, 2, 1) == 0
 
 
 def test_median_symmetry(grid55):
     rng = np.random.default_rng(1)
     for _ in range(60):
         x, y, z = (int(v) for v in rng.integers(0, grid55.n, size=3))
-        base = median_triple(grid55, x, y, z)
+        base = grid55.median(x, y, z)
         for p in itertools.permutations((x, y, z)):
-            assert median_triple(grid55, *p) == base
+            assert grid55.median(*p) == base
 
 
 def test_median_one_lipschitz(grid55):
@@ -127,8 +127,8 @@ def test_median_one_lipschitz(grid55):
     D = grid55.dist
     for _ in range(120):
         a, b, y, z = (int(v) for v in rng.integers(0, grid55.n, size=4))
-        my = median_triple(grid55, a, b, y)
-        mz = median_triple(grid55, a, b, z)
+        my = grid55.median(a, b, y)
+        mz = grid55.median(a, b, z)
         assert D[my, mz] <= D[y, z]
 
 
@@ -179,10 +179,11 @@ def test_median_closed_witness_is_least_a_then_c_then_b():
 def test_median_bulk_broadcasts_a_and_c(grid55):
     rng = np.random.default_rng(4)
     a, b, c = (rng.integers(0, grid55.n, size=30) for _ in range(3))
-    expected = [median_triple(grid55, *t) for t in zip(a, b, c)]
-    assert grid55.median_bulk(a, b, c).tolist() == expected
-    assert grid55.median_bulk(int(a[0]), b, c).tolist() == [
-        median_triple(grid55, int(a[0]), y, z) for y, z in zip(b, c)
+    D = grid55.dist
+    expected = [oracle_medians_of(D, *t) for t in zip(a, b, c)]
+    assert [[m] for m in grid55.median_bulk(a, b, c).tolist()] == expected
+    assert [[m] for m in grid55.median_bulk(int(a[0]), b, c).tolist()] == [
+        oracle_medians_of(D, int(a[0]), y, z) for y, z in zip(b, c)
     ]
 
 
@@ -191,6 +192,32 @@ def test_median_bulk_on_a_non_median_graph_names_the_triple():
     with pytest.raises(NotMedianGraphError) as err:
         m.median_bulk(np.array([0, 2]), np.array([0, 3]), np.array([2, 4]))
     assert err.value.witness == (2, 3, 4) and err.value.count == 2
+
+
+@pytest.mark.parametrize("g", [complete_bipartite_graph(2, 3), cycle_graph(5)], ids=["K23", "C5"])
+def test_from_graph_refusal_counts_the_witness_medians(g):
+    with pytest.raises(NotMedianGraphError) as err:
+        MedianAlgebra.from_graph(g)
+    dist = oracle_all_dists(g.n, g.edges)
+    assert err.value.count == len(oracle_medians_of(dist, *err.value.witness)) != 1
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "graph",
+    [grid_graph(3, 4), hypercube_graph(3), random_tree(9, np.random.default_rng(3)),
+     complete_bipartite_graph(2, 3), cycle_graph(5)],
+    ids=["grid", "cube", "tree", "K23", "C5"],
+)
+def test_interval_medians_match_the_oracle(graph, size):
+    # past one triple, C5 gives triples with no median and K23 ones with two
+    dist = oracle_all_dists(graph.n, graph.edges)
+    rng = np.random.default_rng(size)
+    a, b, c = (rng.integers(0, graph.n, size=size) for _ in range(3))
+    least, count = interval_medians(np.array(dist), a, b, c)
+    meds = [oracle_medians_of(dist, *t) for t in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert count.tolist() == [len(m) for m in meds]
+    assert least.tolist() == [m[0] if m else 0 for m in meds]
 
 
 def test_closure_of_empty_raises(grid33):
@@ -223,7 +250,7 @@ def test_boundary_cycle_not_0_median(grid55):
     D = grid55.dist
     worst = 0
     for x, y, z in itertools.combinations(boundary, 3):
-        med = int(median_candidates(D, x, y, z)[0])
+        med = oracle_medians_of(D, x, y, z)[0]
         worst = max(worst, int(D[med, boundary].min()))
     assert rep.minimal_M == worst > 0
 
