@@ -19,7 +19,7 @@ from .cubes import (
     hyperplane_decomposition,
 )
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
-from .graphs import TreeIndex, UnitGraph, maximal_cliques
+from .graphs import UnitGraph, maximal_cliques, tree_metrics
 from .hhs import HHSInstance, space_hull
 from .median import MedianAlgebra, connectify_and_close_in
 from .projection import QuasiTreeSpace
@@ -236,16 +236,18 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     only row r of the distance matrix, not a visit order, so one numpy pass
     over the arcs (v <- u, w) sorted by (v, u, w) finds the parents for all
     roots at once.  Roots with the same edge set share their scores, so each
-    distinct tree is scored once, under its least root, on the metric of its
-    `TreeIndex`.  The winner minimizes (additive, multiplicative,
-    root).  Both are two-sided, since td, the unit tree's metric, can fall
-    below d, the quasitree's, once an edge weighs more than 1: additive =
-    max |td - d| and multiplicative = max(td / d, d / td) over d > 0, a float
-    ratio rounded by `limit_denominator(10**6)`.  At L = 1 the tree is a
-    subgraph of a unit-weight graph, so td >= d.  Distortion is reported,
-    never assumed.  The returned tree carries td and its index as its
-    `distance_matrix` and `tree_index`, so the Helly experiment,
-    `TreeProduct` and the promote C default do not compute them again.
+    distinct tree is scored once, under its least root (`np.unique` over the
+    rows of sorted edge codes, each row one opaque value), on a metric from
+    the batched `tree_metrics`.  The winner minimizes (additive,
+    multiplicative, root).  Both are two-sided, since td, the unit tree's
+    metric, can fall below d, the quasitree's, once an edge weighs more than
+    1: additive = max |td - d| and multiplicative = max(td / d, d / td) over
+    d > 0, a float ratio rounded by `limit_denominator(10**6)`.  At L = 1 the
+    tree is a subgraph of a unit-weight graph, so td >= d.  Distortion is
+    reported, never assumed.  Only the winner's td is kept: the returned
+    tree carries it as its cached `distance_matrix` (int32), so the Helly
+    experiment, `TreeProduct` and the promote C default do not compute it
+    again; its `tree_index` is built on first use.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
@@ -254,9 +256,8 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     n = q.n
     mat = q.distance_matrix
     roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
-    if n == 1:
-        codes = np.zeros((1, 0), dtype=np.int64)
-    else:
+    parent = np.zeros((len(roots), n), dtype=np.int64)
+    if n > 1:
         u, v, w = np.array([(a, b, int(c)) for a, b, c in q.edges], dtype=np.int64).T
         head, tail, w = np.r_[v, u], np.r_[u, v], np.r_[w, w]
         order = np.lexsort((w, tail, head))
@@ -269,28 +270,33 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
         pos = np.where(ok, np.arange(len(head)), len(head))
         first = np.minimum.reduceat(pos, np.searchsorted(head, np.arange(n)), axis=1)
         parent = np.append(tail, -1)[first]
-        child = np.arange(n)
-        codes = np.minimum(child, parent) * n + np.maximum(child, parent)
-        codes[parent < 0] = n * n
-        codes = np.sort(codes, axis=1)[:, :-1]
-    _, distinct = np.unique(codes, axis=0, return_index=True)
-    best = None
-    for i in distinct.tolist():
-        lo, hi = np.divmod(codes[i], n)
-        index = TreeIndex(n, [(a, b, 1) for a, b in zip(lo.tolist(), hi.tolist())])
-        td = index.distance_matrix()
-        add = int(np.abs(td - mat).max())
-        ratio = np.where(mat > 0, np.maximum(td, mat) / np.maximum(np.minimum(td, mat), 1), 1.0)
-        mult = Fraction(ratio.max()).limit_denominator(10**6)
-        if best is None or (add, mult, int(roots[i])) < best[:3]:
-            best = (add, mult, int(roots[i]), i, td, index)
-    add, mult, root, i, td, index = best
-    lo, hi = np.divmod(codes[i], n)
+    parent[np.arange(len(roots)), roots] = roots  # a root is its own parent
+    child = np.arange(n)
+    codes = np.minimum(child, parent) * n + np.maximum(child, parent)
+    codes[parent == child] = n * n  # the root's sentinel sorts last
+    codes = np.sort(codes, axis=1)
+    rows = codes.view(np.dtype((np.void, codes.itemsize * n)))[:, 0]
+    distinct = np.unique(rows, return_index=True)[1]
+    gap = np.empty((n, n), dtype=np.int64)  # td - d, for each candidate in turn
+    best, tds = None, (td for block in tree_metrics(parent[distinct]) for td in block)
+    for i, td in zip(distinct.tolist(), tds):
+        np.subtract(td, mat, out=gap)
+        add = int(max(gap.max(), -gap.min()))
+        if best is not None and add > best[0][0]:
+            continue  # only a tree of least additive distortion can win
+        mult = Fraction(1)  # td = d when add = 0
+        if add:
+            # max(td, d) / max(min(td, d), 1) is (|td - d| + least) / least
+            least = np.maximum(np.minimum(td, mat), 1)
+            np.abs(gap, out=gap)
+            gap += least
+            mult = Fraction((gap / least).max()).limit_denominator(10**6)
+        if best is None or (add, mult, int(roots[i])) < best[0]:
+            best = ((add, mult, int(roots[i])), i, td)
+    (add, mult, root), i, td = best
+    lo, hi = np.divmod(codes[i, :-1], n)
     tree = UnitGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
-    # the winner's metric and index come with its tree: they fill the caches
-    # of the cached properties, so no consumer of the tree computes them again
-    vars(tree)["distance_matrix"] = td.astype(np.int32)
-    vars(tree)["tree_index"] = index
+    vars(tree)["distance_matrix"] = td  # fills the cached property
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
 
 

@@ -4,18 +4,19 @@ Vertices are integers 0..n-1.  Distances are geodesic edge counts, computed
 once per graph and cached.  Construction rejects loops and multi-edges;
 connectivity is enforced wherever a metric is needed.
 
-Every tree of the package (unit graphs that are trees, quasitrees that are
-trees, candidate approximating trees) is served by one table, `TreeIndex`,
-built from one iterative preorder.  It answers lowest common ancestor,
-distance and median queries on vertex arrays by binary lifting, so a caller
-that reads sampled pairs asks it for those pairs (`UnitGraph.pair_distances`)
-and never builds an n x n matrix; its dense form, `distance_matrix`, comes
-from the subtree runs of the same preorder.  Every other metric (unit
-graphs that are not trees, quasitrees with cycles at any L, their lengths
-scaled to integers) comes from `integer_distance_matrix`, Dial's bucketed
-shortest paths from all sources at once.  Connected components come from
-one labelling over an arc list, `arc_component_labels`, and cliques from
-one Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
+Every single tree of the package (unit graphs and quasitrees that are trees)
+is served by one table, `TreeIndex`, built from one iterative preorder.  It
+answers lowest common ancestor, distance and median queries on vertex arrays
+by binary lifting, so a caller that reads sampled pairs asks it for those
+pairs (`UnitGraph.pair_distances`) and never builds an n x n matrix; its
+dense form, `distance_matrix`, comes from the subtree runs of the same
+preorder.  Candidate trees, given by parent arrays, get their metrics in
+batches from `tree_metrics`.  Every other metric (unit graphs that are not
+trees, quasitrees with cycles at any L, their lengths scaled to integers)
+comes from `integer_distance_matrix`, Dial's bucketed shortest paths from
+all sources at once.  Connected components come from one labelling over an
+arc list, `arc_component_labels`, and cliques from one Bron-Kerbosch search,
+`maximal_cliques`.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -278,6 +279,44 @@ class TreeIndex:
         R[leaf] = R[self.parent[leaf]] + up[leaf, None]
         R[leaf, self.pos[leaf]] = 0
         return R[:, self.pos]
+
+
+def tree_metrics(parent):
+    """Unit-weight metrics of trees on 0..n-1 given by parent arrays (t x n,
+    a root its own parent): int32 (c, n, n) blocks of consecutive trees, at
+    most `median.BLOCK` ** 2 cells or one tree each.  Pointer doubling
+    (A[v] |= A[J[v]], J = J[J]) gives each vertex its ancestor set A[v],
+    itself included.  A root's row is the depth; seen from a child v of p,
+    x is one step farther than from p, or one nearer below v: row(v) =
+    row(p) + 1 - 2 [v in A[x]], filled one depth level (a slice of the rows
+    sorted by depth) at a time across the block.
+    """
+    from .median import BLOCK  # median imports this module
+
+    parent = np.asarray(parent, dtype=np.int64)
+    t, n = parent.shape
+    per = max(1, BLOCK * BLOCK // (n * n))
+    for P in np.split(parent, range(per, t, per)):
+        c = len(P)
+        g = (P + n * np.arange(c)[:, None]).ravel()  # parents as flat row ids
+        v = np.arange(c * n)
+        A = np.zeros((c * n, n), dtype=bool)
+        A[v, v % n] = A[v, g % n] = True
+        J = g
+        while (J[J] != J).any():
+            A |= A[J]
+            J = J[J]
+        depth = A.sum(axis=1)  # one more than the depth: the c roots sort first
+        order = np.argsort(depth, kind="stable")
+        rank = np.argsort(order)
+        up = rank[g[order]]
+        below = A.reshape(c, n, n).transpose(0, 2, 1).reshape(c * n, n)  # v in A[x]
+        R = np.where(below[order], np.int32(-1), np.int32(1))
+        R[:c] = depth.reshape(c, n) - 1
+        cuts = np.searchsorted(depth[order], np.arange(2, depth.max() + 2)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            R[a:b] += R[up[a:b]]
+        yield R[rank].reshape(c, n, n)
 
 
 def integer_distance_matrix(n: int, edges) -> np.ndarray:

@@ -82,5 +82,10 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in the file at `path`, the top level of every input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        kind = {list: "an array", str: "a string"}.get(type(data), "a scalar")
+        raise ValueError(f"{path} holds {kind}, not a JSON object")
+    return data

@@ -26,9 +26,9 @@ from cubekit.embedding import (
     psi_map,
 )
 from cubekit.fixtures import identity_instance, tree_with_axes
-from cubekit.graphs import DisconnectedGraphError, UnitGraph, path_graph, random_tree
+from cubekit.graphs import DisconnectedGraphError, UnitGraph, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
-from cubekit.median import ConnectifyResult
+from cubekit.median import BLOCK, ConnectifyResult
 from cubekit.projection import ProjectionSystem, build_quasitree
 from helpers import oracle_tree_approximate
 
@@ -215,6 +215,7 @@ def check_tree_approximate(q, max_roots=64):
     assert list(res.tree.edges) == tree
     # the tree carries the metric it was scored on, the same as a fresh one
     assert "distance_matrix" in vars(res.tree)
+    assert "tree_index" not in vars(res.tree)  # built on first use
     carried = res.tree.distance_matrix
     assert carried.dtype == np.int32
     assert (carried == UnitGraph(q.n, res.tree.edges).distance_matrix).all()
@@ -250,6 +251,26 @@ def test_past_max_roots_only_every_stride_th_vertex_is_a_root():
     assert q.n == 17
     res = check_tree_approximate(q, max_roots=4)  # stride 17 // 4 = 4
     assert res.root in (0, 4, 8, 12, 16)
+
+
+def test_distinct_candidates_past_one_block_are_all_scored(monkeypatch):
+    """The 37-vertex quasitree of tree_with_axes(100, 4, 2) has 18 distinct
+    candidate trees; at BLOCK ** 2 // 37 ** 2 = 11 trees a block the kernel
+    yields two blocks, and the winner may come from either."""
+    blocks = []
+
+    def counted(parent):
+        for block in tree_metrics(parent):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(applications, "tree_metrics", counted)
+    h = tree_with_axes(100, 4, 2)
+    _, K = default_constants(h)
+    q = build_coloured_system(h, find_bbf_colouring(h), K, 1).quasitrees[0]
+    assert q.n == 37 and BLOCK**2 // q.n**2 == 11
+    check_tree_approximate(q)
+    assert blocks == [11, 7]
 
 
 def test_tree_approximate_refuses_disconnected_and_fraction_spaces():

@@ -172,6 +172,23 @@ def test_instance_without_domains_is_refused_at_colouring(args, tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("top, held", [("[1,2]", "an array"), ('"x"', "a string")], ids=["list", "string"])
+@pytest.mark.parametrize(
+    "args",
+    [["validate"], ["median-check"], ["dual"], ["build-quasitree", "--K", "3"], ["df-check", "--s", "2"],
+     ["psi"], ["promote"], ["helly", "--R", "5"], ["pack", "--R", "3"]],
+    ids=lambda args: args[0],
+)
+def test_input_that_is_not_a_json_object_is_refused(args, top, held, tmp_path, capsys):
+    inp = tmp_path / "top.json"
+    inp.write_text(top)
+    # one typed error from load_json, not a TypeError from the first lookup
+    assert main([args[0], "--in", str(inp), *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {inp} holds {held}, not a JSON object\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, fixture, L, cause",
     [

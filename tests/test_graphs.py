@@ -23,8 +23,10 @@ from cubekit.graphs import (
     random_tree,
     spider_graph,
     star_graph,
+    tree_metrics,
     verify_isomorphism,
 )
+from cubekit.median import BLOCK
 from helpers import oracle_all_dists, oracle_lca, oracle_medians_of, oracle_root_paths
 
 
@@ -243,6 +245,74 @@ def test_tree_index_on_a_long_path_and_on_one_and_two_vertices():
     assert two.lca(np.arange(2)[:, None], np.arange(2)).tolist() == [[0, 0], [0, 1]]
     assert two.dist([0, 1, 1], [1, 0, 1]).tolist() == [3, 3, 0]
     assert two.median([0, 1], [1, 1], [1, 0]).tolist() == [1, 1]
+
+
+# --- the batched kernel over parent arrays -----------------------------------
+
+
+def parents_from(n, edges, root):
+    """The parent array of the tree with these edges hung from `root` (the
+    root its own parent), by a plain BFS."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent, queue = {root: root}, [root]
+    for x in queue:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return [parent[v] for v in range(n)]
+
+
+def check_tree_metrics(n, trees):
+    """tree_metrics on the parent arrays of (edges, root) pairs equals the
+    BFS oracle tree by tree; returns the block sizes."""
+    parent = np.array([parents_from(n, edges, root) for edges, root in trees]).reshape(-1, n)
+    blocks = list(tree_metrics(parent))
+    assert all(b.dtype == np.int32 and b.shape[1:] == (n, n) for b in blocks)
+    assert all(len(b) * n * n <= BLOCK**2 or len(b) == 1 for b in blocks)
+    got = np.concatenate(blocks)
+    for D, (edges, _) in zip(got, trees):
+        assert (D == np.array(oracle_all_dists(n, edges))).all()
+    return [len(b) for b in blocks]
+
+
+def test_tree_metrics_on_one_and_two_vertices():
+    assert check_tree_metrics(1, [([], 0)]) == [1]
+    assert check_tree_metrics(2, [([(0, 1)], 0), ([(0, 1)], 1)]) == [2]
+
+
+def test_tree_metrics_on_a_path_rooted_at_an_end_and_on_a_star():
+    n = 130  # depth n - 1 from vertex 0; more cells than one block
+    path = [(i, i + 1) for i in range(n - 1)]
+    assert check_tree_metrics(n, [(path, 0), (path, n - 1), (path, n // 2)]) == [1, 1, 1]
+    star = [(0, i) for i in range(1, 12)]
+    assert check_tree_metrics(12, [(star, 0), (star, 5)]) == [2]
+
+
+@PROPERTY
+@given(st.data())
+def test_tree_metrics_of_random_trees_with_their_own_roots(data):
+    n = data.draw(st.integers(1, 40))
+    trees = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        perm = data.draw(st.permutations(range(n)))
+        edges = [(perm[data.draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)]
+        trees.append((edges, data.draw(st.integers(0, n - 1))))
+    check_tree_metrics(n, trees)
+
+
+def test_tree_metrics_of_more_trees_than_one_block():
+    rng = np.random.default_rng(3)
+    trees = []
+    for _ in range(23):
+        g = random_tree(40, rng)
+        perm = rng.permutation(40)
+        trees.append(([(int(perm[u]), int(perm[v])) for u, v in g.edges], int(rng.integers(40))))
+    # BLOCK ** 2 // 40 ** 2 = 10 trees a block
+    assert check_tree_metrics(40, trees) == [10, 10, 3]
 
 
 # --- the integer kernel ------------------------------------------------------
