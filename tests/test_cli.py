@@ -277,6 +277,9 @@ FIXTURES = {
     "spider": ["spider-axes", "--tree-domain"],
     "axes": ["axes-system", "--n", "40"],
     "q3": ["q3-walls"],
+    # closures past the size of the unit tests: one grows (spider), one is large
+    "spider-large": ["spider-axes", "--legs", "12", "--leg-length", "20", "--tree-domain"],
+    "tree-300": ["tree-axes", "--n", "300"],
 }
 
 # 3x4 grid (median) and K_{2,3} (not median), as graph JSON
@@ -308,6 +311,8 @@ CASES = {
     "psi-tree-fraction": ["psi", "--in", "{tree}", "--samples", "40", "--L", "3/2"],
     "promote-tree": ["promote", "--in", "{tree}"],
     "promote-lines": ["promote", "--in", "{lines}"],
+    "promote-spider-large": ["promote", "--in", "{spider-large}"],
+    "promote-tree-300": ["promote", "--in", "{tree-300}"],
     "helly-tree": ["helly", "--in", "{tree}", "--R", "5"],
     "helly-spider": ["helly", "--in", "{spider}", "--R", "5"],
     "pack-tree": ["pack", "--in", "{tree}", "--R", "3"],
@@ -323,6 +328,8 @@ PINS = {
     "gen-spider": (0, "48eeae32f3febcee52b5f78698fd5f8f97b9c71432ae7102bb8650e27396ff66"),
     "gen-axes": (0, "5f79f0122ca004b4eff5d628cdc45f2785fc3e8609637a08e55f441c460a63c5"),
     "gen-q3": (0, "304547cddc539efcfd1a499410ceea7196e41fc4f5d4ffb4ea8d2ad9d9f2865c"),
+    "gen-spider-large": (0, "2e8c7e87a750d78a8b5327fd9b4b44fc56eaa564b18d8259391ba50a89ef7de6"),
+    "gen-tree-300": (0, "340eaad2845d9a5dc966c4216fec1006390de5586ef675d4766ed4de87bea43a"),
     "validate-tree": (0, "4f53fb8fdd29356f3778cbdfc5c3e19214d5a4bea1079a65f411b693bb1af5b6"),
     "validate-lines": (0, "f4bb296dd1a7afc4576887c67e59491043e31a0fd63f61375b56f1621735feee"),
     "validate-spider": (0, "b452dd80299acf18f5a19c9a67a93ec2f88e33e3c6b16f6b4239b759a4f4c5c3"),
@@ -339,6 +346,8 @@ PINS = {
     "psi-tree-fraction": (0, "08fcae7ca0a21ded23a5dc23b50c1eb6175a3f6c87b8d4acb9f737b0602ec5ef"),
     "promote-tree": (0, "9fe8349e99528abdc7c789c00b727df53dc4d68feeddae4f3b73ea5cec38395c"),
     "promote-lines": (0, "e8e132c7a84e2c3fc4d73415788ad7fabda599ed66c97d03a3c371cedd306b77"),
+    "promote-spider-large": (0, "2e31f08fae1a34291b61d61774473b2e500b46035b43b7600771ab827d9045e2"),
+    "promote-tree-300": (0, "b1db27a80997aa00c408c7cda85c40fe10cd2006d8aa07133f10e46c67e1ea95"),
     "helly-tree": (0, "82b6f97cd84e3dc1ea80bfd60755897aadf0949e247d13e6b27bea7eedc7e016"),
     "helly-spider": (0, "6a1ad6e110835aef63d42ecde2bae020ab6edd74b320ae99034fa10a57ff2a88"),
     "pack-tree": (0, "6696edb93a8ecc017a7fc43b8986a3d932399a30474ea74bac76a5eb3b4eb3df"),
