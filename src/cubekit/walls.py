@@ -3,7 +3,9 @@
 A wall is a bipartition of a finite ground set; a coherent orientation picks
 one side per wall with all chosen sides pairwise intersecting.  The dual
 graph has one vertex per coherent orientation and an edge where two
-orientations differ on exactly one wall.
+orientations differ on exactly one wall.  It is a median graph (Sageev
+1995; Roller 1998), and `median.orientation_search` walks it from the
+principal orientation of point 0, so its edges are the flips of the search.
 """
 
 from __future__ import annotations
@@ -12,29 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import CubeSkeleton, hyperplane_decomposition
+from .cubes import CubeSkeleton, crossing_dimension, hyperplane_decomposition
 from .graphs import UnitGraph
-from .median import MedianAlgebra
-
-ENUMERATION_GUARD = 25
+from .jsonio import expect, ints, member
+from .median import MedianAlgebra, orientation_search
 
 
 class WallspaceError(ValueError):
     pass
 
 
-class WallGuardError(WallspaceError):
-    pass
-
-
 @dataclass(frozen=True)
 class Wallspace:
+    """Distinct walls on the ground set range(points), each stored as
+    (side holding its least point, other side)."""
+
     points: int
     walls: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
     def __post_init__(self):
         ground = frozenset(range(self.points))
-        canon = []
+        canon: dict[tuple[frozenset[int], frozenset[int]], int] = {}
         for i, (lh, rh) in enumerate(self.walls):
             lh, rh = frozenset(lh), frozenset(rh)
             if not lh or not rh:
@@ -43,11 +43,10 @@ class Wallspace:
                 raise WallspaceError(f"wall {i} is not a bipartition of the ground set")
             if sorted(rh) < sorted(lh):
                 lh, rh = rh, lh
-            canon.append((lh, rh))
+            j = canon.setdefault((lh, rh), i)
+            if j != i:
+                raise WallspaceError(f"walls {j} and {i} are the same bipartition")
         object.__setattr__(self, "walls", tuple(canon))
-
-    def side(self, wall: int, which: int) -> frozenset[int]:
-        return self.walls[wall][which]
 
     def to_dict(self) -> dict:
         return {
@@ -57,11 +56,11 @@ class Wallspace:
 
     @staticmethod
     def from_dict(d: dict) -> "Wallspace":
-        walls = tuple(
-            (frozenset(int(x) for x in l), frozenset(int(x) for x in r))
-            for l, r in d["walls"]
-        )
-        return Wallspace(int(d["points"]), walls)
+        walls = []
+        for i, wall in enumerate(member(d, "walls", list)):
+            sides = enumerate(expect(wall, list, f"walls[{i}]", 2))
+            walls.append(tuple(frozenset(ints(s, f"walls[{i}][{j}]")) for j, s in sides))
+        return Wallspace(member(d, "points", int), tuple(walls))
 
 
 @dataclass(frozen=True)
@@ -70,46 +69,25 @@ class Orientation:
 
     sides: tuple[int, ...]
 
-    def chosen(self, w: Wallspace, wall: int) -> frozenset[int]:
-        return w.side(wall, self.sides[wall])
 
-
-def is_coherent(w: Wallspace, o: Orientation) -> bool:
-    sides = [w.side(i, s) for i, s in enumerate(o.sides)]
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            if not (sides[i] & sides[j]):
-                return False
-    return True
+def _dual_graph(w: Wallspace) -> tuple[np.ndarray, np.ndarray]:
+    """The coherent orientations of w as 0/1 rows sorted as tuples, and the
+    dual's edges between those rows.  Side 0 of every wall holds point 0,
+    so the search starts from the all-zeros orientation, and its flips are
+    the edges."""
+    H = np.zeros((w.points, len(w.walls)), dtype=bool)
+    for i, (_, rh) in enumerate(w.walls):
+        H[sorted(rh), i] = True
+    found, flips = orientation_search(H)
+    order = np.lexsort(found.T[::-1]) if w.walls else np.zeros(1, dtype=np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return found[order].astype(np.int64), rank[flips]
 
 
 def coherent_orientations(w: Wallspace) -> list[Orientation]:
-    """All coherent orientations, by pruned backtracking; guarded input size."""
-    k = len(w.walls)
-    if k > ENUMERATION_GUARD:
-        raise WallGuardError(
-            f"{k} walls exceeds the enumeration guard ({ENUMERATION_GUARD}); "
-            "use principal_orientations instead"
-        )
-    out: list[Orientation] = []
-    chosen: list[frozenset[int]] = []
-    sides: list[int] = []
-
-    def extend(i: int):
-        if i == k:
-            out.append(Orientation(tuple(sides)))
-            return
-        for s in (0, 1):
-            half = w.side(i, s)
-            if all(half & c for c in chosen):
-                chosen.append(half)
-                sides.append(s)
-                extend(i + 1)
-                chosen.pop()
-                sides.pop()
-
-    extend(0)
-    return out
+    """All coherent orientations, sorted by their sides."""
+    return [Orientation(tuple(o)) for o in _dual_graph(w)[0].tolist()]
 
 
 def principal_orientation(w: Wallspace, x: int) -> Orientation:
@@ -117,51 +95,20 @@ def principal_orientation(w: Wallspace, x: int) -> Orientation:
     return Orientation(tuple(0 if x in l else 1 for l, _ in w.walls))
 
 
-def principal_orientations(w: Wallspace) -> list[Orientation]:
-    """Distinct basepoint orientations, sorted; the scalable generator."""
-    return sorted(
-        {principal_orientation(w, x) for x in range(w.points)},
-        key=lambda o: o.sides,
-    )
-
-
 @dataclass(frozen=True)
 class DualComplex:
     skeleton: CubeSkeleton
     orientations: tuple[Orientation, ...]
-    exhaustive: bool
 
 
 def dual_cube_complex(w: Wallspace) -> DualComplex:
-    """The dual graph on coherent orientations, verified median.
-
-    Above the enumeration guard only principal orientations are generated;
-    for wallspaces arising from median-graph hyperplanes these are all of
-    them.
-    """
-    if len(w.walls) <= ENUMERATION_GUARD:
-        orients = coherent_orientations(w)
-        exhaustive = True
-    else:
-        orients = principal_orientations(w)
-        exhaustive = False
-    orients = sorted(orients, key=lambda o: o.sides)
-    if not orients:
-        raise WallspaceError("wallspace admits no coherent orientation")
-    mat = np.array([o.sides for o in orients], dtype=np.int8)
-    k = len(orients)
-    edges = []
-    for i in range(k):
-        diff = (mat[i + 1 :] != mat[i]).sum(axis=1)
-        for j in np.flatnonzero(diff == 1):
-            edges.append((i, i + 1 + int(j)))
-    g = UnitGraph(k, tuple(edges))
-    g.require_connected()
-    median = MedianAlgebra.from_graph(g)
+    """The dual graph on all coherent orientations, sorted by their sides.
+    It is median by the duality theorem, so it is not re-scanned."""
+    sides, edges = _dual_graph(w)
+    g = UnitGraph(len(sides), edges.tolist())
     return DualComplex(
-        skeleton=hyperplane_decomposition(median),
-        orientations=tuple(orients),
-        exhaustive=exhaustive,
+        skeleton=hyperplane_decomposition(MedianAlgebra(g, crossing_dimension(g))),
+        orientations=tuple(Orientation(tuple(o)) for o in sides.tolist()),
     )
 
 

@@ -99,6 +99,13 @@ def oracle_closure(n, edges, seed_set):
         S |= new
 
 
+def oracle_is_coherent(w, o):
+    """Whether the sides an Orientation picks of a Wallspace's walls
+    pairwise meet."""
+    sides = [w.walls[i][s] for i, s in enumerate(o.sides)]
+    return all(a & b for a, b in combinations(sides, 2))
+
+
 def oracle_interval_closure(n, edges, seed_set):
     dist = oracle_all_dists(n, edges)
     S = set(seed_set)

@@ -190,6 +190,45 @@ def test_input_that_is_not_a_json_object_is_refused(args, top, held, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command, document, cause",
+    [
+        ("median-check", {"n": 3, "edges": 5}, "edges is an integer, not an array"),
+        ("median-check", {"n": 3, "edges": [[0, 1], [1]]}, "edges[1] has 1 entries, not 2"),
+        ("median-check", {"edges": []}, "n is missing"),
+        ("validate", {"E": 0, "ambient": [1], "domains": []}, "ambient is an array, not an object"),
+        ("validate", {"E": "0", "ambient": {"n": 1, "edges": []}, "domains": []}, "E is a string, not an integer"),
+        (
+            "validate",
+            {"E": 0, "ambient": {"n": 2, "edges": []},
+             "domains": [{"id": "a", "space": {"n": 2, "edges": [[0, True]]}, "pi": [], "rel": {}}]},
+            "domains[0].space.edges[0][1] is a boolean, not an integer",
+        ),
+        ("dual", {"points": 3, "walls": 5}, "walls is an integer, not an array"),
+        ("dual", {"points": 3, "walls": [[[0], [1, 2]], [[1, 2], [0]]]}, "walls 0 and 1 are the same bipartition"),
+    ],
+    ids=["edges-int", "edge-short", "n-missing", "ambient-list", "E-string", "nested-bool", "walls-int", "walls-equal"],
+)
+def test_input_of_the_wrong_shape_is_refused_naming_its_path(command, document, cause, tmp_path, capsys):
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(document))
+    # one error line and exit 1, not a TypeError traceback
+    assert main([command, "--in", str(inp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cause}\n" and captured.out == ""
+
+
+def test_dual_of_27_singleton_walls_is_a_star(tmp_path, capsys):
+    inp = tmp_path / "walls.json"
+    walls = [[[i], [j for j in range(27) if j != i]] for i in range(27)]
+    inp.write_text(json.dumps({"points": 27, "walls": walls}))
+    assert main(["dual", "--in", str(inp)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    graph = report["skeleton"]["graph"]
+    assert graph["n"] == 28 and len(graph["edges"]) == 27
+    assert report["skeleton"]["dimension"] == 1 and report["exhaustive"] is True
+
+
+@pytest.mark.parametrize(
     "command, fixture, L, cause",
     [
         ("psi", ["tree-axes", "--n", "30"], "1e-300", f"colour 0: L=1/1{'0' * 300} is out of range"),

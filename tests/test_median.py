@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from cubekit.median import (
     is_median_graph,
     median_defect,
     median_subset_report,
+    orientation_search,
+    row_index,
 )
 from helpers import grid_v, oracle_all_dists, oracle_closure, oracle_is_median, oracle_medians_of
 
@@ -223,6 +226,50 @@ def test_interval_medians_match_the_oracle(graph, size):
 def test_closure_of_empty_raises(grid33):
     with pytest.raises(MedianError):
         closure_of(grid33, [])
+
+
+def test_closure_of_the_whole_grid_is_its_dual():
+    # 3 x 4 grid: five walls, every vertex an orientation, the search from
+    # corner 0 walks it in layers out to the far corner, 5 flips away
+    g = grid_graph(3, 4)
+    H = MedianAlgebra.from_graph(g).wall_sides(range(g.n))
+    found, flips = orientation_search(H ^ H[0])
+    assert len(found) == g.n and len({row.tobytes() for row in found}) == g.n
+    assert found.sum(axis=1).tolist() == sorted(found.sum(axis=1).tolist())
+    assert len(flips) == len(g.edges)
+    assert ((found[flips[:, 1]] & ~found[flips[:, 0]]).sum(axis=1) == 1).all()
+    assert (found[flips[:, 0]] <= found[flips[:, 1]]).all()
+
+
+def test_row_index_finds_rows_and_marks_the_rest():
+    table = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=bool)
+    rows = np.array([[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]], dtype=bool)
+    assert row_index(table, rows).tolist() == [2, -1, 0, 1]
+    assert row_index(np.zeros((1, 0), dtype=bool), np.zeros((3, 0), dtype=bool)).tolist() == [0] * 3
+
+
+class DroppingSpace:
+    """grid33's walls, with one orientation's vertex made unknown."""
+
+    def __init__(self, space, drop):
+        self.space, self.drop = space, drop
+
+    def wall_sides(self, verts):
+        return self.space.wall_sides(verts)
+
+    def vertices_of(self, sides):
+        out = self.space.vertices_of(sides)
+        return np.where(out == self.drop, -1, out)
+
+
+def test_an_orientation_without_a_vertex_is_named(grid33):
+    # 3 x 3 grid, rows of 0 1 2 / 3 4 5 / 6 7 8: vertex 4 = m(1, 3, 8)
+    assert closure_of(grid33, [1, 3, 8]) == {1, 3, 4, 8}
+    sides = grid33.wall_sides([1, 4])
+    flipped = np.flatnonzero(sides[0] != sides[1]).tolist()
+    expected = f"no vertex has the coherent orientation that differs from 1 on the walls {flipped}"
+    with pytest.raises(MedianError, match=re.escape(expected)):
+        closure_of(DroppingSpace(grid33, 4), [1, 3, 8])
 
 
 # --- subset reports ---------------------------------------------------------

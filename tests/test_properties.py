@@ -9,18 +9,17 @@ products of trees.  The component labelling over arc lists, the maximal
 clique search and the promoted closure's isometry check (against a BFS) are
 checked the same way.  The one-anchor hull on trees is checked against the
 all-pairs hull.  The median operation of products of random trees obeys the
-median axioms, and a wallspace comes back from its dual cube complex.  The
-median closure evaluates each triple of its result once, and gives the same
-set at any block size.  One step `toward` a target is the least neighbour
-one step closer, in graphs and in products of trees, and the bridging of
-pieces matches the piece-pair loop it replaced.
+median axioms, and a wallspace comes back from its dual cube complex, whose
+orientation search matches the enumeration of all orientations.  The median
+closure of seeds that grow matches the saturation oracle and finds each
+point once.  One step `toward` a target is the least neighbour one step
+closer, in graphs and in products of trees, and the bridging of pieces
+matches the piece-pair loop it replaced.
 Examples are derandomized, so the suite stays deterministic.
 """
 
 import itertools
-import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -41,8 +40,13 @@ from cubekit.graphs import (
 )
 from cubekit.hhs import space_hull
 from cubekit.jsonio import decode_number, encode_number
-from cubekit.walls import Wallspace, dual_cube_complex, principal_orientation, walls_of_skeleton
-from cubekit import median
+from cubekit.walls import (
+    Orientation,
+    Wallspace,
+    dual_cube_complex,
+    principal_orientation,
+    walls_of_skeleton,
+)
 from cubekit.median import (
     MedianAlgebra,
     check_isometric_subalgebra,
@@ -59,6 +63,7 @@ from helpers import (
     oracle_closure,
     oracle_hull,
     oracle_interval_closure,
+    oracle_is_coherent,
     oracle_medians_of,
     oracle_toward,
 )
@@ -316,21 +321,24 @@ def test_tree_product_closure_matches_the_saturation_oracle(factors, data):
     assert closure_of(TreeProduct(factors), seed) == frozenset(expected)
 
 
-class CountingSpace:
-    """A median space that counts the rows passed to its median_bulk."""
+class RecordingSpace:
+    """A median space that keeps the vertices its vertices_of returns."""
 
     def __init__(self, space):
-        self.space, self.rows = space, 0
+        self.space, self.found = space, []
 
-    def median_bulk(self, a, b_arr, c):
-        self.rows += len(b_arr)
-        return self.space.median_bulk(a, b_arr, c)
+    def wall_sides(self, verts):
+        return self.space.wall_sides(verts)
+
+    def vertices_of(self, sides):
+        self.found.append(self.space.vertices_of(sides))
+        return self.found[-1]
 
 
 @st.composite
 def growing_seeds(draw):
     """A median space, a grid or a product of trees, explicit or not, and a
-    seed of 3 to 8 vertices, usually one whose closure grows over rounds."""
+    seed of 3 to 8 vertices, usually one whose closure grows."""
     kind = draw(st.sampled_from(["grid", "explicit", "product"]))
     if kind == "grid":
         g = grid_graph(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
@@ -344,26 +352,29 @@ def growing_seeds(draw):
     return space, seed
 
 
+def explicit_graph(space) -> UnitGraph:
+    return space.graph if isinstance(space, MedianAlgebra) else tree_product(*space.factors)
+
+
 @PROPERTY
 @given(growing_seeds())
-def test_closure_evaluates_each_triple_of_its_result_once(case):
+def test_closure_of_growing_seeds_matches_the_saturation_oracle(case):
     space, seed = case
-    counting = CountingSpace(space)
-    closure = closure_of(counting, seed)
-    assume(len(closure) > len(seed))
-    assert counting.rows == math.comb(len(closure), 3)
+    g = explicit_graph(space)
+    assert closure_of(space, seed) == frozenset(oracle_closure(g.n, g.edges, seed))
 
 
 @PROPERTY
-@given(tree_factors(), st.data())
-def test_closure_is_the_same_for_every_block_size(factors, data):
-    # blocks of 1 or 7 triples cut the pairs of one k across median_bulk calls
-    product = tree_product(*factors)
-    seed = data.draw(st.sets(st.integers(0, product.n - 1), min_size=1, max_size=6))
-    expected = frozenset(oracle_closure(product.n, product.edges, seed))
-    for block in (1, 7, median._TRIPLE_BLOCK):
-        with mock.patch.object(median, "_TRIPLE_BLOCK", block):
-            assert closure_of(TreeProduct(factors), seed) == expected
+@given(growing_seeds())
+def test_closure_search_finds_each_point_once(case):
+    # one orientation per closure point: the layers hold no repeat, and
+    # the one batched pass back to vertices maps them to distinct points
+    space, seed = case
+    recording = RecordingSpace(space)
+    closure = closure_of(recording, seed)
+    assume(len(closure) > len(seed))
+    [found] = recording.found
+    assert sorted(found.tolist()) == sorted(closure)
 
 
 @st.composite
@@ -559,6 +570,21 @@ def wallspaces(draw):
     n = draw(st.integers(2, 6))
     sides = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), max_size=5))
     return Wallspace(n, tuple(sorted({wall(n, a) for a in sides}, key=lambda w: sorted(w[0]))))
+
+
+@PROPERTY
+@given(wallspaces())
+def test_dual_is_every_coherent_orientation_joined_one_wall_apart(w):
+    """The orientation search against all 2^k orientations: the dual's
+    vertices are the coherent ones, in sorted order, and its edges every
+    pair of them that differ on one wall."""
+    every = (Orientation(o) for o in itertools.product((0, 1), repeat=len(w.walls)))
+    coherent = [o.sides for o in every if oracle_is_coherent(w, o)]
+    dual = dual_cube_complex(w)
+    assert [o.sides for o in dual.orientations] == coherent
+    M = np.array(coherent).reshape(len(coherent), len(w.walls))
+    apart = (M[:, None, :] != M[None, :, :]).sum(axis=2) == 1
+    assert dual.skeleton.graph.edges == tuple(map(tuple, np.argwhere(np.triu(apart)).tolist()))
 
 
 @PROPERTY

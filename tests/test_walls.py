@@ -12,16 +12,14 @@ from cubekit.graphs import (
 from cubekit.median import MedianAlgebra
 from cubekit.walls import (
     Orientation,
-    WallGuardError,
     Wallspace,
     WallspaceError,
     coherent_orientations,
     dual_cube_complex,
     duality_roundtrip,
-    is_coherent,
-    principal_orientations,
     walls_of_skeleton,
 )
+from helpers import oracle_is_coherent
 
 
 def _crossing_walls(k):
@@ -57,7 +55,7 @@ def test_two_nested_walls_three_orientations():
     orients = coherent_orientations(w)
     # enumerate all four choices; exactly one pair of sides is disjoint
     all_four = [Orientation((a, b)) for a in (0, 1) for b in (0, 1)]
-    expected = [o for o in all_four if is_coherent(w, o)]
+    expected = [o for o in all_four if oracle_is_coherent(w, o)]
     assert len(expected) == 3
     assert sorted(o.sides for o in orients) == sorted(o.sides for o in expected)
 
@@ -69,12 +67,28 @@ def test_wall_validation():
         Wallspace(3, ((frozenset([0]), frozenset([1])),))
 
 
-def test_guard():
-    w = _nested_walls(26)
-    with pytest.raises(WallGuardError):
-        coherent_orientations(w)
-    # the scalable generator still works
-    assert len(principal_orientations(w)) == 27
+def test_dual_beyond_25_walls_lists_every_orientation():
+    # 26 nested walls: a path; 27 singleton walls: a star whose centre
+    # picks the large side of every wall (side 1 of wall 0, side 0 of the
+    # rest, whose side 0 holds point 0), which no principal orientation does
+    assert are_isomorphic(dual_cube_complex(_nested_walls(26)).skeleton.graph, path_graph(27))
+    n = 27
+    w = Wallspace(n, tuple((frozenset([i]), frozenset(range(n)) - {i}) for i in range(n)))
+    dual = dual_cube_complex(w)
+    assert dual.skeleton.n == n + 1 and len(dual.skeleton.graph.edges) == n
+    centre = dual.orientations.index(Orientation((1,) + (0,) * (n - 1)))
+    degrees = np.bincount(np.ravel(dual.skeleton.graph.edges), minlength=n + 1)
+    assert degrees[centre] == n and (np.delete(degrees, centre) == 1).all()
+
+
+def test_equal_walls_are_refused():
+    with pytest.raises(WallspaceError, match="walls 0 and 1 are the same"):
+        Wallspace(3, ((frozenset([0]), frozenset([1, 2])), (frozenset([1, 2]), frozenset([0]))))
+
+
+def test_no_walls_give_one_orientation():
+    dual = dual_cube_complex(Wallspace(3, ()))
+    assert dual.orientations == (Orientation(()),) and dual.skeleton.n == 1
 
 
 def test_dual_of_crossing_walls_is_cube():
@@ -111,13 +125,13 @@ def test_roundtrip_fixtures():
         assert len(mapping) == g.n
 
 
-def test_roundtrip_beyond_guard_uses_principal():
-    # a 30-wall fixture: the tree has one wall per edge
+def test_roundtrip_of_a_30_wall_tree():
+    # the tree has one wall per edge; every coherent orientation is a vertex
     g = random_tree(31, np.random.default_rng(11))
     skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
     assert len(skel.halfspaces) == 30
-    ok, dual, _ = duality_roundtrip(skel)
-    assert ok and not dual.exhaustive
+    ok, dual, mapping = duality_roundtrip(skel)
+    assert ok and len(dual.orientations) == len(mapping) == 31
 
 
 def test_wallspace_json_roundtrip():
