@@ -84,15 +84,6 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def load_json(path: str) -> dict:
-    """The JSON object in the file at `path`, the top level of every input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ShapeError(f"{path} holds {_kind_of(data)}, not a JSON object")
-    return data
-
-
 class ShapeError(ValueError):
     """An input JSON value that is missing or of the wrong kind."""
 
@@ -104,6 +95,15 @@ def _kind_of(value) -> str:
     if isinstance(value, bool):
         return "a boolean"
     return "null" if value is None else _KINDS.get(type(value), "a number")
+
+
+def load_json(path: str) -> dict:
+    """The JSON object in the file at `path`, the top level of every input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ShapeError(f"{path} holds {_kind_of(data)}, not a JSON object")
+    return data
 
 
 def expect(value, kind: type, path: str, length: int | None = None):
