@@ -12,14 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubes import (
-    CubeSkeleton,
-    _classes,
-    _max_crossing,
-    crossing_dimension,
-    helly_intersection,
-    hyperplane_decomposition,
-)
+from .cubes import CubeSkeleton, crossing_dimension, helly_intersection, orientation_skeleton
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph, maximal_cliques, tree_metrics
 from .hhs import HHSInstance, space_hull
@@ -152,79 +145,40 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
     """Bridge and close a C-connected point set inside a product of trees;
     return the cube skeleton of the closure with its correspondence data.
 
-    The closure is median-closed by the duality `closure_of` rests on: it
-    is the set of every coherent orientation of the walls traced on the
-    bridged set, and the median of three orientations, the majority side of
-    each wall, is again coherent.  Once it is 1-connected it is also
-    isometric in the product, hence a median graph: project a path in H
-    from u to v by x -> m(u, v, x); the projected points stay in H and in
-    I(u, v) and move at most 1 per step, so the first one other than u is a
-    neighbour of u one step closer to v.  So medianness is not re-checked,
-    and the Theta-classes are read off the factor trees (`_product_classes`).
-
-    `isometric` is measured, not assumed, and without a search: the edges
-    of H are exactly the pairs at product distance pd = 1, and pd is a
-    metric, so d_H = pd if and only if every x != y has a neighbour z with
-    pd(z, y) = pd(x, y) - 1 (`_is_path_metric`).  If so, d_H <= pd by
-    induction on pd; and d_H >= pd always, as pd grows by at most 1 along
-    each edge of a path.  Conversely, the next vertex of a geodesic of H
-    from x to y is such a z.
+    The closure H is the set of every coherent orientation of the walls
+    traced on the bridged set A' (`median.closure_search`), and its skeleton
+    is the graph of those orientations joined one flip apart
+    (`cubes.orientation_skeleton`): no distance matrix of H is built, and
+    nothing below is measured, as the construction proves it.
+    - H is median-closed: the median of three orientations, the majority
+      side of each wall, is again coherent.
+    - A' is 1-connected, and each edge of the product crosses exactly one
+      wall, one edge of one factor tree; so no two walls live on A' have
+      equal traces there, and the merged walls are single product walls.
+    - So the flips are exactly the pairs of H at product distance 1, and the
+      Hamming distance of two orientations is their product distance: H is
+      isometric in the product, and a median graph.
+    - The search reaches every orientation from the root by flips, so H is
+      1-connected.
     """
     space = TreeProduct(tuple(factors))
     enc = sorted({space.encode(p) for p in points})
     if not enc:
         raise PipelineError("no input points")
     result = connectify_and_close_in(space, enc, C)
+    skeleton = orientation_skeleton(result.orientations, result.flips)
     closure = sorted(result.closure)
-    pd = result.closure_distances
-    g = UnitGraph(len(closure), np.argwhere(np.triu(pd == 1, 1)).tolist())
-    g.require_connected()
-    isometric = _is_path_metric(g, pd)
-    edge_lists, masks = _product_classes(space, closure, g.edges)
-    median = MedianAlgebra(g, _max_crossing(masks))
-    skeleton = hyperplane_decomposition(median, (edge_lists, masks))
-    tuples = tuple(space.decode(v) for v in closure)
     return PromoteResult(
         skeleton=skeleton,
-        vertex_tuples=tuples,
+        vertex_tuples=tuple(space.decode(v) for v in closure),
         hausdorff=result.hausdorff,
-        one_connected=result.one_connected,
-        median_closed=True,  # every coherent orientation is in the closure
-        isometric=isometric,
+        one_connected=True,
+        median_closed=True,
+        isometric=True,
         dimension=skeleton.dimension,
         input_size=len(enc),
         closure_size=len(closure),
     )
-
-
-def _is_path_metric(g: UnitGraph, pd: np.ndarray) -> bool:
-    """Whether pd, a metric whose pairs at distance 1 are the edges of the
-    connected graph g, is its path metric: near[x, y], the least pd(z, y)
-    over the neighbours z of x, is pd(x, y) - 1 for every x != y.  The rows
-    pd[z] are gathered along arcs x -> z grouped by x and reduced with
-    `np.minimum.reduceat`; each group is nonempty, as a connected graph on
-    n > 1 vertices leaves no vertex without a neighbour.
-    """
-    if g.n == 1:
-        return True
-    u, v = np.array(g.edges, dtype=np.int64).T
-    tail, head = np.r_[u, v], np.r_[v, u]
-    order = np.argsort(tail, kind="stable")
-    starts = np.searchsorted(tail[order], np.arange(g.n))
-    near = np.minimum.reduceat(pd[head[order]], starts, axis=0)
-    apart = ~np.eye(g.n, dtype=bool)
-    return bool((near[apart] == pd[apart] - 1).all())
-
-
-def _product_classes(space: TreeProduct, closure: list[int], edges):
-    """Theta-classes of an isometric subgraph of a product of trees, as
-    `cubes._edge_classes` gives them: an edge crosses one wall of the
-    product, one factor-tree edge, and that wall is its class."""
-    if not edges:
-        return [], []
-    sides = space.wall_sides(closure)
-    u, v = np.array(edges, dtype=np.int64).T
-    return _classes(edges, np.argmax(sides[u] != sides[v], axis=1), sides)
 
 
 # ---------------------------------------------------------------------------

@@ -309,17 +309,13 @@ def cmd_promote(args) -> int:
     trees = [tree_approximate(q) for q in cs.quasitrees]
     pts = sorted({tuple(psi.maps[ci][g] for ci in range(cs.chi)) for g in range(h.n)})
     if a.C is None:
-        a.C = max(
-            (
-                sum(
-                    int(trees[ci].tree.distance_matrix[psi.maps[ci][u], psi.maps[ci][v]])
-                    for ci in range(cs.chi)
-                )
-                for u, v in h.ambient.edges
-            ),
-            default=1,
-        )
-        a.C = max(a.C, 1)
+        # the longest image of an ambient edge in the product, at least 1
+        u, v = np.array(h.ambient.edges, dtype=np.int64).reshape(-1, 2).T
+        span = np.zeros(len(u), dtype=np.int64)
+        for t, m in zip(trees, psi.maps):
+            m = np.asarray(m, dtype=np.int64)
+            span += t.tree.distance_matrix[m[u], m[v]]
+        a.C = int(span.max(initial=1))
     res = promote_to_cube_complex(pts, [t.tree for t in trees], a.C)
     report = {
         "command": "promote",

@@ -4,9 +4,9 @@ dimension, the hull-neighbourhood bound, and the Helly property.
 An edge class (hyperplane) is the set of edges inducing the same vertex
 bipartition by relative distance; its two sides are convex halfspaces.
 The classes of a graph are found by one np.unique over the sides of all its
-edges, or taken from the caller where the graph's construction names them:
-in a median-closed subset of a product of trees every class is one edge of
-one factor tree.
+edges, or, for the dual graph of a wallspace, read off the orientation
+search that built it (`orientation_skeleton`): the class of an edge is the
+wall it flips.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ def _classes(edges, label: np.ndarray, masks: np.ndarray):
     """(edge lists, side masks) of the edges grouped by class label, the
     classes in the order of their first edge; masks[:, k] is a side mask of
     the class labelled k."""
-    index: dict[int, int] = {}
-    edge_lists: list[list[tuple[int, int]]] = []
+    groups: dict[int, list[tuple[int, int]]] = {}  # in insertion order
     for e, k in zip(edges, label.tolist()):
-        if index.setdefault(k, len(edge_lists)) == len(edge_lists):
-            edge_lists.append([])
-        edge_lists[index[k]].append(e)
-    return edge_lists, [masks[:, k] for k in index]
+        groups.setdefault(k, []).append(e)
+    return list(groups.values()), [masks[:, k] for k in groups]
 
 
 def _edge_classes(g: UnitGraph) -> tuple[list[list[tuple[int, int]]], list[np.ndarray]]:
@@ -65,8 +62,7 @@ def crossing_dimension(g: UnitGraph) -> int:
 def _max_crossing(masks: list[np.ndarray]) -> int:
     """Size of the largest clique of the crossing graph of the classes with
     these side masks (`graphs.maximal_cliques`)."""
-    k = len(masks)
-    if k == 0:
+    if not masks:
         return 0
     # classes i, j cross when all four quarter-spaces are nonempty; the
     # products count the vertices of each quarter for every pair at once
@@ -103,25 +99,38 @@ def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     re-checked here.  The dimension is the algebra's rank.
 
     `classes` is (edge lists, side masks) of the Theta-classes, as
-    `_edge_classes` returns them, when the caller already knows them (the
-    promoted closure reads them off its factor trees); by default they are
-    computed from the graph.  Classes come in the order of their first edge,
-    the side holding the least vertex first, and each class's edges sorted.
+    `_edge_classes` returns them, when the caller already knows them
+    (`orientation_skeleton`); by default they are computed from the graph.
+    Classes come in the order of their first edge, the side holding the
+    least vertex first, and each class's edges sorted.
     """
     edge_lists, masks = _edge_classes(m.graph) if classes is None else classes
-    halfspaces = []
-    for mask in masks:
-        h0 = frozenset(int(v) for v in np.flatnonzero(mask))
-        h1 = frozenset(int(v) for v in np.flatnonzero(~mask))
-        if min(h1) < min(h0):
-            h0, h1 = h1, h0
-        halfspaces.append((h0, h1))
+    sides = (mask ^ mask[0] for mask in masks)  # False on vertex 0's side
     return CubeSkeleton(
         median=m,
         hyperplanes=tuple(tuple(sorted(e)) for e in edge_lists),
-        halfspaces=tuple(halfspaces),
+        halfspaces=tuple(
+            (frozenset(np.flatnonzero(~s).tolist()), frozenset(np.flatnonzero(s).tolist()))
+            for s in sides
+        ),
         dimension=m.rank,
     )
+
+
+def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
+    """The cube skeleton of the dual graph of a wallspace, from
+    `median.orientation_search`: vertex k is row k of O, and the flips are
+    the edges.  The dual is median (Sageev 1995; Roller 1998), so it is not
+    re-scanned.  Its Theta-classes are the walls, so the wall an edge flips
+    is its class, and that wall's column of O is a side mask of the class;
+    the rank is the largest pairwise-crossing family of walls."""
+    u, v = np.sort(flips, axis=1).T
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    edges = list(zip(u.tolist(), v.tolist()))
+    classes = _classes(edges, np.nonzero(O[u] != O[v])[1], O)  # one wall a row
+    median = MedianAlgebra(UnitGraph(len(O), edges), _max_crossing(classes[1]))
+    return hyperplane_decomposition(median, classes)
 
 
 def is_convex(m: MedianAlgebra, S) -> bool:

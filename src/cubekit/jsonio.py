@@ -42,17 +42,6 @@ def encode_number(x):
     raise TypeError(f"not a number: {x!r}")
 
 
-def decode_number(v) -> int | Fraction:
-    """Inverse of encode_number: [p, q] or a plain number, as_number-normalized
-    (so [p, 1] decodes to the int p)."""
-    if isinstance(v, list):
-        p, q = int(v[0]), int(v[1])
-        if q == 0:
-            raise ValueError(f"zero denominator in {v!r}")
-        return as_number(Fraction(p, q))
-    return as_number(v)
-
-
 def jsonable(obj):
     """Recursively convert values (numpy, Fraction, sets) to JSON-safe types."""
     t = type(obj)
@@ -149,3 +138,28 @@ def int_rows(value, path: str, length: int | None = None) -> list[list[int]]:
         for j, row in enumerate(rows):
             ints(row, f"{path}[{j}]", length)
     return rows
+
+
+def decode_number(v, path: str = "value") -> int | Fraction:
+    """Inverse of encode_number: [p, q] or a plain number (an integer, a
+    float or a string such as '3/2'), as_number-normalized (so [p, 1]
+    decodes to the int p).  Any other value is a ShapeError naming `path`."""
+    if isinstance(v, list):
+        p, q = ints(v, path, 2)
+        if q == 0:
+            raise ShapeError(f"{path} has a zero denominator: {v!r}")
+        return as_number(Fraction(p, q))
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ShapeError(f"{path} is {_kind_of(v)}, not a number")
+    try:
+        return as_number(v)
+    except (ValueError, OverflowError):  # a malformed string, 1/0, NaN or an infinity
+        raise ShapeError(f"{path} is {v!r}, not a number") from None
+
+
+def number(obj: dict, key: str, path: str = "") -> int | Fraction:
+    """obj[key] decoded by `decode_number`, where `path` names obj."""
+    where = at(path, key)
+    if key not in obj:
+        raise ShapeError(f"{where} is missing")
+    return decode_number(obj[key], where)

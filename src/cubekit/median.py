@@ -11,9 +11,12 @@ array).  The median closure evaluates no median: by the duality of median
 algebras and wallspaces (Sageev 1995; Roller 1998), the subalgebra
 generated by S is the set of coherent orientations of the walls that the
 space's halfspaces trace on S, and `orientation_search` lists those from one
-point of S outward.  Recognition (`is_median_graph`) is for graphs of
-unknown type; a graph whose construction already makes it median, such as a
-promoted closure, is not re-scanned.
+point of S outward with the flips between them, which
+`connectify_and_close_in` hands on as the closure's dual graph
+(`cubes.orientation_skeleton`).
+Recognition (`is_median_graph`) is for graphs of unknown type; a graph whose
+construction already makes it median, such as a promoted closure, is not
+re-scanned.
 """
 
 from __future__ import annotations
@@ -111,10 +114,11 @@ class MedianAlgebra:
     """A median graph together with its metric and rank.
 
     `from_graph` verifies medianness and computes the rank.  A caller may
-    construct `MedianAlgebra(g, rank)` directly only when the type of g
-    already guarantees medianness: for instance a connected median-closed
-    subset of a median graph, which is isometric and hence itself a median
-    graph (`applications.promote_to_cube_complex`), or a tree
+    construct `MedianAlgebra(g, rank)` directly only when the construction
+    of g already guarantees medianness: for instance the graph of the
+    coherent orientations of a wallspace joined one flip apart
+    (`cubes.orientation_skeleton`, behind `walls.dual_cube_complex` and
+    `applications.promote_to_cube_complex`), or a tree
     (`applications.coarse_helly_experiment`).
     """
 
@@ -190,7 +194,8 @@ class MedianAlgebra:
 # the bool matrix of the side of each wall (halfspace pair) each vertex lies
 # on, and vertices_of(sides) maps such rows back to vertices, -1 where none
 # is.  MedianAlgebra's walls are its Theta-classes, TreeProduct's the edges
-# of its factor trees.  closure_of needs the two wall methods alone.
+# of its factor trees.  closure_search needs the two wall methods alone;
+# connectify_and_close_in adds pairwise_distances and toward for its bridges.
 
 
 def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +262,16 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(layers), np.concatenate(flips or [np.empty((0, 2), np.int64)])
 
 
-def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed`, by wall duality.
+def relabel_rows(O: np.ndarray, flips: np.ndarray, order: np.ndarray):
+    """The rows of O listed in `order`, and the flips renumbered to match."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return O[order], rank[flips]
+
+
+def closure_search(space, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest median-closed superset of `seed`, by wall duality, with the
+    dual graph it carries.
 
     A median lies on the side of each wall that most of its triple lies on,
     so <S> is the set of coherent orientations of the walls traced on the
@@ -266,7 +279,10 @@ def closure_of(space, seed) -> frozenset[int]:
     matrix, each row XORed with S[0]'s; walls constant on S are dropped and
     equal traces merged by one np.unique over the packed columns.
     `orientation_search` lists the orientations and `space.vertices_of`
-    maps them back in one batched pass.  No median is evaluated.
+    maps them back in one batched pass.  No median is evaluated.  Returns
+    (points, O, flips): the points of <S> in increasing order, row i of O
+    the orientation of points[i] (one column per merged wall), and the
+    flips the pairs of rows one wall apart.
     """
     S = np.unique(np.fromiter((int(v) for v in seed), dtype=np.int64))
     if not S.size:
@@ -276,7 +292,7 @@ def closure_of(space, seed) -> frozenset[int]:
     live = np.flatnonzero(T.any(axis=0))
     traces = T[:, live]
     _, first, merged = np.unique(_row_keys(traces.T), return_index=True, return_inverse=True)
-    O, _ = orientation_search(traces[:, first])
+    O, flips = orientation_search(traces[:, first])
     sides = np.repeat(root[None, :], len(O), axis=0)
     sides[:, live] ^= O[:, merged]
     points = space.vertices_of(sides)
@@ -285,7 +301,13 @@ def closure_of(space, seed) -> frozenset[int]:
         raise MedianError(
             f"no vertex has the coherent orientation that differs from {S[0]} on the walls {flipped}"
         )
-    return frozenset(points.tolist())
+    order = np.argsort(points)
+    return (points[order], *relabel_rows(O, flips, order))
+
+
+def closure_of(space, seed) -> frozenset[int]:
+    """Smallest median-closed superset of `seed` (`closure_search`)."""
+    return frozenset(closure_search(space, seed)[0].tolist())
 
 
 def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:
@@ -386,9 +408,10 @@ class ConnectifyResult:
     a_prime: frozenset[int]
     closure: frozenset[int]
     hausdorff: int
-    one_connected: bool
-    # pairwise_distances of the sorted closure
-    closure_distances: np.ndarray = field(compare=False, repr=False)
+    # row i: the orientation of the i-th least closure point, one column per
+    # wall live on a_prime; flips: the pairs of rows one wall apart
+    orientations: np.ndarray = field(compare=False, repr=False)
+    flips: np.ndarray = field(compare=False, repr=False)
 
 
 def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
@@ -400,7 +423,11 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     stable sort of the member pairs (u, v) in different pieces with
     d(u, v) <= C by (piece of u, piece of v, distance): the first pair of
     each piece pair is a closest one, and, the members being sorted, the
-    row-major order the sort keeps among ties is (u, v) lex order.
+    row-major order the sort keeps among ties is (u, v) lex order.  The
+    bridged set A' is 1-connected, so the Hamming distance of the closure's
+    orientation rows is the distance of their points (proof in
+    `applications.promote_to_cube_complex`); one (closure x A) float
+    product gives the Hausdorff distance.
     """
     members = sorted(set(int(v) for v in A))
     if not members:
@@ -427,12 +454,13 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     for a, b in zip(u[pick].tolist(), v[pick].tolist()):
         added.update(lex_least_geodesic(space, members[a], members[b]))
     a_prime = frozenset(members) | frozenset(added)
-    closure = closure_of(space, a_prime)
-    cl = sorted(closure)
-    clmat = space.pairwise_distances(cl)
-    one_conn = component_labels(clmat <= 1).max() == 0
-    haus = clmat[:, np.searchsorted(cl, members)].min(axis=1).max()
-    return ConnectifyResult(a_prime, closure, int(haus), bool(one_conn), clmat)
+    points, O, flips = closure_search(space, a_prime)
+    at = np.searchsorted(points, members)
+    H = O.astype(np.float64)
+    size = H.sum(axis=1)
+    hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
+    haus = int(hamming.min(axis=1).max())
+    return ConnectifyResult(a_prime, frozenset(points.tolist()), haus, O, flips)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import TreeIndex, UnitGraph, gate_map, integer_distance_matrix
-from .jsonio import as_number, decode_number, encode_number
+from .jsonio import ShapeError, as_number, at, encode_number, expect, ints, member, number
 
 
 class ProjectionError(ValueError):
@@ -51,7 +51,7 @@ class ProjectionSystem:
                 s = frozenset(int(v) for v in self.proj[(i, j)])
                 if not s:
                     raise ProjectionError(f"projection ({i},{j}) is empty")
-                if max(s) >= self.pieces[i].n:
+                if not 0 <= min(s) <= max(s) < self.pieces[i].n:
                     raise ProjectionError(f"projection ({i},{j}) leaves piece {i}")
                 canon[(i, j)] = s
         object.__setattr__(self, "proj", canon)
@@ -80,13 +80,21 @@ class ProjectionSystem:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "ProjectionSystem":
-        pieces = tuple(UnitGraph.from_dict(p) for p in d["pieces"])
+    def from_dict(d: dict, path: str = "") -> "ProjectionSystem":
+        """The system of the JSON object d, named `path` in its document."""
+        pieces = []
+        for i, p in enumerate(member(d, "pieces", list, path)):
+            where = f"{at(path, 'pieces')}[{i}]"
+            pieces.append(UnitGraph.from_dict(expect(p, dict, where), where))
         proj = {}
-        for key, val in d["proj"].items():
-            i, j = key.split(",")
-            proj[(int(i), int(j))] = frozenset(int(v) for v in val)
-        return ProjectionSystem(pieces, proj, decode_number(d["theta"]))
+        for key, val in member(d, "proj", dict, path).items():
+            where = at(at(path, "proj"), key)
+            try:
+                i, j = map(int, key.split(","))
+            except ValueError:
+                raise ShapeError(f'{where}: the key is not "i,j" with integers i, j') from None
+            proj[(i, j)] = frozenset(ints(val, where))
+        return ProjectionSystem(tuple(pieces), proj, number(d, "theta", path))
 
 
 @dataclass(frozen=True)
@@ -246,8 +254,8 @@ class QuasiTreeSpace:
 
     @staticmethod
     def from_dict(d: dict) -> "QuasiTreeSpace":
-        system = ProjectionSystem.from_dict(d["system"])
-        return build_quasitree(system, decode_number(d["K"]), decode_number(d["L"]))
+        system = ProjectionSystem.from_dict(member(d, "system", dict), "system")
+        return build_quasitree(system, number(d, "K"), number(d, "L"))
 
 
 def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:

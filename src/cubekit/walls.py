@@ -5,7 +5,8 @@ one side per wall with all chosen sides pairwise intersecting.  The dual
 graph has one vertex per coherent orientation and an edge where two
 orientations differ on exactly one wall.  It is a median graph (Sageev
 1995; Roller 1998), and `median.orientation_search` walks it from the
-principal orientation of point 0, so its edges are the flips of the search.
+principal orientation of point 0, so its edges are the flips of the search
+and its hyperplanes the walls (`cubes.orientation_skeleton`).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import CubeSkeleton, crossing_dimension, hyperplane_decomposition
-from .graphs import UnitGraph
+from .cubes import CubeSkeleton, orientation_skeleton
 from .jsonio import expect, ints, member
-from .median import MedianAlgebra, orientation_search
+from .median import orientation_search, relabel_rows
 
 
 class WallspaceError(ValueError):
@@ -70,24 +70,9 @@ class Orientation:
     sides: tuple[int, ...]
 
 
-def _dual_graph(w: Wallspace) -> tuple[np.ndarray, np.ndarray]:
-    """The coherent orientations of w as 0/1 rows sorted as tuples, and the
-    dual's edges between those rows.  Side 0 of every wall holds point 0,
-    so the search starts from the all-zeros orientation, and its flips are
-    the edges."""
-    H = np.zeros((w.points, len(w.walls)), dtype=bool)
-    for i, (_, rh) in enumerate(w.walls):
-        H[sorted(rh), i] = True
-    found, flips = orientation_search(H)
-    order = np.lexsort(found.T[::-1]) if w.walls else np.zeros(1, dtype=np.int64)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return found[order].astype(np.int64), rank[flips]
-
-
 def coherent_orientations(w: Wallspace) -> list[Orientation]:
     """All coherent orientations, sorted by their sides."""
-    return [Orientation(tuple(o)) for o in _dual_graph(w)[0].tolist()]
+    return list(dual_cube_complex(w).orientations)
 
 
 def principal_orientation(w: Wallspace, x: int) -> Orientation:
@@ -103,12 +88,17 @@ class DualComplex:
 
 def dual_cube_complex(w: Wallspace) -> DualComplex:
     """The dual graph on all coherent orientations, sorted by their sides.
-    It is median by the duality theorem, so it is not re-scanned."""
-    sides, edges = _dual_graph(w)
-    g = UnitGraph(len(sides), edges.tolist())
+    Side 0 of every wall holds point 0, so the search starts from the
+    all-zeros orientation."""
+    H = np.zeros((w.points, len(w.walls)), dtype=bool)
+    for i, (_, rh) in enumerate(w.walls):
+        H[sorted(rh), i] = True
+    O, flips = orientation_search(H)
+    order = np.lexsort(O.T[::-1]) if w.walls else np.zeros(1, dtype=np.int64)
+    O, flips = relabel_rows(O, flips, order)
     return DualComplex(
-        skeleton=hyperplane_decomposition(MedianAlgebra(g, crossing_dimension(g))),
-        orientations=tuple(Orientation(tuple(o)) for o in sides.tolist()),
+        skeleton=orientation_skeleton(O, flips),
+        orientations=tuple(Orientation(tuple(o)) for o in O.astype(np.int64).tolist()),
     )
 
 

@@ -26,9 +26,9 @@ from cubekit.embedding import (
     psi_map,
 )
 from cubekit.fixtures import identity_instance, tree_with_axes
-from cubekit.graphs import DisconnectedGraphError, UnitGraph, path_graph, random_tree, tree_metrics
+from cubekit.graphs import UnitGraph, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
-from cubekit.median import BLOCK, ConnectifyResult
+from cubekit.median import BLOCK
 from cubekit.projection import ProjectionSystem, build_quasitree
 from helpers import oracle_tree_approximate
 
@@ -53,23 +53,14 @@ def test_tree_product_too_large_for_int64_is_refused():
 # promotion
 
 
-def _far_corners(space, A, C):
-    """A closure of two product corners, as no real bridging would return."""
-    corners = frozenset({0, space.n - 1})
-    return ConnectifyResult(corners, corners, 0, False, space.pairwise_distances(sorted(corners)))
-
-
-def test_a_closure_that_is_not_1_connected_fails_with_a_witness(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(applications, "connectify_and_close_in", _far_corners)
-    with pytest.raises(DisconnectedGraphError) as err:
-        promote_to_cube_complex([(0, 0), (2, 2)], (path_graph(3), path_graph(3)), 4)
-    assert (err.value.u, err.value.v) == (0, 1)
-    # through the CLI it is malformed input: exit 1 with the witness
-    inp = str(tmp_path / "tree.json")
-    assert main(["gen-fixture", "tree-axes", "--n", "30", "--out", inp]) == 0
-    capsys.readouterr()
-    assert main(["promote", "--in", inp]) == 1
-    assert "no path joins vertex 0 to vertex 1" in capsys.readouterr().err
+def test_a_disconnected_graph_fails_with_a_witness(tmp_path, capsys):
+    # a promoted closure is connected by construction; a disconnected graph
+    # reaches the same refusal through median-check: exit 1 with the witness
+    inp = tmp_path / "two.json"
+    inp.write_text('{"n":2,"edges":[]}', encoding="utf-8")
+    assert main(["median-check", "--in", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert "no path joins vertex 0 to vertex 1" in err and "Traceback" not in err
 
 
 def test_promoted_corner_path_and_square():

@@ -217,6 +217,37 @@ def test_input_of_the_wrong_shape_is_refused_naming_its_path(command, document, 
     assert captured.err == f"error: {cause}\n" and captured.out == ""
 
 
+_PIECES = [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}]
+
+
+@pytest.mark.parametrize(
+    "document, cause",
+    [
+        ({"pieces": 5, "proj": []}, "pieces is an integer, not an array"),
+        ({"pieces": [5], "proj": {}, "theta": 1}, "pieces[0] is an integer, not an object"),
+        ({"pieces": [{"n": 1}], "proj": {}, "theta": 1}, "pieces[0].edges is missing"),
+        ({"pieces": _PIECES, "proj": [], "theta": 1}, "proj is an array, not an object"),
+        ({"pieces": _PIECES, "proj": {"0,1": 5, "1,0": [0]}, "theta": 1}, "proj.0,1 is an integer, not an array"),
+        ({"pieces": _PIECES, "proj": {"0": [0]}, "theta": 1}, 'proj.0: the key is not "i,j" with integers i, j'),
+        ({"pieces": _PIECES, "proj": {"0,1": [-1], "1,0": [0]}, "theta": 1}, "projection (0,1) leaves piece 0"),
+        ({"pieces": _PIECES, "proj": {"0,1": [0], "1,0": [0]}, "theta": []}, "theta has 0 entries, not 2"),
+        ({"pieces": _PIECES, "proj": {"0,1": [0], "1,0": [0]}, "theta": [1, 0]}, "theta has a zero denominator: [1, 0]"),
+        ({"pieces": _PIECES, "proj": {"0,1": [0], "1,0": [0]}, "theta": "x"}, "theta is 'x', not a number"),
+        ({"pieces": _PIECES, "proj": {"0,1": [0], "1,0": [0]}}, "theta is missing"),
+    ],
+    ids=["pieces-int", "piece-int", "piece-edges", "proj-list", "proj-int", "proj-key", "proj-negative", "theta-list",
+         "theta-zero", "theta-string", "theta-missing"],
+)
+def test_projection_system_of_the_wrong_shape_is_refused_naming_its_path(document, cause, tmp_path, capsys):
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(document))
+    # one error line and exit 1, not a TypeError, AttributeError or
+    # IndexError traceback
+    assert main(["build-quasitree", "--in", str(inp), "--K", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cause}\n" and captured.out == ""
+
+
 def test_dual_of_27_singleton_walls_is_a_star(tmp_path, capsys):
     inp = tmp_path / "walls.json"
     walls = [[[i], [j for j in range(27) if j != i]] for i in range(27)]

@@ -6,15 +6,17 @@ median closure and the lowest-common-ancestor medians of a product of trees
 are taken on trust at run time; here they are checked against the
 brute-force oracles of `helpers` on small grids, hypercubes, random trees and
 products of trees.  The component labelling over arc lists, the maximal
-clique search and the promoted closure's isometry check (against a BFS) are
-checked the same way.  The one-anchor hull on trees is checked against the
-all-pairs hull.  The median operation of products of random trees obeys the
-median axioms, and a wallspace comes back from its dual cube complex, whose
-orientation search matches the enumeration of all orientations.  The median
-closure of seeds that grow matches the saturation oracle and finds each
-point once.  One step `toward` a target is the least neighbour one step
-closer, in graphs and in products of trees, and the bridging of pieces
-matches the piece-pair loop it replaced.
+clique search and the promoted skeleton (its edges and BFS metric against
+the product metric) are checked the same way.  The one-anchor hull on
+trees is checked against the all-pairs hull.  The median operation of
+products of random trees obeys the median axioms, and a wallspace comes
+back from its dual cube complex, whose orientation search matches the
+enumeration of all orientations and whose skeleton, read off that search,
+matches the hyperplane pass of its graph.  The median closure of seeds that
+grow matches the saturation oracle and finds each point once.  One step
+`toward` a target is the least neighbour one step closer, in graphs and in
+products of trees, and the bridging of pieces matches the piece-pair loop
+it replaced.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubekit.applications import TreeProduct, _is_path_metric, promote_to_cube_complex
+from cubekit.applications import TreeProduct, promote_to_cube_complex
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     UnitGraph,
@@ -254,25 +256,21 @@ def product_subsets(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(product_subsets())
-def test_path_metric_check_matches_bfs(subset):
+def test_promoted_graph_is_the_unit_distance_graph_of_its_closure(subset):
+    """promote builds its skeleton from the orientation search and reads no
+    distance matrix; against the product metric, the graph is connected,
+    its edges are exactly the closure's pairs at distance 1, its BFS metric
+    is the product metric, and the Hausdorff distance is exact."""
     space, ids = subset
-    pd = space.pairwise_distances(ids)
-    g = UnitGraph(len(ids), np.argwhere(np.triu(pd == 1, 1)).tolist())
-    if g.is_connected():
-        assert _is_path_metric(g, pd) == bool((g.distance_matrix == pd).all())
-
-
-def test_path_metric_check_refuses_the_cycle_around_a_grid_centre():
-    # the 8-cycle around the centre of the 3 x 3 grid: corners at cycle
-    # distance 4, grid distance 2
-    space = TreeProduct((UnitGraph(3, ((0, 1), (1, 2))),) * 2)
-    ring = sorted(v for v in range(9) if v != 4)
-    pd = space.pairwise_distances(ring)
-    g = UnitGraph(8, np.argwhere(np.triu(pd == 1, 1)).tolist())
-    assert g.is_connected() and len(g.edges) == 8
-    assert not _is_path_metric(g, pd)
-    full = space.pairwise_distances(list(range(9)))
-    assert _is_path_metric(grid_graph(3, 3), full)
+    C = max(1, minimal_connection_constant(space.pairwise_distances(ids), range(len(ids))))
+    res = promote_to_cube_complex([space.decode(v) for v in ids], space.factors, C)
+    closure = [space.encode(t) for t in res.vertex_tuples]
+    pd = space.pairwise_distances(closure)
+    g = res.skeleton.graph
+    assert g.is_connected()
+    assert g.edges == tuple(map(tuple, np.argwhere(np.triu(pd == 1, 1)).tolist()))
+    assert (g.distance_matrix == pd).all()
+    assert res.hausdorff == pd[:, np.searchsorted(closure, ids)].min(axis=1).max()
 
 
 @PROPERTY
@@ -483,8 +481,8 @@ def test_bridging_matches_the_piece_pair_oracle(case, data):
 @PROPERTY
 @given(tree_factors(), st.data())
 def test_promoted_skeleton_matches_the_graph_hyperplane_pass(factors, data):
-    # promote reads the Theta-classes off the factor trees and trusts the
-    # closure to be a median graph; the graph pass re-derives both
+    # promote reads the Theta-classes off the orientation search and trusts
+    # the closure to be a median graph; the graph pass re-derives both
     space = TreeProduct(factors)
     ids = sorted(data.draw(st.sets(st.integers(0, space.n - 1), min_size=1, max_size=5)))
     pd = space.pairwise_distances(ids)
@@ -605,3 +603,28 @@ def test_wallspace_dual_walls_round_trip(w):
     image = [index[principal_orientation(w, x).sides] for x in range(w.points)]
     pulled = {wall(w.points, (x for x in range(w.points) if image[x] in a)) for a, _ in back.walls}
     assert pulled == set(w.walls)
+
+
+def _assert_dual_skeleton_is_the_graph_pass(w: Wallspace) -> None:
+    """dual reads its hyperplanes, halfspaces and rank off the orientation
+    search; recognition and the hyperplane pass of the dual graph agree."""
+    dual = dual_cube_complex(w).skeleton
+    expected = hyperplane_decomposition(MedianAlgebra.from_graph(dual.graph))
+    assert dual.hyperplanes == expected.hyperplanes
+    assert dual.halfspaces == expected.halfspaces
+    assert dual.dimension == expected.dimension == dual.median.rank
+
+
+@PROPERTY
+@given(wallspaces())
+def test_dual_skeleton_matches_the_graph_hyperplane_pass(w):
+    _assert_dual_skeleton_is_the_graph_pass(w)
+
+
+def test_dual_skeleton_of_singleton_and_nested_walls_matches_the_graph_pass():
+    _assert_dual_skeleton_is_the_graph_pass(Wallspace(1, ()))
+    for n in (3, 27):
+        _assert_dual_skeleton_is_the_graph_pass(Wallspace(n, tuple(wall(n, [i]) for i in range(n))))
+    for k in (1, 5, 12):
+        nested = tuple(wall(k + 1, range(i + 1)) for i in range(k))
+        _assert_dual_skeleton_is_the_graph_pass(Wallspace(k + 1, nested))
