@@ -256,11 +256,11 @@ def product_subsets(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(product_subsets())
-def test_promoted_graph_is_the_unit_distance_graph_of_its_closure(subset):
-    """promote builds its skeleton from the orientation search and reads no
-    distance matrix; against the product metric, the graph is connected,
-    its edges are exactly the closure's pairs at distance 1, its BFS metric
-    is the product metric, and the Hausdorff distance is exact."""
+def test_path_metric_check_matches_bfs(subset):
+    """promote builds its skeleton from the orientation search and checks no
+    path metric at run time; against the product metric, the graph is
+    connected, its edges are exactly the closure's pairs at distance 1, its
+    BFS metric is the product metric, and the Hausdorff distance is exact."""
     space, ids = subset
     C = max(1, minimal_connection_constant(space.pairwise_distances(ids), range(len(ids))))
     res = promote_to_cube_complex([space.decode(v) for v in ids], space.factors, C)
@@ -271,6 +271,24 @@ def test_promoted_graph_is_the_unit_distance_graph_of_its_closure(subset):
     assert g.edges == tuple(map(tuple, np.argwhere(np.triu(pd == 1, 1)).tolist()))
     assert (g.distance_matrix == pd).all()
     assert res.hausdorff == pd[:, np.searchsorted(closure, ids)].min(axis=1).max()
+
+
+def test_path_metric_check_refuses_the_cycle_around_a_grid_centre():
+    # the 8-cycle around the centre of the 3 x 3 grid: corners at cycle
+    # distance 4, grid distance 2; its closure takes the centre back, and
+    # the promoted grid has the product metric as its BFS metric
+    space = TreeProduct((UnitGraph(3, ((0, 1), (1, 2))),) * 2)
+    ring = sorted(v for v in range(9) if v != 4)
+    pd = space.pairwise_distances(ring)
+    g = UnitGraph(8, np.argwhere(np.triu(pd == 1, 1)).tolist())
+    assert g.is_connected() and len(g.edges) == 8
+    assert not (g.distance_matrix == pd).all()
+    res = promote_to_cube_complex([space.decode(v) for v in ring], space.factors, 1)
+    closure = [space.encode(t) for t in res.vertex_tuples]
+    assert closure == list(range(9)) and res.isometric and res.hausdorff == 1
+    full = space.pairwise_distances(closure)
+    assert (res.skeleton.graph.distance_matrix == full).all()
+    assert (grid_graph(3, 3).distance_matrix == full).all()
 
 
 @PROPERTY
