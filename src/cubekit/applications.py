@@ -33,8 +33,8 @@ class TreeProduct:
 
     Vertices are mixed-radix encoded tuples, factor 0 the most significant
     digit.  Implements the median-space protocol of `median`.  A step from
-    u toward v moves one coordinate in which u and v differ one edge along
-    its factor tree, toward v; `toward` takes the least such id.  Medians
+    u toward v moves one differing coordinate one edge toward v, as the
+    factor's `next_hop` table says; `toward` takes the least such id.  Medians
     are computed factorwise: each factor is a tree, and its median is the
     XOR of the three pairwise lowest common ancestors (`TreeIndex.median`),
     read from a dense table of the factor's `TreeIndex.lca`, built on first
@@ -59,7 +59,7 @@ class TreeProduct:
         # sides[f][t, e]: vertex t of factor f is nearer y than x, for the
         # e-th edge (x, y) of its tree
         self.sides = tuple(
-            D[:, [y for _, y in f.edges]] < D[:, [x for x, _ in f.edges]]
+            D[:, f.edge_array[:, 1]] < D[:, f.edge_array[:, 0]]
             for f, D in zip(self.factors, self.dists)
         )
 
@@ -72,8 +72,10 @@ class TreeProduct:
             for f in self.factors
         )
 
-    def encode(self, coords) -> int:
-        return sum(int(c) * p for c, p in zip(coords, self.strides))
+    def encode(self, coords):
+        """The id of a coordinate tuple, or of each row of a (k x factors) array."""
+        out = np.asarray(coords, dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
+        return out if out.ndim else int(out)
 
     def decode(self, v: int) -> tuple[int, ...]:
         return tuple([v // p % s for p, s in zip(self.strides, self.sizes)])
@@ -85,12 +87,15 @@ class TreeProduct:
             rem = rem - out[-1] * p  # about twice as fast as np.divmod on int64
         return out + [rem]
 
-    def toward(self, u: int, v: int) -> int:
-        return min(
-            u + (f.toward(a, b) - a) * p
-            for f, p, a, b in zip(self.factors, self.strides, self.decode(u), self.decode(v))
-            if a != b
-        )
+    def toward(self, u, v):
+        """The least step from u toward v (u != v), over aligned vertex arrays
+        or, as an int, for one pair."""
+        steps = [
+            np.where(a != b, (f.next_hop[a, b] - a) * p, np.iinfo(np.int64).max)
+            for f, p, a, b in zip(self.factors, self.strides, self.decode_bulk(u), self.decode_bulk(v))
+        ]
+        out = np.asarray(u) + np.min(steps, axis=0)
+        return out if out.ndim else int(out)
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a
@@ -162,15 +167,15 @@ def promote_to_cube_complex(points, factors, C: int) -> PromoteResult:
       1-connected.
     """
     space = TreeProduct(tuple(factors))
-    enc = sorted({space.encode(p) for p in points})
-    if not enc:
+    enc = np.unique(space.encode(np.reshape(np.asarray(points, dtype=np.int64), (-1, len(factors)))))
+    if not enc.size:
         raise PipelineError("no input points")
     result = connectify_and_close_in(space, enc, C)
     skeleton = orientation_skeleton(result.orientations, result.flips)
-    closure = sorted(result.closure)
+    closure = np.sort(np.fromiter(result.closure, dtype=np.int64))
     return PromoteResult(
         skeleton=skeleton,
-        vertex_tuples=tuple(space.decode(v) for v in closure),
+        vertex_tuples=tuple(map(tuple, np.stack(space.decode_bulk(closure), axis=1).tolist())),
         hausdorff=result.hausdorff,
         one_connected=True,
         median_closed=True,
@@ -260,8 +265,7 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
         if best is None or (add, mult, int(roots[i])) < best[0]:
             best = ((add, mult, int(roots[i])), i, td)
     (add, mult, root), i, td = best
-    lo, hi = np.divmod(codes[i, :-1], n)
-    tree = UnitGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
+    tree = UnitGraph(n, np.stack(np.divmod(codes[i, :-1], n), axis=1))
     vars(tree)["distance_matrix"] = td  # fills the cached property
     return TreeApproxResult(tree=tree, root=root, additive=Fraction(add), multiplicative=mult)
 

@@ -92,8 +92,8 @@ def _emit(report: dict, out: str | None) -> None:
 def _skeleton_dict(c: CubeSkeleton) -> dict:
     return {
         "graph": c.graph.to_dict(),
-        "hyperplanes": [[list(e) for e in h] for h in c.hyperplanes],
-        "halfspaces": [[sorted(a), sorted(b)] for a, b in c.halfspaces],
+        "hyperplanes": c.hyperplane_lists(),
+        "halfspaces": c.halfspace_lists(),
         "dimension": c.dimension,
     }
 
@@ -307,10 +307,10 @@ def cmd_promote(args) -> int:
     a = p.parse_args(args)
     h, col, cs, psi = _coloured(a)
     trees = [tree_approximate(q) for q in cs.quasitrees]
-    pts = sorted({tuple(psi.maps[ci][g] for ci in range(cs.chi)) for g in range(h.n)})
+    pts = np.asarray(psi.maps, dtype=np.int64).T  # row g: the image of ambient vertex g
     if a.C is None:
         # the longest image of an ambient edge in the product, at least 1
-        u, v = np.array(h.ambient.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = h.ambient.edge_array.T
         span = np.zeros(len(u), dtype=np.int64)
         for t, m in zip(trees, psi.maps):
             m = np.asarray(m, dtype=np.int64)

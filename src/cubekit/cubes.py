@@ -2,16 +2,17 @@
 dimension, the hull-neighbourhood bound, and the Helly property.
 
 An edge class (hyperplane) is the set of edges inducing the same vertex
-bipartition by relative distance; its two sides are convex halfspaces.
-The classes of a graph are found by one np.unique over the sides of all its
-edges, or, for the dual graph of a wallspace, read off the orientation
-search that built it (`orientation_skeleton`): the class of an edge is the
-wall it flips.
+bipartition; its two sides are convex halfspaces.  The classes of a graph
+come from one np.unique over the sides of its edges, or, for the dual of a
+wallspace, from the search that built it (`orientation_skeleton`): an
+edge's class is the wall it flips.  A `CubeSkeleton` keeps them as a label
+per edge and a side mask per class, the report lists read off in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,27 +25,18 @@ class ConvexityError(ValueError):
     pass
 
 
-def _classes(edges, label: np.ndarray, masks: np.ndarray):
-    """(edge lists, side masks) of the edges grouped by class label, the
-    classes in the order of their first edge; masks[:, k] is a side mask of
-    the class labelled k."""
-    groups: dict[int, list[tuple[int, int]]] = {}  # in insertion order
-    for e, k in zip(edges, label.tolist()):
-        groups.setdefault(k, []).append(e)
-    return list(groups.values()), [masks[:, k] for k in groups]
-
-
-def _edge_classes(g: UnitGraph) -> tuple[list[list[tuple[int, int]]], list[np.ndarray]]:
+def _edge_classes(g: UnitGraph) -> tuple[np.ndarray, np.ndarray]:
     """Theta-classes of g: an edge (u, v) splits off the vertices nearer u
-    than v, XORed with vertex 0's side, and equal splits are one class."""
+    than v, XORed with vertex 0's side, and equal splits are one class.
+    Returns the class label of each edge and the (classes x n) side masks."""
     D = g.distance_matrix
-    u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = g.edge_array.T
     sides = (D[:, u] < D[:, v]) ^ (D[0, u] < D[0, v])
     if not (cut := sides.any(axis=0)).all():
         a, b = g.edges[int(np.argmin(cut))]
         raise ConvexityError(f"edge ({a},{b}) does not separate; graph not bipartite")
     _, first, label = np.unique(_row_keys(sides.T), return_index=True, return_inverse=True)
-    return _classes(g.edges, label, sides[:, first])
+    return label, sides[:, first].T
 
 
 def crossing_dimension(g: UnitGraph) -> int:
@@ -55,30 +47,39 @@ def crossing_dimension(g: UnitGraph) -> int:
     """
     if g.is_tree():
         return min(1, len(g.edges))
-    _, masks = _edge_classes(g)
-    return _max_crossing(masks)
+    return _max_crossing(_edge_classes(g)[1])
 
 
-def _max_crossing(masks: list[np.ndarray]) -> int:
+def _max_crossing(masks: np.ndarray) -> int:
     """Size of the largest clique of the crossing graph of the classes with
-    these side masks (`graphs.maximal_cliques`)."""
-    if not masks:
+    these side masks, one row each (`graphs.maximal_cliques`)."""
+    if not len(masks):
         return 0
     # classes i, j cross when all four quarter-spaces are nonempty; the
     # products count the vertices of each quarter for every pair at once
-    a = np.array(masks, dtype=np.float64)
+    a = np.asarray(masks, dtype=np.float64)
     b = 1.0 - a
     cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
     return max(len(c) for c in maximal_cliques(cross))
 
 
-@dataclass(frozen=True)
+def _runs(flat: list, counts: np.ndarray) -> list[list]:
+    """`flat` cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+@dataclass(frozen=True, eq=False)
 class CubeSkeleton:
-    """A median graph with its hyperplane classes and halfspace data."""
+    """A median graph with its hyperplane classes, kept as arrays: edge i of
+    the graph's sorted `edge_array` lies in class label[i], the classes
+    numbered in the order of their first edge, and sides[k] is the side
+    mask of class k, False on vertex 0's side.  `hyperplanes` and
+    `halfspaces` hold the same classes as tuples and frozensets."""
 
     median: MedianAlgebra
-    hyperplanes: tuple[tuple[tuple[int, int], ...], ...]
-    halfspaces: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    label: np.ndarray
+    sides: np.ndarray
     dimension: int
 
     @property
@@ -89,6 +90,25 @@ class CubeSkeleton:
     def n(self) -> int:
         return self.median.n
 
+    def hyperplane_lists(self) -> list[list[list[int]]]:
+        """Each class's edges, sorted, by one stable argsort of the labels."""
+        edges = self.graph.edge_array[np.argsort(self.label, kind="stable")].tolist()
+        return _runs(edges, np.bincount(self.label, minlength=len(self.sides)))
+
+    def halfspace_lists(self) -> list[list[list[int]]]:
+        """Each class's two sides as sorted vertex lists, vertex 0's first,
+        by np.nonzero on the masks."""
+        sides = [_runs(np.nonzero(s)[1].tolist(), s.sum(axis=1)) for s in (~self.sides, self.sides)]
+        return [list(pair) for pair in zip(*sides)]
+
+    @cached_property
+    def hyperplanes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(map(tuple, h)) for h in self.hyperplane_lists())
+
+    @cached_property
+    def halfspaces(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+        return tuple((frozenset(a), frozenset(b)) for a, b in self.halfspace_lists())
+
 
 def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     """Group edges into parallelism classes (hyperplanes) with their halfspaces.
@@ -98,23 +118,15 @@ def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     Chepoi 2000); the type of `m` guarantees medianness, so convexity is not
     re-checked here.  The dimension is the algebra's rank.
 
-    `classes` is (edge lists, side masks) of the Theta-classes, as
-    `_edge_classes` returns them, when the caller already knows them
-    (`orientation_skeleton`); by default they are computed from the graph.
-    Classes come in the order of their first edge, the side holding the
-    least vertex first, and each class's edges sorted.
+    `classes` is (labels, side masks) of the Theta-classes over the sorted
+    edges, as `_edge_classes` returns them, when the caller already knows
+    them (`orientation_skeleton`); by default they are computed from the
+    graph.  The classes are renumbered in the order of their first edge.
     """
-    edge_lists, masks = _edge_classes(m.graph) if classes is None else classes
-    sides = (mask ^ mask[0] for mask in masks)  # False on vertex 0's side
-    return CubeSkeleton(
-        median=m,
-        hyperplanes=tuple(tuple(sorted(e)) for e in edge_lists),
-        halfspaces=tuple(
-            (frozenset(np.flatnonzero(~s).tolist()), frozenset(np.flatnonzero(s).tolist()))
-            for s in sides
-        ),
-        dimension=m.rank,
-    )
+    label, masks = _edge_classes(m.graph) if classes is None else classes
+    order = np.argsort(np.unique(label, return_index=True)[1])
+    rank = np.argsort(order)
+    return CubeSkeleton(m, rank[label], masks[order] ^ masks[order, :1], m.rank)
 
 
 def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
@@ -124,13 +136,10 @@ def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
     re-scanned.  Its Theta-classes are the walls, so the wall an edge flips
     is its class, and that wall's column of O is a side mask of the class;
     the rank is the largest pairwise-crossing family of walls."""
-    u, v = np.sort(flips, axis=1).T
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
-    edges = list(zip(u.tolist(), v.tolist()))
-    classes = _classes(edges, np.nonzero(O[u] != O[v])[1], O)  # one wall a row
-    median = MedianAlgebra(UnitGraph(len(O), edges), _max_crossing(classes[1]))
-    return hyperplane_decomposition(median, classes)
+    g = UnitGraph(len(O), np.sort(flips, axis=1))
+    u, v = g.edge_array.T
+    median = MedianAlgebra(g, _max_crossing(O.T))
+    return hyperplane_decomposition(median, (np.nonzero(O[u] != O[v])[1], O.T))  # one wall a row
 
 
 def is_convex(m: MedianAlgebra, S) -> bool:

@@ -22,7 +22,7 @@ arc list, `arc_component_labels`, and cliques from one Bron-Kerbosch search,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,9 +46,19 @@ class DisconnectedGraphError(GraphError):
         super().__init__(f"graph is disconnected: no path joins vertex {u} to vertex {v}")
 
 
-def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+def _canonical_edges(n: int, edges) -> np.ndarray:
+    """The edges as a sorted (m x 2) array of (min, max) pairs, checked for
+    loops, ends out of range and repeats, and sorted by the keys lo * n + hi,
+    in one numpy pass; the loop below runs only to name the first bad edge."""
+    try:
+        pairs = np.sort(np.array(edges, dtype=np.int64).reshape(len(edges), 2), axis=1)
+        order = (keys := pairs[:, 0] * n + pairs[:, 1]).argsort()
+        if n < 2**31 and (pairs[:, 0] < pairs[:, 1]).all() and (np.diff(keys[order]) > 0).all():
+            if pairs.min(initial=0) >= 0 and pairs.max(initial=0) < n:
+                return pairs[order]
+    except (TypeError, ValueError, OverflowError):  # ragged rows or ends beyond int64
+        pass
     seen = set()
-    out = []
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if u == v:
@@ -59,9 +69,7 @@ def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
         if key in seen:
             raise GraphError(f"multi-edge {key}")
         seen.add(key)
-        out.append(key)
-    out.sort()
-    return tuple(out)
+    return np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -71,11 +79,13 @@ class UnitGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)  # the edges, (m x 2)
 
     def __post_init__(self):
         if self.n <= 0:
             raise GraphError("need at least one vertex")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
+        object.__setattr__(self, "edge_array", _canonical_edges(self.n, self.edges))
+        object.__setattr__(self, "edges", tuple(zip(*self.edge_array.T.tolist())))
         if self.labels is not None and len(self.labels) != self.n:
             raise GraphError("labels length must equal vertex count")
 
@@ -90,14 +100,25 @@ class UnitGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def toward(self, u: int, v: int) -> int:
-        """The least neighbour of u one step closer to v (u != v).  Row v of
-        the symmetric metric is its column v, and a neighbour is at most one
-        step nearer v than u is."""
-        near = self.distance_matrix[v]
-        for w in self.adjacency[u]:
-            if near[w] < near[u]:
-                return w
+    def toward(self, u, v):
+        """The least neighbour of u one step closer to v (u != v), from
+        `next_hop`: over aligned vertex arrays, or as an int for one pair."""
+        hop = self.next_hop[u, v]
+        return hop if np.ndim(hop) else int(hop)
+
+    @cached_property
+    def next_hop(self) -> np.ndarray:
+        """n x n: next_hop[u, v] is the least neighbour of u one step closer
+        to v (u itself at v), the first arc (u, w) in (u, w) order with w
+        nearer v, by one `np.minimum.reduceat` over the arcs of each u."""
+        D = self.distance_matrix
+        if self.n == 1:
+            return np.zeros((1, 1), dtype=np.int64)
+        u, w = np.unique(np.concatenate([self.edge_array, self.edge_array[:, ::-1]]), axis=0).T
+        pos = np.where(D[w] < D[u], np.arange(len(u), dtype=np.int32)[:, None], np.int32(len(u)))
+        hop = np.append(w, 0)[np.minimum.reduceat(pos, np.searchsorted(u, np.arange(self.n)))]
+        np.fill_diagonal(hop, np.arange(self.n))
+        return hop
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -130,7 +151,7 @@ class UnitGraph:
     @cached_property
     def components(self) -> np.ndarray:
         """Connected-component label of every vertex (see `arc_component_labels`)."""
-        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = self.edge_array.T
         return arc_component_labels(self.n, u, v)
 
     def is_connected(self) -> bool:
@@ -162,7 +183,7 @@ class UnitGraph:
         return UnitGraph(len(vs), tuple(sub), labels), index
 
     def to_dict(self) -> dict:
-        d = {"n": self.n, "edges": [list(e) for e in self.edges]}
+        d = {"n": self.n, "edges": self.edge_array.tolist()}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
@@ -170,7 +191,7 @@ class UnitGraph:
     @staticmethod
     def from_dict(d: dict, path: str = "") -> "UnitGraph":
         """The graph of the JSON object d, named `path` in its document."""
-        edges = tuple(map(tuple, int_rows(member(d, "edges", list, path), at(path, "edges"), 2)))
+        edges = int_rows(member(d, "edges", list, path), at(path, "edges"), 2)
         labels = d.get("labels")
         labels = None if labels is None else tuple(expect(labels, list, at(path, "labels")))
         return UnitGraph(member(d, "n", int, path), edges, labels)

@@ -2,13 +2,15 @@
 and the shape checks of input documents.
 
 Rationals serialize as [numerator, denominator]; integers stay integers.
-Identical in-memory reports serialize to identical bytes.  An input value of
-the wrong kind is a `ShapeError` that names its path in the document, such
-as `domains[2].pi[0]`.
+Identical in-memory reports serialize to identical bytes, in one C-level
+`json.dumps` where no float or non-str key needs the exact path
+(`canonical_dumps`).  An input value of the wrong kind is a `ShapeError`
+that names its path in the document, such as `domains[2].pi[0]`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -62,7 +64,20 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+_FLOAT_MARKS = (".", "e+", "e-", "Infinity", "NaN")  # in the repr of any float, never of an int
+
+
 def canonical_dumps(obj) -> str:
+    """json.dumps(jsonable(obj)), key-sorted and spaceless, and a newline, in
+    one C-level json.dumps with `jsonable` as its hook.  Text with a float
+    mark (a float's repr, or a string that only costs this) or keys mixing
+    str with others (TypeError) take the exact path.  Keys must be str."""
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=jsonable)
+        if not any(mark in text for mark in _FLOAT_MARKS):
+            return text + "\n"
+    except TypeError:
+        pass
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -132,8 +147,9 @@ def int_rows(value, path: str, length: int | None = None) -> list[list[int]]:
     and the paths are spelled out only to name a fault."""
     rows = expect(value, list, path)
     if not (
-        all(type(r) is list and (length is None or len(r) == length) for r in rows)
-        and all(type(x) is int for r in rows for x in r)
+        set(map(type, rows)) <= {list}
+        and (length is None or set(map(len, rows)) <= {length})
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
     ):
         for j, row in enumerate(rows):
             ints(row, f"{path}[{j}]", length)

@@ -144,7 +144,7 @@ class MedianAlgebra:
     def dist(self) -> np.ndarray:
         return self.graph.distance_matrix
 
-    def toward(self, u: int, v: int) -> int:
+    def toward(self, u, v):
         return self.graph.toward(u, v)
 
     def pairwise_distances(self, verts) -> np.ndarray:
@@ -172,8 +172,7 @@ class MedianAlgebra:
         that each vertex lies on."""
         from . import cubes  # the classes are a hyperplane quantity
 
-        _, masks = cubes._edge_classes(self.graph)
-        return np.array(masks, dtype=bool).reshape(len(masks), self.n).T
+        return cubes._edge_classes(self.graph)[1].T
 
     def wall_sides(self, verts) -> np.ndarray:
         return self._sides[np.asarray(verts, dtype=np.int64)]
@@ -187,14 +186,15 @@ class MedianAlgebra:
 #
 # The closure and bridging engines work against any median space with five
 # methods over integer vertex ids.  toward(u, v), for u != v, is the least
-# neighbour of u one step closer to v; pairwise_distances(verts) is the
-# distance matrix of a vertex list; median_bulk(a, b_arr, c) takes a 1-D
-# array b_arr, with `a` and `c` each a vertex or an array aligned with b_arr,
-# and row i of its result is m(a[i], b_arr[i], c[i]).  wall_sides(verts) is
-# the bool matrix of the side of each wall (halfspace pair) each vertex lies
-# on, and vertices_of(sides) maps such rows back to vertices, -1 where none
-# is.  MedianAlgebra's walls are its Theta-classes, TreeProduct's the edges
-# of its factor trees.  closure_search needs the two wall methods alone;
+# neighbour of u one step closer to v, over aligned vertex arrays (a scalar
+# pair gives an int); pairwise_distances(verts) is the distance matrix of a
+# vertex list; median_bulk(a, b_arr, c) takes a 1-D array b_arr, with `a`
+# and `c` each a vertex or an array aligned with b_arr, and row i of its
+# result is m(a[i], b_arr[i], c[i]).  wall_sides(verts) is the bool matrix
+# of the side of each wall (halfspace pair) each vertex lies on, and
+# vertices_of(sides) maps such rows back to vertices, -1 where none is.
+# MedianAlgebra's walls are its Theta-classes, TreeProduct's the edges of
+# its factor trees.  closure_search needs the two wall methods alone;
 # connectify_and_close_in adds pairwise_distances and toward for its bridges.
 
 
@@ -284,7 +284,7 @@ def closure_search(space, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the orientation of points[i] (one column per merged wall), and the
     flips the pairs of rows one wall apart.
     """
-    S = np.unique(np.fromiter((int(v) for v in seed), dtype=np.int64))
+    S = np.unique(np.fromiter(seed, dtype=np.int64))
     if not S.size:
         raise MedianError("closure of the empty set is undefined")
     T = space.wall_sides(S)
@@ -397,10 +397,19 @@ def median_subset_report(m: MedianAlgebra, A, C: int, M: int) -> SubsetReport:
 def lex_least_geodesic(space, u: int, v: int) -> list[int]:
     """Shortest u->v path taking the least neighbour one step closer to v
     at every step (`toward` of the median-space protocol)."""
-    path = [u]
-    while path[-1] != v:
-        path.append(space.toward(path[-1], v))
-    return path
+    return lex_least_geodesics(space, [u], [v])[:, 0].tolist()
+
+
+def lex_least_geodesics(space, u, v) -> np.ndarray:
+    """The `lex_least_geodesic` from each u[i] to v[i], walked together: row
+    k holds the k-th vertex of every walk, which repeats its end once there."""
+    x, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    rows = [x]
+    while (live := x != v).any():
+        x = x.copy()
+        x[live] = space.toward(x[live], v[live])
+        rows.append(x)
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -419,18 +428,19 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
 
     `space` is a median space (see "subalgebras" above).  Every ordered pair
     of pieces at most C apart is joined by the lex-least geodesic from its
-    lexicographically least closest pair (u, v).  Those pairs come from one
-    stable sort of the member pairs (u, v) in different pieces with
-    d(u, v) <= C by (piece of u, piece of v, distance): the first pair of
-    each piece pair is a closest one, and, the members being sorted, the
-    row-major order the sort keeps among ties is (u, v) lex order.  The
+    lexicographically least closest pair (u, v), all walked together
+    (`lex_least_geodesics`).  Those pairs come from one stable sort of the
+    member pairs (u, v) in different pieces with d(u, v) <= C by (piece of
+    u, piece of v, distance): the first pair of each piece pair is a closest
+    one, and, the members being sorted, the row-major order the sort keeps
+    among ties is (u, v) lex order.  The
     bridged set A' is 1-connected, so the Hamming distance of the closure's
     orientation rows is the distance of their points (proof in
     `applications.promote_to_cube_complex`); one (closure x A) float
     product gives the Hausdorff distance.
     """
-    members = sorted(set(int(v) for v in A))
-    if not members:
+    members = np.unique(np.fromiter(A, dtype=np.int64))
+    if not members.size:
         raise MedianError("empty subset")
     sub = space.pairwise_distances(members)
     # maximal 1-connected pieces = components of the induced unit-step graph
@@ -450,17 +460,14 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     order = np.lexsort((sub[u, v], group))
     _, first = np.unique(group[order], return_index=True)
     pick = order[first]
-    added: set[int] = set()
-    for a, b in zip(u[pick].tolist(), v[pick].tolist()):
-        added.update(lex_least_geodesic(space, members[a], members[b]))
-    a_prime = frozenset(members) | frozenset(added)
+    a_prime = np.union1d(members, lex_least_geodesics(space, members[u[pick]], members[v[pick]]))
     points, O, flips = closure_search(space, a_prime)
     at = np.searchsorted(points, members)
     H = O.astype(np.float64)
     size = H.sum(axis=1)
     hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
     haus = int(hamming.min(axis=1).max())
-    return ConnectifyResult(a_prime, frozenset(points.tolist()), haus, O, flips)
+    return ConnectifyResult(frozenset(a_prime.tolist()), frozenset(points.tolist()), haus, O, flips)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ class ProjectionSystem:
                 if not 0 <= min(s) <= max(s) < self.pieces[i].n:
                     raise ProjectionError(f"projection ({i},{j}) leaves piece {i}")
                 canon[(i, j)] = s
+        for i, j in self.proj:
+            if (i, j) not in canon:
+                raise ProjectionError(f"projection entry ({i},{j}) names no pair of the {k} pieces")
         object.__setattr__(self, "proj", canon)
         object.__setattr__(self, "theta", as_number(self.theta))
 

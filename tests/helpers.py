@@ -175,6 +175,23 @@ def lex_geodesic(graph, a, b):
     return path
 
 
+def oracle_canonical_edges(n, edges):
+    """The sorted (min, max) edge pairs, checked one edge at a time: a loop,
+    an end out of range or a repeat is a ValueError naming the first."""
+    seen = set()
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"multi-edge {key}")
+        seen.add(key)
+    return tuple(sorted(seen))
+
+
 def oracle_toward(n, edges, v):
     """For every u, the least neighbour of u one step closer to v (None at
     v itself), by a BFS from v and a scan of every edge."""

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import cubekit
+from cubekit import cli
 from cubekit.cli import main
+from cubekit.jsonio import canonical_dumps, jsonable
 from cubekit.fixtures import spider_with_axes
 from cubekit.hhs import HHSInstance
 
@@ -248,6 +250,19 @@ def test_projection_system_of_the_wrong_shape_is_refused_naming_its_path(documen
     assert captured.err == f"error: {cause}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["5,6", "0,0", "1,1", "0,2", "-1,0"])
+def test_projection_entry_naming_no_pair_of_distinct_pieces_is_refused(key, tmp_path, capsys):
+    # a typo in a key was dropped in silence, and the command exited 0
+    document = {"pieces": _PIECES, "proj": {"0,1": [0], "1,0": [0], key: [0]}, "theta": 1}
+    inp = tmp_path / "extra.json"
+    inp.write_text(json.dumps(document))
+    assert main(["build-quasitree", "--in", str(inp), "--K", "3"]) == 1
+    captured = capsys.readouterr()
+    i, j = key.split(",")
+    assert captured.err == f"error: projection entry ({i},{j}) names no pair of the 2 pieces\n"
+    assert captured.out == ""
+
+
 def test_dual_of_27_singleton_walls_is_a_star(tmp_path, capsys):
     inp = tmp_path / "walls.json"
     walls = [[[i], [j for j in range(27) if j != i]] for i in range(27)]
@@ -304,7 +319,9 @@ def _fresh_cli(args):
 NUMPY_ONLY = """
 import pkgutil, sys
 import cubekit
+from cubekit import cli
 from cubekit.cli import main
+from cubekit.jsonio import canonical_dumps, jsonable
 for info in pkgutil.iter_modules(cubekit.__path__):
     __import__(f"cubekit.{info.name}")
 assert main(["gen-fixture", "tree-axes", "--n", "40", "--out", "t.json"]) == 0
@@ -455,6 +472,28 @@ def test_golden_report(case, inputs, capsys):
     assert first == second
     code, out = first
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == PINS[case]
+
+
+def _keys_are_str(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(type(k) is str and _keys_are_str(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(_keys_are_str(v) for v in obj)
+    return True
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_report_text_is_the_exact_encoding_and_its_keys_are_str(case, inputs, capsys, monkeypatch):
+    # the C-encoder path of canonical_dumps against the pure-Python path,
+    # on the report object itself, which every builder writes with str keys
+    reports = []
+    monkeypatch.setattr(cli, "canonical_dumps", lambda obj: reports.append(obj) or canonical_dumps(obj))
+    _run(capsys, [a.format(**inputs) for a in CASES[case]])
+    assert bool(reports) == (case not in ("missing-input", "unknown-subcommand"))
+    for report in reports:
+        exact = json.dumps(jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
+        assert canonical_dumps(report) == exact
+        assert _keys_are_str(report)
 
 
 @pytest.mark.parametrize("case", ["promote-tree", "psi-tree"])

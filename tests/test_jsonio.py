@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cubekit import jsonio
 from cubekit.jsonio import as_number, canonical_dumps, decode_number, jsonable
 
 
@@ -50,3 +52,36 @@ def test_canonical_dumps_keeps_bools_ints_and_rationals_apart():
 def test_jsonable_refuses_unknown_types():
     with pytest.raises(TypeError, match="cannot serialize"):
         jsonable({"x": object()})
+
+
+def _exact(obj) -> str:
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"x": 2.5, "y": [1.0, -0.125, 1e20, 1e-7]},
+        {"f": np.float64(3.0), "g": np.float64(0.1)},
+        {"i": [np.int64(7), np.int32(-3), np.uint8(255)], "b": [np.bool_(True), np.bool_(False)]},
+        {"s": {3, 1, 2}, "fs": frozenset({Fraction(3, 2), Fraction(1, 2)}), "t": (1, (2, 3))},
+        {7: [1], "a": 2},
+        {"a": {None: 1, "b": 2}},
+        {"dot": "v1.2", "exp": "made-e-up", "both": ["e+", "Infinity", "NaN"], "plain": "promote"},
+        {"q": Fraction(6, 4), "w": Fraction(5, 1), "n": None, "u": "\u00e9"},
+        [],
+        {},
+    ],
+)
+def test_canonical_dumps_is_the_exact_encoding(obj):
+    assert canonical_dumps(obj) == _exact(obj)
+
+
+def test_canonical_dumps_makes_one_encoder_call_without_floats(monkeypatch):
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(jsonio.json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    report = {"command": "promote", "sizes": [np.int64(3), 4], "ratio": Fraction(3, 2), "set": {2, 1}}
+    assert canonical_dumps(report) == '{"command":"promote","ratio":[3,2],"set":[1,2],"sizes":[3,4]}\n'
+    assert len(calls) == 1
+    assert canonical_dumps({"x": 0.5}) == '{"x":[1,2]}\n' and len(calls) == 3

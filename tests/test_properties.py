@@ -15,8 +15,10 @@ enumeration of all orientations and whose skeleton, read off that search,
 matches the hyperplane pass of its graph.  The median closure of seeds that
 grow matches the saturation oracle and finds each point once.  One step
 `toward` a target is the least neighbour one step closer, in graphs and in
-products of trees, and the bridging of pieces matches the piece-pair loop
-it replaced.
+products of trees, over arrays as for one pair; the bridges walked together
+are the lex-least geodesics, and the bridging of pieces matches the
+piece-pair loop it replaced.  The numpy edge check agrees with the
+edge-by-edge loop, result or message.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -24,12 +26,14 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.applications import TreeProduct, promote_to_cube_complex
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
+    GraphError,
     UnitGraph,
     arc_component_labels,
     complete_bipartite_graph,
@@ -56,12 +60,14 @@ from cubekit.median import (
     connectify_and_close_in,
     is_median_graph,
     lex_least_geodesic,
+    lex_least_geodesics,
     minimal_connection_constant,
 )
 from helpers import (
     lex_geodesic,
     oracle_all_dists,
     oracle_bridge,
+    oracle_canonical_edges,
     oracle_closure,
     oracle_hull,
     oracle_interval_closure,
@@ -415,12 +421,31 @@ def test_tree_product_medians_on_large_factors_with_repeated_operands(factors, d
     assert space.median_bulk(x, b, z).tolist() == explicit.median_bulk(x, b, z).tolist()
 
 
+def _assert_walks_are_the_geodesics(space, graph, us, vs):
+    """The batched walk, bridge by bridge, against `lex_least_geodesic` and
+    the explicit graph's `lex_geodesic`; and array `toward` against scalar
+    `toward` elementwise."""
+    walks = lex_least_geodesics(space, us, vs)
+    for i, (a, b) in enumerate(zip(us, vs)):
+        path = lex_least_geodesic(space, a, b)
+        assert path == lex_geodesic(graph, a, b)
+        assert walks[: len(path), i].tolist() == path and (walks[len(path) :, i] == b).all()
+    pairs = [(a, b) for a, b in zip(us, vs) if a != b]
+    if pairs:
+        u, v = np.array(pairs).T
+        assert space.toward(u, v).tolist() == [space.toward(a, b) for a, b in pairs]
+
+
 @PROPERTY
 @given(tree_factors(), st.data())
 def test_tree_product_lex_least_geodesic_matches_the_explicit_product(factors, data):
     space = TreeProduct(factors)
     a, b = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2))
     assert lex_least_geodesic(space, a, b) == lex_geodesic(tree_product(*factors), a, b)
+    ends = st.lists(st.integers(0, space.n - 1), min_size=1, max_size=8)
+    us = data.draw(ends)
+    vs = data.draw(st.lists(st.integers(0, space.n - 1), min_size=len(us), max_size=len(us)))
+    _assert_walks_are_the_geodesics(space, tree_product(*factors), us, vs)
 
 
 @st.composite
@@ -440,6 +465,15 @@ def test_toward_is_the_least_neighbour_one_step_closer(g):
         for u in range(g.n):
             if u != v:
                 assert g.toward(u, v) == m.toward(u, v) == expected[u]
+
+
+@PROPERTY
+@given(trees_and_grids(), st.data())
+def test_batched_walks_on_graphs_are_the_lex_least_geodesics(g, data):
+    vertices = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=8)
+    us = data.draw(vertices)
+    vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=len(us), max_size=len(us)))
+    _assert_walks_are_the_geodesics(MedianAlgebra.from_graph(g), g, us, vs)
 
 
 @PROPERTY
@@ -646,3 +680,38 @@ def test_dual_skeleton_of_singleton_and_nested_walls_matches_the_graph_pass():
     for k in (1, 5, 12):
         nested = tuple(wall(k + 1, range(i + 1)) for i in range(k))
         _assert_dual_skeleton_is_the_graph_pass(Wallspace(k + 1, nested))
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and up to ten edges among its vertices, loops and
+    repeats in either direction included, with sometimes one end moved out
+    of range."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    if edges and draw(st.booleans()):
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (edges[i][0], draw(st.sampled_from([-1, n, n + 5])))
+    return n, edges
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edge_lists())
+def test_edge_check_agrees_with_the_edge_loop(case):
+    n, edges = case
+    # loops, repeats in either direction and ends out of range all occur;
+    # the numpy pass must give the loop's edges, or its first message
+    try:
+        expected = oracle_canonical_edges(n, edges)
+    except ValueError as e:
+        with pytest.raises(GraphError) as got:
+            UnitGraph(n, tuple(edges))
+        assert str(got.value) == str(e)
+    else:
+        g = UnitGraph(n, tuple(edges))
+        assert g.edges == expected and g.edge_array.tolist() == [list(e) for e in expected]
+
+
+def test_an_edge_end_beyond_int64_is_out_of_range():
+    with pytest.raises(GraphError, match=r"^edge \(0,1180591620717411303424\) out of range for 3 vertices$"):
+        UnitGraph(3, ((0, 2**70),))
