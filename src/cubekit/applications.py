@@ -73,7 +73,6 @@ class TreeProduct:
         )
 
     def encode(self, coords):
-        """The id of a coordinate tuple, or of each row of a (k x factors) array."""
         out = np.asarray(coords, dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
         return out if out.ndim else int(out)
 

@@ -109,14 +109,15 @@ class UnitGraph:
     @cached_property
     def next_hop(self) -> np.ndarray:
         """n x n: next_hop[u, v] is the least neighbour of u one step closer
-        to v (u itself at v), the first arc (u, w) in (u, w) order with w
-        nearer v, by one `np.minimum.reduceat` over the arcs of each u."""
+        to v (u itself at v), the least head w nearer v among the arcs
+        (u, w), by one `np.minimum.reduceat` over the arcs of each u."""
         D = self.distance_matrix
         if self.n == 1:
             return np.zeros((1, 1), dtype=np.int64)
-        u, w = np.unique(np.concatenate([self.edge_array, self.edge_array[:, ::-1]]), axis=0).T
-        pos = np.where(D[w] < D[u], np.arange(len(u), dtype=np.int32)[:, None], np.int32(len(u)))
-        hop = np.append(w, 0)[np.minimum.reduceat(pos, np.searchsorted(u, np.arange(self.n)))]
+        arcs = np.concatenate([self.edge_array, self.edge_array[:, ::-1]])
+        u, w = arcs[arcs[:, 0].argsort()].T
+        nearer = np.where(D[w] < D[u], w[:, None], self.n)  # w where it is nearer v, else n
+        hop = np.minimum.reduceat(nearer, np.searchsorted(u, np.arange(self.n)))
         np.fill_diagonal(hop, np.arange(self.n))
         return hop
 
