@@ -5,8 +5,8 @@ An edge class (hyperplane) is the set of edges inducing the same vertex
 bipartition; its two sides are convex halfspaces.  The classes of a graph
 come from one np.unique over the sides of its edges, or, for the dual of a
 wallspace, from the search that built it (`orientation_skeleton`): an
-edge's class is the wall it flips.  A `CubeSkeleton` keeps them as a label
-per edge and a side mask per class, the report lists read off in numpy.
+edge's class is the wall it flips.  A `CubeSkeleton` keeps a label per
+edge and a side mask per class, and reads its report lists off them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _max_crossing(masks: np.ndarray) -> int:
         return 0
     # classes i, j cross when all four quarter-spaces are nonempty; the
     # products count the vertices of each quarter for every pair at once
-    a = np.asarray(masks, dtype=np.float64)
+    a = np.array(masks, dtype=np.float64)
     b = 1.0 - a
     cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
     return max(len(c) for c in maximal_cliques(cross))
@@ -126,7 +126,7 @@ def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     label, masks = _edge_classes(m.graph) if classes is None else classes
     order = np.argsort(np.unique(label, return_index=True)[1])
     rank = np.argsort(order)
-    return CubeSkeleton(m, rank[label], masks[order] ^ masks[order, :1], m.rank)
+    return CubeSkeleton(m, rank[label], masks[order] ^ masks[order, :1], m.rank)  # False at vertex 0
 
 
 def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:

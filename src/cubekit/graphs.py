@@ -52,10 +52,11 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
     in one numpy pass; the loop below runs only to name the first bad edge."""
     try:
         pairs = np.sort(np.array(edges, dtype=np.int64).reshape(len(edges), 2), axis=1)
-        order = (keys := pairs[:, 0] * n + pairs[:, 1]).argsort()
-        if n < 2**31 and (pairs[:, 0] < pairs[:, 1]).all() and (np.diff(keys[order]) > 0).all():
-            if pairs.min(initial=0) >= 0 and pairs.max(initial=0) < n:
-                return pairs[order]
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        keys = keys[order := keys.argsort()]
+        in_range = n < 2**31 and (pairs.view(np.uint64) < n).all()  # a negative end wraps past n
+        if in_range and (pairs[:, 0] < pairs[:, 1]).all() and (keys[1:] > keys[:-1]).all():
+            return pairs[order]
     except (TypeError, ValueError, OverflowError):  # ragged rows or ends beyond int64
         pass
     seen = set()
@@ -101,8 +102,7 @@ class UnitGraph:
         return self.adjacency[v]
 
     def toward(self, u, v):
-        """The least neighbour of u one step closer to v (u != v), from
-        `next_hop`: over aligned vertex arrays, or as an int for one pair."""
+        """`next_hop` of aligned vertex arrays u != v, or an int for one pair."""
         hop = self.next_hop[u, v]
         return hop if np.ndim(hop) else int(hop)
 
@@ -444,10 +444,9 @@ def maximal_cliques(adjacency) -> list[tuple[int, ...]]:
     A graph with no vertices has no maximal clique.
     """
     adj = np.asarray(adjacency, dtype=bool)
-    nbrs = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") & ~(1 << i)
-        for i, row in enumerate(adj)
-    ]
+    packed = np.packbits(adj, axis=1, bitorder="little")  # row i: the bits of i's neighbours
+    data, w = packed.tobytes(), packed.shape[1]
+    nbrs = [int.from_bytes(data[i * w : i * w + w], "little") & ~(1 << i) for i in range(len(adj))]
     out: list[tuple[int, ...]] = []
 
     def expand(clique: list[int], p: int, x: int) -> None:

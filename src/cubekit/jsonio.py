@@ -64,19 +64,19 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-_FLOAT_MARKS = (".", "e+", "e-", "Infinity", "NaN")  # in the repr of any float, never of an int
+_FLOAT_MARKS = (".", "e+", "e-")  # in the repr of any finite float, never of an int
 
 
 def canonical_dumps(obj) -> str:
     """json.dumps(jsonable(obj)), key-sorted and spaceless, and a newline, in
-    one C-level json.dumps with `jsonable` as its hook.  Text with a float
-    mark (a float's repr, or a string that only costs this) or keys mixing
-    str with others (TypeError) take the exact path.  Keys must be str."""
+    one C-level json.dumps with `jsonable` as its hook.  A float mark in the
+    text (even in a string), a NaN (ValueError) or keys mixing str with
+    others (TypeError) send obj down the exact path.  Keys must be str."""
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=jsonable)
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=jsonable, allow_nan=False)
         if not any(mark in text for mark in _FLOAT_MARKS):
             return text + "\n"
-    except TypeError:
+    except (TypeError, ValueError):
         pass
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 

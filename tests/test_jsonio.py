@@ -77,6 +77,14 @@ def test_canonical_dumps_is_the_exact_encoding(obj):
     assert canonical_dumps(obj) == _exact(obj)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_float_is_refused_as_on_the_exact_path(value):
+    with pytest.raises(Exception) as exact:
+        _exact({"x": [value]})
+    with pytest.raises(type(exact.value), match=str(exact.value)):
+        canonical_dumps({"x": [value]})
+
+
 def test_canonical_dumps_makes_one_encoder_call_without_floats(monkeypatch):
     calls = []
     dumps = json.dumps
