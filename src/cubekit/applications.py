@@ -5,6 +5,7 @@ experiment, and packing counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,6 +219,10 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     tree carries it as its cached `distance_matrix` (int32), so the Helly
     experiment, `TreeProduct` and the promote C default do not compute it
     again; its `tree_index` is built on first use.
+
+    A quasitree that is already a tree of unit edges is its own answer, with
+    no search: every root's shortest-path tree is q itself, so every root
+    ties at additive 0 and multiplicative 1, and the least, 0, wins.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
@@ -225,6 +230,10 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
         raise PipelineError("tree approximation requires integer edge lengths")
     n = q.n
     mat = q.distance_matrix
+    if q.tree_index is not None and all(w == 1 for _, _, w in q.edges):
+        tree = UnitGraph(n, [(u, v) for u, v, _ in q.edges])
+        vars(tree)["distance_matrix"] = mat.astype(np.int32)
+        return TreeApproxResult(tree=tree, root=0, additive=Fraction(0), multiplicative=Fraction(1))
     roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
     parent = np.zeros((len(roots), n), dtype=np.int64)
     if n > 1:
@@ -286,38 +295,30 @@ def coarse_helly_experiment(
     cs: ColouredSystem, psi: PsiImage, sets, R: int, trees: list[TreeApproxResult]
 ) -> HellyExperimentResult:
     """Push pairwise-close sets through the pipeline, intersect their inflated
-    convex images factorwise, and pull the common point back."""
+    convex images factorwise, and pull the common point back.  The families
+    and the psi maps are int arrays: the pull-back is one argmin over the
+    summed tree distances of every ambient vertex, the least vertex winning
+    ties."""
     h = cs.instance
     DG = h.dist
-    families = [sorted(set(int(v) for v in S)) for S in sets]
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            d = int(DG[np.ix_(families[i], families[j])].min())
-            if d > R:
-                raise EmbeddingError(
-                    f"sets {i} and {j} are {d} apart, exceeding R={R}"
-                )
-    hulls: list[list[np.ndarray]] = []  # [colour][set] -> hull vertex array
-    for ci in range(cs.chi):
-        tdist = trees[ci].tree.distance_matrix
-        hulls.append(
-            [np.flatnonzero(space_hull(tdist, [psi.maps[ci][z] for z in S])) for S in families]
-        )
+    families = [np.unique(np.fromiter(S, dtype=np.int64)) for S in sets]
+    pairs = list(itertools.combinations(range(len(families)), 2))
+    for i, j in pairs:
+        d = int(DG[np.ix_(families[i], families[j])].min())
+        if d > R:
+            raise EmbeddingError(f"sets {i} and {j} are {d} apart, exceeding R={R}")
+    maps = np.array(psi.maps, dtype=np.int64).reshape(cs.chi, h.n)
+    tdists = [trees[ci].tree.distance_matrix for ci in range(cs.chi)]
+    hulls = [[np.flatnonzero(space_hull(td, m[S])) for S in families] for td, m in zip(tdists, maps)]
     # product distance between convex images decomposes over the factors
-    worst = 0
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            d = sum(
-                int(trees[ci].tree.distance_matrix[np.ix_(hulls[ci][i], hulls[ci][j])].min())
-                for ci in range(cs.chi)
-            )
-            worst = max(worst, d)
+    gap = lambda i, j: sum(int(td[np.ix_(hs[i], hs[j])].min()) for td, hs in zip(tdists, hulls))
+    worst = max((gap(i, j) for i, j in pairs), default=0)
     r_infl = (worst + 1) // 2
     helly_points = []
     hull_bound_ok = True
     for ci in range(cs.chi):
         tree = trees[ci].tree
-        tdist = tree.distance_matrix
+        tdist = tdists[ci]
         # a tree is a median graph, so it needs no recognition or class pass
         median = MedianAlgebra(tree, crossing_dimension(tree))
         inflated = []
@@ -326,7 +327,7 @@ def coarse_helly_experiment(
             hull = np.flatnonzero(space_hull(tdist, ball))
             if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > median.rank * r_infl:
                 hull_bound_ok = False
-            inflated.append(frozenset(int(v) for v in hull))
+            inflated.append(hull)
         res = helly_intersection(median, inflated)
         if not res.found:
             raise EmbeddingError(
@@ -334,16 +335,8 @@ def coarse_helly_experiment(
             )
         helly_points.append(res.vertex)
     # pull back: ambient vertex whose image is l1-nearest to the Helly point
-    best = None
-    center = -1
-    for g in range(h.n):
-        d = sum(
-            int(trees[ci].tree.distance_matrix[psi.maps[ci][g], helly_points[ci]])
-            for ci in range(cs.chi)
-        )
-        if best is None or d < best:
-            best = d
-            center = g
+    total = sum(td[m, p] for td, m, p in zip(tdists, maps, helly_points))
+    center = int(np.argmin(total))
     r_out = max(int(DG[center, S].min()) for S in families)
     return HellyExperimentResult(
         center=center,

@@ -311,11 +311,8 @@ def cmd_promote(args) -> int:
     if a.C is None:
         # the longest image of an ambient edge in the product, at least 1
         u, v = h.ambient.edge_array.T
-        span = np.zeros(len(u), dtype=np.int64)
-        for t, m in zip(trees, psi.maps):
-            m = np.asarray(m, dtype=np.int64)
-            span += t.tree.distance_matrix[m[u], m[v]]
-        a.C = int(span.max(initial=1))
+        span = sum(t.tree.distance_matrix[m[u], m[v]] for t, m in zip(trees, pts.T))
+        a.C = int(np.max(span, initial=1))
     res = promote_to_cube_complex(pts, [t.tree for t in trees], a.C)
     report = {
         "command": "promote",

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph, gate_map, maximal_cliques
+from .graphs import UnitGraph, gate_map
 from .hhs import space_hull
 from .median import MedianAlgebra, _row_keys
 
@@ -40,27 +40,16 @@ def _edge_classes(g: UnitGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def crossing_dimension(g: UnitGraph) -> int:
-    """Max size of a pairwise-crossing family of edge classes.
-
-    A tree needs no class pass: each edge is its own class, and no two cross
-    (cutting two edges leaves one of the four quarters empty).
+    """Max size of a pairwise-crossing family of edge classes of a graph
+    verified to be median: its largest cube's dimension.  By the downward
+    cube property the edges below a vertex, seen from vertex 0, span a cube
+    (Mulder 1980; Bandelt & Chepoi, "Metric graph theory and geometry",
+    2008), and a cube's vertex farthest from 0 has all its cube edges below
+    it; so this is the most edges with one far end from 0.
     """
-    if g.is_tree():
-        return min(1, len(g.edges))
-    return _max_crossing(_edge_classes(g)[1])
-
-
-def _max_crossing(masks: np.ndarray) -> int:
-    """Size of the largest clique of the crossing graph of the classes with
-    these side masks, one row each (`graphs.maximal_cliques`)."""
-    if not len(masks):
-        return 0
-    # classes i, j cross when all four quarter-spaces are nonempty; the
-    # products count the vertices of each quarter for every pair at once
-    a = np.array(masks, dtype=np.float64)
-    b = 1.0 - a
-    cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
-    return max(len(c) for c in maximal_cliques(cross))
+    d0 = g.distance_matrix[0]
+    u, v = g.edge_array.T
+    return int(np.bincount(np.where(d0[u] < d0[v], v, u), minlength=1).max())
 
 
 def _runs(flat: list, counts: np.ndarray) -> list[list]:
@@ -134,31 +123,30 @@ def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
     `median.orientation_search`: vertex k is row k of O, and the flips are
     the edges.  The dual is median (Sageev 1995; Roller 1998), so it is not
     re-scanned.  Its Theta-classes are the walls, so the wall an edge flips
-    is its class, and that wall's column of O is a side mask of the class;
-    the rank is the largest pairwise-crossing family of walls."""
+    is its class, and that wall's column of O is a side mask of the class.
+    The rank, the largest pairwise-crossing family of walls, is the most
+    flips into one orientation from the layer before it, by the downward
+    cube property (`crossing_dimension`): the search's root is the base."""
     g = UnitGraph(len(O), np.sort(flips, axis=1))
     u, v = g.edge_array.T
-    median = MedianAlgebra(g, _max_crossing(O.T))
+    median = MedianAlgebra(g, int(np.bincount(flips[:, 1], minlength=1).max()))
     return hyperplane_decomposition(median, (np.nonzero(O[u] != O[v])[1], O.T))  # one wall a row
 
 
 def is_convex(m: MedianAlgebra, S) -> bool:
     """Interval-closure convexity: every geodesic between members stays inside."""
-    members = set(int(v) for v in S)
+    members = np.unique(np.fromiter(S, dtype=np.int64))
     return int(space_hull(m.dist, members).sum()) == len(members)
 
 
 def convex_hull(c: CubeSkeleton, S) -> frozenset[int]:
-    """Intersection of all halfspaces containing S."""
-    members = frozenset(int(v) for v in S)
-    if not members:
+    """Intersection of all halfspaces containing S: the vertices on S's side
+    of every class that does not split S."""
+    on = c.sides[:, np.unique(np.fromiter(S, dtype=np.int64))]
+    if not on.shape[1]:
         raise ConvexityError("hull of the empty set is undefined")
-    hull = frozenset(range(c.n))
-    for pair in c.halfspaces:
-        for side in pair:
-            if members <= side:
-                hull &= side
-    return hull
+    whole = on.all(axis=1) | ~on.any(axis=1)
+    return frozenset(np.flatnonzero((c.sides[whole] == on[whole, :1]).all(axis=0)).tolist())
 
 
 def neighbourhood(D: np.ndarray, S, r: int) -> frozenset[int]:
@@ -204,35 +192,36 @@ def helly_intersection(m: MedianAlgebra, family) -> HellyResult:
     families fold the last two members into their (convex) intersection.
     Only the metric and the median are read, so no hyperplane pass is needed.
     """
-    sets = [frozenset(int(v) for v in S) for S in family]
+    sets = [np.unique(np.fromiter(S, dtype=np.int64)) for S in family]
     if not sets:
         raise ConvexityError("Helly intersection of an empty family is undefined")
     for idx, S in enumerate(sets):
-        if not S:
+        if not S.size:
             raise ConvexityError(f"family member {idx} is empty")
         if not is_convex(m, S):
             raise ConvexityError(f"family member {idx} is not convex")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            if not (sets[i] & sets[j]):
+            if not _meet(sets[i], sets[j]).size:
                 return HellyResult(False, None, (i, j))
     vertex = _helly_point(m, sets)
     assert all(vertex in S for S in sets)
     return HellyResult(True, vertex, None)
 
 
-def _helly_point(m: MedianAlgebra, sets: list[frozenset[int]]) -> int:
+def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted common vertices of two sorted vertex arrays."""
+    return np.intersect1d(a, b, assume_unique=True)
+
+
+def _helly_point(m: MedianAlgebra, sets: list[np.ndarray]) -> int:
     if len(sets) == 1:
-        return min(sets[0])
+        return int(sets[0][0])
     if len(sets) == 2:
-        return min(sets[0] & sets[1])
+        return int(_meet(sets[0], sets[1])[0])
     if len(sets) == 3:
-        a = min(sets[1] & sets[2])
-        b = min(sets[0] & sets[2])
-        cc = min(sets[0] & sets[1])
-        return m.median(a, b, cc)
-    merged = sets[-2] & sets[-1]
-    return _helly_point(m, sets[:-2] + [merged])
+        return m.median(*(int(_meet(sets[i], sets[j])[0]) for i, j in ((1, 2), (0, 2), (0, 1))))
+    return _helly_point(m, sets[:-2] + [_meet(sets[-2], sets[-1])])
 
 
 def gate(m: MedianAlgebra, S, x: int) -> int:

@@ -18,7 +18,6 @@ from .hhs import (
     HHSInstance,
     validate_instance,
 )
-from .median import lex_least_geodesic
 from .projection import ProjectionSystem, axes_in_tree_system, verify_projection_axioms
 
 
@@ -162,7 +161,7 @@ def tree_with_axes(
         a, b = (int(x) for x in rng.choice(leaves, size=2, replace=False))
         if D[a, b] < min_length:
             continue
-        path = lex_least_geodesic(tree, a, b)
+        path = tree.tree_index.path(a, b)
         if any(set(path) == set(ax) for ax in axes):
             continue
         ok = True
@@ -243,7 +242,7 @@ def random_axes_system(n: int, k_lines: int, seed: int) -> ProjectionSystem:
         a, b = (int(x) for x in rng.choice(leaves, size=2, replace=False))
         if D[a, b] < 2:
             continue
-        path = lex_least_geodesic(tree, a, b)
+        path = tree.tree_index.path(a, b)
         if any(set(path) == set(l) for l in lines):
             continue
         lines.append(path)

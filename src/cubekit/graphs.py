@@ -275,6 +275,15 @@ class TreeIndex:
     def dist(self, u, v) -> np.ndarray:
         return self.wdepth[u] + self.wdepth[v] - 2 * self.wdepth[self.lca(u, v)]
 
+    def path(self, u: int, v: int) -> list[int]:
+        """The tree's path from u to v: the deeper end climbs to its parent
+        until the climbs meet at lca(u, v); v's is joined on reversed."""
+        up, down = [int(u)], [int(v)]
+        while up[-1] != down[-1]:
+            climb = up if self.depth[up[-1]] >= self.depth[down[-1]] else down
+            climb.append(int(self.parent[climb[-1]]))
+        return up + down[-2::-1]
+
     def median(self, a, b, c) -> np.ndarray:
         """m(a, b, c) = lca(a, b) ^ lca(b, c) ^ lca(a, c).  Let w = lca(a, b, c).
         Were lca(a, b) and lca(b, c) both below w, both would lie in the
@@ -488,6 +497,11 @@ def gate_map(D: np.ndarray, target) -> np.ndarray:
 # fixture constructors
 
 
+def _row_paths(ids: np.ndarray) -> np.ndarray:
+    """The edges joining neighbouring entries along each row of ids."""
+    return np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)
+
+
 def path_graph(n: int) -> UnitGraph:
     return UnitGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
@@ -500,15 +514,8 @@ def cycle_graph(n: int) -> UnitGraph:
 
 def grid_graph(rows: int, cols: int) -> UnitGraph:
     """rows x cols grid; vertex (r, c) has index r*cols + c."""
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return UnitGraph(rows * cols, tuple(edges))
+    v = np.arange(rows * cols).reshape(rows, cols)
+    return UnitGraph(rows * cols, np.concatenate([_row_paths(v), _row_paths(v.T)]))
 
 
 def hypercube_graph(d: int) -> UnitGraph:
@@ -528,16 +535,11 @@ def star_graph(legs: int) -> UnitGraph:
 
 
 def spider_graph(legs: int, leg_length: int) -> UnitGraph:
-    """Center 0 with `legs` paths of `leg_length` edges attached."""
-    edges = []
-    nxt = 1
-    for _ in range(legs):
-        prev = 0
-        for _ in range(leg_length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return UnitGraph(nxt, tuple(edges))
+    """Center 0 with `legs` paths of `leg_length` edges attached, leg i
+    running 0, 1 + i * leg_length, ..., (i + 1) * leg_length."""
+    runs = 1 + np.arange(legs * leg_length).reshape(legs, leg_length)
+    runs = np.hstack([np.zeros((legs, 1), dtype=np.int64), runs])
+    return UnitGraph(legs * leg_length + 1, _row_paths(runs))
 
 
 def random_tree(n: int, rng: np.random.Generator) -> UnitGraph:

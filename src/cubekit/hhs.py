@@ -652,7 +652,7 @@ def space_hull(space_dist: np.ndarray, points) -> np.ndarray:
     to the other members thus cover every pair's, and their union is the
     subtree spanned by `points`.  Other graphs scan all pairs.
     """
-    pts = sorted(set(int(p) for p in points))
+    pts = np.unique(np.fromiter(points, dtype=np.int64))
     n = space_dist.shape[0]
     mask = np.zeros(n, dtype=bool)
     mask[pts] = True

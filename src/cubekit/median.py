@@ -13,7 +13,10 @@ generated by S is the set of coherent orientations of the walls that the
 space's halfspaces trace on S, and `orientation_search` lists those from one
 point of S outward with the flips between them, which
 `connectify_and_close_in` hands on as the closure's dual graph
-(`cubes.orientation_skeleton`).
+(`cubes.orientation_skeleton`).  The flips also give what is measured of
+the closure: its rank, the most flips into one orientation, and its
+Hausdorff distance to S, one breadth-first search along them; no product
+over the orientations is formed.
 Recognition (`is_median_graph`) is for graphs of unknown type; a graph whose
 construction already makes it median, such as a promoted closure, is not
 re-scanned.
@@ -230,7 +233,10 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the dual median graph (Sageev 1995; Roller 1998), walked here from
     point 0's orientation in layers: layer d + 1 flips one more wall from
     side 0 to side 1.  Wall w may flip iff no other picked side lies in its
-    side 0, which one Gram matrix of the 1-sides decides.  An orientation of
+    side 0.  The Gram matrix of the 1-sides says which sides lie in which,
+    and so how many picked sides block each wall: each orientation keeps
+    that count as an integer row, and a flip of w adds row w of a fixed
+    (walls x walls) step matrix to its parent's row.  An orientation of
     layer d + 1 is one flip from layer d and none from an earlier layer, so
     one np.unique per layer drops repeats.  Returns (O, flips): O[i, w] is
     the side orientation i picks of wall w, layer by layer from row 0; the
@@ -239,17 +245,18 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(H, dtype=np.float64).T
     gram = A @ A.T  # gram[v, w]: points on side 1 of both v and w
     # inside0[v, w]: side 0 of v lies in side 0 of w, as side 1 of w lies in
-    # side 1 of v; side 1 of v does when gram[v, w] = 0.  So the picked
-    # sides O of a layer's rows block base + O @ step flips of each wall.
+    # side 1 of v; side 1 of v does when gram[v, w] = 0.  So an orientation
+    # O blocks the flip of wall w by (column w of inside0).sum() + (O @ step)[w]
+    # picked sides; the root, O = 0, by the first term alone.
     inside0 = gram == np.diag(gram)[None, :]
     np.fill_diagonal(inside0, False)
-    base = inside0.sum(axis=0)
-    step = (gram == 0).astype(np.float64) - inside0
-    del gram, inside0
+    step = (gram == 0).astype(np.int32) - inside0
+    del gram
     layer = np.zeros((1, A.shape[0]), dtype=bool)
+    blocked = inside0.sum(axis=0, dtype=np.int32)[None, :]  # one row per orientation
     layers, flips, start = [layer], [], 0
     while True:
-        i, w = np.nonzero(~layer & (layer @ step + base == 0))
+        i, w = np.nonzero(~layer & (blocked == 0))
         if not i.size:
             break
         child = layer[i]
@@ -258,6 +265,7 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flips.append(np.stack([start + i, start + len(layer) + inverse], axis=1))
         start += len(layer)
         layer = child[first]
+        blocked = blocked[i[first]] + step[w[first]]  # the flip of w adds its row of step
         layers.append(layer)
     return np.concatenate(layers), np.concatenate(flips or [np.empty((0, 2), np.int64)])
 
@@ -423,6 +431,20 @@ class ConnectifyResult:
     flips: np.ndarray = field(compare=False, repr=False)
 
 
+def _depth_from(n: int, edges: np.ndarray, sources: np.ndarray) -> int:
+    """Largest distance from the sources to a vertex of the connected graph
+    on n vertices with these edges: pass k over the arcs grows the ball of
+    radius k - 1 about the sources to radius k."""
+    tail, head = np.concatenate([edges, edges[:, ::-1]]).T
+    seen = np.zeros(n, dtype=bool)
+    seen[sources] = True
+    depth = 0
+    while not seen.all():
+        seen[head[seen[tail]]] = True
+        depth += 1
+    return depth
+
+
 def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     """Bridge C-close 1-connected pieces of A with geodesics, then close.
 
@@ -434,10 +456,10 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     u, piece of v, distance): the first pair of each piece pair is a closest
     one, and, the members being sorted, the row-major order the sort keeps
     among ties is (u, v) lex order.  The
-    bridged set A' is 1-connected, so the Hamming distance of the closure's
-    orientation rows is the distance of their points (proof in
-    `applications.promote_to_cube_complex`); one (closure x A) float
-    product gives the Hausdorff distance.
+    bridged set A' is 1-connected, so the closure's skeleton, its
+    orientations joined by the flips, is isometric in the space (proof in
+    `applications.promote_to_cube_complex`): the Hausdorff distance is the
+    depth of one breadth-first search from A along the flips.
     """
     members = np.unique(np.fromiter(A, dtype=np.int64))
     if not members.size:
@@ -462,11 +484,7 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     pick = order[first]
     a_prime = np.union1d(members, lex_least_geodesics(space, members[u[pick]], members[v[pick]]))
     points, O, flips = closure_search(space, a_prime)
-    at = np.searchsorted(points, members)
-    H = O.astype(np.float64)
-    size = H.sum(axis=1)
-    hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
-    haus = int(hamming.min(axis=1).max())
+    haus = _depth_from(len(points), flips, np.searchsorted(points, members))
     return ConnectifyResult(frozenset(a_prime.tolist()), frozenset(points.tolist()), haus, O, flips)
 
 

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive and self-contained: plain-Python BFS,
 exhaustive triple scans, exhaustive subsequence search.  The oracles never
-call into the code paths they check.
+call into the code paths they check.  The last section keeps, as reference
+kernels, the numpy products the package once used for the rank, the
+orientation search and the Hausdorff distance of a closure.
 """
 
 from collections import deque
 from itertools import combinations
+
+import numpy as np
 
 
 def oracle_bfs(n, edges, src):
@@ -473,3 +477,58 @@ def oracle_kappa(rows):
         else:
             add = max(add, Fraction(dg))
     return k_low, k_up, add
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the (walls x walls) and (closure x A) products
+
+
+def oracle_max_crossing(masks):
+    """Size of the largest clique of the crossing graph of the classes with
+    these side masks, one row each: two classes cross when all four
+    quarter-spaces are nonempty, which float products count for every pair
+    at once."""
+    from cubekit.graphs import maximal_cliques
+
+    if not len(masks):
+        return 0
+    a = np.array(masks, dtype=np.float64)
+    b = 1.0 - a
+    cross = (a @ a.T > 0) & (a @ b.T > 0) & (b @ a.T > 0) & (b @ b.T > 0)
+    return max(len(c) for c in maximal_cliques(cross))
+
+
+def oracle_orientation_search(H):
+    """The coherent orientations of the walls of H (row 0 all False, no
+    column constant or repeated) and the flips between them, layer by
+    layer, each layer's blocked counts from one `layer @ step` product and
+    its repeats dropped by np.unique over its rows."""
+    A = np.asarray(H, dtype=np.float64).T
+    gram = A @ A.T
+    inside0 = gram == np.diag(gram)[None, :]
+    np.fill_diagonal(inside0, False)
+    base = inside0.sum(axis=0)
+    step = (gram == 0).astype(np.float64) - inside0
+    layer = np.zeros((1, A.shape[0]), dtype=bool)
+    layers, flips, start = [layer], [], 0
+    while True:
+        i, w = np.nonzero(~layer & (layer @ step + base == 0))
+        if not i.size:
+            break
+        child = layer[i]
+        child[np.arange(len(i)), w] = True
+        _, first, inverse = np.unique(child, axis=0, return_index=True, return_inverse=True)
+        flips.append(np.stack([start + i, start + len(layer) + inverse.reshape(-1)], axis=1))
+        start += len(layer)
+        layer = child[first]
+        layers.append(layer)
+    return np.concatenate(layers), np.concatenate(flips or [np.empty((0, 2), np.int64)])
+
+
+def oracle_hamming_hausdorff(O, at):
+    """Largest Hamming distance from a row of the orientations O to the
+    nearest of the rows `at`, by one (rows x at) float product."""
+    H = np.asarray(O, dtype=np.float64)
+    size = H.sum(axis=1)
+    hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
+    return int(hamming.min(axis=1).max())

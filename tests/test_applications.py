@@ -227,6 +227,54 @@ def test_a_quasitree_that_is_a_tree_is_its_own_approximation():
     assert res.tree == tree
 
 
+@st.composite
+def tree_quasitrees(draw):
+    """The quasitree of one or two random tree pieces, two glued at one
+    point each by one edge of length 1 (K is large), its vertices
+    relabelled: a tree of unit edges."""
+    pieces = tuple(draw(small_trees()) for _ in range(draw(st.integers(1, 2))))
+    proj = {}
+    if len(pieces) == 2:
+        proj = {(i, 1 - i): frozenset([draw(st.integers(0, p.n - 1))]) for i, p in enumerate(pieces)}
+    q = build_quasitree(ProjectionSystem(pieces, proj, 0), 10**6, 1)
+    return relabel_quasitree(q, draw(st.permutations(range(q.n))))
+
+
+def counting_tree_metrics(monkeypatch) -> list[int]:
+    """Count the candidate trees the root search scores."""
+    scored = []
+
+    def counted(parent):
+        scored.append(len(parent))
+        return tree_metrics(parent)
+
+    monkeypatch.setattr(applications, "tree_metrics", counted)
+    return scored
+
+
+@PROPERTY
+@given(tree_quasitrees(), st.sampled_from([2, 64]))
+def test_a_unit_tree_quasitree_returns_itself_without_the_search(q, max_roots):
+    assert q.tree_index is not None
+    with pytest.MonkeyPatch.context() as mp:
+        scored = counting_tree_metrics(mp)
+        res = check_tree_approximate(q, max_roots)
+    assert scored == []
+    assert (res.root, res.additive, res.multiplicative) == (0, 0, 1)
+    assert sorted(res.tree.edges) == sorted((min(u, v), max(u, v)) for u, v, _ in q.edges)
+
+
+def test_a_tree_quasitree_with_longer_edges_goes_through_the_search(monkeypatch):
+    # at L = 2 the glued space is still a tree, but its gluing edge weighs
+    # 2, so every root is scored and the distortion is measured
+    pieces = (path_graph(4), random_tree(6, np.random.default_rng(3)))
+    q = build_quasitree(ProjectionSystem(pieces, {(0, 1): {2}, (1, 0): {5}}, 0), 10**6, 2)
+    assert q.tree_index is not None and len(q.edges) == q.n - 1
+    scored = counting_tree_metrics(monkeypatch)
+    res = check_tree_approximate(q)
+    assert scored and res.additive == 1
+
+
 def test_a_one_vertex_quasitree():
     q = build_quasitree(ProjectionSystem((path_graph(1),), {}, 0), 1, 1)
     res = check_tree_approximate(q)

@@ -18,7 +18,10 @@ grow matches the saturation oracle and finds each point once.  One step
 products of trees, over arrays as for one pair; the bridges walked together
 are the lex-least geodesics, and the bridging of pieces matches the
 piece-pair loop it replaced.  The numpy edge check agrees with the
-edge-by-edge loop, result or message.
+edge-by-edge loop, result or message.  The kernels that read the rank, the
+blocked counts and the Hausdorff distance off the flips of the orientation
+search match the (walls x walls) and (closure x A) products they replaced,
+and a tree's parent-climbing path is its lex-least geodesic.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -31,7 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.applications import TreeProduct, promote_to_cube_complex
-from cubekit.cubes import hyperplane_decomposition
+from cubekit.cubes import crossing_dimension, hyperplane_decomposition
 from cubekit.graphs import (
     GraphError,
     UnitGraph,
@@ -62,6 +65,7 @@ from cubekit.median import (
     lex_least_geodesic,
     lex_least_geodesics,
     minimal_connection_constant,
+    orientation_search,
 )
 from helpers import (
     lex_geodesic,
@@ -69,10 +73,13 @@ from helpers import (
     oracle_bridge,
     oracle_canonical_edges,
     oracle_closure,
+    oracle_hamming_hausdorff,
     oracle_hull,
     oracle_interval_closure,
     oracle_is_coherent,
+    oracle_max_crossing,
     oracle_medians_of,
+    oracle_orientation_search,
     oracle_toward,
 )
 
@@ -715,3 +722,99 @@ def test_edge_check_agrees_with_the_edge_loop(case):
 def test_an_edge_end_beyond_int64_is_out_of_range():
     with pytest.raises(GraphError, match=r"^edge \(0,1180591620717411303424\) out of range for 3 vertices$"):
         UnitGraph(3, ((0, 2**70),))
+
+
+# ---------------------------------------------------------------------------
+# the kernels read off the flips, against the products they replaced
+
+
+def _as_traces(T: np.ndarray) -> np.ndarray:
+    """T with each row XORed with row 0's, its constant columns dropped and
+    its repeated columns kept once, in order: the input of the search."""
+    T = T ^ T[0]
+    T = T[:, T.any(axis=0)]
+    return T[:, np.sort(np.unique(T, axis=1, return_index=True)[1])]
+
+
+@st.composite
+def wall_traces(draw):
+    """The walls a seed of 1 to 8 points of a random median graph traces on
+    it, or a random bool matrix of up to 8 points and 8 walls."""
+    if draw(st.booleans()):
+        m = MedianAlgebra.from_graph(draw(median_graphs()))
+        seed = sorted(draw(st.sets(st.integers(0, m.n - 1), min_size=1, max_size=8)))
+        return _as_traces(m.wall_sides(seed))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    bits = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    return _as_traces(np.array(bits, dtype=bool).reshape(rows, cols))
+
+
+@PROPERTY
+@given(wall_traces())
+def test_orientation_search_matches_the_product_search(H):
+    # each orientation's blocked counts, carried from its parent, give the
+    # same layers and flips as one layer @ step product per layer
+    O, flips = orientation_search(H)
+    expected_O, expected_flips = oracle_orientation_search(H)
+    assert np.array_equal(O, expected_O) and np.array_equal(flips, expected_flips)
+
+
+@PROPERTY
+@given(wallspaces())
+def test_dual_rank_is_the_largest_crossing_family(w):
+    dual = dual_cube_complex(w)
+    O = np.array([o.sides for o in dual.orientations], dtype=bool).reshape(len(dual.orientations), -1)
+    assert dual.skeleton.dimension == dual.skeleton.median.rank == oracle_max_crossing(O.T)
+
+
+@st.composite
+def promote_seeds(draw):
+    """A product of two or three small trees, a seed of three to eight of
+    its vertices (all of them when there are fewer), and a C at which
+    the seed is C-connected."""
+    space = TreeProduct(draw(tree_factors()))
+    seed = sorted(draw(st.sets(st.integers(0, space.n - 1), min_size=min(3, space.n), max_size=8)))
+    least = max(1, minimal_connection_constant(space.pairwise_distances(seed), range(len(seed))))
+    return space, seed, least + draw(st.integers(0, 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(promote_seeds())
+def test_promoted_rank_and_hausdorff_match_the_products(case):
+    space, seed, C = case
+    res = connectify_and_close_in(space, seed, C)
+    at = np.searchsorted(sorted(res.closure), seed)
+    assert res.hausdorff == oracle_hamming_hausdorff(res.orientations, at)
+    promoted = promote_to_cube_complex([space.decode(v) for v in seed], space.factors, C)
+    assert promoted.hausdorff == res.hausdorff
+    rank = oracle_max_crossing(res.orientations.T)
+    assert promoted.dimension == rank == oracle_max_crossing(promoted.skeleton.sides)
+
+
+@PROPERTY
+@given(median_graphs())
+def test_crossing_dimension_is_the_largest_crossing_family(g):
+    skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+    assert crossing_dimension(g) == skel.dimension == oracle_max_crossing(skel.sides)
+
+
+def test_crossing_dimension_of_grids_hypercubes_and_tree_products():
+    assert crossing_dimension(grid_graph(1, 1)) == 0
+    assert crossing_dimension(grid_graph(1, 5)) == 1
+    assert crossing_dimension(grid_graph(3, 4)) == 2
+    for d in range(6):
+        assert crossing_dimension(hypercube_graph(d)) == d
+    star = UnitGraph(4, ((0, 1), (0, 2), (0, 3)))
+    path = UnitGraph(3, ((0, 1), (1, 2)))
+    assert crossing_dimension(tree_product(star, path)) == 2
+    assert crossing_dimension(tree_product(star, path, star)) == 3
+
+
+@PROPERTY
+@given(relabelled_trees())
+def test_tree_path_is_the_lex_least_geodesic(tree):
+    # a tree's geodesic is unique, so climbing parents to the lowest common
+    # ancestor finds the same path as the next-hop walk
+    for a in range(tree.n):
+        for b in range(tree.n):
+            assert tree.tree_index.path(a, b) == lex_least_geodesic(tree, a, b)
