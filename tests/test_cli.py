@@ -404,6 +404,11 @@ CASES = {
     "helly-spider": ["helly", "--in", "{spider}", "--R", "5"],
     "pack-tree": ["pack", "--in", "{tree}", "--R", "3"],
     "pack-spider": ["pack", "--in", "{spider}", "--R", "2"],
+    # the measure-axes benchmark's calls, at its scale (E = 13, so s = 100 * E)
+    "validate-tree-300": ["validate", "--in", "{tree-300}"],
+    "df-check-tree-300": ["df-check", "--in", "{tree-300}", "--s", "1300", "--samples", "2000"],
+    "psi-tree-300": ["psi", "--in", "{tree-300}", "--samples", "2000"],
+    "pack-tree-300": ["pack", "--in", "{tree-300}", "--R", "3"],
     "missing-input": ["validate", "--in", "{missing}"],
     "unknown-subcommand": ["frobnicate"],
 }
@@ -439,6 +444,10 @@ PINS = {
     "helly-spider": (0, "6a1ad6e110835aef63d42ecde2bae020ab6edd74b320ae99034fa10a57ff2a88"),
     "pack-tree": (0, "6696edb93a8ecc017a7fc43b8986a3d932399a30474ea74bac76a5eb3b4eb3df"),
     "pack-spider": (0, "7d49561fbe07b1a94c9e9692373be8b23562571e0b6209e9bda5b75b4b46987a"),
+    "validate-tree-300": (0, "0321f868e3155bfed9c69c26e3f75cf0a63fbd571b224a3311f98b30b301eb0b"),
+    "df-check-tree-300": (0, "abfb1ee62a61840cd72cb3f8a51a4933f38240967c207fceb562e17bbc5acc3b"),
+    "psi-tree-300": (0, "9f427baa60df8e5d6439702eb899cfabd09bccab622c1247f8b246f877e67f29"),
+    "pack-tree-300": (0, "4f381a8caf753c1cfac958be33173326beca7dda928ff8f2f4ed97ce9f97c7f0"),
     "missing-input": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "unknown-subcommand": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
