@@ -126,9 +126,10 @@ def _positive(text: str) -> int:
     return _int_at_least(text, 1, "positive")
 
 
-def _samples(rng: np.random.Generator, n: int, count: int, width: int) -> list[tuple[int, ...]]:
-    """`count` tuples of `width` vertices drawn uniformly from range(n)."""
-    return list(map(tuple, rng.integers(0, n, size=(count, width)).tolist()))
+def _samples(rng: np.random.Generator, n: int, count: int, width: int) -> np.ndarray:
+    """A (count, width) int64 array of vertices drawn uniformly from
+    range(n), one sample per row."""
+    return rng.integers(0, n, size=(count, width))
 
 
 def cmd_gen_fixture(args) -> int:
@@ -247,8 +248,8 @@ def cmd_df_check(args) -> int:
         "max_upper_slack": fit.max_upper_slack,
         "max_lower_slack": fit.max_lower_slack,
         "sample_rows": [
-            {"pair": list(pair), "distance": d, "sum": s13}
-            for pair, d, s13 in fit.samples
+            {"pair": pair, "distance": d, "sum": s13}
+            for pair, d, s13 in zip(fit.pairs.tolist(), fit.distances.tolist(), fit.sums.tolist())
         ],
     }
     _emit(report, a.out)
@@ -290,7 +291,7 @@ def cmd_psi(args) -> int:
         "kappa_lower": emb.kappa_lower,
         "kappa_upper": emb.kappa_upper,
         "additive": emb.additive,
-        "pairs": [list(pair) for pair, _, _ in emb.samples],
+        "pairs": emb.pairs.tolist(),
         "quasimedian_max_defect": qm.max_defect,
         "quasimedian_histogram": [[k, v] for k, v in qm.histogram],
         "fallback_colours": list(qm.fallback_colours),

@@ -1,6 +1,10 @@
 """The per-colour projection systems, the map into the product of
 quasitree spaces, and the empirical measurements attached to it:
 quasiisometry constants and quasimedian defect.
+
+psi is a (chi, n) int64 array, and the sampled pairs and triples stay
+int64 arrays into the reports, which derive their per-sample rows only
+when asked.
 """
 
 from __future__ import annotations
@@ -114,27 +118,23 @@ def build_coloured_system(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiImage:
-    maps: tuple[tuple[int, ...], ...]  # per colour, ambient vertex -> global quasitree vertex
-
-    def point(self, g: int) -> tuple[int, ...]:
-        return tuple(m[g] for m in self.maps)
+    # maps[i, g]: the global quasitree vertex of ambient vertex g in colour
+    # i, a (chi, n) int64 array (or any sequence numpy reads as one)
+    maps: np.ndarray
 
 
 def psi_map(cs: ColouredSystem) -> PsiImage:
     """psi_i(g): least-index vertex of g's projection to its orbit domain,
-    seen inside the colour's quasitree."""
-    maps = []
+    seen inside the colour's quasitree; one gather per colour."""
+    h = cs.instance
+    maps = np.empty((cs.chi, h.n), dtype=np.int64)
     for ci, cls in enumerate(cs.class_ids):
-        q = cs.quasitrees[ci]
-        table = []
-        for g in range(cs.instance.n):
-            pos = cs.orbit[ci][g]
-            dom = cs.instance.by_id[cls[pos]]
-            table.append(q.global_id(pos, min(dom.pi[g])))
-        maps.append(tuple(table))
-    return PsiImage(tuple(maps))
+        pos = np.asarray(cs.orbit[ci], dtype=np.int64)
+        reps = np.stack([h.by_id[i].reps for i in cls])
+        maps[ci] = np.asarray(cs.quasitrees[ci].offsets)[pos] + reps[pos, np.arange(h.n)]
+    return PsiImage(maps)
 
 
 def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
@@ -159,29 +159,44 @@ def _numbers(values: np.ndarray, scale: int) -> list:
     return vals if scale == 1 else [as_number(Fraction(v, scale)) for v in vals]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingReport:
+    """The constants, and per sampled pair (aligned int64 arrays) its
+    ambient distance and its product distance in units of 1/scale."""
+
     kappa_lower: Fraction
     kappa_upper: Fraction
     additive: Fraction
     kappa: Fraction
-    # pair, d_G, d_product: an int when integral, else a Fraction
-    samples: tuple[tuple[tuple[int, int], int, int | Fraction], ...]
+    pairs: np.ndarray  # (m, 2)
+    distances: np.ndarray
+    product_distances: np.ndarray
+    scale: int
+
+    @property
+    def samples(self) -> tuple[tuple[tuple[int, int], int, int | Fraction], ...]:
+        """(pair, d_G, d_product) per pair, d_product an int when integral,
+        else a Fraction."""
+        return tuple(zip(
+            map(tuple, self.pairs.tolist()),
+            self.distances.tolist(),
+            _numbers(self.product_distances, self.scale),
+        ))
 
 
 def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingReport:
     """Least multiplicative constants (and additive floor for degenerate
-    pairs) sandwiching the product distance against the ambient one."""
-    pairs = [(int(x), int(y)) for x, y in samples]
-    if len(pairs) < 2:
+    pairs) sandwiching the product distance against the ambient one, over
+    `samples`, an (m, 2) array of vertex pairs or anything numpy reads as
+    one."""
+    xy = np.asarray(samples, dtype=np.int64).reshape(-1, 2)
+    if len(xy) < 2:
         raise EmbeddingError("need at least two sample pairs")
-    xs, ys = np.array(pairs, dtype=np.int64).T
-    maps = [np.asarray(mp) for mp in psi.maps]
-    us, vs = [mp[xs] for mp in maps], [mp[ys] for mp in maps]
+    xs, ys = xy.T
+    maps = np.asarray(psi.maps, dtype=np.int64)
     scale = cs.quasitrees[0].scale  # every colour shares one L
-    DP = _quasitree_dists(cs, us, vs).sum(axis=0)  # DG is scaled with DP
+    DP = _quasitree_dists(cs, maps[:, xs], maps[:, ys]).sum(axis=0)  # DG is scaled with DP
     DG = cs.instance.ambient.pair_distances(xs, ys)
-    rows = tuple(zip(zip(xs.tolist(), ys.tolist()), DG.tolist(), _numbers(DP, scale)))
     DGs = DG * scale
     both = (DG > 0) & (DP > 0)
     k_up = _max_ratio(DP[both], DGs[both], Fraction(1))
@@ -196,7 +211,10 @@ def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingRe
         kappa_upper=k_up,
         additive=add,
         kappa=max(k_low, k_up, add),
-        samples=rows,
+        pairs=xy,
+        distances=DG,
+        product_distances=DP,
+        scale=scale,
     )
 
 
@@ -239,29 +257,40 @@ def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarra
     return mu, flagged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasimedianReport:
+    """The defect summary, and per sampled triple (aligned int64 arrays) its
+    defect in units of 1/scale."""
+
     max_defect: Fraction
     histogram: tuple[tuple[str, int], ...]
     fallback_colours: tuple[int, ...]
-    # triple, defect: an int when integral, else a Fraction
-    triples: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
+    xyz: np.ndarray  # (m, 3)
+    defects: np.ndarray
+    scale: int
+
+    @property
+    def triples(self) -> tuple[tuple[tuple[int, int, int], int | Fraction], ...]:
+        """(triple, defect) per triple, the defect an int when integral,
+        else a Fraction."""
+        return tuple(zip(map(tuple, self.xyz.tolist()), _numbers(self.defects, self.scale)))
 
 
 def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> QuasimedianReport:
     """Distance between the image of the instance median and the
-    coordinate-wise codomain median, per sampled triple.
+    coordinate-wise codomain median, per sampled triple; `triples` is an
+    (m, 3) array of vertex triples, or anything numpy reads as one.
 
     One `hhs_median` call over all triples gives the instance medians; the
     codomain medians are computed per colour for all triples at once.  The
-    defects stay exact integers, in units of 1/scale, until the report.
+    defects stay exact integers, in units of 1/scale, in the report.
     """
     from .hhs import hhs_median
 
-    xyz = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    xyz = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     x, y, z = xyz.T
     m, _ = hhs_median(cs.instance, x, y, z)
-    maps = [np.asarray(mp) for mp in psi.maps]
+    maps = np.asarray(psi.maps, dtype=np.int64)
     mus = []
     fallback = []
     for ci, (q, mp) in enumerate(zip(cs.quasitrees, maps)):
@@ -270,9 +299,8 @@ def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> Quasimedia
         if flagged.any():
             fallback.append(ci)
     scale = cs.quasitrees[0].scale  # every colour shares one L
-    defects = _quasitree_dists(cs, [mp[m] for mp in maps], mus).sum(axis=0)
+    defects = _quasitree_dists(cs, maps[:, m], mus).sum(axis=0)
     values, counts = np.unique(defects, return_counts=True)
     hist = tuple((str(Fraction(v, scale)), c) for v, c in zip(values.tolist(), counts.tolist()))
-    rows = tuple(zip(map(tuple, xyz.tolist()), _numbers(defects, scale)))
     top = Fraction(int(defects.max(initial=0)), scale)
-    return QuasimedianReport(top, hist, tuple(fallback), rows)
+    return QuasimedianReport(top, hist, tuple(fallback), xyz, defects, scale)

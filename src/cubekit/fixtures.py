@@ -16,6 +16,7 @@ from .hhs import (
     REL_TRANS,
     Domain,
     HHSInstance,
+    SetRows,
     validate_instance,
 )
 from .projection import ProjectionSystem, axes_in_tree_system, verify_projection_axioms
@@ -34,10 +35,9 @@ def product_of_lines(n: int) -> HHSInstance:
     """n x n grid as the product of its two coordinate lines; E = 0."""
     ambient = grid_graph(n, n)
     line = path_graph(n)
-    pi_col = tuple(frozenset([v % n]) for v in range(n * n))
-    pi_row = tuple(frozenset([v // n]) for v in range(n * n))
-    dx = Domain(id="x", space=line, pi=pi_col, rel={"y": REL_ORTH}, rho={})
-    dy = Domain(id="y", space=line, pi=pi_row, rel={"x": REL_ORTH}, rho={})
+    row, col = np.divmod(np.arange(n * n), n)
+    dx = Domain(id="x", space=line, pi=SetRows(col), rel={"y": REL_ORTH}, rho={})
+    dy = Domain(id="y", space=line, pi=SetRows(row), rel={"x": REL_ORTH}, rho={})
     return _with_measured_E(HHSInstance(ambient=ambient, domains=(dx, dy), E=0))
 
 
@@ -46,7 +46,7 @@ def identity_instance(g: UnitGraph) -> HHSInstance:
     dom = Domain(
         id="whole",
         space=g,
-        pi=tuple(frozenset([v]) for v in range(g.n)),
+        pi=SetRows(np.arange(g.n)),
         rel={},
         rho={},
     )
@@ -70,21 +70,25 @@ def _require_leaf_pairs(
         )
 
 
+def _axis_projections(tree: UnitGraph, axes: list[list[int]]) -> list[np.ndarray]:
+    """Per axis, the position along it of each tree vertex's gate."""
+    out = []
+    for axis in axes:
+        position = np.zeros(tree.n, dtype=np.int64)
+        position[axis] = np.arange(len(axis))
+        out.append(position[gate_map(tree.distance_matrix, axis)])
+    return out
+
+
 def _axes_domains(tree: UnitGraph, axes: list[list[int]]) -> list[Domain]:
     k = len(axes)
-    locals_ = [{v: t for t, v in enumerate(a)} for a in axes]
-    gates = [gate_map(tree.distance_matrix, a).tolist() for a in axes]
+    projections = _axis_projections(tree, axes)
     doms = []
     for i, axis in enumerate(axes):
-        pi = tuple(frozenset([locals_[i][gates[i][v]]]) for v in range(tree.n))
         rel = {f"axis{j}": REL_TRANS for j in range(k) if j != i}
-        rho = {}
-        for j in range(k):
-            if j == i:
-                continue
-            rho[f"axis{j}"] = frozenset(locals_[j][gates[j][v]] for v in axis)
+        rho = {f"axis{j}": frozenset(projections[j][axis].tolist()) for j in range(k) if j != i}
         doms.append(
-            Domain(id=f"axis{i}", space=path_graph(len(axis)), pi=pi, rel=rel, rho=rho)
+            Domain(id=f"axis{i}", space=path_graph(len(axis)), pi=SetRows(projections[i]), rel=rel, rho=rho)
         )
     return doms
 
@@ -111,9 +115,6 @@ def spider_with_axes(legs: int, leg_length: int, include_tree_domain: bool = Fal
 
 
 def _add_tree_domain(tree: UnitGraph, axes: list[list[int]], doms: list[Domain]) -> list[Domain]:
-    k = len(axes)
-    locals_ = [{v: t for t, v in enumerate(a)} for a in axes]
-    gates = [gate_map(tree.distance_matrix, a).tolist() for a in axes]
     out = []
     for i, d in enumerate(doms):
         rel = dict(d.rel)
@@ -124,13 +125,10 @@ def _add_tree_domain(tree: UnitGraph, axes: list[list[int]], doms: list[Domain])
     tree_dom = Domain(
         id="tree",
         space=tree,
-        pi=tuple(frozenset([v]) for v in range(tree.n)),
-        rel={f"axis{i}": REL_CONTAINS for i in range(k)},
+        pi=SetRows(np.arange(tree.n)),
+        rel={f"axis{i}": REL_CONTAINS for i in range(len(axes))},
         rho={},
-        rho_map={
-            f"axis{i}": tuple(frozenset([locals_[i][gates[i][v]]]) for v in range(tree.n))
-            for i in range(k)
-        },
+        rho_map={f"axis{i}": SetRows(pi) for i, pi in enumerate(_axis_projections(tree, axes))},
     )
     return out + [tree_dom]
 

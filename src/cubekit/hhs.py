@@ -5,6 +5,12 @@ them: consistency, relevant domains, distance-formula fitting, hierarchy
 paths, product regions, hulls, hierarchical quasiconvexity, colourings,
 and the coarse median.
 
+Per-vertex data is held in int arrays: a domain's projection table `pi`
+and each `rho_map` are `SetRows`, one flat sorted member array with row
+offsets (none at all when every row is one vertex), parsed from JSON in
+bulk and read as array slices, gathers and padded matrices.  Sampled pairs
+stay int64 arrays through `distance_formula_fit` into its report.
+
 Tuple consistency has one pass, `_pair_consistency`: `validate_instance`
 runs it over every vertex tuple at once, `check_consistent_tuple` over one
 given tuple.
@@ -20,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import UnitGraph
-from .jsonio import expect, int_rows, ints, member
+from .jsonio import expect, flat_int_rows, ints, member
 from .median import BLOCK, _blockwise  # noqa: F401  (BLOCK is re-exported)
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
 
@@ -60,7 +66,17 @@ def _setdiam(D: np.ndarray, A) -> int:
     idx = sorted(A)
     if len(idx) <= 1:
         return 0
-    return int(D[np.ix_(idx, idx)].max())
+    return int(D[idx][:, idx].max())
+
+
+def _row_diams(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The diameter in D of the vertices of each row of the index matrix
+    `rows`, gathered in blocks of at most about 2^20 entries."""
+    step = max(1, (1 << 20) // max(1, rows.shape[1]) ** 2)
+    return np.concatenate([
+        D[r[:, :, None], r[:, None, :]].max(axis=(1, 2), initial=0)
+        for r in (rows[lo:lo + step] for lo in range(0, max(len(rows), 1), step))
+    ])
 
 
 def _as_arrays(*vs) -> tuple[bool, list[np.ndarray]]:
@@ -70,17 +86,125 @@ def _as_arrays(*vs) -> tuple[bool, list[np.ndarray]]:
     return scalar, np.broadcast_arrays(*arrays)
 
 
+class SetRows:
+    """A table of vertex sets, one row each, as one flat int64 array:
+    row x is members[offsets[x]:offsets[x + 1]], sorted and without
+    repeats.  An all-singleton table keeps no offsets (None), row x being
+    members[x] alone.  Rows are read as array slices."""
+
+    __slots__ = ("members", "offsets")
+
+    def __init__(self, members, lengths=None):
+        """The table whose rows are `members` cut, in order, into runs of
+        `lengths` (runs of one when None), each run sorted and cleared of
+        repeats."""
+        members = np.asarray(members, dtype=np.int64).reshape(-1)
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if (lengths != 1).any():
+                row = np.repeat(np.arange(len(lengths)), lengths)
+                order = np.lexsort((members, row))
+                members, row = members[order], row[order]
+                new = np.ones(len(members), dtype=bool)
+                new[1:] = (members[1:] != members[:-1]) | (row[1:] != row[:-1])
+                members = members[new]
+                lengths = np.bincount(row[new], minlength=len(lengths))
+            if (lengths == 1).all():
+                lengths = None
+        self.members = members
+        self.offsets = None if lengths is None else np.concatenate(([0], np.cumsum(lengths)))
+
+    @classmethod
+    def from_rows(cls, rows) -> "SetRows":
+        """The table of an iterable of vertex collections, one row each."""
+        rows = [r if isinstance(r, np.ndarray) else np.fromiter(r, dtype=np.int64) for r in rows]
+        return cls(np.concatenate([np.zeros(0, dtype=np.int64), *rows]), list(map(len, rows)))
+
+    def __len__(self) -> int:
+        return len(self.members) if self.offsets is None else len(self.offsets) - 1
+
+    def __getitem__(self, x):
+        """Row x: its sorted members, a slice of `members`; a slice of rows
+        is a table of those rows."""
+        if isinstance(x, slice):
+            return SetRows.from_rows([self[i] for i in range(len(self))[x]])
+        if self.offsets is None:
+            return self.members[x, None]
+        x = range(len(self))[x]  # an IndexError past the end, as a sequence gives
+        return self.members[self.offsets[x]:self.offsets[x + 1]]
+
+    @property
+    def singleton(self) -> bool:
+        return self.offsets is None
+
+    @property
+    def lengths(self) -> np.ndarray:
+        if self.offsets is None:
+            return np.ones(len(self), dtype=np.int64)
+        return np.diff(self.offsets)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each row begins in `members`."""
+        return np.arange(len(self)) if self.offsets is None else self.offsets[:-1]
+
+    def image(self, rows=None) -> np.ndarray:
+        """The sorted distinct members of the given rows (of all when None)."""
+        if rows is None:
+            return np.unique(self.members)
+        return np.unique(np.concatenate([self[x] for x in rows]))
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, ok): row x of the matrix M starts with row x's members, marked
+        True in ok, and repeats its first member to the width of the longest
+        row, so that a max or min over M's row ignores the padding (an empty
+        row, all padding, holds some other member or 0)."""
+        if self.offsets is None:
+            return self.members[:, None], np.ones((len(self), 1), dtype=bool)
+        lengths = self.lengths
+        cols = np.arange(int(lengths.max(initial=0)))
+        ok = cols < lengths[:, None]
+        at = self.starts[:, None] + np.where(ok, cols, 0)
+        return np.append(self.members, 0)[at], ok
+
+    def tolist(self) -> list[list[int]]:
+        if self.offsets is None:
+            return self.members[:, None].tolist()
+        flat = self.members.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass(frozen=True)
 class Domain:
-    """One domain: its space, the projection from the ambient graph, its
-    relations to the other domains, and its rho data."""
+    """One domain: its space, the projection `pi` from the ambient graph (a
+    `SetRows`, row x the projection of vertex x), its relations to the other
+    domains, and its rho data; a `rho_map` entry is a `SetRows` with one row
+    per vertex of this domain's space.  Rows given in another form, such as
+    a tuple of sets, are converted by `SetRows.from_rows`.  An empty
+    projection, or one naming a vertex outside the space, is an
+    InstanceError."""
 
     id: str
     space: UnitGraph
-    pi: tuple[frozenset[int], ...]
+    pi: SetRows
     rel: dict[str, str]
     rho: dict[str, frozenset[int]]
-    rho_map: dict[str, tuple[frozenset[int], ...]] = field(default_factory=dict)
+    rho_map: dict[str, SetRows] = field(default_factory=dict)
+
+    def __post_init__(self):
+        def rows(t):
+            return t if isinstance(t, SetRows) else SetRows.from_rows(t)
+
+        object.__setattr__(self, "pi", rows(self.pi))
+        object.__setattr__(self, "rho_map", {k: rows(t) for k, t in self.rho_map.items()})
+        pi = self.pi
+        if not pi.singleton and not (lengths := pi.lengths).all():
+            raise InstanceError(f"empty projection of vertex {int(np.argmin(lengths))} in {self.id}")
+        unsigned = pi.members.view(np.uint64)  # a negative member wraps past any n
+        if unsigned.max(initial=0) >= self.space.n:
+            x = int(np.searchsorted(pi.starts, np.argmax(unsigned >= self.space.n), side="right")) - 1
+            raise InstanceError(f"projection of vertex {x} in {self.id} leaves its space of {self.space.n} vertices")
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -89,12 +213,12 @@ class Domain:
     @cached_property
     def reps(self) -> np.ndarray:
         """reps[x] = min(pi[x]), the least vertex of each projection."""
-        return np.array([min(p) for p in self.pi], dtype=np.int64)
+        return self.pi.members[self.pi.starts]
 
     @cached_property
     def singleton(self) -> bool:
         """Whether every projection pi[x] is one vertex, namely reps[x]."""
-        return all(len(p) == 1 for p in self.pi)
+        return self.pi.singleton
 
     @cached_property
     def setdist(self) -> np.ndarray:
@@ -102,7 +226,7 @@ class Domain:
         D = self.dist
         if self.singleton:
             return D[self.reps]
-        return np.stack([D[sorted(p)].min(axis=0) for p in self.pi])
+        return np.minimum.reduceat(D[self.pi.members], self.pi.starts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -128,7 +252,7 @@ class HHSInstance:
 
     def d_U(self, U: Domain, x: int, y: int) -> int:
         """Distance in U's space between the projections of x and y."""
-        return int(U.setdist[x, sorted(U.pi[y])].min())
+        return int(U.setdist[x, U.pi[y]].min())
 
     def d_U_to_set(self, U: Domain, x: int, S) -> int:
         return int(U.setdist[x, sorted(S)].min())
@@ -136,8 +260,8 @@ class HHSInstance:
     def d_U_matrix(self, U: Domain) -> np.ndarray:
         """Full matrix of d_U(x, y) over ambient pairs."""
         if U.singleton:
-            return U.dist[np.ix_(U.reps, U.reps)]
-        return np.stack([U.setdist[:, sorted(p)].min(axis=1) for p in U.pi], axis=1)
+            return U.dist[U.reps][:, U.reps]
+        return np.minimum.reduceat(U.setdist[:, U.pi.members], U.pi.starts, axis=1)
 
     def rho_of(self, source: Domain, target: Domain) -> frozenset[int]:
         """The shadow of `source` inside `target`'s space."""
@@ -153,13 +277,10 @@ class HHSInstance:
                 {
                     "id": d.id,
                     "space": d.space.to_dict(),
-                    "pi": [sorted(s) for s in d.pi],
+                    "pi": d.pi.tolist(),
                     "rel": dict(sorted(d.rel.items())),
                     "rho": {k: sorted(v) for k, v in sorted(d.rho.items())},
-                    "rho_map": {
-                        k: [sorted(s) for s in v]
-                        for k, v in sorted(d.rho_map.items())
-                    },
+                    "rho_map": {k: v.tolist() for k, v in sorted(d.rho_map.items())},
                 }
                 for d in self.domains
             ],
@@ -167,9 +288,6 @@ class HHSInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "HHSInstance":
-        def sets(value, path):
-            return tuple(map(frozenset, int_rows(value, path)))
-
         domains = []
         for i, dd in enumerate(member(data, "domains", list)):
             dom = f"domains[{i}]"
@@ -180,10 +298,10 @@ class HHSInstance:
                 Domain(
                     id=member(dd, "id", str, dom),
                     space=UnitGraph.from_dict(member(dd, "space", dict, dom), f"{dom}.space"),
-                    pi=sets(member(dd, "pi", list, dom), f"{dom}.pi"),
+                    pi=SetRows(*flat_int_rows(member(dd, "pi", list, dom), f"{dom}.pi")),
                     rel={str(k): str(v) for k, v in member(dd, "rel", dict, dom).items()},
                     rho={str(k): frozenset(ints(s, f"{dom}.rho.{k}")) for k, s in rho.items()},
-                    rho_map={str(k): sets(v, f"{dom}.rho_map.{k}") for k, v in rho_map.items()},
+                    rho_map={str(k): SetRows(*flat_int_rows(v, f"{dom}.rho_map.{k}")) for k, v in rho_map.items()},
                 )
             )
         return HHSInstance(
@@ -259,7 +377,7 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
                 missing = (
                     rows is None
                     or len(rows) != U.space.n
-                    or not _in_range(frozenset().union(*rows), V.space.n)
+                    or not _in_range(rows.image(), V.space.n)
                 )
             else:
                 missing = False
@@ -270,7 +388,8 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     findings.append(Finding("rho-presence", witness is None, rho_diam, witness))
     findings.append(Finding("rho-diameter", rho_diam <= h.E, rho_diam, None))
 
-    # projection diameters; a singleton domain's are 0 by its type
+    # projection diameters; a singleton domain's are 0 by its type, and no
+    # projection is empty (`Domain` refuses one)
     pi_diam = 0
     witness = None
     for U in h.domains:
@@ -278,13 +397,10 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
             raise InstanceError(f"projection table of {U.id} has wrong length")
         if U.singleton:
             continue
-        for x in range(h.n):
-            if not U.pi[x]:
-                raise InstanceError(f"empty projection of vertex {x} in {U.id}")
-            d = _setdiam(U.dist, U.pi[x])
-            if d > pi_diam:
-                pi_diam = d
-                witness = (U.id, x)
+        diams = _row_diams(U.dist, U.pi.padded()[0])
+        if (d := int(diams.max(initial=0))) > pi_diam:
+            pi_diam = d
+            witness = (U.id, int(np.argmax(diams)))
     findings.append(Finding("projection-diameter", pi_diam <= h.E, pi_diam, witness))
 
     # coarse Lipschitz (slope 1, additive defect) and coarse onto
@@ -300,8 +416,7 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
             lip = defect
             x, y = np.unravel_index(int(np.argmax(gap_mat)), gap_mat.shape)
             lip_w = (U.id, int(x), int(y))
-        image = sorted(set().union(*U.pi))
-        gap = int(U.dist[:, image].min(axis=1).max())
+        gap = int(U.dist[:, U.pi.image()].min(axis=1).max())
         if gap > onto:
             onto = gap
             onto_w = (U.id,)
@@ -325,12 +440,15 @@ def _pair_consistency(h: HHSInstance, rows, sets, skip):
     that is neither in `skip` (a set of frozenset id pairs) nor orthogonal.
 
     Tuples are indexed by row: rows(U)[t, v] is the distance in U from
-    tuple t's entry to v, and sets(U)[t] is that entry as a vertex set.
+    tuple t's entry to v, and sets(U) is the `SetRows` of the entries.
     values[t] is tuple t's consistency value for the pair: for transverse
     U, V the lesser distance from an entry to the other's rho; for `small`
     nested in `big` the distance from big's entry to rho(small, big), or,
     when big has a rho_map to small, the lesser of that and the diameter
-    of small's entry joined with the image of big's entry."""
+    of small's entry joined with the image of big's entry.  That join is
+    one padded row per tuple: small's entry, then the rho_map rows of the
+    members of big's entry, each padded with the first member of small's
+    entry, which leaves the diameter as it is."""
     for U, V in itertools.combinations(h.domains, 2):
         if frozenset((U.id, V.id)) in skip or U.rel[V.id] == REL_ORTH:
             continue
@@ -344,18 +462,19 @@ def _pair_consistency(h: HHSInstance, rows, sets, skip):
             vals = rows(big)[:, sorted(h.rho_of(small, big))].min(axis=1)
             table = big.rho_map.get(small.id)
             if table is not None:
-                diam = [
-                    _setdiam(small.dist, p.union(*(table[v] for v in q)))
-                    for p, q in zip(sets(small), sets(big))
-                ]
-                vals = np.minimum(vals, diam)
+                P, Q = sets(small).padded()[0], sets(big).padded()[0]
+                M, ok = table.padded()
+                joined = np.concatenate([P, M[Q].reshape(len(Q), -1)], axis=1)
+                real = np.concatenate([np.ones_like(P, dtype=bool), ok[Q].reshape(len(Q), -1)], axis=1)
+                vals = np.minimum(vals, _row_diams(small.dist, np.where(real, joined, P[:, :1])))
         yield U, V, vals
 
 
-def check_consistent_tuple(h: HHSInstance, b: dict[str, frozenset[int]], kappa: int):
-    """Verdict plus the worst pair for an arbitrary per-domain tuple."""
+def check_consistent_tuple(h: HHSInstance, b: dict, kappa: int):
+    """Verdict plus the worst pair for an arbitrary per-domain tuple: b maps
+    each domain id to a vertex collection, such as a set or a row of pi."""
     for d in h.domains:
-        if d.id not in b or not b[d.id]:
+        if d.id not in b or not len(b[d.id]):
             raise InstanceError(f"tuple is missing a nonempty entry for {d.id}")
         if _setdiam(d.dist, b[d.id]) > kappa:
             raise InstanceError(f"tuple entry for {d.id} has diameter above kappa")
@@ -363,7 +482,7 @@ def check_consistent_tuple(h: HHSInstance, b: dict[str, frozenset[int]], kappa: 
     for U, V, vals in _pair_consistency(
         h,
         lambda U: U.dist[sorted(b[U.id])].min(axis=0, keepdims=True),
-        lambda U: (frozenset(b[U.id]),),
+        lambda U: SetRows.from_rows([b[U.id]]),
         (),
     ):
         if int(vals[0]) > value:
@@ -412,14 +531,24 @@ def relevant_domains(h: HHSInstance, x: int, y: int, s) -> list[str]:
 # distance formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceFormulaFit:
+    """The fitted constants, and per sampled pair (aligned int64 arrays) its
+    ambient distance and its projection sum."""
+
     s: int
     A: int
     B: Fraction
-    samples: tuple[tuple[tuple[int, int], int, int], ...]  # (pair, true, sum)
     max_upper_slack: Fraction
     max_lower_slack: Fraction
+    pairs: np.ndarray  # (m, 2)
+    distances: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def samples(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
+        """(pair, distance, sum) per sampled pair, as tuples of ints."""
+        return tuple(zip(map(tuple, self.pairs.tolist()), self.distances.tolist(), self.sums.tolist()))
 
 
 def projection_sum(h: HHSInstance, x, y, s):
@@ -445,16 +574,14 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
     max(d - A*S)) over the sample; with that (A, B) both distance-formula
     inequalities hold on every sampled pair.  When no A <= 2^20 qualifies,
     A is 2^20 + 1.  The search runs in integers: A*B(A) = max(0, max(S - A*d),
-    A*max(d - A*S)).
+    A*max(d - A*S)).  `samples` is an (m, 2) array of vertex pairs, or
+    anything numpy reads as one.
     """
     if s < 100 * h.E:
         raise InstanceError(f"threshold s={s} is below 100*E={100 * h.E}")
-    xy = np.array([(int(x), int(y)) for x, y in samples], dtype=np.int64).reshape(-1, 2)
+    xy = np.asarray(samples, dtype=np.int64).reshape(-1, 2)
     d = h.ambient.pair_distances(xy[:, 0], xy[:, 1])
     S = projection_sum(h, xy[:, 0], xy[:, 1], s)
-    rows = tuple(
-        ((x, y), dd, ss) for (x, y), dd, ss in zip(xy.tolist(), d.tolist(), S.tolist())
-    )
 
     def times_b(A: int) -> int:
         return max(int((S - A * d).max(initial=0)), A * int((d - A * S).max(initial=0)))
@@ -471,10 +598,10 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
     A = lo
     B = Fraction(times_b(A), A)
     up = low = Fraction(0)
-    if rows:
+    if len(xy):
         up = B + int((A * S - d).max())
         low = B + Fraction(int((A * d - S).max()), A)
-    return DistanceFormulaFit(int(s), A, B, rows, up, low)
+    return DistanceFormulaFit(int(s), A, B, up, low, xy, d, S)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +798,7 @@ def theta_hull(h: HHSInstance, A, theta) -> frozenset[int]:
         raise InstanceError("empty set")
     keep = np.ones(h.n, dtype=bool)
     for dom in h.domains:
-        proj = sorted(set().union(*(dom.pi[x] for x in pts)))
-        hull = np.flatnonzero(space_hull(dom.dist, proj))
+        hull = np.flatnonzero(space_hull(dom.dist, dom.pi.image(pts)))
         keep &= dom.setdist[:, hull].min(axis=1) <= theta
     return frozenset(int(v) for v in np.flatnonzero(keep))
 
@@ -706,9 +832,9 @@ def is_hierarchically_quasiconvex(
     shadow_ok = True
     shadow_w = None
     for dom in h.domains:
-        proj = sorted(set().union(*(dom.pi[x] for x in pts)))
+        proj = dom.pi.image(pts)
         hull = np.flatnonzero(space_hull(dom.dist, proj))
-        worst = int(dom.dist[np.ix_(hull, proj)].min(axis=1).max())
+        worst = int(dom.dist[hull][:, proj].min(axis=1).max())
         if worst > k0:
             shadow_ok = False
             shadow_w = (dom.id, worst)
@@ -717,10 +843,7 @@ def is_hierarchically_quasiconvex(
     realization_w = None
     DG = h.dist
     to_shadow = np.stack(
-        [
-            dom.setdist[:, sorted(set().union(*(dom.pi[z] for z in pts)))].min(axis=1)
-            for dom in h.domains
-        ]
+        [dom.setdist[:, dom.pi.image(pts)].min(axis=1) for dom in h.domains]
     ).max(axis=0)
     to_set = DG[:, pts].min(axis=1)
     for kappa, bound in sorted(kfun.items()):

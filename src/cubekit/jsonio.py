@@ -156,6 +156,20 @@ def int_rows(value, path: str, length: int | None = None) -> list[list[int]]:
     return rows
 
 
+def flat_int_rows(value, path: str) -> tuple[np.ndarray, list[int] | None]:
+    """(members, lengths): the rows of `int_rows(value, path)` end to end as
+    one int64 array, and the length of each row, or None when every row
+    has one entry."""
+    rows = int_rows(value, path)
+    try:
+        members = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    except OverflowError:
+        raise ShapeError(f"{path} holds an integer outside the 64-bit range") from None
+    if len(members) == len(rows) and set(map(len, rows)) <= {1}:
+        return members, None
+    return members, list(map(len, rows))
+
+
 def decode_number(v, path: str = "value") -> int | Fraction:
     """Inverse of encode_number: [p, q] or a plain number (an integer, a
     float or a string such as '3/2'), as_number-normalized (so [p, 1]

@@ -69,7 +69,7 @@ class ProjectionSystem:
         if len(idx) <= 1:
             return 0
         D = self.pieces[piece].distance_matrix
-        return int(D[np.ix_(idx, idx)].max())
+        return int(D[idx][:, idx].max())
 
     def dpi(self, middle: int, a: int, b: int) -> int:
         """diam of the union of the shadows of a and b inside `middle`."""
@@ -111,17 +111,22 @@ class AxiomReport:
 
 def verify_projection_axioms(s: ProjectionSystem) -> AxiomReport:
     """Least theta making (P0) and (P1) hold, violations at the declared
-    theta, and the (P2) census of loud middles per pair."""
+    theta, and the (P2) census of loud middles per pair.  Each dpi(middle,
+    a, b) is computed once, into a table both passes read."""
     k = s.count
     p0 = 0
     for (i, j), sub in s.proj.items():
         p0 = max(p0, s.diam(i, sub))
     theta_min = p0
+    dpi = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for m in range(k):
+        for a, b in itertools.combinations([j for j in range(k) if j != m], 2):
+            dpi[m][a][b] = dpi[m][b][a] = s.dpi(m, a, b)
     violations = []
     for a in range(k):
         for b in range(a + 1, k):
             for c in range(b + 1, k):
-                vals = [(s.dpi(a, b, c), a), (s.dpi(b, a, c), b), (s.dpi(c, a, b), c)]
+                vals = [(dpi[a][b][c], a), (dpi[b][a][c], b), (dpi[c][a][b], c)]
                 vals.sort(reverse=True)
                 theta_min = max(theta_min, vals[1][0])
                 loud = [m for v, m in vals if v > s.theta]
@@ -133,7 +138,7 @@ def verify_projection_axioms(s: ProjectionSystem) -> AxiomReport:
     for i in range(k):
         for l in range(i + 1, k):
             p2[(i, l)] = sum(
-                1 for j in range(k) if j not in (i, l) and s.dpi(j, i, l) > s.theta
+                1 for j in range(k) if j not in (i, l) and dpi[j][i][l] > s.theta
             )
     ok = p0 <= s.theta and not violations
     return AxiomReport(p0, theta_min, ok, tuple(sorted(set(violations))), p2)

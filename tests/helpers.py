@@ -285,6 +285,43 @@ def oracle_tuple_consistency(domains, b):
     return out
 
 
+def oracle_projection_table(dist, rows):
+    """(reps, singleton, setdist, diameters) of a domain whose projection of
+    vertex x is the vertex set rows[x]: the least vertex of each row, whether
+    every row is one vertex, the distance from each row to each vertex, and
+    each row's diameter; `dist` is a list of lists."""
+    sets = [frozenset(r) for r in rows]
+    reps = [min(s) for s in sets]
+    setdist = [[oracle_set_dist(dist, s, [v]) for v in range(len(dist))] for s in sets]
+    diameters = [max(dist[p][q] for p in s for q in s) for s in sets]
+    return reps, all(len(s) == 1 for s in sets), setdist, diameters
+
+
+def oracle_projection_findings(ambient, domains):
+    """(measured, witness) per check of validate's projection-diameter,
+    coarse-lipschitz and coarse-onto findings.  `ambient` is the ambient
+    metric and `domains` lists (id, dist, rows) per domain, rows[x] the
+    projection of vertex x; each witness is the first offender, scanning
+    domains in order and vertices (pairs) in increasing order, that reaches
+    the worst value."""
+    found = {"projection-diameter": (0, None), "coarse-lipschitz": (0, None), "coarse-onto": (0, None)}
+
+    def offer(check, value, witness):
+        if value > found[check][0]:
+            found[check] = (value, witness)
+
+    n = len(ambient)
+    for uid, dist, rows in domains:
+        for x, d in enumerate(oracle_projection_table(dist, rows)[3]):
+            offer("projection-diameter", d, (uid, x))
+        for x in range(n):
+            for y in range(n):
+                offer("coarse-lipschitz", oracle_set_dist(dist, rows[x], rows[y]) - ambient[x][y], (uid, x, y))
+        image = set().union(*rows)
+        offer("coarse-onto", max(oracle_set_dist(dist, image, [v]) for v in range(len(dist))), (uid,))
+    return found
+
+
 def oracle_coarse_median(domains, x, y, z):
     """Coarse median of an ambient triple, one triple at a time.
 

@@ -219,6 +219,48 @@ def test_input_of_the_wrong_shape_is_refused_naming_its_path(command, document, 
     assert captured.err == f"error: {cause}\n" and captured.out == ""
 
 
+def _edge_instance(**changes) -> dict:
+    """An instance on one edge whose one domain "a" is that edge, with
+    `changes` made to the domain."""
+    edge = {"n": 2, "edges": [[0, 1]]}
+    domain = {"id": "a", "space": edge, "pi": [[0], [1]], "rel": {}, "rho": {}, "rho_map": {}, **changes}
+    return {"E": 0, "ambient": edge, "domains": [domain]}
+
+
+_BAD_ROWS = {
+    "pi-string": ({"pi": [[0], ["1"]]}, "domains[0].pi[1][0] is a string, not an integer"),
+    "pi-int": ({"pi": [[0], 1]}, "domains[0].pi[1] is an integer, not an array"),
+    "pi-bool": ({"pi": [[0], [True]]}, "domains[0].pi[1][0] is a boolean, not an integer"),
+    "pi-huge": ({"pi": [[0], [2**70]]}, "domains[0].pi holds an integer outside the 64-bit range"),
+    "pi-empty": ({"pi": [[0], []]}, "empty projection of vertex 1 in a"),
+    "pi-outside": ({"pi": [[0], [1, 2]]}, "projection of vertex 1 in a leaves its space of 2 vertices"),
+    "rho-map-null": ({"rho_map": {"b": [[0], None]}}, "domains[0].rho_map.b[1] is null, not an array"),
+    "rho-map-float": ({"rho_map": {"b": [[0, 1.5]]}}, "domains[0].rho_map.b[0][1] is a number, not an integer"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+@pytest.mark.parametrize(
+    "args", [["validate"], ["df-check", "--s", "0"], ["psi"], ["pack", "--R", "1"]], ids=lambda args: args[0]
+)
+def test_bad_projection_row_is_refused_naming_it(args, bad, tmp_path, capsys):
+    changes, cause = _BAD_ROWS[bad]
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(_edge_instance(**changes)))
+    # parsed into arrays in bulk, yet a bad row is still named by its path
+    assert main([args[0], "--in", str(inp), *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cause}\n" and captured.out == ""
+
+
+def test_bad_projection_row_leaves_no_traceback(tmp_path):
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(_edge_instance(pi=[[0], [2**70]])))
+    run = _fresh_cli(["psi", "--in", str(inp)])
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == "error: domains[0].pi holds an integer outside the 64-bit range\n"
+
+
 _PIECES = [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}]
 
 

@@ -348,7 +348,7 @@ def test_disconnected_quasitree_names_the_pair():
     # two cut colours: the first pair that breaks colour 1 comes before the
     # first that breaks colour 0, and it is the one named
     m0 = psi.maps[0]
-    m1 = m0[1:] + m0[:1]
+    m1 = np.roll(m0, -1)  # m0 rotated: m1[g] = m0[g + 1]
     two = dataclasses.replace(cs, quasitrees=(cut, cut))
     apart = next(
         (x, y) for x in range(h.n) for y in range(h.n)

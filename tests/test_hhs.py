@@ -23,6 +23,7 @@ from cubekit.hhs import (
     InstanceError,
     OrderNotTotalError,
     SearchBudgetError,
+    SetRows,
     check_consistent_tuple,
     distance_formula_fit,
     find_bbf_colouring,
@@ -41,6 +42,9 @@ from helpers import (
     grid_v,
     lex_geodesic,
     oracle_all_dists,
+    oracle_projection_findings,
+    oracle_projection_table,
+    oracle_set_dist,
     oracle_tuple_consistency,
     oracle_unparam_qg,
 )
@@ -391,7 +395,7 @@ def test_theta_hull_tree_leaves(spider):
     for x in range(spider.n):
         ok = True
         for dom in spider.domains:
-            proj = sorted(dom.pi[8] | dom.pi[24])
+            proj = sorted({*dom.pi[8], *dom.pi[24]})
             D = dom.dist
             hull_mask = set()
             for a in proj:
@@ -586,14 +590,21 @@ def nested_pairs(draw):
     return HHSInstance(ambient, (small, big), 0)
 
 
-def check_tuple_consistency(h):
+def check_tuple_consistency(h, raw=None):
     """check_consistent_tuple on every vertex tuple, and validate_instance's
-    tuple-consistency finding (value and witness), against the oracle."""
+    tuple-consistency finding (value and witness), against the oracle fed
+    `raw`: per domain id, its projection rows and its rho_map tables, as
+    frozensets (read off h by default)."""
+    if raw is None:
+        raw = {
+            d.id: (list(map(frozenset, d.pi)), {k: list(map(frozenset, t)) for k, t in d.rho_map.items()})
+            for d in h.domains
+        }
     domains = {
-        d.id: (oracle_all_dists(d.space.n, d.space.edges), d.rel, d.rho, d.rho_map)
+        d.id: (oracle_all_dists(d.space.n, d.space.edges), d.rel, d.rho, raw[d.id][1])
         for d in h.domains
     }
-    tuples = [{d.id: d.pi[x] for d in h.domains} for x in range(h.n)]
+    tuples = [{d.id: raw[d.id][0][x] for d in h.domains} for x in range(h.n)]
     found = [oracle_tuple_consistency(domains, b) for b in tuples]
     for b, pairs in zip(tuples, found):
         value = max((val for _, _, val in pairs), default=0)
@@ -623,3 +634,95 @@ def test_tuple_consistency_of_nested_pairs_matches_the_oracle(h):
 )
 def test_tuple_consistency_of_fixtures_matches_the_oracle(make):
     check_tuple_consistency(make())
+
+
+# --- projection tables as arrays ---------------------------------------------------
+
+
+def test_set_rows_sort_dedupe_and_pad_each_row():
+    t = SetRows.from_rows([[3, 1, 3], [2], [], [5, 4]])
+    assert t.tolist() == [[1, 3], [2], [], [4, 5]] and len(t) == 4 and not t.singleton
+    assert t.lengths.tolist() == [2, 1, 0, 2] and t.starts.tolist() == [0, 2, 3, 3]
+    assert t[-1].tolist() == [4, 5] and t[1:3].tolist() == [[2], []]
+    with pytest.raises(IndexError):
+        t[4]
+    M, ok = t.padded()
+    assert ok.tolist() == [[True, True], [True, False], [False, False], [True, True]]
+    assert M[ok].tolist() == [1, 3, 2, 4, 5] and M[1].tolist() == [2, 2]
+    assert t.image().tolist() == [1, 2, 3, 4, 5] and t.image([0, 3]).tolist() == [1, 3, 4, 5]
+    # one vertex per row once the repeats go: the table is its member array
+    single = SetRows.from_rows([[7, 7], [0]])
+    assert single.singleton and single.offsets is None and single.members.tolist() == [7, 0]
+    assert single.tolist() == [[7], [0]] and single.padded()[0].tolist() == [[7], [0]]
+
+
+def test_domain_refuses_an_empty_or_outside_projection():
+    line = path_graph(3)
+    with pytest.raises(InstanceError, match="^empty projection of vertex 1 in U$"):
+        Domain("U", line, ([0], [], [2]), {}, {})
+    with pytest.raises(InstanceError, match="^projection of vertex 2 in U leaves its space of 3 vertices$"):
+        Domain("U", line, ([0], [1], [2, 3]), {}, {})
+    with pytest.raises(InstanceError, match="^projection of vertex 0 in U leaves"):
+        Domain("U", line, SetRows([-1, 0, 1]), {}, {})
+
+
+@st.composite
+def ragged_documents(draw):
+    """The JSON document of an ambient tree with a domain "small" nested in
+    a domain "big", shaped as in `nested_pairs`, whose projection and
+    rho_map rows are raw JSON lists: unsorted, with repeats, of up to four
+    vertices, or of one when a table is drawn narrow.  In one document of
+    five a projection row may be empty."""
+    ambient = _random_tree(draw, 10)
+    small_space, core = _random_tree(draw, 7), _random_tree(draw, 7)
+    k = core.n
+    tail = ((0, k),) + tuple((i, i + 1) for i in range(k, k + 9))
+    big_space = UnitGraph(k + 10, core.edges + tail)
+    least = 0 if draw(st.integers(0, 4)) == 0 else 1
+
+    def rows(n, count, least):
+        most = 4 if draw(st.booleans()) else 1
+        return [draw(st.lists(st.integers(0, n - 1), min_size=least, max_size=most)) for _ in range(count)]
+
+    rho = [k + 9] if draw(st.booleans()) else draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))
+    small = {
+        "id": "small", "space": small_space.to_dict(), "pi": rows(small_space.n, ambient.n, least),
+        "rel": {"big": REL_NESTED}, "rho": {"big": rho},
+    }
+    big = {
+        "id": "big", "space": big_space.to_dict(), "pi": rows(k, ambient.n, least),
+        "rel": {"small": REL_CONTAINS}, "rho": {},
+        "rho_map": {"small": rows(small_space.n, big_space.n, 0)},
+    }
+    return {"E": 0, "ambient": ambient.to_dict(), "domains": [small, big]}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(ragged_documents())
+def test_ragged_projections_read_as_their_frozensets(doc):
+    empty = [(d["id"], x) for d in doc["domains"] for x, row in enumerate(d["pi"]) if not row]
+    if empty:
+        uid, x = empty[0]
+        with pytest.raises(InstanceError, match=f"^empty projection of vertex {x} in {uid}$"):
+            HHSInstance.from_dict(doc)
+        return
+    h = HHSInstance.from_dict(doc)
+    raw, oracle = {}, []
+    for d, dd in zip(h.domains, doc["domains"]):
+        dist = oracle_all_dists(d.space.n, d.space.edges)
+        rows = [frozenset(r) for r in dd["pi"]]
+        reps, singleton, setdist, _ = oracle_projection_table(dist, rows)
+        assert d.pi.tolist() == [sorted(r) for r in rows]
+        assert (d.reps.tolist(), d.singleton, d.setdist.tolist()) == (reps, singleton, setdist)
+        assert h.d_U_matrix(d).tolist() == [[oracle_set_dist(dist, p, q) for q in rows] for p in rows]
+        tables = {key: [frozenset(r) for r in t] for key, t in dd.get("rho_map", {}).items()}
+        assert {key: t.tolist() for key, t in d.rho_map.items()} == {
+            key: [sorted(r) for r in t] for key, t in tables.items()
+        }
+        raw[d.id] = (rows, tables)
+        oracle.append((d.id, dist, rows))
+    findings = {f.check: (f.measured, f.witness) for f in validate_instance(h).findings}
+    for check, expected in oracle_projection_findings(oracle_all_dists(h.n, h.ambient.edges), oracle).items():
+        assert findings[check] == expected, check
+    check_tuple_consistency(h, raw)
+    assert HHSInstance.from_dict(h.to_dict()).to_dict() == h.to_dict()
