@@ -1,6 +1,7 @@
 """cubekit: finite-scale median graphs, cube skeletons, wallspace duality,
 projection systems with their quasitrees, hierarchical instances, and the
-embedding-and-promotion pipeline between them.
+embedding-and-promotion pipeline between them that the `cubekit` command
+runs.
 """
 
 from .graphs import (
@@ -12,21 +13,16 @@ from .graphs import (
 )
 from .median import (
     MedianAlgebra,
-    check_isometric_subalgebra,
     is_median_graph,
-    median_subset_report,
 )
 from .cubes import (
     CubeSkeleton,
-    convex_hull,
     helly_intersection,
-    hull_neighbourhood_check,
     hyperplane_decomposition,
 )
 from .walls import (
     Orientation,
     Wallspace,
-    coherent_orientations,
     dual_cube_complex,
     walls_of_skeleton,
 )
@@ -35,9 +31,6 @@ from .projection import (
     QuasiTreeSpace,
     axes_in_tree_system,
     build_quasitree,
-    check_bbf_distance_formula,
-    flat_distance,
-    flat_projection,
     piece_embedding_check,
     verify_projection_axioms,
 )
@@ -45,16 +38,10 @@ from .hhs import (
     Colouring,
     Domain,
     HHSInstance,
-    check_consistent_tuple,
     distance_formula_fit,
     find_bbf_colouring,
     hhs_median,
-    is_hierarchically_quasiconvex,
-    is_hierarchy_path,
-    is_unparametrised_quasigeodesic,
     product_region,
-    relevant_domains,
-    theta_hull,
     validate_instance,
 )
 from .embedding import (

@@ -1,5 +1,5 @@
-"""Hyperplane structure on median graphs: halfspaces, convex hulls,
-dimension, the hull-neighbourhood bound, and the Helly property.
+"""Hyperplane structure on median graphs: halfspaces, dimension,
+convexity and the Helly property.
 
 An edge class (hyperplane) is the set of edges inducing the same vertex
 bipartition; its two sides are convex halfspaces.  The classes of a graph
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph, gate_map
+from .graphs import UnitGraph
 from .hhs import space_hull
 from .median import MedianAlgebra, _row_keys
 
@@ -139,44 +139,6 @@ def is_convex(m: MedianAlgebra, S) -> bool:
     return int(space_hull(m.dist, members).sum()) == len(members)
 
 
-def convex_hull(c: CubeSkeleton, S) -> frozenset[int]:
-    """Intersection of all halfspaces containing S: the vertices on S's side
-    of every class that does not split S."""
-    on = c.sides[:, np.unique(np.fromiter(S, dtype=np.int64))]
-    if not on.shape[1]:
-        raise ConvexityError("hull of the empty set is undefined")
-    whole = on.all(axis=1) | ~on.any(axis=1)
-    return frozenset(np.flatnonzero((c.sides[whole] == on[whole, :1]).all(axis=0)).tolist())
-
-
-def neighbourhood(D: np.ndarray, S, r: int) -> frozenset[int]:
-    members = sorted(set(int(v) for v in S))
-    return frozenset(int(v) for v in np.flatnonzero(D[:, members].min(axis=1) <= r))
-
-
-@dataclass(frozen=True)
-class HullBoundReport:
-    verdict: bool
-    max_excess: int
-    radius: int
-    dimension: int
-
-
-def hull_neighbourhood_check(c: CubeSkeleton, Z, r: int) -> HullBoundReport:
-    """Check hull(N_r(Z)) within N_{d*r}(Z) for convex Z; d = dimension."""
-    members = sorted(set(int(v) for v in Z))
-    if not members:
-        raise ConvexityError("hull bound of the empty set is undefined")
-    if not is_convex(c.median, members):
-        raise ConvexityError("Z is not convex")
-    D = c.median.dist
-    ball = neighbourhood(D, members, r)
-    hull = convex_hull(c, ball)
-    d = c.dimension
-    excess = max(int(D[v, members].min()) - d * r for v in sorted(hull))
-    return HullBoundReport(verdict=excess <= 0, max_excess=excess, radius=r, dimension=d)
-
-
 @dataclass(frozen=True)
 class HellyResult:
     found: bool
@@ -222,11 +184,3 @@ def _helly_point(m: MedianAlgebra, sets: list[np.ndarray]) -> int:
     if len(sets) == 3:
         return m.median(*(int(_meet(sets[i], sets[j])[0]) for i, j in ((1, 2), (0, 2), (0, 1))))
     return _helly_point(m, sets[:-2] + [_meet(sets[-2], sets[-1])])
-
-
-def gate(m: MedianAlgebra, S, x: int) -> int:
-    """Nearest point of a convex set; unique in a median graph."""
-    members = sorted(set(int(v) for v in S))
-    if not members:
-        raise ConvexityError("gate to the empty set is undefined")
-    return int(gate_map(m.dist[[x]], members)[0])

@@ -19,13 +19,11 @@ from .hhs import Colouring, HHSInstance
 from .jsonio import as_number
 from .median import _blockwise, interval_medians
 from .projection import (
-    AxiomReport,
     ProjectionError,
     ProjectionSystem,
     QuasitreeParameterError,
     QuasiTreeSpace,
     build_quasitree,
-    verify_projection_axioms,
 )
 
 
@@ -44,8 +42,6 @@ class ColouredSystem:
     instance: HHSInstance
     colouring: Colouring
     class_ids: tuple[tuple[str, ...], ...]
-    systems: tuple[ProjectionSystem, ...]
-    axiom_reports: tuple[AxiomReport, ...]
     quasitrees: tuple[QuasiTreeSpace, ...]
     orbit: tuple[tuple[int, ...], ...]  # per colour, ambient vertex -> class position
     orbit_slack: int
@@ -58,11 +54,10 @@ class ColouredSystem:
 def build_coloured_system(
     h: HHSInstance, colouring: Colouring, K, L, orbit=None
 ) -> ColouredSystem:
-    """Per-colour systems from the rho tables, their quasitrees, and the
-    basepoint assignment; refuses K below any colour's measured constant."""
+    """Per-colour systems from the rho tables, each at its measured
+    constant, their quasitrees, and the basepoint assignment; refuses K
+    below any colour's measured constant."""
     class_ids = tuple(tuple(sorted(cls)) for cls in colouring.classes)
-    systems = []
-    reports = []
     quasitrees = []
     for ci, cls in enumerate(class_ids):
         doms = [h.by_id[i] for i in cls]
@@ -78,15 +73,10 @@ def build_coloured_system(
                 if ia == ib:
                     continue
                 proj[(ia, ib)] = h.rho_of(b, a)
-        sys0 = ProjectionSystem(pieces, proj, 0)
-        rep = verify_projection_axioms(sys0)
-        system = ProjectionSystem(pieces, proj, rep.theta_min)
         try:
-            q = build_quasitree(system, K, L)
+            q = build_quasitree(ProjectionSystem(pieces, proj), K, L)
         except QuasitreeParameterError as e:
             raise QuasitreeParameterError(f"colour {ci}: {e}") from e
-        systems.append(system)
-        reports.append(rep)
         quasitrees.append(q)
 
     orbit_tables = []
@@ -110,8 +100,6 @@ def build_coloured_system(
         instance=h,
         colouring=colouring,
         class_ids=class_ids,
-        systems=tuple(systems),
-        axiom_reports=tuple(reports),
         quasitrees=tuple(quasitrees),
         orbit=tuple(orbit_tables),
         orbit_slack=slack,

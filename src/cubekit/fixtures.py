@@ -1,5 +1,5 @@
 """Seeded fixture generators: hierarchical instances over grids, trees and
-spiders, plus small projection systems used across tests and the demos.
+spiders, and projection systems of geodesic lines in random trees.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .hhs import (
     SetRows,
     validate_instance,
 )
-from .projection import ProjectionSystem, axes_in_tree_system, verify_projection_axioms
+from .projection import ProjectionSystem, axes_in_tree_system
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
@@ -39,18 +39,6 @@ def product_of_lines(n: int) -> HHSInstance:
     dx = Domain(id="x", space=line, pi=SetRows(col), rel={"y": REL_ORTH}, rho={})
     dy = Domain(id="y", space=line, pi=SetRows(row), rel={"x": REL_ORTH}, rho={})
     return _with_measured_E(HHSInstance(ambient=ambient, domains=(dx, dy), E=0))
-
-
-def identity_instance(g: UnitGraph) -> HHSInstance:
-    """Single domain whose space is the ambient graph and pi the identity."""
-    dom = Domain(
-        id="whole",
-        space=g,
-        pi=SetRows(np.arange(g.n)),
-        rel={},
-        rho={},
-    )
-    return _with_measured_E(HHSInstance(ambient=g, domains=(dom,), E=0))
 
 
 def _require_leaf_pairs(
@@ -181,49 +169,6 @@ def tree_with_axes(
 
 # ---------------------------------------------------------------------------
 # projection-system fixtures
-
-
-def tripod_system(leg_length: int = 4) -> ProjectionSystem:
-    """Three leg-lines of a tripod; every projection is the center."""
-    tree = spider_graph(3, leg_length)
-    lines = [[0] + [1 + i * leg_length + t for t in range(leg_length)] for i in range(3)]
-    return axes_in_tree_system(tree, lines)
-
-
-def two_piece_system(len0: int, len1: int, p0: int = 0, p1: int = 0) -> ProjectionSystem:
-    pieces = (path_graph(len0), path_graph(len1))
-    proj = {(0, 1): frozenset([p0]), (1, 0): frozenset([p1])}
-    rep = verify_projection_axioms(ProjectionSystem(pieces, proj, 0))
-    return ProjectionSystem(pieces, proj, rep.theta_min)
-
-
-def chain_system(middle_length: int = 12) -> ProjectionSystem:
-    """A - B - C where the shadows of A and C sit at opposite ends of B."""
-    pieces = (path_graph(4), path_graph(middle_length + 1), path_graph(4))
-    proj = {
-        (0, 1): frozenset([0]),
-        (0, 2): frozenset([0]),
-        (1, 0): frozenset([0]),
-        (1, 2): frozenset([middle_length]),
-        (2, 0): frozenset([0]),
-        (2, 1): frozenset([0]),
-    }
-    rep = verify_projection_axioms(ProjectionSystem(pieces, proj, 0))
-    return ProjectionSystem(pieces, proj, rep.theta_min)
-
-
-def p1_violation_system() -> ProjectionSystem:
-    """Two fat, far-apart shadow pairs on two pieces: (P1) must flag a triple."""
-    pieces = (path_graph(11), path_graph(11), path_graph(3))
-    proj = {
-        (0, 1): frozenset([0, 1]),
-        (0, 2): frozenset([9, 10]),
-        (1, 0): frozenset([0, 1]),
-        (1, 2): frozenset([9, 10]),
-        (2, 0): frozenset([1]),
-        (2, 1): frozenset([1]),
-    }
-    return ProjectionSystem(pieces, proj, 1)
 
 
 def random_axes_system(n: int, k_lines: int, seed: int) -> ProjectionSystem:

@@ -21,7 +21,6 @@ arc list, `arc_component_labels`, and cliques from one Bron-Kerbosch search,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -171,17 +170,13 @@ class UnitGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
 
-    def induced_subgraph(self, vertices) -> tuple["UnitGraph", dict[int, int]]:
-        """Induced subgraph plus the old->new vertex index mapping."""
-        vs = sorted(set(int(v) for v in vertices))
-        index = {v: i for i, v in enumerate(vs)}
-        sub = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        labels = tuple(self.labels[v] for v in vs) if self.labels is not None else None
-        return UnitGraph(len(vs), tuple(sub), labels), index
+    def diameter_of(self, vertices) -> int:
+        """The largest distance between two of the given vertices (0 for
+        fewer than two)."""
+        idx = sorted(vertices)
+        if len(idx) <= 1:
+            return 0
+        return int(self.distance_matrix[idx][:, idx].max())
 
     def to_dict(self) -> dict:
         d = {"n": self.n, "edges": self.edge_array.tolist()}
@@ -506,12 +501,6 @@ def path_graph(n: int) -> UnitGraph:
     return UnitGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
-def cycle_graph(n: int) -> UnitGraph:
-    if n < 3:
-        raise GraphError("cycle needs at least 3 vertices")
-    return UnitGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
 def grid_graph(rows: int, cols: int) -> UnitGraph:
     """rows x cols grid; vertex (r, c) has index r*cols + c."""
     v = np.arange(rows * cols).reshape(rows, cols)
@@ -523,15 +512,6 @@ def hypercube_graph(d: int) -> UnitGraph:
     n = 1 << d
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
     return UnitGraph(n, tuple(edges))
-
-
-def complete_bipartite_graph(a: int, b: int) -> UnitGraph:
-    return UnitGraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
-
-
-def star_graph(legs: int) -> UnitGraph:
-    """Center vertex 0 with `legs` pendant vertices."""
-    return UnitGraph(legs + 1, tuple((0, i + 1) for i in range(legs)))
 
 
 def spider_graph(legs: int, leg_length: int) -> UnitGraph:
@@ -546,38 +526,3 @@ def random_tree(n: int, rng: np.random.Generator) -> UnitGraph:
     """Uniform-ish random tree: each vertex i>0 attaches to a random earlier vertex."""
     edges = tuple((int(rng.integers(0, i)), i) for i in range(1, n))
     return UnitGraph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-def are_isomorphic(g: UnitGraph, h: UnitGraph) -> bool:
-    """Exact isomorphism test (VF2 via networkx; brute force for tiny inputs)."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    if g.n <= 7:
-        hset = set(h.edges)
-        for perm in itertools.permutations(range(g.n)):
-            if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hset for u, v in g.edges):
-                return True
-        return False
-    import networkx as nx
-
-    gn = nx.Graph(list(g.edges))
-    gn.add_nodes_from(range(g.n))
-    hn = nx.Graph(list(h.edges))
-    hn.add_nodes_from(range(h.n))
-    return nx.is_isomorphic(gn, hn)
-
-
-def verify_isomorphism(g: UnitGraph, h: UnitGraph, mapping: dict[int, int]) -> bool:
-    """Check that `mapping` is a bijection g->h preserving adjacency both ways."""
-    if len(mapping) != g.n or h.n != g.n:
-        return False
-    if sorted(mapping.values()) != list(range(h.n)):
-        return False
-    hset = set(h.edges)
-    mapped = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in g.edges}
-    return mapped == hset

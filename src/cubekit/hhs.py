@@ -1,8 +1,7 @@
 """Finite hierarchical instances: an ambient graph, a family of domain
 graphs with projections, pairwise relations (nesting / orthogonality /
-transversality), rho-points, and the battery of checks that goes with
-them: consistency, relevant domains, distance-formula fitting, hierarchy
-paths, product regions, hulls, hierarchical quasiconvexity, colourings,
+transversality), rho-points, and what the pipeline reads of them: the
+axiom scan, distance-formula fitting, product regions, hulls, colourings
 and the coarse median.
 
 Per-vertex data is held in int arrays: a domain's projection table `pi`
@@ -11,9 +10,8 @@ offsets (none at all when every row is one vertex), parsed from JSON in
 bulk and read as array slices, gathers and padded matrices.  Sampled pairs
 stay int64 arrays through `distance_formula_fit` into its report.
 
-Tuple consistency has one pass, `_pair_consistency`: `validate_instance`
-runs it over every vertex tuple at once, `check_consistent_tuple` over one
-given tuple.
+Tuple consistency is one pass, `_pair_consistency`, which
+`validate_instance` runs over every vertex tuple at once.
 """
 
 from __future__ import annotations
@@ -42,31 +40,8 @@ class InstanceError(ValueError):
     pass
 
 
-class OrderNotTotalError(InstanceError):
-    pass
-
-
-class SearchBudgetError(InstanceError):
-    """The quasigeodesic milestone search visited more nodes than its budget."""
-
-    def __init__(self, budget: int, length: int):
-        self.budget = budget
-        self.length = length
-        super().__init__(
-            f"quasigeodesic search exceeded its budget of {budget} nodes "
-            f"on a path of {length} points"
-        )
-
-
 def _in_range(S, n: int) -> bool:
     return all(0 <= v < n for v in S)
-
-
-def _setdiam(D: np.ndarray, A) -> int:
-    idx = sorted(A)
-    if len(idx) <= 1:
-        return 0
-    return int(D[idx][:, idx].max())
 
 
 def _row_diams(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -77,13 +52,6 @@ def _row_diams(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
         D[r[:, :, None], r[:, None, :]].max(axis=(1, 2), initial=0)
         for r in (rows[lo:lo + step] for lo in range(0, max(len(rows), 1), step))
     ])
-
-
-def _as_arrays(*vs) -> tuple[bool, list[np.ndarray]]:
-    """(all scalar?, the arguments broadcast to aligned 1-D int64 arrays)."""
-    scalar = all(np.ndim(v) == 0 for v in vs)
-    arrays = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in vs)
-    return scalar, np.broadcast_arrays(*arrays)
 
 
 class SetRows:
@@ -250,15 +218,9 @@ class HHSInstance:
     def domain_ids(self) -> list[str]:
         return [d.id for d in self.domains]
 
-    def d_U(self, U: Domain, x: int, y: int) -> int:
-        """Distance in U's space between the projections of x and y."""
-        return int(U.setdist[x, U.pi[y]].min())
-
-    def d_U_to_set(self, U: Domain, x: int, S) -> int:
-        return int(U.setdist[x, sorted(S)].min())
-
     def d_U_matrix(self, U: Domain) -> np.ndarray:
-        """Full matrix of d_U(x, y) over ambient pairs."""
+        """Matrix of d_U(x, y), the distance in U's space between the
+        projections of x and y, over all ambient pairs."""
         if U.singleton:
             return U.dist[U.reps][:, U.reps]
         return np.minimum.reduceat(U.setdist[:, U.pi.members], U.pi.starts, axis=1)
@@ -371,7 +333,7 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
                 rho = U.rho.get(V.id)
                 missing = not rho or not _in_range(rho, V.space.n)
                 if not missing:
-                    rho_diam = max(rho_diam, _setdiam(V.dist, U.rho[V.id]))
+                    rho_diam = max(rho_diam, V.space.diameter_of(U.rho[V.id]))
             elif r == REL_CONTAINS:
                 rows = U.rho_map.get(V.id)
                 missing = (
@@ -426,7 +388,7 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     # consistency of all vertex tuples, vectorized over the ambient vertex
     cons = 0
     cons_w = None
-    for U, V, vals in _pair_consistency(h, lambda U: U.setdist, lambda U: U.pi, flagged):
+    for U, V, vals in _pair_consistency(h, flagged):
         if (worst := int(vals.max())) > cons:
             cons, cons_w = worst, (int(np.argmax(vals)), U.id, V.id)
     findings.append(Finding("tuple-consistency", cons <= h.E, cons, cons_w))
@@ -435,18 +397,17 @@ def validate_instance(h: HHSInstance) -> InstanceDiagnostics:
     return InstanceDiagnostics(tuple(findings), e_min, all(f.ok for f in findings))
 
 
-def _pair_consistency(h: HHSInstance, rows, sets, skip):
+def _pair_consistency(h: HHSInstance, skip):
     """(U, V, values) for each pair U, V of domains, in combination order,
     that is neither in `skip` (a set of frozenset id pairs) nor orthogonal.
 
-    Tuples are indexed by row: rows(U)[t, v] is the distance in U from
-    tuple t's entry to v, and sets(U) is the `SetRows` of the entries.
-    values[t] is tuple t's consistency value for the pair: for transverse
-    U, V the lesser distance from an entry to the other's rho; for `small`
+    The tuple of ambient vertex x has entry pi_U(x) in each domain U.
+    values[x] is its consistency value for the pair: for transverse U, V
+    the lesser distance from an entry to the other's rho; for `small`
     nested in `big` the distance from big's entry to rho(small, big), or,
     when big has a rho_map to small, the lesser of that and the diameter
     of small's entry joined with the image of big's entry.  That join is
-    one padded row per tuple: small's entry, then the rho_map rows of the
+    one padded row per vertex: small's entry, then the rho_map rows of the
     members of big's entry, each padded with the first member of small's
     entry, which leaves the diameter as it is."""
     for U, V in itertools.combinations(h.domains, 2):
@@ -454,77 +415,20 @@ def _pair_consistency(h: HHSInstance, rows, sets, skip):
             continue
         if U.rel[V.id] == REL_TRANS:
             vals = np.minimum(
-                rows(U)[:, sorted(h.rho_of(V, U))].min(axis=1),
-                rows(V)[:, sorted(h.rho_of(U, V))].min(axis=1),
+                U.setdist[:, sorted(h.rho_of(V, U))].min(axis=1),
+                V.setdist[:, sorted(h.rho_of(U, V))].min(axis=1),
             )
         else:
             small, big = (U, V) if U.rel[V.id] == REL_NESTED else (V, U)
-            vals = rows(big)[:, sorted(h.rho_of(small, big))].min(axis=1)
+            vals = big.setdist[:, sorted(h.rho_of(small, big))].min(axis=1)
             table = big.rho_map.get(small.id)
             if table is not None:
-                P, Q = sets(small).padded()[0], sets(big).padded()[0]
+                P, Q = small.pi.padded()[0], big.pi.padded()[0]
                 M, ok = table.padded()
                 joined = np.concatenate([P, M[Q].reshape(len(Q), -1)], axis=1)
                 real = np.concatenate([np.ones_like(P, dtype=bool), ok[Q].reshape(len(Q), -1)], axis=1)
                 vals = np.minimum(vals, _row_diams(small.dist, np.where(real, joined, P[:, :1])))
         yield U, V, vals
-
-
-def check_consistent_tuple(h: HHSInstance, b: dict, kappa: int):
-    """Verdict plus the worst pair for an arbitrary per-domain tuple: b maps
-    each domain id to a vertex collection, such as a set or a row of pi."""
-    for d in h.domains:
-        if d.id not in b or not len(b[d.id]):
-            raise InstanceError(f"tuple is missing a nonempty entry for {d.id}")
-        if _setdiam(d.dist, b[d.id]) > kappa:
-            raise InstanceError(f"tuple entry for {d.id} has diameter above kappa")
-    value, pair = 0, (None, None)
-    for U, V, vals in _pair_consistency(
-        h,
-        lambda U: U.dist[sorted(b[U.id])].min(axis=0, keepdims=True),
-        lambda U: SetRows.from_rows([b[U.id]]),
-        (),
-    ):
-        if int(vals[0]) > value:
-            value, pair = int(vals[0]), (U.id, V.id)
-    return value <= kappa, pair, value
-
-
-# ---------------------------------------------------------------------------
-# relevant domains
-
-
-def relevant_domains(h: HHSInstance, x: int, y: int, s) -> list[str]:
-    """Domains where x, y project more than s apart, ordered along the way.
-
-    Pairwise-transverse relevant domains carry a total order; its totality is
-    verified and an OrderNotTotalError names any offending pair.
-    """
-    if s < 100 * h.E:
-        raise InstanceError(f"threshold s={s} is below 100*E={100 * h.E}")
-    rel = [d for d in h.domains if h.d_U(d, x, y) > s]
-    order: dict[tuple[str, str], int] = {}
-    for U, V in itertools.combinations(rel, 2):
-        if U.rel[V.id] != REL_TRANS:
-            continue
-        u_before = h.d_U_to_set(U, y, h.rho_of(V, U)) <= h.E
-        v_before = h.d_U_to_set(V, y, h.rho_of(U, V)) <= h.E
-        if u_before == v_before:
-            raise OrderNotTotalError(
-                f"domains {U.id}, {V.id} are not comparable in rel_s({x},{y}): "
-                f"both-or-neither satisfy the ordering rule"
-            )
-        order[(U.id, V.id)] = -1 if u_before else 1
-        order[(V.id, U.id)] = 1 if u_before else -1
-
-    import functools
-
-    def cmp(a: Domain, b: Domain) -> int:
-        if (a.id, b.id) in order:
-            return order[(a.id, b.id)]
-        return -1 if a.id < b.id else (1 if a.id > b.id else 0)
-
-    return [d.id for d in sorted(rel, key=functools.cmp_to_key(cmp))]
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +458,15 @@ class DistanceFormulaFit:
 def projection_sum(h: HHSInstance, x, y, s):
     """Sum of d_U(x, y) over the domains where x, y project more than s apart.
 
-    The threshold is strict, as in `relevant_domains`: a domain with
-    d_U(x, y) == s contributes nothing.  x, y are ambient vertices (an int is
-    returned) or aligned arrays of them (an array of sums, one per pair).
+    The threshold is strict: a domain with d_U(x, y) == s contributes
+    nothing.  x, y are aligned arrays of ambient vertices; the result has
+    one sum per pair.
     """
-    scalar, (x, y) = _as_arrays(x, y)
     total = np.zeros(len(x), dtype=np.int64)
     for d in h.domains:
         v = d.space.pair_distances(d.reps[x], d.reps[y]) if d.singleton else h.d_U_matrix(d)[x, y]
         total += np.where(v > s, v, 0)
-    return int(total[0]) if scalar else total
+    return total
 
 
 def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
@@ -605,153 +508,7 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
 
 
 # ---------------------------------------------------------------------------
-# quasigeodesics and hierarchy paths
-
-
-def _dedup_runs(path: list[int]) -> list[tuple[int, int]]:
-    runs = []
-    for v in path:
-        if runs and runs[-1][0] == v:
-            runs[-1] = (v, runs[-1][1] + 1)
-        else:
-            runs.append((v, 1))
-    return runs
-
-
-def unparametrised_qg_on_metric(distfn, path: list[int], D: int, budget: int = 2_000_000) -> bool:
-    """Unparametrised (D, D)-quasigeodesic test (Behrstock-Hagen-Sisto).
-
-    Searches for milestones 0 = i_0 < ... < i_K = T-1 whose subsampled
-    sequence is a (D, D)-quasigeodesic and such that every segment
-    path[i_k .. i_{k+1}] between consecutive milestones has diameter at most
-    D.  Raises SearchBudgetError once the search visits more than `budget`
-    nodes.
-    """
-    if not path:
-        raise InstanceError("empty path")
-    if D < 1:
-        return False
-    runs = _dedup_runs([int(v) for v in path])
-    R = len(runs)
-    if R == 1:
-        return True
-    verts = [v for v, _ in runs]
-    mult = [c for _, c in runs]
-    rows: dict[int, list] = {}
-
-    def row(i: int) -> list:
-        """Distances from run i to every run, computed on first use."""
-        if i not in rows:
-            rows[i] = [distfn(verts[i], v) for v in verts]
-        return rows[i]
-
-    # reach[a]: last run b such that runs a..b form a segment of diameter <= D;
-    # segment diameters only grow with b, so no later run can follow a
-    reach = []
-    b = 0
-    for a in range(R):
-        b = max(b, a)
-        while b + 1 < R and max(row(b + 1)[a : b + 1]) <= D:
-            b += 1
-        reach.append(b)
-
-    de = row(0)[R - 1]
-    K_cap = int(D * (de + D))  # rank difference bound for the endpoint pair
-
-    def compatible(hist, run: int, rank: int) -> bool:
-        drow = row(run)
-        for r2, k2 in hist:
-            dd = drow[r2]
-            dr = rank - k2
-            if dr > D * (dd + D):
-                return False
-            if dd > D * dr + D:
-                return False
-        return True
-
-    def moves(run: int, used: int):
-        """Next milestones: the same run (multiplicity permitting), then each
-        later run within reach."""
-        if used < mult[run]:
-            yield run, used + 1
-        for nxt in range(run + 1, reach[run] + 1):
-            yield nxt, 1
-
-    # Depth-first search with an explicit stack, so path length is not
-    # bounded by the recursion limit: hist[k] is the (run, rank) of the k-th
-    # milestone and frames[k] iterates its untried moves.  Ranks grow by one
-    # per milestone, so a milestone's rank is its depth.  Nodes are visited
-    # in preorder, the moves of each in the order `moves` yields them.
-    hist = [(0, 0)]
-    frames = []
-    run, used = 0, 1
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetError(budget, len(path))
-        if run == R - 1:
-            return True
-        frames.append(moves(run, used) if len(hist) - 1 < K_cap else iter(()))
-        while frames:
-            rank = len(hist)  # rank of a move from the deepest milestone
-            step = next((m for m in frames[-1] if compatible(hist, m[0], rank)), None)
-            if step is not None:
-                break
-            frames.pop()
-            hist.pop()
-        else:
-            return False
-        run, used = step
-        hist.append((run, rank))
-
-
-def is_unparametrised_quasigeodesic(space: UnitGraph, path: list[int], D: int) -> bool:
-    Dm = space.distance_matrix
-    return unparametrised_qg_on_metric(lambda u, v: int(Dm[u, v]), path, D)
-
-
-def _qg_clauses(Dm: np.ndarray, path: list[int], D) -> tuple[bool, bool]:
-    """The two (D, D)-quasigeodesic clauses of a parametrised path:
-    coarse Lipschitz d(p_i, p_j) <= D|i-j| + D, and the lower bound
-    |i-j| <= D(d(p_i, p_j) + D)."""
-    idx = np.array([int(v) for v in path])
-    sub = Dm[np.ix_(idx, idx)]
-    steps = np.abs(np.arange(len(idx))[:, None] - np.arange(len(idx))[None, :])
-    return bool((sub <= D * steps + D).all()), bool((steps <= D * (sub + D)).all())
-
-
-def is_hierarchy_path(h: HHSInstance, path: list[int], D: int) -> tuple[bool, str | None]:
-    """Ambient (D,D)-quasigeodesic whose every domain shadow is an
-    unparametrised (D,D)-quasigeodesic; returns the first failing domain.
-
-    Checks run in this order:
-      1. the ambient coarse-Lipschitz clause d(p_i, p_j) <= D|i-j| + D;
-         a path breaking it raises InstanceError;
-      2. the shadows, in domain order; the first that fails is returned as
-         (False, domain id);
-      3. the ambient lower clause |i-j| <= D(d(p_i, p_j) + D), checked only
-         when every shadow passes; a path breaking it raises InstanceError.
-    A backtracking shadow can break the ambient lower clause too (it does on
-    an l1 product), so the shadows come first to name the domain at fault.
-    """
-    path = [int(v) for v in path]
-    if not path:
-        raise InstanceError("empty path")
-    lipschitz, lower = _qg_clauses(h.dist, path, D)
-    if not lipschitz:
-        raise InstanceError("path breaks the ambient coarse-Lipschitz clause")
-    for dom in h.domains:
-        shadow = dom.reps[path].tolist()
-        if not is_unparametrised_quasigeodesic(dom.space, shadow, D):
-            return False, dom.id
-    if not lower:
-        raise InstanceError("path breaks the ambient quasigeodesic lower clause")
-    return True, None
-
-
-# ---------------------------------------------------------------------------
-# product regions, hulls, quasiconvexity
+# product regions and hulls
 
 
 def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
@@ -790,77 +547,6 @@ def space_hull(space_dist: np.ndarray, points) -> np.ndarray:
     return mask
 
 
-def theta_hull(h: HHSInstance, A, theta) -> frozenset[int]:
-    """Vertices whose every projection is theta-close to the hull of A's
-    projections in that domain."""
-    pts = sorted(set(int(v) for v in A))
-    if not pts:
-        raise InstanceError("empty set")
-    keep = np.ones(h.n, dtype=bool)
-    for dom in h.domains:
-        hull = np.flatnonzero(space_hull(dom.dist, dom.pi.image(pts)))
-        keep &= dom.setdist[:, hull].min(axis=1) <= theta
-    return frozenset(int(v) for v in np.flatnonzero(keep))
-
-
-@dataclass(frozen=True)
-class HQCReport:
-    ok: bool
-    shadow_ok: bool
-    shadow_witness: tuple | None
-    realization_ok: bool
-    realization_witness: tuple | None
-
-
-def is_hierarchically_quasiconvex(
-    h: HHSInstance, Z, k0, kfun: dict
-) -> HQCReport:
-    """Hierarchical quasiconvexity of Z (Behrstock-Hagen-Sisto, Def. 5.1).
-
-    Shadow clause: in every domain U the shadow pi_U(Z) is k0-quasiconvex,
-    i.e. every geodesic between shadow points stays k0-close to the shadow.
-    Realization clause, at each kappa in kfun: every ambient x with
-    d_U(pi_U(x), pi_U(Z)) <= kappa for all U lies within kfun[kappa] of Z.
-    Here pi_U(Z) is the raw shadow, not its hull; a vertex near the hull but
-    far from the shadow is the shadow clause's business.  A failing
-    realization clause is witnessed by (kappa, x, d(x, Z)) at the least
-    failing kappa and the least x.
-    """
-    pts = sorted(set(int(v) for v in Z))
-    if not pts:
-        raise InstanceError("empty set")
-    shadow_ok = True
-    shadow_w = None
-    for dom in h.domains:
-        proj = dom.pi.image(pts)
-        hull = np.flatnonzero(space_hull(dom.dist, proj))
-        worst = int(dom.dist[hull][:, proj].min(axis=1).max())
-        if worst > k0:
-            shadow_ok = False
-            shadow_w = (dom.id, worst)
-            break
-    realization_ok = True
-    realization_w = None
-    DG = h.dist
-    to_shadow = np.stack(
-        [dom.setdist[:, dom.pi.image(pts)].min(axis=1) for dom in h.domains]
-    ).max(axis=0)
-    to_set = DG[:, pts].min(axis=1)
-    for kappa, bound in sorted(kfun.items()):
-        bad = np.flatnonzero((to_shadow <= kappa) & (to_set > bound))
-        if bad.size:
-            realization_ok = False
-            realization_w = (kappa, int(bad[0]), int(to_set[bad[0]]))
-            break
-    return HQCReport(
-        ok=shadow_ok and realization_ok,
-        shadow_ok=shadow_ok,
-        shadow_witness=shadow_w,
-        realization_ok=realization_ok,
-        realization_witness=realization_w,
-    )
-
-
 # ---------------------------------------------------------------------------
 # colourings
 
@@ -895,11 +581,7 @@ def find_bbf_colouring(h: HHSInstance) -> Colouring:
                 break
         if not placed:
             classes.append([uid])
-    col = Colouring(tuple(tuple(c) for c in classes))
-    for cls in col.classes:
-        for a, b in itertools.combinations(cls, 2):
-            assert h.by_id[a].rel[b] == REL_TRANS
-    return col
+    return Colouring(tuple(tuple(c) for c in classes))
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +593,9 @@ def domain_coarse_median(h: HHSInstance, dom: Domain, x, y, z):
     representatives min(pi[.]) from its `TreeIndex` when the space is a tree,
     else the least-index minimizer of the summed distances to the projections.
 
-    x, y, z are ambient vertices (an int is returned) or aligned arrays of
-    them (an array of medians, one per triple).
+    x, y, z are aligned arrays of ambient vertices; the result has one
+    median per triple.
     """
-    scalar, (x, y, z) = _as_arrays(x, y, z)
     if dom.space.is_tree():
         r = dom.reps
         med = dom.space.tree_index.median(r[x], r[y], r[z])
@@ -923,7 +604,7 @@ def domain_coarse_median(h: HHSInstance, dom: Domain, x, y, z):
         med = _blockwise(
             len(x), lambda sl: np.argmin(S[x[sl]] + S[y[sl]] + S[z[sl]], axis=1)
         )
-    return int(med[0]) if scalar else med
+    return med
 
 
 def hhs_median(h: HHSInstance, x, y, z):
@@ -931,10 +612,9 @@ def hhs_median(h: HHSInstance, x, y, z):
     achieved max defect: the least-index g minimizing max over domains U of
     d_U(pi_U(g), m_U), with m_U the coarse median in U.
 
-    x, y, z are ambient vertices, giving (vertex, defect) as ints, or aligned
-    arrays of them, giving (vertices, defects) as arrays, one per triple.
+    x, y, z are aligned arrays of ambient vertices; the results are arrays
+    of vertices and defects, one per triple.
     """
-    scalar, (x, y, z) = _as_arrays(x, y, z)
     targets = [domain_coarse_median(h, dom, x, y, z) for dom in h.domains]
 
     def best(sl):
@@ -946,6 +626,4 @@ def hhs_median(h: HHSInstance, x, y, z):
 
     best_v = _blockwise(len(x), best)
     defect = np.max([dom.setdist[best_v, t] for dom, t in zip(h.domains, targets)], axis=0)
-    if scalar:
-        return int(best_v[0]), int(defect[0])
     return best_v, defect

@@ -187,23 +187,20 @@ class MedianAlgebra:
 # ---------------------------------------------------------------------------
 # subalgebras
 #
-# The closure and bridging engines work against any median space with five
-# methods over integer vertex ids.  toward(u, v), for u != v, is the least
-# neighbour of u one step closer to v, over aligned vertex arrays (a scalar
-# pair gives an int); pairwise_distances(verts) is the distance matrix of a
-# vertex list; median_bulk(a, b_arr, c) takes a 1-D array b_arr, with `a`
-# and `c` each a vertex or an array aligned with b_arr, and row i of its
-# result is m(a[i], b_arr[i], c[i]).  wall_sides(verts) is the bool matrix
-# of the side of each wall (halfspace pair) each vertex lies on, and
-# vertices_of(sides) maps such rows back to vertices, -1 where none is.
-# MedianAlgebra's walls are its Theta-classes, TreeProduct's the edges of
-# its factor trees.  closure_search needs the two wall methods alone;
-# connectify_and_close_in adds pairwise_distances and toward for its bridges.
-
-
-def _pairs(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (a, b) for a in arr[:rows], b in arr, in row-major order."""
-    return np.repeat(arr[:rows], len(arr)), np.tile(arr, rows)
+# The closure and bridging engines work against any median space, a
+# `MedianAlgebra` or an `applications.TreeProduct`, through four methods
+# over integer vertex ids.  closure_search reads two: wall_sides(verts), the
+# bool matrix of the side of each wall (halfspace pair) each vertex lies
+# on, and vertices_of(sides), which maps such rows back to vertices, -1
+# where none is.  MedianAlgebra's walls are its Theta-classes, TreeProduct's
+# the edges of its factor trees.  connectify_and_close_in adds two for its
+# bridges: pairwise_distances(verts), the distance matrix of a vertex list,
+# and toward(u, v), for u != v the least neighbour of u one step closer to
+# v, over aligned vertex arrays (a scalar pair gives an int).  Neither
+# engine evaluates a median.  median_bulk(a, b_arr, c), whose row i is
+# m(a[i], b_arr[i], c[i]), stays on both classes all the same: the Helly
+# point reads it through `MedianAlgebra.median`, tests check it against
+# brute-force medians, and perfbench's tracer counts the rows it is given.
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
@@ -313,104 +310,15 @@ def closure_search(space, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (points[order], *relabel_rows(O, flips, order))
 
 
-def closure_of(space, seed) -> frozenset[int]:
-    """Smallest median-closed superset of `seed` (`closure_search`)."""
-    return frozenset(closure_search(space, seed)[0].tolist())
-
-
-def is_median_closed(m: MedianAlgebra, S) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether S holds every median of its triples; on failure the witness
-    (a, b, c) has the least (a, c) with a <= c, then the least b."""
-    members = np.array(sorted(set(int(v) for v in S)), dtype=np.int64)
-    least = None  # (a, c, b) of the least escaping triple
-    for i, c in enumerate(members.tolist()):
-        a, b = _pairs(members, i + 1)
-        out = np.flatnonzero(~np.isin(m.median_bulk(a, b, c), members))
-        if out.size:
-            j = int(out[0])  # row-major order: least a, then least b
-            if least is None or (a[j], c) < least[:2]:
-                least = (int(a[j]), c, int(b[j]))
-    if least is None:
-        return True, None
-    a, c, b = least
-    return False, (a, b, c)
-
-
-# ---------------------------------------------------------------------------
-# connectivity of subsets
-
-
-def minimal_connection_constant(dist: np.ndarray, S) -> int:
-    """Least C for which S is C-connected."""
-    members = sorted(set(int(v) for v in S))
-    if len(members) <= 1:
-        return 0
-    sub = dist[np.ix_(members, members)]
-    for c in sorted(set(sub.flatten().tolist())):
-        if c > 0 and component_labels(sub <= c).max() == 0:
-            return int(c)
-    return int(sub.max())
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    subset: frozenset[int]
-    C: int
-    M: int
-    is_C_connected: bool
-    is_M_median: bool
-    minimal_C: int
-    minimal_M: int
-    closure: frozenset[int]
-    hausdorff_to_closure: int
-
-
-def median_defect(m: MedianAlgebra, A) -> int:
-    """Largest distance from a median of an A-triple back to A."""
-    members = np.array(sorted(set(int(v) for v in A)), dtype=np.int64)
-    worst = 0
-    for i, c in enumerate(members.tolist()):
-        meds = np.unique(m.median_bulk(*_pairs(members, i + 1), c))
-        worst = max(worst, int(m.dist[np.ix_(meds, members)].min(axis=1).max()))
-    return worst
-
-
-def median_subset_report(m: MedianAlgebra, A, C: int, M: int) -> SubsetReport:
-    """Exhaustive connectivity/medianness audit of a vertex subset."""
-    members = sorted(set(int(v) for v in A))
-    if not members:
-        raise MedianError("empty subset")
-    min_c = minimal_connection_constant(m.dist, members)
-    min_m = median_defect(m, members)
-    closure = closure_of(m, members)
-    cl = sorted(closure)
-    haus = int(m.dist[np.ix_(cl, members)].min(axis=1).max())
-    return SubsetReport(
-        subset=frozenset(members),
-        C=C,
-        M=M,
-        is_C_connected=min_c <= C,
-        is_M_median=min_m <= M,
-        minimal_C=min_c,
-        minimal_M=min_m,
-        closure=closure,
-        hausdorff_to_closure=haus,
-    )
-
-
 # ---------------------------------------------------------------------------
 # connectify and close
 
 
-def lex_least_geodesic(space, u: int, v: int) -> list[int]:
-    """Shortest u->v path taking the least neighbour one step closer to v
-    at every step (`toward` of the median-space protocol)."""
-    return lex_least_geodesics(space, [u], [v])[:, 0].tolist()
-
-
 def lex_least_geodesics(space, u, v) -> np.ndarray:
-    """The `lex_least_geodesic` from each u[i] to v[i], walked together: row
-    k holds the k-th vertex of every walk, which repeats its end once there."""
+    """The shortest path from each u[i] to v[i] that takes the least
+    neighbour one step closer at every step (`toward`), all walked
+    together: row k holds the k-th vertex of every walk, which repeats its
+    end once there."""
     x, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     rows = [x]
     while (live := x != v).any():
@@ -486,32 +394,3 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     points, O, flips = closure_search(space, a_prime)
     haus = _depth_from(len(points), flips, np.searchsorted(points, members))
     return ConnectifyResult(frozenset(a_prime.tolist()), frozenset(points.tolist()), haus, O, flips)
-
-
-# ---------------------------------------------------------------------------
-# isometric subalgebras
-
-
-def check_isometric_subalgebra(m: MedianAlgebra, Y) -> bool:
-    """A 1-connected median-closed subset carries the ambient metric.
-
-    Preconditions are verified first; violations raise with a witness.
-    """
-    members = sorted(set(int(v) for v in Y))
-    if not members:
-        raise MedianError("empty subset")
-    sub = m.dist[np.ix_(members, members)]
-    comp = component_labels(sub <= 1)
-    if comp.max() > 0:
-        i = int(np.argmax(comp == 0))
-        j = int(np.argmax(comp == 1))
-        raise MedianError(
-            f"subset not 1-connected: vertices {members[i]}, {members[j]} "
-            "in different pieces"
-        )
-    closed, witness = is_median_closed(m, members)
-    if not closed:
-        raise MedianError(f"subset not median-closed: triple {witness} escapes")
-    induced, index = m.graph.induced_subgraph(members)
-    di = induced.distance_matrix
-    return bool((di == sub).all())

@@ -33,11 +33,14 @@ Number = int | Fraction
 
 @dataclass(frozen=True)
 class ProjectionSystem:
-    """Pieces Y_i with projections proj[(i, j)] = shadow of Y_j inside Y_i."""
+    """Pieces Y_i with projections proj[(i, j)] = shadow of Y_j inside Y_i,
+    and the constant theta.  A system given no theta takes its measured
+    constant, the least for which (P0) and (P1) hold
+    (`verify_projection_axioms`)."""
 
     pieces: tuple[UnitGraph, ...]
     proj: dict[tuple[int, int], frozenset[int]]
-    theta: Number
+    theta: Number | None = None
 
     def __post_init__(self):
         k = len(self.pieces)
@@ -58,22 +61,24 @@ class ProjectionSystem:
             if (i, j) not in canon:
                 raise ProjectionError(f"projection entry ({i},{j}) names no pair of the {k} pieces")
         object.__setattr__(self, "proj", canon)
-        object.__setattr__(self, "theta", as_number(self.theta))
+        theta = verify_projection_axioms(self).theta_min if self.theta is None else self.theta
+        object.__setattr__(self, "theta", as_number(theta))
 
     @property
     def count(self) -> int:
         return len(self.pieces)
 
-    def diam(self, piece: int, subset) -> int:
-        idx = sorted(subset)
-        if len(idx) <= 1:
-            return 0
-        D = self.pieces[piece].distance_matrix
-        return int(D[idx][:, idx].max())
-
-    def dpi(self, middle: int, a: int, b: int) -> int:
-        """diam of the union of the shadows of a and b inside `middle`."""
-        return self.diam(middle, self.proj[(middle, a)] | self.proj[(middle, b)])
+    @cached_property
+    def dpi_table(self) -> list[list[list[int]]]:
+        """dpi_table[m][a][b]: the diameter of the union of the shadows of a
+        and b inside piece m, for distinct m, a, b (0 elsewhere).  Each is
+        computed once, for both the axiom check and the gluing rule."""
+        k = self.count
+        dpi = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for m in range(k):
+            for a, b in itertools.combinations([j for j in range(k) if j != m], 2):
+                dpi[m][a][b] = dpi[m][b][a] = self.pieces[m].diameter_of(self.proj[(m, a)] | self.proj[(m, b)])
+        return dpi
 
     def to_dict(self) -> dict:
         return {
@@ -110,37 +115,33 @@ class AxiomReport:
 
 
 def verify_projection_axioms(s: ProjectionSystem) -> AxiomReport:
-    """Least theta making (P0) and (P1) hold, violations at the declared
-    theta, and the (P2) census of loud middles per pair.  Each dpi(middle,
-    a, b) is computed once, into a table both passes read."""
+    """Least theta making (P0) and (P1) hold, and the (P1) violations and
+    (P2) census of loud middles per pair at the system's theta, or at that
+    least theta while `ProjectionSystem` measures it; the dpi values come
+    from `s.dpi_table`."""
     k = s.count
-    p0 = 0
-    for (i, j), sub in s.proj.items():
-        p0 = max(p0, s.diam(i, sub))
-    theta_min = p0
-    dpi = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for m in range(k):
-        for a, b in itertools.combinations([j for j in range(k) if j != m], 2):
-            dpi[m][a][b] = dpi[m][b][a] = s.dpi(m, a, b)
+    p0 = max((s.pieces[i].diameter_of(sub) for (i, _), sub in s.proj.items()), default=0)
+    dpi = s.dpi_table
+    triples = [
+        sorted([(dpi[a][b][c], a), (dpi[b][a][c], b), (dpi[c][a][b], c)], reverse=True)
+        for a, b, c in itertools.combinations(range(k), 3)
+    ]
+    theta_min = max([p0] + [vals[1][0] for vals in triples])
+    theta = theta_min if s.theta is None else s.theta
     violations = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            for c in range(b + 1, k):
-                vals = [(dpi[a][b][c], a), (dpi[b][a][c], b), (dpi[c][a][b], c)]
-                vals.sort(reverse=True)
-                theta_min = max(theta_min, vals[1][0])
-                loud = [m for v, m in vals if v > s.theta]
-                if len(loud) >= 2:
-                    # witness ordered as (outer, loud middle, loud middle)
-                    outer = ({a, b, c} - set(loud[:2])).pop()
-                    violations.append((outer,) + tuple(sorted(loud[:2])))
+    for vals in triples:
+        loud = [m for v, m in vals if v > theta]
+        if len(loud) >= 2:
+            # witness ordered as (outer, loud middle, loud middle)
+            outer = ({m for _, m in vals} - set(loud[:2])).pop()
+            violations.append((outer,) + tuple(sorted(loud[:2])))
     p2 = {}
     for i in range(k):
         for l in range(i + 1, k):
             p2[(i, l)] = sum(
-                1 for j in range(k) if j not in (i, l) and dpi[j][i][l] > s.theta
+                1 for j in range(k) if j not in (i, l) and dpi[j][i][l] > theta
             )
-    ok = p0 <= s.theta and not violations
+    ok = p0 <= theta and not violations
     return AxiomReport(p0, theta_min, ok, tuple(sorted(set(violations))), p2)
 
 
@@ -170,9 +171,7 @@ def axes_in_tree_system(tree: UnitGraph, lines: list[list[int]]) -> ProjectionSy
             gates = gate_map(D[lines[j]], lines[i])
             proj[(i, j)] = frozenset(local[i][int(g)] for g in gates)
     pieces = tuple(UnitGraph(len(line), tuple((t, t + 1) for t in range(len(line) - 1))) for line in lines)
-    sys0 = ProjectionSystem(pieces, proj, 0)
-    report = verify_projection_axioms(sys0)
-    return ProjectionSystem(pieces, proj, report.theta_min)
+    return ProjectionSystem(pieces, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +292,11 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
     edges: list[tuple[int, int, Number]] = [
         (offsets[i] + u, offsets[i] + v, 1) for i, p in enumerate(s.pieces) for u, v in p.edges
     ]
+    dpi = s.dpi_table
     attachments = []
     for i in range(k):
         for j in range(i + 1, k):
-            if all(s.dpi(w, i, j) <= K for w in range(k) if w not in (i, j)):
+            if all(dpi[w][i][j] <= K for w in range(k) if w not in (i, j)):
                 attachments.append((i, j))
                 for u in sorted(s.proj[(i, j)]):
                     for v in sorted(s.proj[(j, i)]):
@@ -311,106 +311,6 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
         attachments=tuple(attachments),
         connected=UnitGraph(total, tuple((u, v) for u, v, _ in edges)).is_connected(),
     )
-
-
-def flat_projection(q: QuasiTreeSpace, U: int, x: int) -> frozenset[int]:
-    """Global vertices of piece U that x projects to ({x} when x is in U)."""
-    if not (0 <= U < q.system.count):
-        raise ProjectionError(f"unknown piece {U}")
-    if not (0 <= x < q.n):
-        raise ProjectionError(f"unknown vertex {x}; only piece vertices are queryable")
-    p, local = q.local_id(x)
-    if p == U:
-        return frozenset([x])
-    return frozenset(q.offsets[U] + v for v in q.system.proj[(U, p)])
-
-
-def flat_distance(q: QuasiTreeSpace, U: int, x: int, y: int) -> int:
-    """diam of the union of the flat projections of x and y inside piece U."""
-    px = flat_projection(q, U, x)
-    py = flat_projection(q, U, y)
-    local = sorted(v - q.offsets[U] for v in px | py)
-    return q.system.diam(U, local)
-
-
-def flat_sum(q: QuasiTreeSpace, x: int, y: int, threshold) -> int:
-    """Sum of flat distances over all pieces, ignoring values below threshold."""
-    total = 0
-    for U in range(q.system.count):
-        d = flat_distance(q, U, x, y)
-        if d >= threshold:
-            total += d
-    return total
-
-
-@dataclass(frozen=True)
-class DistanceFormulaSample:
-    pair: tuple[int, int]
-    true_distance: Number
-    lower_sum: int
-    upper_sum: int
-    lower_ok: bool
-    upper_ok: bool
-
-
-@dataclass(frozen=True)
-class DistanceFormulaReport:
-    K: Number
-    Kprime: Number
-    L: Number
-    samples: tuple[DistanceFormulaSample, ...]
-    all_lower_ok: bool
-    all_upper_ok: bool
-    max_lower_ratio: Fraction
-    max_upper_gap: Number
-
-
-def check_bbf_distance_formula(q: QuasiTreeSpace, Kprime, samples) -> DistanceFormulaReport:
-    """Check  sum_{>=K'}/2 <= d <= 6K + 4*sum_{>=K}  on the sampled pairs."""
-    Kprime = as_number(Kprime)
-    if Kprime <= q.K:
-        raise ProjectionError(f"K'={Kprime} must exceed K={q.K}")
-    out = []
-    max_ratio = Fraction(0)
-    max_gap: Number = -6 * q.K
-    for x, y in samples:
-        true = q.dist(int(x), int(y))
-        low = flat_sum(q, x, y, Kprime)
-        up = flat_sum(q, x, y, q.K)
-        lower_ok = Fraction(low, 2) <= true
-        upper_ok = true <= 6 * q.K + 4 * up
-        out.append(DistanceFormulaSample((int(x), int(y)), true, low, up, lower_ok, upper_ok))
-        if true > 0:
-            max_ratio = max(max_ratio, Fraction(low) / Fraction(true))
-        max_gap = max(max_gap, true - 4 * up)
-    return DistanceFormulaReport(
-        K=q.K,
-        Kprime=Kprime,
-        L=q.L,
-        samples=tuple(out),
-        all_lower_ok=all(s.lower_ok for s in out),
-        all_upper_ok=all(s.upper_ok for s in out),
-        max_lower_ratio=max_ratio,
-        max_upper_gap=max_gap,
-    )
-
-
-def fit_lower_threshold(q: QuasiTreeSpace, samples, cap_factor: int = 20):
-    """Least K' in (K, cap_factor*K] making the halved lower bound hold on
-    every sample; None when even the cap fails."""
-    cap = cap_factor * q.K
-    values = {q.K + 1}
-    pairs = [(int(x), int(y)) for x, y in samples]
-    for x, y in pairs:
-        for U in range(q.system.count):
-            d = flat_distance(q, U, x, y)
-            if q.K < d <= cap:
-                values.add(d)
-    candidates = sorted(v for v in values if v <= cap) + [cap]
-    for cand in candidates:
-        if all(Fraction(flat_sum(q, x, y, cand), 2) <= q.dist(x, y) for x, y in pairs):
-            return cand
-    return None
 
 
 @dataclass(frozen=True)

@@ -70,16 +70,6 @@ class Orientation:
     sides: tuple[int, ...]
 
 
-def coherent_orientations(w: Wallspace) -> list[Orientation]:
-    """All coherent orientations, sorted by their sides."""
-    return list(dual_cube_complex(w).orientations)
-
-
-def principal_orientation(w: Wallspace, x: int) -> Orientation:
-    """Orient every wall toward the side containing the ground point x."""
-    return Orientation(tuple(0 if x in l else 1 for l, _ in w.walls))
-
-
 @dataclass(frozen=True)
 class DualComplex:
     skeleton: CubeSkeleton
@@ -105,20 +95,3 @@ def dual_cube_complex(w: Wallspace) -> DualComplex:
 def walls_of_skeleton(c: CubeSkeleton) -> Wallspace:
     """The wallspace whose walls are the skeleton's halfspace pairs."""
     return Wallspace(c.n, tuple(c.halfspaces))
-
-
-def duality_roundtrip(c: CubeSkeleton) -> tuple[bool, DualComplex, dict[int, int]]:
-    """Map each vertex to its principal orientation and verify an isomorphism."""
-    from .graphs import verify_isomorphism
-
-    w = walls_of_skeleton(c)
-    dual = dual_cube_complex(w)
-    index = {o.sides: i for i, o in enumerate(dual.orientations)}
-    mapping = {}
-    for v in range(c.n):
-        key = principal_orientation(w, v).sides
-        if key not in index:
-            return False, dual, {}
-        mapping[v] = index[key]
-    ok = verify_isomorphism(c.graph, dual.skeleton.graph, mapping)
-    return ok, dual, mapping

@@ -1,16 +1,31 @@
 """Independent brute-force oracles used to derive expected values.
 
 Everything here is deliberately naive and self-contained: plain-Python BFS,
-exhaustive triple scans, exhaustive subsequence search.  The oracles never
-call into the code paths they check.  The last section keeps, as reference
-kernels, the numpy products the package once used for the rank, the
-orientation search and the Hausdorff distance of a closure.
+exhaustive triple scans.  The oracles never
+call into the code paths they check.  The section after them keeps, as
+reference kernels, the numpy products the package once used for the rank,
+the orientation search and the Hausdorff distance of a closure.  The last
+section holds the checks and fixtures that only tests use: property checks
+built on the package's types, and small graphs, instances and projection
+systems.
 """
 
+import itertools
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from cubekit.cubes import ConvexityError
+from cubekit.fixtures import _with_measured_E
+from cubekit.graphs import GraphError, UnitGraph, component_labels, path_graph, spider_graph
+from cubekit.hhs import Domain, HHSInstance, SetRows
+from cubekit.jsonio import as_number
+from cubekit.median import MedianError, closure_search, lex_least_geodesics
+from cubekit.projection import Number, ProjectionError, ProjectionSystem, axes_in_tree_system
+from cubekit.walls import Orientation, dual_cube_complex, walls_of_skeleton
 
 
 def oracle_bfs(n, edges, src):
@@ -123,44 +138,6 @@ def oracle_interval_closure(n, edges, seed_set):
         if not new:
             return S
         S |= new
-
-
-def oracle_unparam_qg(distfn, path, D):
-    """Exhaustive search over strictly increasing index subsequences.
-
-    Accepts when some subsequence from the first to the last index is a
-    (D, D)-quasigeodesic and each stretch of the path between consecutive
-    chosen indices has diameter at most D (Behrstock-Hagen-Sisto).
-    """
-    T = len(path)
-    if T == 1:
-        return True
-
-    def qg_ok(idx):
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                d = distfn(path[idx[a]], path[idx[b]])
-                r = b - a
-                if d > D * r + D:
-                    return False
-                if r > D * (d + D):
-                    return False
-        return True
-
-    def segments_ok(idx):
-        for a, b in zip(idx, idx[1:]):
-            seg = path[a : b + 1]
-            if max(distfn(p, q) for p in seg for q in seg) > D:
-                return False
-        return True
-
-    middle = list(range(1, T - 1))
-    for k in range(0, len(middle) + 1):
-        for combo in combinations(middle, k):
-            idx = (0,) + combo + (T - 1,)
-            if qg_ok(idx) and segments_ok(idx):
-                return True
-    return False
 
 
 def grid_v(r, c, cols):
@@ -569,3 +546,284 @@ def oracle_hamming_hausdorff(O, at):
     size = H.sum(axis=1)
     hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
     return int(hamming.min(axis=1).max())
+
+
+# ---------------------------------------------------------------------------
+# checks and fixtures that only tests use
+
+
+def closure_of(space, seed):
+    """The points of `closure_search`, as a frozenset."""
+    return frozenset(closure_search(space, seed)[0].tolist())
+
+
+def lex_least_geodesic(space, u, v):
+    """The one walk from u to v of `lex_least_geodesics`, as a list."""
+    return lex_least_geodesics(space, [u], [v])[:, 0].tolist()
+
+
+def cycle_graph(n):
+    if n < 3:
+        raise GraphError("cycle needs at least 3 vertices")
+    return UnitGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_bipartite_graph(a, b):
+    return UnitGraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+def star_graph(legs):
+    """Center vertex 0 with `legs` pendant vertices."""
+    return UnitGraph(legs + 1, tuple((0, i + 1) for i in range(legs)))
+
+
+def are_isomorphic(g, h):
+    """Exact isomorphism test (VF2 via networkx; brute force for tiny inputs)."""
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
+        return False
+    if g.n <= 7:
+        hset = set(h.edges)
+        for perm in itertools.permutations(range(g.n)):
+            if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hset for u, v in g.edges):
+                return True
+        return False
+    import networkx as nx
+
+    gn = nx.Graph(list(g.edges))
+    gn.add_nodes_from(range(g.n))
+    hn = nx.Graph(list(h.edges))
+    hn.add_nodes_from(range(h.n))
+    return nx.is_isomorphic(gn, hn)
+
+
+def verify_isomorphism(g, h, mapping):
+    """Check that `mapping` is a bijection g->h preserving adjacency both ways."""
+    if len(mapping) != g.n or h.n != g.n:
+        return False
+    if sorted(mapping.values()) != list(range(h.n)):
+        return False
+    hset = set(h.edges)
+    mapped = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in g.edges}
+    return mapped == hset
+
+
+def is_median_closed(m, S):
+    """Whether S holds every median of its triples in the `MedianAlgebra` m;
+    on failure the witness (a, b, c) has the least (a, c) with a <= c, then
+    the least b."""
+    members = np.array(sorted(set(int(v) for v in S)), dtype=np.int64)
+    least = None  # (a, c, b) of the least escaping triple
+    for i, c in enumerate(members.tolist()):
+        a, b = np.repeat(members[: i + 1], len(members)), np.tile(members, i + 1)
+        out = np.flatnonzero(~np.isin(m.median_bulk(a, b, c), members))
+        if out.size:
+            j = int(out[0])  # row-major order: least a, then least b
+            if least is None or (a[j], c) < least[:2]:
+                least = (int(a[j]), c, int(b[j]))
+    if least is None:
+        return True, None
+    a, c, b = least
+    return False, (a, b, c)
+
+
+def minimal_connection_constant(dist, S):
+    """Least C for which S is C-connected."""
+    members = sorted(set(int(v) for v in S))
+    if len(members) <= 1:
+        return 0
+    sub = dist[np.ix_(members, members)]
+    for c in sorted(set(sub.flatten().tolist())):
+        if c > 0 and component_labels(sub <= c).max() == 0:
+            return int(c)
+    return int(sub.max())
+
+
+def check_isometric_subalgebra(m, Y):
+    """A 1-connected median-closed subset carries the ambient metric.
+
+    Preconditions are verified first; violations raise a MedianError with a
+    witness.  The induced subgraph keeps the order of the sorted members.
+    """
+    members = sorted(set(int(v) for v in Y))
+    if not members:
+        raise MedianError("empty subset")
+    sub = m.dist[np.ix_(members, members)]
+    comp = component_labels(sub <= 1)
+    if comp.max() > 0:
+        i = int(np.argmax(comp == 0))
+        j = int(np.argmax(comp == 1))
+        raise MedianError(
+            f"subset not 1-connected: vertices {members[i]}, {members[j]} "
+            "in different pieces"
+        )
+    closed, witness = is_median_closed(m, members)
+    if not closed:
+        raise MedianError(f"subset not median-closed: triple {witness} escapes")
+    index = {v: i for i, v in enumerate(members)}
+    induced = UnitGraph(
+        len(members), tuple((index[u], index[v]) for u, v in m.graph.edges if u in index and v in index)
+    )
+    return bool((induced.distance_matrix == sub).all())
+
+
+def convex_hull(c, S):
+    """Intersection of all halfspaces of the `CubeSkeleton` c containing S:
+    the vertices on S's side of every class that does not split S."""
+    on = c.sides[:, np.unique(np.fromiter(S, dtype=np.int64))]
+    if not on.shape[1]:
+        raise ConvexityError("hull of the empty set is undefined")
+    whole = on.all(axis=1) | ~on.any(axis=1)
+    return frozenset(np.flatnonzero((c.sides[whole] == on[whole, :1]).all(axis=0)).tolist())
+
+
+def principal_orientation(w, x):
+    """Orient every wall toward the side containing the ground point x."""
+    return Orientation(tuple(0 if x in l else 1 for l, _ in w.walls))
+
+
+def duality_roundtrip(c):
+    """Map each vertex of the `CubeSkeleton` c to its principal orientation
+    and verify an isomorphism onto the dual of c's walls."""
+    w = walls_of_skeleton(c)
+    dual = dual_cube_complex(w)
+    index = {o.sides: i for i, o in enumerate(dual.orientations)}
+    mapping = {}
+    for v in range(c.n):
+        key = principal_orientation(w, v).sides
+        if key not in index:
+            return False, dual, {}
+        mapping[v] = index[key]
+    ok = verify_isomorphism(c.graph, dual.skeleton.graph, mapping)
+    return ok, dual, mapping
+
+
+def flat_projection(q, U, x):
+    """Global vertices of piece U of the quasitree q that x projects to
+    ({x} when x is in U)."""
+    if not (0 <= U < q.system.count):
+        raise ProjectionError(f"unknown piece {U}")
+    if not (0 <= x < q.n):
+        raise ProjectionError(f"unknown vertex {x}; only piece vertices are queryable")
+    p, local = q.local_id(x)
+    if p == U:
+        return frozenset([x])
+    return frozenset(q.offsets[U] + v for v in q.system.proj[(U, p)])
+
+
+def flat_distance(q, U, x, y):
+    """diam of the union of the flat projections of x and y inside piece U."""
+    px = flat_projection(q, U, x)
+    py = flat_projection(q, U, y)
+    return q.system.pieces[U].diameter_of(v - q.offsets[U] for v in px | py)
+
+
+def flat_sum(q, x, y, threshold):
+    """Sum of flat distances over all pieces, ignoring values below threshold."""
+    total = 0
+    for U in range(q.system.count):
+        d = flat_distance(q, U, x, y)
+        if d >= threshold:
+            total += d
+    return total
+
+
+@dataclass(frozen=True)
+class DistanceFormulaSample:
+    pair: tuple[int, int]
+    true_distance: Number
+    lower_sum: int
+    upper_sum: int
+    lower_ok: bool
+    upper_ok: bool
+
+
+@dataclass(frozen=True)
+class DistanceFormulaReport:
+    K: Number
+    Kprime: Number
+    L: Number
+    samples: tuple[DistanceFormulaSample, ...]
+    all_lower_ok: bool
+    all_upper_ok: bool
+    max_lower_ratio: Fraction
+    max_upper_gap: Number
+
+
+def check_bbf_distance_formula(q, Kprime, samples):
+    """Check  sum_{>=K'}/2 <= d <= 6K + 4*sum_{>=K}  on the sampled pairs of
+    the quasitree q (Bestvina-Bromberg-Fujiwara's distance formula)."""
+    Kprime = as_number(Kprime)
+    if Kprime <= q.K:
+        raise ProjectionError(f"K'={Kprime} must exceed K={q.K}")
+    out = []
+    max_ratio = Fraction(0)
+    max_gap: Number = -6 * q.K
+    for x, y in samples:
+        true = q.dist(int(x), int(y))
+        low = flat_sum(q, x, y, Kprime)
+        up = flat_sum(q, x, y, q.K)
+        lower_ok = Fraction(low, 2) <= true
+        upper_ok = true <= 6 * q.K + 4 * up
+        out.append(DistanceFormulaSample((int(x), int(y)), true, low, up, lower_ok, upper_ok))
+        if true > 0:
+            max_ratio = max(max_ratio, Fraction(low) / Fraction(true))
+        max_gap = max(max_gap, true - 4 * up)
+    return DistanceFormulaReport(
+        K=q.K,
+        Kprime=Kprime,
+        L=q.L,
+        samples=tuple(out),
+        all_lower_ok=all(s.lower_ok for s in out),
+        all_upper_ok=all(s.upper_ok for s in out),
+        max_lower_ratio=max_ratio,
+        max_upper_gap=max_gap,
+    )
+
+
+def identity_instance(g):
+    """Single domain whose space is the ambient graph and pi the identity."""
+    dom = Domain(id="whole", space=g, pi=SetRows(np.arange(g.n)), rel={}, rho={})
+    return _with_measured_E(HHSInstance(ambient=g, domains=(dom,), E=0))
+
+
+def tripod_system(leg_length=4):
+    """Three leg-lines of a tripod; every projection is the center."""
+    tree = spider_graph(3, leg_length)
+    lines = [[0] + [1 + i * leg_length + t for t in range(leg_length)] for i in range(3)]
+    return axes_in_tree_system(tree, lines)
+
+
+def two_piece_system(len0, len1, p0=0, p1=0):
+    """Two paths, each projecting to one vertex of the other; theta measured."""
+    pieces = (path_graph(len0), path_graph(len1))
+    return ProjectionSystem(pieces, {(0, 1): frozenset([p0]), (1, 0): frozenset([p1])})
+
+
+def chain_system(middle_length=12):
+    """A - B - C where the shadows of A and C sit at opposite ends of B."""
+    pieces = (path_graph(4), path_graph(middle_length + 1), path_graph(4))
+    proj = {
+        (0, 1): frozenset([0]),
+        (0, 2): frozenset([0]),
+        (1, 0): frozenset([0]),
+        (1, 2): frozenset([middle_length]),
+        (2, 0): frozenset([0]),
+        (2, 1): frozenset([0]),
+    }
+    return ProjectionSystem(pieces, proj)
+
+
+def p1_violation_system():
+    """Two fat, far-apart shadow pairs on two pieces: (P1) must flag a triple."""
+    pieces = (path_graph(11), path_graph(11), path_graph(3))
+    proj = {
+        (0, 1): frozenset([0, 1]),
+        (0, 2): frozenset([9, 10]),
+        (1, 0): frozenset([0, 1]),
+        (1, 2): frozenset([9, 10]),
+        (2, 0): frozenset([1]),
+        (2, 1): frozenset([1]),
+    }
+    return ProjectionSystem(pieces, proj, 1)

@@ -25,12 +25,12 @@ from cubekit.embedding import (
     default_constants,
     psi_map,
 )
-from cubekit.fixtures import identity_instance, tree_with_axes
+from cubekit.fixtures import tree_with_axes
 from cubekit.graphs import UnitGraph, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
 from cubekit.median import BLOCK
 from cubekit.projection import ProjectionSystem, build_quasitree
-from helpers import oracle_tree_approximate
+from helpers import identity_instance, oracle_tree_approximate
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 

@@ -3,16 +3,13 @@ import pytest
 
 from cubekit.cubes import (
     ConvexityError,
-    convex_hull,
-    gate,
     helly_intersection,
-    hull_neighbourhood_check,
     hyperplane_decomposition,
     is_convex,
 )
-from cubekit.graphs import grid_graph, hypercube_graph, path_graph, random_tree
+from cubekit.graphs import gate_map, grid_graph, hypercube_graph, path_graph, random_tree
 from cubekit.median import MedianAlgebra
-from helpers import grid_v, oracle_interval_closure
+from helpers import convex_hull, grid_v, oracle_interval_closure
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +97,6 @@ def test_hull_empty_raises(grid33_skel):
         convex_hull(grid33_skel, [])
 
 
-def test_hull_bound_empty_raises(grid33_skel):
-    with pytest.raises(ConvexityError, match="empty set"):
-        hull_neighbourhood_check(grid33_skel, [], 1)
-
-
 def test_helly_empty_family_raises(grid33_skel):
     with pytest.raises(ConvexityError, match="empty family"):
         helly_intersection(grid33_skel.median, [])
@@ -113,51 +105,6 @@ def test_helly_empty_family_raises(grid33_skel):
 def test_helly_empty_member_raises(grid33_skel):
     with pytest.raises(ConvexityError, match="member 0 is empty"):
         helly_intersection(grid33_skel.median, [[]])
-
-
-def test_gate_to_empty_set_raises(grid33_skel):
-    with pytest.raises(ConvexityError, match="empty set"):
-        gate(grid33_skel.median, [], 0)
-
-
-# --- hull-neighbourhood bound -------------------------------------------------
-
-
-def test_hull_bound_r0(grid33_skel):
-    rep = hull_neighbourhood_check(grid33_skel, convex_hull(grid33_skel, [0, 1]), 0)
-    assert rep.verdict and rep.max_excess <= 0
-
-
-def test_hull_bound_grid_diamond():
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(grid_graph(5, 5)))
-    rep = hull_neighbourhood_check(skel, [grid_v(2, 2, 5)], 1)
-    assert rep.verdict and rep.dimension == 2
-    assert rep.max_excess <= 0
-
-
-def test_hull_bound_cube(q3_skel):
-    rep = hull_neighbourhood_check(q3_skel, [0], 1)
-    assert rep.verdict and rep.dimension == 3
-
-
-def test_hull_bound_rejects_nonconvex(grid33_skel):
-    with pytest.raises(ConvexityError):
-        hull_neighbourhood_check(grid33_skel, [0, 8], 1)
-
-
-def test_hull_bound_random_trials():
-    fixtures = [
-        hyperplane_decomposition(MedianAlgebra.from_graph(g))
-        for g in [grid_graph(4, 4), hypercube_graph(3), grid_graph(2, 6)]
-    ]
-    rng = np.random.default_rng(6)
-    for skel in fixtures:
-        for _ in range(10):
-            k = int(rng.integers(1, 4))
-            Z = convex_hull(skel, [int(v) for v in rng.choice(skel.n, size=k, replace=False)])
-            for r in (1, 2, 3):
-                rep = hull_neighbourhood_check(skel, Z, r)
-                assert rep.verdict and rep.max_excess <= 0
 
 
 # --- Helly --------------------------------------------------------------------
@@ -215,8 +162,8 @@ def test_helly_on_tree():
 
 
 def test_gate_unique(grid33_skel):
-    h0 = grid33_skel.halfspaces[0][0]
+    h0 = sorted(grid33_skel.halfspaces[0][0])
+    d = grid33_skel.median.dist
+    gates = gate_map(d, h0)
     for x in range(9):
-        g = gate(grid33_skel.median, h0, x)
-        d = grid33_skel.median.dist
-        assert all(d[x, g] <= d[x, v] for v in h0)
+        assert all(d[x, gates[x]] < d[x, v] for v in h0 if v != gates[x])

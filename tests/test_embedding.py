@@ -33,7 +33,6 @@ from cubekit.hhs import (
     Domain,
     HHSInstance,
     distance_formula_fit,
-    domain_coarse_median,
     find_bbf_colouring,
     hhs_median,
     projection_sum,
@@ -127,11 +126,6 @@ def check_hhs_median(h, xyz):
     domains = oracle_domains(h)
     expected = [oracle_coarse_median(domains, *t) for t in xyz.tolist()]
     assert list(zip(best.tolist(), defect.tolist())) == expected
-    first = hhs_median(h, *(int(v) for v in xyz[0]))
-    assert first == expected[0] and all(type(v) is int for v in first)
-    for dom in h.domains:
-        meds = domain_coarse_median(h, dom, x, y, z)
-        assert domain_coarse_median(h, dom, *(int(v) for v in xyz[0])) == meds[0]
 
 
 @PROPERTY
@@ -375,8 +369,9 @@ def check_df_fit(h, s, pairs):
     for x, y in pairs:
         d_U = [oracle_set_dist(d.dist.tolist(), d.pi[x], d.pi[y]) for d in h.domains]
         S = sum(v for v in d_U if v > s)
-        assert projection_sum(h, x, y, s) == S
         rows.append(((x, y), dist[x][y], S))
+    xy = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    assert projection_sum(h, xy[:, 0], xy[:, 1], s).tolist() == [S for _, _, S in rows]
     assert fit.samples == tuple(rows)
     # the Fraction loop would count A up to 2^20 on a row that no A fits
     assume(s > 0 or all(S > 0 for _, d, S in rows if d > 0))

@@ -13,21 +13,26 @@ from cubekit.graphs import (
     GraphError,
     TreeIndex,
     UnitGraph,
-    are_isomorphic,
-    complete_bipartite_graph,
-    cycle_graph,
     grid_graph,
     hypercube_graph,
     integer_distance_matrix,
     path_graph,
     random_tree,
     spider_graph,
-    star_graph,
     tree_metrics,
-    verify_isomorphism,
 )
 from cubekit.median import BLOCK
-from helpers import oracle_all_dists, oracle_lca, oracle_medians_of, oracle_root_paths
+from helpers import (
+    are_isomorphic,
+    complete_bipartite_graph,
+    cycle_graph,
+    oracle_all_dists,
+    oracle_lca,
+    oracle_medians_of,
+    oracle_root_paths,
+    star_graph,
+    verify_isomorphism,
+)
 
 
 def test_path_distance():
@@ -81,14 +86,6 @@ def test_fixture_shapes():
     rng = np.random.default_rng(0)
     t = random_tree(30, rng)
     assert t.is_tree()
-
-
-def test_induced_subgraph():
-    g = grid_graph(3, 3)
-    sub, index = g.induced_subgraph([0, 1, 2, 5])
-    assert sub.n == 4
-    assert len(sub.edges) == 3
-    assert index[5] == 3
 
 
 def test_json_roundtrip():

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubekit.fixtures import (
-    identity_instance,
     product_of_lines,
     spider_with_axes,
     tree_with_axes,
 )
-from cubekit.graphs import UnitGraph, grid_graph, path_graph
+from cubekit.graphs import UnitGraph, path_graph
 from cubekit.hhs import (
     REL_CONTAINS,
     REL_NESTED,
@@ -21,32 +20,23 @@ from cubekit.hhs import (
     Domain,
     HHSInstance,
     InstanceError,
-    OrderNotTotalError,
-    SearchBudgetError,
     SetRows,
-    check_consistent_tuple,
+    _pair_consistency,
     distance_formula_fit,
     find_bbf_colouring,
     hhs_median,
-    is_hierarchically_quasiconvex,
-    is_hierarchy_path,
-    is_unparametrised_quasigeodesic,
     product_region,
     projection_sum,
-    relevant_domains,
-    theta_hull,
-    unparametrised_qg_on_metric,
     validate_instance,
 )
 from helpers import (
     grid_v,
-    lex_geodesic,
+    identity_instance,
     oracle_all_dists,
     oracle_projection_findings,
     oracle_projection_table,
     oracle_set_dist,
     oracle_tuple_consistency,
-    oracle_unparam_qg,
 )
 
 
@@ -142,68 +132,15 @@ def test_axes_only_variant_small_e():
 
 
 def test_vertex_tuples_consistent(spider):
-    for x in [0, 5, 20, 48]:
-        b = {d.id: d.pi[x] for d in spider.domains}
-        ok, pair, value = check_consistent_tuple(spider, b, spider.E)
-        assert ok and value <= spider.E
-
-
-def test_constructed_violation(spider):
-    # far ends of two different axes: both far from the mutual rho points
-    b = {d.id: frozenset([d.space.n - 1]) for d in spider.domains}
-    ok, pair, value = check_consistent_tuple(spider, b, spider.E)
-    assert not ok and value > 0
-    assert set(pair) <= {d.id for d in spider.domains}
+    pairs = list(_pair_consistency(spider, set()))
+    assert pairs
+    for U, V, vals in pairs:
+        assert vals[[0, 5, 20, 48]].max() <= spider.E
 
 
 def test_single_domain_vacuous():
     h = identity_instance(path_graph(6))
-    b = {"whole": frozenset([0])}
-    ok, pair, value = check_consistent_tuple(h, b, 0)
-    assert ok and value == 0
-
-
-def test_tuple_shape_checks(spider):
-    with pytest.raises(InstanceError):
-        check_consistent_tuple(spider, {"axis0": frozenset([0])}, 1)
-    full = {d.id: frozenset([0, d.space.n - 1]) for d in spider.domains}
-    with pytest.raises(InstanceError, match="diameter"):
-        check_consistent_tuple(spider, full, 1)
-
-
-# --- relevant domains -------------------------------------------------------------
-
-
-def test_relevant_empty_for_equal_points(grid9):
-    assert relevant_domains(grid9, 3, 3, 2) == []
-
-
-def test_relevant_single_coordinate(grid9):
-    x = grid_v(0, 0, 9)
-    y = grid_v(0, 8, 9)  # same row, 8 columns apart
-    assert relevant_domains(grid9, x, y, 5) == ["x"]
-
-
-def test_relevant_in_path_order(spider):
-    # leaf of leg 0 (axis0) to leaf of leg 2 (axis1): axis0 precedes axis1
-    leaf0, leaf2 = 8, 24
-    assert relevant_domains(spider, leaf0, leaf2, 4) == ["axis0", "axis1"]
-    assert relevant_domains(spider, leaf2, leaf0, 4) == ["axis1", "axis0"]
-
-
-def test_relevant_order_invariants(spider):
-    leaf0, leaf2 = 8, 24
-    rel = relevant_domains(spider, leaf0, leaf2, 4)
-    U, V = (spider.by_id[i] for i in rel)
-    assert spider.d_U_to_set(U, leaf2, spider.rho_of(V, U)) <= spider.E
-    # consistency forces the mirrored inequality at the other end
-    assert spider.d_U_to_set(V, leaf0, spider.rho_of(U, V)) <= spider.E
-
-
-def test_relevant_threshold_guard(grid9):
-    h = dataclasses.replace(grid9, E=1)
-    with pytest.raises(InstanceError, match="below"):
-        relevant_domains(h, 0, 1, 5)
+    assert list(_pair_consistency(h, set())) == []
 
 
 # --- distance formula ---------------------------------------------------------------
@@ -239,99 +176,6 @@ def test_df_spider_finite(spider):
         assert total / fit.A - fit.B <= d <= fit.A * total + fit.B
 
 
-# --- quasigeodesics ---------------------------------------------------------------
-
-
-def test_geodesic_is_unparam_qg():
-    g = path_graph(12)
-    path = list(range(12))
-    for D in (1, 2, 5):
-        assert is_unparametrised_quasigeodesic(g, path, D)
-
-
-def test_constant_path_is_qg():
-    g = path_graph(5)
-    assert is_unparametrised_quasigeodesic(g, [2] * 9, 1)
-
-
-def test_backtracking_fails_small_d():
-    g = path_graph(30)
-    # out 20, back 12, out again: backtracks across more than 2*D*D for D=2
-    path = list(range(21)) + list(range(19, 7, -1)) + list(range(9, 30))
-    assert not is_unparametrised_quasigeodesic(g, path, 2)
-    assert is_unparametrised_quasigeodesic(g, path, 13)
-
-
-def test_qg_agrees_with_exhaustive_oracle():
-    g = grid_graph(3, 4)
-    Dm = g.distance_matrix
-    dist = lambda u, v: int(Dm[u, v])
-    rng = np.random.default_rng(22)
-    for _ in range(25):
-        walk = [int(rng.integers(0, g.n))]
-        for _ in range(int(rng.integers(2, 9))):
-            walk.append(int(rng.choice(g.neighbors(walk[-1]))))
-        for D in (1, 2):
-            assert is_unparametrised_quasigeodesic(g, walk, D) == oracle_unparam_qg(
-                dist, walk, D
-            )
-
-
-def test_empty_path_rejected():
-    with pytest.raises(InstanceError):
-        is_unparametrised_quasigeodesic(path_graph(3), [], 1)
-
-
-def test_long_geodesic_is_searched_without_recursion():
-    # one milestone per point: 1,500 levels deep, past the recursion limit
-    assert unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2)
-
-
-def test_search_budget_exhaustion_is_a_typed_error():
-    with pytest.raises(SearchBudgetError) as err:
-        unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=100)
-    assert isinstance(err.value, InstanceError)
-    assert (err.value.budget, err.value.length) == (100, 1500)
-    # the first branch reaches the end in exactly 1,500 nodes, one per point
-    assert unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=1500)
-    with pytest.raises(SearchBudgetError):
-        unparametrised_qg_on_metric(lambda u, v: abs(u - v), list(range(1500)), 2, budget=1499)
-
-
-# --- hierarchy paths ---------------------------------------------------------------
-
-
-def test_staircase_is_hierarchy_path(grid9):
-    path = [grid_v(0, 0, 9)]
-    for i in range(1, 9):
-        path.append(grid_v(i - 1, i, 9))
-        path.append(grid_v(i, i, 9))
-    ok, bad = is_hierarchy_path(grid9, path, 2)
-    assert ok and bad is None
-
-
-def test_coordinate_redo_fails(grid9):
-    # walk a row out 8, back 8, out 8 again: the x-shadow backtracks across
-    # 2*D*D = 8 columns, which no (2,2)-milestone choice can absorb (a shorter
-    # out-6-back-6 detour still is an unparametrised (2,2)-quasigeodesic)
-    cols = list(range(9)) + list(range(7, -1, -1)) + list(range(1, 9))
-    row = [grid_v(0, c, 9) for c in cols]
-    ok, bad = is_hierarchy_path(grid9, row, 2)
-    assert not ok and bad == "x"
-
-
-def test_identity_instance_any_geodesic():
-    h = identity_instance(grid_graph(4, 4))
-    path = lex_geodesic(h.ambient, 0, 15)
-    ok, bad = is_hierarchy_path(h, path, 1)
-    assert ok
-
-
-def test_non_quasigeodesic_input_rejected(grid9):
-    with pytest.raises(InstanceError, match="ambient"):
-        is_hierarchy_path(grid9, [0, 80], 1)
-
-
 # --- product regions and hulls ---------------------------------------------------------
 
 
@@ -348,7 +192,7 @@ def test_product_region_spider(spider):
         for other in ("axis1", "axis2"):
             V = spider.by_id[other]
             rho = spider.by_id["axis0"].rho[other]
-            if spider.d_U_to_set(V, x, rho) > spider.E:
+            if V.setdist[x, sorted(rho)].min() > spider.E:
                 ok = False
         if ok:
             expected.add(x)
@@ -377,69 +221,6 @@ def test_product_region_empty_is_reported():
     assert region == frozenset([0])
 
 
-def test_theta_hull_contains_set(grid9):
-    for theta in (0, 1):
-        hull = theta_hull(grid9, [7, 33], theta)
-        assert {7, 33} <= hull
-
-
-def test_theta_hull_opposite_corners(grid9):
-    hull = theta_hull(grid9, [grid_v(0, 0, 9), grid_v(8, 8, 9)], 0)
-    assert hull == frozenset(range(81))
-
-
-def test_theta_hull_tree_leaves(spider):
-    hull = theta_hull(spider, [8, 24], 0)
-    # per-domain filter oracle
-    expected = set()
-    for x in range(spider.n):
-        ok = True
-        for dom in spider.domains:
-            proj = sorted({*dom.pi[8], *dom.pi[24]})
-            D = dom.dist
-            hull_mask = set()
-            for a in proj:
-                for b in proj:
-                    for v in range(dom.space.n):
-                        if D[a, v] + D[v, b] == D[a, b]:
-                            hull_mask.add(v)
-            if min(D[p, sorted(hull_mask)].min() for p in dom.pi[x]) > 0:
-                ok = False
-        if ok:
-            expected.add(x)
-    assert hull == frozenset(expected)
-
-
-def test_theta_hull_monotone(spider):
-    h0 = theta_hull(spider, [8, 40], 0)
-    h1 = theta_hull(spider, [8, 40], 1)
-    assert h0 <= h1
-
-
-# --- hierarchical quasiconvexity ----------------------------------------------------------
-
-
-def test_whole_set_hqc(grid9):
-    rep = is_hierarchically_quasiconvex(grid9, range(81), 0, {0: 0})
-    assert rep.ok
-
-
-def test_row_hqc(grid9):
-    row = [grid_v(4, c, 9) for c in range(9)]
-    rep = is_hierarchically_quasiconvex(grid9, row, 0, {0: 0, 2: 2})
-    assert rep.ok
-
-
-def test_two_far_rows_fail_realization(grid9):
-    rows = [grid_v(0, c, 9) for c in range(9)] + [grid_v(8, c, 9) for c in range(9)]
-    # the y-shadow of Z is the raw set {0, 8}: at kappa=4 every middle row
-    # (2..6) projects within kappa of it, yet lies at least 2 from Z
-    rep = is_hierarchically_quasiconvex(grid9, rows, 0, {4: 1})
-    assert not rep.realization_ok
-    kappa, x, d = rep.realization_witness
-    assert kappa == 4 and d > 1
-
-
 # --- colourings -------------------------------------------------------------------------
 
 
@@ -465,33 +246,35 @@ def test_colouring_tree_with_axes():
 # --- coarse medians ------------------------------------------------------------------------
 
 
+def median_of(h, x, y, z):
+    """`hhs_median` of the one triple (x, y, z), as ints."""
+    m, defect = hhs_median(h, *(np.array([v]) for v in (x, y, z)))
+    return int(m[0]), int(defect[0])
+
+
 def test_median_absorption(grid9):
-    m, defect = hhs_median(grid9, 5, 5, 60)
-    assert m == 5 and defect == 0
+    assert median_of(grid9, 5, 5, 60) == (5, 0)
 
 
 def test_median_grid_coordinatewise(grid9):
     x, y, z = grid_v(0, 0, 9), grid_v(2, 6, 9), grid_v(7, 3, 9)
-    m, defect = hhs_median(grid9, x, y, z)
+    m, defect = median_of(grid9, x, y, z)
     assert defect == 0
     assert m == grid_v(2, 3, 9)  # coordinate-wise medians
 
 
 def test_median_spider_defect_bounded(spider):
     rng = np.random.default_rng(23)
-    for _ in range(25):
-        x, y, z = (int(v) for v in rng.integers(0, spider.n, size=3))
-        m, defect = hhs_median(spider, x, y, z)
-        assert defect <= spider.E
+    m, defect = hhs_median(spider, *rng.integers(0, spider.n, size=(3, 25)))
+    assert len(defect) == 25 and (defect <= spider.E).all()
 
 
 def test_median_permutation_invariant(grid9):
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        x, y, z = (int(v) for v in rng.integers(0, 81, size=3))
-        base = hhs_median(grid9, x, y, z)[0]
-        for p in itertools.permutations((x, y, z)):
-            assert hhs_median(grid9, *p)[0] == base
+    xyz = rng.integers(0, 81, size=(3, 20))
+    base = hhs_median(grid9, *xyz)[0]
+    for p in itertools.permutations(range(3)):
+        assert (hhs_median(grid9, *xyz[list(p)])[0] == base).all()
 
 
 # --- serialization ---------------------------------------------------------------------------
@@ -506,9 +289,9 @@ def test_instance_json_roundtrip(spider):
 
 
 def test_projection_sum_matches_manual(grid9):
-    x, y = grid_v(0, 0, 9), grid_v(5, 7, 9)
-    assert projection_sum(grid9, x, y, 6) == 7
-    assert projection_sum(grid9, x, y, 3) == 12
+    x, y = np.array([grid_v(0, 0, 9)]), np.array([grid_v(5, 7, 9)])
+    assert projection_sum(grid9, x, y, 6).tolist() == [7]
+    assert projection_sum(grid9, x, y, 3).tolist() == [12]
 
 
 # --- singleton projections ------------------------------------------------------
@@ -547,7 +330,7 @@ def test_singleton_projections_match_the_general_path(h, s):
     x, y = np.divmod(np.arange(h.n * h.n), h.n)
     assert (projection_sum(h, x, y, s) == projection_sum(g, x, y, s)).all()
     for a, b in [(0, h.n - 1), (h.n // 2, 0)]:
-        assert h.d_U(dom, a, b) == min(
+        assert h.d_U_matrix(dom)[a, b] == min(
             int(dom.dist[p, q]) for p in dom.pi[a] for q in dom.pi[b]
         )
 
@@ -591,10 +374,11 @@ def nested_pairs(draw):
 
 
 def check_tuple_consistency(h, raw=None):
-    """check_consistent_tuple on every vertex tuple, and validate_instance's
-    tuple-consistency finding (value and witness), against the oracle fed
-    `raw`: per domain id, its projection rows and its rho_map tables, as
-    frozensets (read off h by default)."""
+    """The consistency value of every vertex tuple for every pair of domains
+    (`_pair_consistency`), and validate_instance's tuple-consistency
+    finding (value and witness), against the oracle fed `raw`: per domain
+    id, its projection rows and its rho_map tables, as frozensets (read off
+    h by default)."""
     if raw is None:
         raw = {
             d.id: (list(map(frozenset, d.pi)), {k: list(map(frozenset, t)) for k, t in d.rho_map.items()})
@@ -606,10 +390,8 @@ def check_tuple_consistency(h, raw=None):
     }
     tuples = [{d.id: raw[d.id][0][x] for d in h.domains} for x in range(h.n)]
     found = [oracle_tuple_consistency(domains, b) for b in tuples]
-    for b, pairs in zip(tuples, found):
-        value = max((val for _, _, val in pairs), default=0)
-        pair = next(((u, v) for u, v, val in pairs if val == value > 0), (None, None))
-        assert check_consistent_tuple(h, b, 10**6) == (True, pair, value)
+    values = [(U.id, V.id, vals.tolist()) for U, V, vals in _pair_consistency(h, set())]
+    assert values == [(u, v, [pairs[k][2] for pairs in found]) for k, (u, v, _) in enumerate(found[0])]
     # validate names the first pair reaching the worst value, at its least vertex
     worst, witness = 0, None
     for k, (u, v, _) in enumerate(found[0]):

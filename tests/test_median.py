@@ -6,9 +6,7 @@ import pytest
 
 from cubekit.graphs import (
     UnitGraph,
-    complete_bipartite_graph,
     component_labels,
-    cycle_graph,
     grid_graph,
     hypercube_graph,
     path_graph,
@@ -19,18 +17,24 @@ from cubekit.median import (
     MedianAlgebra,
     MedianError,
     NotMedianGraphError,
-    check_isometric_subalgebra,
-    closure_of,
     connectify_and_close_in,
-    is_median_closed,
     interval_medians,
     is_median_graph,
-    median_defect,
-    median_subset_report,
     orientation_search,
     row_index,
 )
-from helpers import grid_v, oracle_all_dists, oracle_closure, oracle_is_median, oracle_medians_of
+from helpers import (
+    check_isometric_subalgebra,
+    closure_of,
+    complete_bipartite_graph,
+    cycle_graph,
+    grid_v,
+    is_median_closed,
+    oracle_all_dists,
+    oracle_closure,
+    oracle_is_median,
+    oracle_medians_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +181,6 @@ def test_median_closed_witness_is_least_a_then_c_then_b():
     # escaping triples include (1, 7, 4) (least c) and (0, 13, 7) (least a)
     assert m.median(1, 7, 4) == 5 and m.median(0, 13, 7) == 5
     assert is_median_closed(m, S) == (False, (0, 13, 7))
-    assert median_defect(m, S) == 1
 
 
 def test_median_bulk_broadcasts_a_and_c(grid55):
@@ -271,36 +274,6 @@ def test_an_orientation_without_a_vertex_is_named(grid33):
     expected = f"no vertex has the coherent orientation that differs from 1 on the walls {flipped}"
     with pytest.raises(MedianError, match=re.escape(expected)):
         closure_of(DroppingSpace(grid33, 4), [1, 3, 8])
-
-
-# --- subset reports ---------------------------------------------------------
-
-
-def test_whole_set_report(grid33):
-    rep = median_subset_report(grid33, range(9), C=1, M=0)
-    assert rep.is_C_connected and rep.is_M_median
-    assert rep.minimal_C == 1 and rep.minimal_M == 0
-    assert rep.hausdorff_to_closure == 0
-
-
-def test_far_corners_not_1_connected(grid55):
-    rep = median_subset_report(grid55, [0, 24], C=1, M=0)
-    assert not rep.is_C_connected
-    assert rep.minimal_C == 8
-
-
-def test_boundary_cycle_not_0_median(grid55):
-    boundary = [v for v in range(25) if 0 in divmod(v, 5) or 4 in divmod(v, 5)]
-    rep = median_subset_report(grid55, boundary, C=1, M=0)
-    assert rep.is_C_connected
-    assert not rep.is_M_median
-    # exact minimal M from an exhaustive scan over boundary triples
-    D = grid55.dist
-    worst = 0
-    for x, y, z in itertools.combinations(boundary, 3):
-        med = oracle_medians_of(D, x, y, z)[0]
-        worst = max(worst, int(D[med, boundary].min()))
-    assert rep.minimal_M == worst > 0
 
 
 # --- connectify and close ---------------------------------------------------

@@ -7,13 +7,7 @@ import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubekit.fixtures import (
-    chain_system,
-    p1_violation_system,
-    random_axes_system,
-    tripod_system,
-    two_piece_system,
-)
+from cubekit.fixtures import random_axes_system
 from cubekit.graphs import UnitGraph, integer_distance_matrix, path_graph, spider_graph
 from cubekit.projection import (
     ProjectionError,
@@ -21,15 +15,21 @@ from cubekit.projection import (
     QuasitreeParameterError,
     axes_in_tree_system,
     build_quasitree,
-    check_bbf_distance_formula,
-    fit_lower_threshold,
-    flat_distance,
-    flat_projection,
-    flat_sum,
     piece_embedding_check,
     verify_projection_axioms,
 )
-from helpers import oracle_metric
+from helpers import (
+    chain_system,
+    check_bbf_distance_formula,
+    cycle_graph,
+    flat_distance,
+    flat_projection,
+    flat_sum,
+    oracle_metric,
+    p1_violation_system,
+    tripod_system,
+    two_piece_system,
+)
 
 
 # --- axiom verification ---------------------------------------------------
@@ -79,7 +79,7 @@ def test_p1_second_largest_consequence():
         for j in range(i + 1, s.count):
             for l in range(j + 1, s.count):
                 vals = sorted(
-                    [s.dpi(i, j, l), s.dpi(j, i, l), s.dpi(l, i, j)], reverse=True
+                    [s.dpi_table[i][j][l], s.dpi_table[j][i][l], s.dpi_table[l][i][j]], reverse=True
                 )
                 assert vals[1] <= s.theta
 
@@ -103,8 +103,6 @@ def test_tripod_projections_are_center():
 
 
 def test_axes_rejects_bad_input():
-    from cubekit.graphs import cycle_graph
-
     tree = spider_graph(2, 2)
     with pytest.raises(ProjectionError, match="tree"):
         axes_in_tree_system(cycle_graph(4), [[0, 1], [2, 3]])
@@ -288,11 +286,25 @@ def test_df_axes_in_tree_random_pairs():
     q = build_quasitree(s, K=max(4 * s.theta + 2, 4), L=1)
     rng = np.random.default_rng(13)
     pairs = [(int(a), int(b)) for a, b in rng.integers(0, q.n, size=(60, 2))]
-    kprime = fit_lower_threshold(q, pairs)
-    assert kprime is not None and q.K < kprime <= 20 * q.K
-    rep = check_bbf_distance_formula(q, Kprime=kprime, samples=pairs)
+    rep = check_bbf_distance_formula(q, Kprime=q.K + 1, samples=pairs)
     assert rep.all_lower_ok and rep.all_upper_ok
     assert rep.max_lower_ratio <= 2
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+@pytest.mark.parametrize("lines", [3, 4, 5])
+def test_quasitree_distances_obey_the_bbf_distance_formula(n, lines):
+    """sum_{>=K'}/2 <= d <= 6K + 4 sum_{>=K} (Bestvina, Bromberg and
+    Fujiwara 2015) on 100 sampled pairs of the quasitree of each system, at
+    K = 2 theta + 1 and 3 theta + 2, with K' = K + 1."""
+    for seed in range(15):
+        s = random_axes_system(n, lines, seed)
+        rng = np.random.default_rng(seed)
+        for K in (2 * s.theta + 1, 3 * s.theta + 2):
+            q = build_quasitree(s, K, 1)
+            pairs = rng.integers(0, q.n, size=(100, 2)).tolist()
+            rep = check_bbf_distance_formula(q, K + 1, pairs)
+            assert rep.all_lower_ok and rep.all_upper_ok, (seed, K)
 
 
 def test_df_rejects_bad_kprime(tripod_q):

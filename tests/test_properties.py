@@ -39,9 +39,7 @@ from cubekit.graphs import (
     GraphError,
     UnitGraph,
     arc_component_labels,
-    complete_bipartite_graph,
     component_labels,
-    cycle_graph,
     gate_map,
     grid_graph,
     hypercube_graph,
@@ -53,22 +51,23 @@ from cubekit.walls import (
     Orientation,
     Wallspace,
     dual_cube_complex,
-    principal_orientation,
     walls_of_skeleton,
 )
 from cubekit.median import (
     MedianAlgebra,
-    check_isometric_subalgebra,
-    closure_of,
     connectify_and_close_in,
     is_median_graph,
-    lex_least_geodesic,
     lex_least_geodesics,
-    minimal_connection_constant,
     orientation_search,
 )
 from helpers import (
+    check_isometric_subalgebra,
+    closure_of,
+    complete_bipartite_graph,
+    cycle_graph,
     lex_geodesic,
+    lex_least_geodesic,
+    minimal_connection_constant,
     oracle_all_dists,
     oracle_bridge,
     oracle_canonical_edges,
@@ -81,6 +80,7 @@ from helpers import (
     oracle_medians_of,
     oracle_orientation_search,
     oracle_toward,
+    principal_orientation,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)

@@ -3,7 +3,6 @@ import pytest
 
 from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
-    are_isomorphic,
     grid_graph,
     hypercube_graph,
     path_graph,
@@ -14,12 +13,10 @@ from cubekit.walls import (
     Orientation,
     Wallspace,
     WallspaceError,
-    coherent_orientations,
     dual_cube_complex,
-    duality_roundtrip,
     walls_of_skeleton,
 )
-from helpers import oracle_is_coherent
+from helpers import are_isomorphic, duality_roundtrip, oracle_is_coherent
 
 
 def _crossing_walls(k):
@@ -43,16 +40,16 @@ def _nested_walls(k):
 
 def test_single_wall_two_orientations():
     w = Wallspace(2, ((frozenset([0]), frozenset([1])),))
-    assert len(coherent_orientations(w)) == 2
+    assert len(dual_cube_complex(w).orientations) == 2
 
 
 def test_two_crossing_walls_four_orientations():
-    assert len(coherent_orientations(_crossing_walls(2))) == 4
+    assert len(dual_cube_complex(_crossing_walls(2)).orientations) == 4
 
 
 def test_two_nested_walls_three_orientations():
     w = _nested_walls(2)
-    orients = coherent_orientations(w)
+    orients = dual_cube_complex(w).orientations
     # enumerate all four choices; exactly one pair of sides is disjoint
     all_four = [Orientation((a, b)) for a in (0, 1) for b in (0, 1)]
     expected = [o for o in all_four if oracle_is_coherent(w, o)]
