@@ -35,11 +35,13 @@ class TreeProduct:
     Vertices are mixed-radix encoded tuples, factor 0 the most significant
     digit.  Implements the median-space protocol of `median`.  A step from
     u toward v moves one differing coordinate one edge toward v, as the
-    factor's `next_hop` table says; `toward` takes the least such id.  Medians
-    are computed factorwise: each factor is a tree, and its median is the
-    XOR of the three pairwise lowest common ancestors (`TreeIndex.median`),
-    read from a dense table of the factor's `TreeIndex.lca`, built on first
-    use.  The walls are the factor trees' edges, factor by factor.
+    factor's `TreeIndex.toward` says (its parent, or the child whose subtree
+    holds the target; no n x n `next_hop` table is built); `toward` takes
+    the least such id.  Medians are computed factorwise: each factor is a
+    tree, and its median is the XOR of the three pairwise lowest common
+    ancestors (`TreeIndex.median`), read from a dense table of the factor's
+    `TreeIndex.lca`, built on first use.  The walls are the factor trees'
+    edges, factor by factor.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -77,9 +79,6 @@ class TreeProduct:
         out = np.asarray(coords, dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
         return out if out.ndim else int(out)
 
-    def decode(self, v: int) -> tuple[int, ...]:
-        return tuple([v // p % s for p, s in zip(self.strides, self.sizes)])
-
     def decode_bulk(self, arr) -> list[np.ndarray]:
         out, rem = [], np.asarray(arr, dtype=np.int64)
         for p in self.strides[:-1]:
@@ -91,7 +90,7 @@ class TreeProduct:
         """The least step from u toward v (u != v), over aligned vertex arrays
         or, as an int, for one pair."""
         steps = [
-            np.where(a != b, (f.next_hop[a, b] - a) * p, np.iinfo(np.int64).max)
+            np.where(a != b, (f.tree_index.toward(a, b) - a) * p, np.iinfo(np.int64).max)
             for f, p, a, b in zip(self.factors, self.strides, self.decode_bulk(u), self.decode_bulk(v))
         ]
         out = np.asarray(u) + np.min(steps, axis=0)
@@ -222,18 +221,21 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
 
     A quasitree that is already a tree of unit edges is its own answer, with
     no search: every root's shortest-path tree is q itself, so every root
-    ties at additive 0 and multiplicative 1, and the least, 0, wins.
+    ties at additive 0 and multiplicative 1, and the least, 0, wins.  The
+    answer is then q's `graph` (the piece itself when there is one piece),
+    returned before q's int64 matrix is read: the tree shares the graph's
+    `TreeIndex` and cached `distance_matrix`, so nothing of an
+    already-indexed tree is built again.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
     if q.scale != 1:
         raise PipelineError("tree approximation requires integer edge lengths")
+    if q.tree_index is not None and all(w == 1 for _, _, w in q.edges):
+        q.graph.distance_matrix  # carried, as the search's winner carries its td
+        return TreeApproxResult(tree=q.graph, root=0, additive=Fraction(0), multiplicative=Fraction(1))
     n = q.n
     mat = q.distance_matrix
-    if q.tree_index is not None and all(w == 1 for _, _, w in q.edges):
-        tree = UnitGraph(n, [(u, v) for u, v, _ in q.edges])
-        vars(tree)["distance_matrix"] = mat.astype(np.int32)
-        return TreeApproxResult(tree=tree, root=0, additive=Fraction(0), multiplicative=Fraction(1))
     roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
     parent = np.zeros((len(roots), n), dtype=np.int64)
     if n > 1:
@@ -308,8 +310,9 @@ def coarse_helly_experiment(
         if d > R:
             raise EmbeddingError(f"sets {i} and {j} are {d} apart, exceeding R={R}")
     maps = np.array(psi.maps, dtype=np.int64).reshape(cs.chi, h.n)
-    tdists = [trees[ci].tree.distance_matrix for ci in range(cs.chi)]
-    hulls = [[np.flatnonzero(space_hull(td, m[S])) for S in families] for td, m in zip(tdists, maps)]
+    tgraphs = [trees[ci].tree for ci in range(cs.chi)]
+    tdists = [t.distance_matrix for t in tgraphs]
+    hulls = [[np.flatnonzero(space_hull(t, m[S])) for S in families] for t, m in zip(tgraphs, maps)]
     # product distance between convex images decomposes over the factors
     gap = lambda i, j: sum(int(td[np.ix_(hs[i], hs[j])].min()) for td, hs in zip(tdists, hulls))
     worst = max((gap(i, j) for i, j in pairs), default=0)
@@ -317,14 +320,14 @@ def coarse_helly_experiment(
     helly_points = []
     hull_bound_ok = True
     for ci in range(cs.chi):
-        tree = trees[ci].tree
+        tree = tgraphs[ci]
         tdist = tdists[ci]
         # a tree is a median graph, so it needs no recognition or class pass
         median = MedianAlgebra(tree, crossing_dimension(tree))
         inflated = []
         for hv in hulls[ci]:
             ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
-            hull = np.flatnonzero(space_hull(tdist, ball))
+            hull = np.flatnonzero(space_hull(tree, ball))
             if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > median.rank * r_infl:
                 hull_bound_ok = False
             inflated.append(hull)

@@ -136,7 +136,7 @@ def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
 def is_convex(m: MedianAlgebra, S) -> bool:
     """Interval-closure convexity: every geodesic between members stays inside."""
     members = np.unique(np.fromiter(S, dtype=np.int64))
-    return int(space_hull(m.dist, members).sum()) == len(members)
+    return int(space_hull(m.graph, members).sum()) == len(members)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ quasitree spaces, and the empirical measurements attached to it:
 quasiisometry constants and quasimedian defect.
 
 psi is a (chi, n) int64 array, and the sampled pairs and triples stay
-int64 arrays into the reports, which derive their per-sample rows only
-when asked.
+int64 arrays into the reports, with their per-sample values in units of
+1/scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .hhs import Colouring, HHSInstance
-from .jsonio import as_number
 from .median import _blockwise, interval_medians
 from .projection import (
     ProjectionError,
@@ -141,12 +140,6 @@ def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
     return dists
 
 
-def _numbers(values: np.ndarray, scale: int) -> list:
-    """values / scale as exact numbers, int when integral, as `as_number` gives."""
-    vals = values.tolist()
-    return vals if scale == 1 else [as_number(Fraction(v, scale)) for v in vals]
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingReport:
     """The constants, and per sampled pair (aligned int64 arrays) its
@@ -160,16 +153,6 @@ class EmbeddingReport:
     distances: np.ndarray
     product_distances: np.ndarray
     scale: int
-
-    @property
-    def samples(self) -> tuple[tuple[tuple[int, int], int, int | Fraction], ...]:
-        """(pair, d_G, d_product) per pair, d_product an int when integral,
-        else a Fraction."""
-        return tuple(zip(
-            map(tuple, self.pairs.tolist()),
-            self.distances.tolist(),
-            _numbers(self.product_distances, self.scale),
-        ))
 
 
 def measure_embedding(cs: ColouredSystem, psi: PsiImage, samples) -> EmbeddingReport:
@@ -256,12 +239,6 @@ class QuasimedianReport:
     xyz: np.ndarray  # (m, 3)
     defects: np.ndarray
     scale: int
-
-    @property
-    def triples(self) -> tuple[tuple[tuple[int, int, int], int | Fraction], ...]:
-        """(triple, defect) per triple, the defect an int when integral,
-        else a Fraction."""
-        return tuple(zip(map(tuple, self.xyz.tolist()), _numbers(self.defects, self.scale)))
 
 
 def quasimedian_defect(cs: ColouredSystem, psi: PsiImage, triples) -> QuasimedianReport:

@@ -5,16 +5,20 @@ once per graph and cached.  Construction rejects loops and multi-edges;
 connectivity is enforced wherever a metric is needed.
 
 Every single tree of the package (unit graphs and quasitrees that are trees)
-is served by one table, `TreeIndex`, built from one iterative preorder.  It
+is served by one table, `TreeIndex`, built from one iterative preorder and
+built once per tree: a quasitree of unit edges shares its graph's.  It
 answers lowest common ancestor, distance and median queries on vertex arrays
-by binary lifting, so a caller that reads sampled pairs asks it for those
-pairs (`UnitGraph.pair_distances`) and never builds an n x n matrix; its
-dense form, `distance_matrix`, comes from the subtree runs of the same
-preorder.  Candidate trees, given by parent arrays, get their metrics in
-batches from `tree_metrics`.  Every other metric (unit graphs that are not
-trees, quasitrees with cycles at any L, their lengths scaled to integers)
-comes from `integer_distance_matrix`, Dial's bucketed shortest paths from
-all sources at once.  Connected components come from one labelling over an
+by binary lifting, and the next step from u toward v from the subtree runs
+of the preorder, so a caller that reads sampled pairs asks it for those
+pairs (`UnitGraph.pair_distances`) and a caller that walks geodesics asks it
+for steps (`applications.TreeProduct`), and neither builds an n x n matrix;
+its dense form, `distance_matrix`, comes from the same subtree runs.  The
+n x n `UnitGraph.next_hop` table is for median graphs that are not trees.
+Candidate trees, given by parent arrays, get their metrics in batches from
+`tree_metrics`.  Every other metric (unit graphs that are not trees,
+quasitrees with cycles at any L, their lengths scaled to integers) comes
+from `integer_distance_matrix`, Dial's bucketed shortest paths from all
+sources at once.  Connected components come from one labelling over an
 arc list, `arc_component_labels`, and cliques from one Bron-Kerbosch search,
 `maximal_cliques`.  All of it runs on numpy alone.
 """
@@ -96,9 +100,6 @@ class UnitGraph:
             nbr[u].append(v)
             nbr[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbr)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def toward(self, u, v):
         """`next_hop` of aligned vertex arrays u != v, or an int for one pair."""
@@ -244,7 +245,8 @@ class TreeIndex:
     climb from u to its highest ancestor x with pos[x] > pos[v]; the parent
     of x is the answer (Bender & Farach-Colton, "The LCA problem revisited",
     LATIN 2000).  dist(u, v) = wdepth[u] + wdepth[v] - 2 wdepth[lca(u, v)].
-    Raises as `_preorder` does.
+    The step from u toward v (`toward`) reads the same runs: the parent of
+    u, unless v lies in u's run, below u.  Raises as `_preorder` does.
     """
 
     def __init__(self, n: int, edges):
@@ -269,6 +271,28 @@ class TreeIndex:
 
     def dist(self, u, v) -> np.ndarray:
         return self.wdepth[u] + self.wdepth[v] - 2 * self.wdepth[self.lca(u, v)]
+
+    @cached_property
+    def _child_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex x sorted by the key parent[x] * n + pos[x], with the
+        sorted keys: the children of each vertex in preorder, one run per
+        parent, the root first under key 0."""
+        keys = self.parent * self.n + self.pos
+        kids = np.argsort(keys)
+        return keys[kids], kids
+
+    def toward(self, u, v) -> np.ndarray:
+        """The neighbour of u one step closer to v, over broadcastable vertex
+        arrays with u != v.  That is u's parent unless v lies below u, where
+        pos[u] < pos[v] < stop[u]; then it is the child of u whose run holds
+        v, the last child c of u with pos[c] <= pos[v], found by one
+        `searchsorted` of the key u * n + pos[v] among the children's keys.
+        The root's key, 0, is the least of all, so the search never lands
+        before the first entry, even on one vertex."""
+        pu, pv = self.pos[u], self.pos[v]
+        keys, kids = self._child_keys
+        child = kids[np.searchsorted(keys, u * self.n + pv, side="right") - 1]
+        return np.where((pu < pv) & (pv < self.stop[u]), child, self.parent[u])
 
     def path(self, u: int, v: int) -> list[int]:
         """The tree's path from u to v: the deeper end climbs to its parent

@@ -449,11 +449,6 @@ class DistanceFormulaFit:
     distances: np.ndarray
     sums: np.ndarray
 
-    @property
-    def samples(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
-        """(pair, distance, sum) per sampled pair, as tuples of ints."""
-        return tuple(zip(map(tuple, self.pairs.tolist()), self.distances.tolist(), self.sums.tolist()))
-
 
 def projection_sum(h: HHSInstance, x, y, s):
     """Sum of d_U(x, y) over the domains where x, y project more than s apart.
@@ -524,25 +519,23 @@ def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
     return frozenset(int(v) for v in np.flatnonzero(keep))
 
 
-def space_hull(space_dist: np.ndarray, points) -> np.ndarray:
-    """Union of all geodesics between pairs of `points`, as a boolean mask.
+def space_hull(g: UnitGraph, points) -> np.ndarray:
+    """Union of all geodesics of the connected unit graph g between pairs of
+    `points`, as a boolean mask, read off g's cached metric.
 
-    `space_dist` must be the metric of a connected unit graph, as every
-    domain space, median graph and tree here is.  Such a graph is a tree
-    exactly when it has n - 1 edges, that is, when 2(n - 1) entries of its
-    metric equal 1.  On a tree one anchor a among the points suffices: for
-    members p and q, the median m of a, p, q lies on all three geodesics, so
-    [p, q] = [p, m] + [m, q] lies in [a, p] + [a, q].  The geodesics from a
-    to the other members thus cover every pair's, and their union is the
-    subtree spanned by `points`.  Other graphs scan all pairs.
+    On a tree (g's cached `is_tree`) one anchor a among the points
+    suffices: for members p and q, the median m of a, p, q lies on all
+    three geodesics, so [p, q] = [p, m] + [m, q] lies in [a, p] + [a, q].
+    The geodesics from a to the other members thus cover every pair's, and
+    their union is the subtree spanned by `points`.  Other graphs scan all
+    pairs.
     """
     pts = np.unique(np.fromiter(points, dtype=np.int64))
-    n = space_dist.shape[0]
-    mask = np.zeros(n, dtype=bool)
+    D = g.distance_matrix
+    mask = np.zeros(g.n, dtype=bool)
     mask[pts] = True
-    tree = np.count_nonzero(space_dist == 1) == 2 * (n - 1)
-    for a in pts[:1] if tree else pts:
-        rows = space_dist[a][None, :] + space_dist[pts, :] == space_dist[a, pts][:, None]
+    for a in pts[:1] if g.is_tree() else pts:
+        rows = D[a][None, :] + D[pts, :] == D[a, pts][:, None]
         mask |= rows.any(axis=0)
     return mask
 

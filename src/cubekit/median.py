@@ -196,7 +196,9 @@ class MedianAlgebra:
 # the edges of its factor trees.  connectify_and_close_in adds two for its
 # bridges: pairwise_distances(verts), the distance matrix of a vertex list,
 # and toward(u, v), for u != v the least neighbour of u one step closer to
-# v, over aligned vertex arrays (a scalar pair gives an int).  Neither
+# v, over aligned vertex arrays (a scalar pair gives an int).  MedianAlgebra
+# reads that step from its graph's n x n `next_hop` table; TreeProduct asks
+# each factor's `TreeIndex.toward`, and builds no table.  Neither
 # engine evaluates a median.  median_bulk(a, b_arr, c), whose row i is
 # m(a[i], b_arr[i], c[i]), stays on both classes all the same: the Helly
 # point reads it through `MedianAlgebra.median`, tests check it against

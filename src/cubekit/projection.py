@@ -188,7 +188,13 @@ _MAX_SCALED_PATH = 2**40
 class QuasiTreeSpace:
     """The glued space: piece edges of length 1 and, between the projection
     sets of each attached pair, edges of length L.  `edges` keeps the exact
-    lengths; every metric query runs on int64 in units of 1/`scale`."""
+    lengths; every metric query runs on int64 in units of 1/`scale`.
+
+    `graph` is the glued space with its lengths dropped, derived from
+    `edges`; `build_quasitree` hands over the one it built to check
+    connectivity, the piece itself when there is one piece.  A tree whose
+    edges all measure 1 in units of 1/scale is measured through that graph:
+    its `tree_index` is the graph's, so no second index of it is built."""
 
     system: ProjectionSystem
     K: Number
@@ -203,13 +209,6 @@ class QuasiTreeSpace:
     def n(self) -> int:
         return len(self.piece_of)
 
-    def global_id(self, piece: int, local: int) -> int:
-        return self.offsets[piece] + local
-
-    def local_id(self, v: int) -> tuple[int, int]:
-        p = self.piece_of[v]
-        return p, v - self.offsets[p]
-
     def piece_vertices(self, piece: int) -> range:
         start = self.offsets[piece]
         return range(start, start + self.system.pieces[piece].n)
@@ -221,12 +220,20 @@ class QuasiTreeSpace:
         return Fraction(self.L).denominator
 
     @cached_property
+    def graph(self) -> UnitGraph:
+        return UnitGraph(self.n, tuple((u, v) for u, v, _ in self.edges))
+
+    @cached_property
     def tree_index(self) -> TreeIndex | None:
         """The `TreeIndex` of the glued space, on the scaled weights, when it
-        is a connected tree, else None.  LCAs do not see weights."""
-        if self.connected and len(self.edges) == self.n - 1:
-            return TreeIndex(self.n, self._scaled_edges)
-        return None
+        is a connected tree, else None: the graph's own when every scaled
+        weight is 1.  LCAs do not see weights."""
+        if not self.connected or len(self.edges) != self.n - 1:
+            return None
+        scaled = self._scaled_edges
+        if all(w == 1 for _, _, w in scaled):
+            return self.graph.tree_index
+        return TreeIndex(self.n, scaled)
 
     @property
     def _scaled_edges(self) -> list[tuple[int, int, int]]:
@@ -301,7 +308,8 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
                 for u in sorted(s.proj[(i, j)]):
                     for v in sorted(s.proj[(j, i)]):
                         edges.append((offsets[i] + u, offsets[j] + v, L))
-    return QuasiTreeSpace(
+    graph = s.pieces[0] if k == 1 else UnitGraph(total, tuple((u, v) for u, v, _ in edges))
+    q = QuasiTreeSpace(
         system=s,
         K=K,
         L=L,
@@ -309,8 +317,10 @@ def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:
         piece_of=piece_of,
         edges=tuple(edges),
         attachments=tuple(attachments),
-        connected=UnitGraph(total, tuple((u, v) for u, v, _ in edges)).is_connected(),
+        connected=graph.is_connected(),
     )
+    vars(q)["graph"] = graph  # fills the cached property
+    return q
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def lex_geodesic(graph, a, b):
     path = [a]
     cur = a
     while cur != b:
-        nxt = min(w for w in graph.neighbors(cur) if D[w, b] == D[cur, b] - 1)
+        nxt = min(w for w in graph.adjacency[cur] if D[w, b] == D[cur, b] - 1)
         path.append(nxt)
         cur = nxt
     return path
@@ -706,7 +706,7 @@ def flat_projection(q, U, x):
         raise ProjectionError(f"unknown piece {U}")
     if not (0 <= x < q.n):
         raise ProjectionError(f"unknown vertex {x}; only piece vertices are queryable")
-    p, local = q.local_id(x)
+    p = q.piece_of[x]
     if p == U:
         return frozenset([x])
     return frozenset(q.offsets[U] + v for v in q.system.proj[(U, p)])

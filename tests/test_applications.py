@@ -146,7 +146,7 @@ def test_coarse_helly_point_is_close_to_every_set(helly_setup):
     for ci, tree in enumerate(trees):
         D = tree.tree.distance_matrix
         for S in sets:
-            hull = np.flatnonzero(space_hull(D, [psi.maps[ci][z] for z in S]))
+            hull = np.flatnonzero(space_hull(tree.tree, [psi.maps[ci][z] for z in S]))
             assert int(D[res.helly_points[ci], hull].min()) <= res.inflation
     # the centre is an ambient vertex whose image is l1-nearest the Helly points
     l1 = [sum(int(t.tree.distance_matrix[psi.maps[ci][g], res.helly_points[ci]])
@@ -206,7 +206,9 @@ def check_tree_approximate(q, max_roots=64):
     assert list(res.tree.edges) == tree
     # the tree carries the metric it was scored on, the same as a fresh one
     assert "distance_matrix" in vars(res.tree)
-    assert "tree_index" not in vars(res.tree)  # built on first use
+    if q.tree_index is None or any(w != 1 for _, _, w in q.edges):
+        # the search's winner; a unit tree shares the index of q's graph
+        assert "tree_index" not in vars(res.tree)  # built on first use
     carried = res.tree.distance_matrix
     assert carried.dtype == np.int32
     assert (carried == UnitGraph(q.n, res.tree.edges).distance_matrix).all()
@@ -225,6 +227,20 @@ def test_a_quasitree_that_is_a_tree_is_its_own_approximation():
     res = check_tree_approximate(q)
     assert (res.root, res.additive, res.multiplicative) == (0, 0, 1)
     assert res.tree == tree
+
+
+def test_a_one_piece_unit_quasitree_is_measured_through_its_piece():
+    tree = random_tree(30, np.random.default_rng(8))
+    q = build_quasitree(ProjectionSystem((tree,), {}, 0), 1, 1)
+    assert q.graph is tree and q.tree_index is tree.tree_index
+    res = tree_approximate(q)
+    assert res.tree is tree
+    assert "distance_matrix" not in vars(q)  # no int64 matrix of q is built
+    # a relabelled copy derives its graph from its own edges
+    perm = np.random.default_rng(9).permutation(q.n).tolist()
+    moved = relabel_quasitree(q, perm)
+    assert moved.graph == UnitGraph(q.n, [(perm[u], perm[v]) for u, v in tree.edges])
+    assert tree_approximate(moved).tree is moved.graph
 
 
 @st.composite

@@ -76,7 +76,7 @@ def grid_instances(draw):
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 5))
     g = grid_graph(rows, cols)
     pi = tuple(
-        frozenset([v, draw(st.sampled_from(g.neighbors(v)))]) if draw(st.booleans())
+        frozenset([v, draw(st.sampled_from(g.adjacency[v]))]) if draw(st.booleans())
         else frozenset([v])
         for v in range(g.n)
     )
@@ -177,7 +177,8 @@ def test_quasimedian_defect_matches_the_per_triple_reference(h, L, data):
             defect += dist(psi.maps[ci][m], mu)
         rows.append((t, defect))
     counts = Counter(d for _, d in rows)
-    assert report.triples == tuple(rows)
+    assert report.xyz.tolist() == [list(t) for t, _ in rows]
+    assert [Fraction(d, report.scale) for d in report.defects.tolist()] == [d for _, d in rows]
     assert report.histogram == tuple((str(k), counts[k]) for k in sorted(counts))
     assert report.fallback_colours == tuple(sorted(fallback))
     assert report.max_defect == max(d for _, d in rows)
@@ -232,7 +233,10 @@ def test_measure_embedding_sums_the_colour_distances_per_pair(h, L, data):
         ((x, y), dist[x][y], sum(qd(m[x], m[y]) for qd, m in zip(qdists, psi.maps)))
         for x, y in pairs
     ]
-    assert report.samples == tuple(expected)
+    assert report.pairs.tolist() == [list(xy) for xy, _, _ in expected]
+    assert report.distances.tolist() == [d for _, d, _ in expected]
+    scaled = [Fraction(d, report.scale) for d in report.product_distances.tolist()]
+    assert scaled == [dp for _, _, dp in expected]
 
 
 @PROPERTY
@@ -372,7 +376,8 @@ def check_df_fit(h, s, pairs):
         rows.append(((x, y), dist[x][y], S))
     xy = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     assert projection_sum(h, xy[:, 0], xy[:, 1], s).tolist() == [S for _, _, S in rows]
-    assert fit.samples == tuple(rows)
+    assert fit.pairs.tolist() == [list(xy) for xy, _, _ in rows]
+    assert list(zip(fit.distances.tolist(), fit.sums.tolist())) == [(d, S) for _, d, S in rows]
     # the Fraction loop would count A up to 2^20 on a row that no A fits
     assume(s > 0 or all(S > 0 for _, d, S in rows if d > 0))
     assert (fit.A, fit.B, fit.max_upper_slack, fit.max_lower_slack) == oracle_df_fit(rows, s)
@@ -407,5 +412,5 @@ def test_distance_formula_fit_gives_up_past_2_to_the_20():
     )
     h = HHSInstance(ambient=g, domains=(x,), E=0)
     fit = distance_formula_fit(h, 0, [(0, 3)])
-    assert fit.samples == (((0, 3), 1, 0),)
+    assert (fit.pairs.tolist(), fit.distances.tolist(), fit.sums.tolist()) == ([[0, 3]], [1], [0])
     assert (fit.A, fit.B, fit.max_upper_slack, fit.max_lower_slack) == ((1 << 20) + 1, 1, 0, 2)

@@ -220,6 +220,38 @@ def test_tree_index_queries_match_brute_force(tree, data):
     assert int(index.lca(a[0], b[0])) == oracle_lca(paths, int(a[0]), int(b[0]))
 
 
+@st.composite
+def shaped_trees(draw):
+    """A relabelled random tree, path or star of 1 to 60 vertices, n = 1 and
+    n = 2 drawn as often as any other size."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "path", "star"]))
+    if kind == "random":
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    elif kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        edges = [(0, i) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return UnitGraph(n, tuple((perm[a], perm[b]) for a, b in edges))
+
+
+@PROPERTY
+@given(shaped_trees(), st.data())
+def test_tree_index_toward_is_the_graph_step(g, data):
+    """`TreeIndex.toward` against the graph's `next_hop` step, on every
+    ordered pair as aligned arrays and on drawn pairs as scalars."""
+    index = g.tree_index
+    u, v = np.divmod(np.arange(g.n * g.n), g.n)
+    u, v = u[u != v], v[u != v]
+    if g.n > 1:
+        assert (index.toward(u, v) == g.toward(u, v)).all()
+        a, b = data.draw(st.sampled_from(list(zip(u.tolist(), v.tolist()))))
+        assert int(index.toward(a, b)) == g.toward(a, b)
+    # one vertex: no children, and the step from the root is the root
+    assert int(index.toward(0, 0)) == int(index.parent[0]) == 0
+
+
 def test_tree_index_on_a_long_path_and_on_one_and_two_vertices():
     n = 3000
     limit = sys.getrecursionlimit()

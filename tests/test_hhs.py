@@ -152,7 +152,7 @@ def test_df_product_of_lines_constants(grid9):
     fit = distance_formula_fit(grid9, s, pairs)
     D = grid9.dist
     # the paper-shaped constants A=2, B=2s suffice on the grid ...
-    for (x, y), d, total in fit.samples:
+    for d, total in zip(fit.distances.tolist(), fit.sums.tolist()):
         assert d <= 2 * total + 2 * s
         assert total / 2 - 2 * s <= d
     # ... and the canonical fit is no worse
@@ -172,7 +172,7 @@ def test_df_spider_finite(spider):
     pairs = [(int(a), int(b)) for a, b in rng.integers(0, spider.n, size=(100, 2))]
     fit = distance_formula_fit(spider, 2, pairs)
     assert fit.A >= 1 and fit.B >= 0
-    for (x, y), d, total in fit.samples:
+    for d, total in zip(fit.distances.tolist(), fit.sums.tolist()):
         assert total / fit.A - fit.B <= d <= fit.A * total + fit.B
 
 

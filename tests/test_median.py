@@ -327,7 +327,7 @@ def test_connectify_random_property(grid55):
     for _ in range(15):
         walk = [int(rng.integers(0, grid55.n))]
         for _ in range(10):
-            walk.append(int(rng.choice(grid55.graph.neighbors(walk[-1]))))
+            walk.append(int(rng.choice(grid55.graph.adjacency[walk[-1]])))
         subset = sorted(set(walk[::2]))  # 2-connected by construction
         res = connectify_and_close_in(grid55, subset, C=2)
         assert _one_connected(grid55, res.closure)

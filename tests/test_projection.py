@@ -121,7 +121,7 @@ def test_two_piece_single_attachment():
     assert q.attachments == ((0, 1),)
     assert q.connected
     # the L-edge joins the two projection points
-    assert q.dist(q.global_id(0, 2), q.global_id(1, 3)) == 1
+    assert q.dist(q.offsets[0] + 2, q.offsets[1] + 3) == 1
 
 
 def test_tripod_all_attached():
@@ -129,7 +129,7 @@ def test_tripod_all_attached():
     q = build_quasitree(s, K=5, L=1)
     assert q.attachments == ((0, 1), (0, 2), (1, 2))
     # leaf of piece 0 to leaf of piece 1: 3 along, 1 across, 3 along
-    assert q.dist(q.global_id(0, 3), q.global_id(1, 3)) == 7
+    assert q.dist(q.offsets[0] + 3, q.offsets[1] + 3) == 7
 
 
 def test_chain_gate_blocks_far_pair():
@@ -138,7 +138,7 @@ def test_chain_gate_blocks_far_pair():
     assert (0, 2) not in q.attachments
     assert (0, 1) in q.attachments and (1, 2) in q.attachments
     # the A -> C route runs through B
-    d = q.dist(q.global_id(0, 0), q.global_id(2, 0))
+    d = q.dist(q.offsets[0], q.offsets[2])
     assert d == 1 + 12 + 1
 
 
@@ -158,7 +158,7 @@ def test_edges_monotone_in_k():
 def test_fractional_length():
     s = two_piece_system(4, 4)
     q = build_quasitree(s, K=1, L=Fraction(3, 2))
-    assert q.dist(q.global_id(0, 0), q.global_id(1, 0)) == Fraction(3, 2)
+    assert q.dist(q.offsets[0], q.offsets[1]) == Fraction(3, 2)
     # the tree index serves a fractional L too, in units of 1/scale
     assert q.scale == 2
     u, v = np.arange(q.n)[:, None], np.arange(q.n)
@@ -205,9 +205,21 @@ def test_tree_quasitree_index_reads_its_weighted_metric(L):
     assert len(q.edges) == q.n - 1 and q.connected
     u, v = np.arange(q.n)[:, None], np.arange(q.n)
     assert (q.tree_index.dist(u, v) == integer_distance_matrix(q.n, q.edges)).all()
-    assert q.tree_index.dist(q.global_id(0, 2), q.global_id(1, 3)) == L
+    assert q.tree_index.dist(q.offsets[0] + 2, q.offsets[1] + 3) == L
+    assert (q.tree_index is q.graph.tree_index) == (L == 1)  # unit edges share the graph's
     # no index once the glued space has a cycle
     assert build_quasitree(tripod_system(3), K=5, L=L).tree_index is None
+
+
+@pytest.mark.parametrize("L", [Fraction(3, 2), 2], ids=str)
+def test_a_glued_tree_at_other_lengths_builds_its_own_scaled_index(L):
+    q = build_quasitree(two_piece_system(5, 7, 2, 3), K=1, L=L)
+    assert q.tree_index is not None and q.tree_index is not q.graph.tree_index
+    scaled = [(u, v, int(w * q.scale)) for u, v, w in q.edges]
+    u, v = np.arange(q.n)[:, None], np.arange(q.n)
+    D = integer_distance_matrix(q.n, scaled)
+    assert (q.tree_index.dist(u, v) == D).all()
+    assert q.distance_matrix.dtype == np.int64 and (q.distance_matrix == D).all()
 
 
 # --- flat projections and distances -------------------------------------------
@@ -219,14 +231,14 @@ def tripod_q():
 
 
 def test_flat_projection_identity(tripod_q):
-    x = tripod_q.global_id(0, 2)
+    x = tripod_q.offsets[0] + 2
     assert flat_projection(tripod_q, 0, x) == frozenset([x])
 
 
 def test_flat_projection_table(tripod_q):
-    x = tripod_q.global_id(1, 3)
+    x = tripod_q.offsets[1] + 3
     assert flat_projection(tripod_q, 0, x) == frozenset(
-        tripod_q.global_id(0, v) for v in tripod_q.system.proj[(0, 1)]
+        tripod_q.offsets[0] + v for v in tripod_q.system.proj[(0, 1)]
     )
 
 
@@ -238,12 +250,12 @@ def test_flat_projection_domain_checks(tripod_q):
 
 
 def test_flat_distance_cases(tripod_q):
-    a = tripod_q.global_id(0, 1)
-    b = tripod_q.global_id(0, 4)
+    a = tripod_q.offsets[0] + 1
+    b = tripod_q.offsets[0] + 4
     assert flat_distance(tripod_q, 0, a, a) == 0
     assert flat_distance(tripod_q, 0, a, b) == 3  # within-piece distance
-    c = tripod_q.global_id(1, 2)
-    d = tripod_q.global_id(2, 2)
+    c = tripod_q.offsets[1] + 2
+    d = tripod_q.offsets[2] + 2
     # both project to the center of piece 0
     assert flat_distance(tripod_q, 0, c, d) == 0
 
@@ -315,8 +327,8 @@ def test_df_rejects_bad_kprime(tripod_q):
 def test_flat_sum_threshold():
     s = chain_system(12)
     q = build_quasitree(s, K=5, L=1)
-    a = q.global_id(0, 0)
-    c = q.global_id(2, 0)
+    a = q.offsets[0]
+    c = q.offsets[2]
     # only the middle piece exceeds the threshold for the far pair
     assert flat_sum(q, a, c, 6) == 12
 

@@ -276,7 +276,7 @@ def test_path_metric_check_matches_bfs(subset):
     BFS metric is the product metric, and the Hausdorff distance is exact."""
     space, ids = subset
     C = max(1, minimal_connection_constant(space.pairwise_distances(ids), range(len(ids))))
-    res = promote_to_cube_complex([space.decode(v) for v in ids], space.factors, C)
+    res = promote_to_cube_complex(np.stack(space.decode_bulk(ids), axis=1), space.factors, C)
     closure = [space.encode(t) for t in res.vertex_tuples]
     pd = space.pairwise_distances(closure)
     g = res.skeleton.graph
@@ -296,7 +296,7 @@ def test_path_metric_check_refuses_the_cycle_around_a_grid_centre():
     g = UnitGraph(8, np.argwhere(np.triu(pd == 1, 1)).tolist())
     assert g.is_connected() and len(g.edges) == 8
     assert not (g.distance_matrix == pd).all()
-    res = promote_to_cube_complex([space.decode(v) for v in ring], space.factors, 1)
+    res = promote_to_cube_complex(np.stack(space.decode_bulk(ring), axis=1), space.factors, 1)
     closure = [space.encode(t) for t in res.vertex_tuples]
     assert closure == list(range(9)) and res.isometric and res.hausdorff == 1
     full = space.pairwise_distances(closure)
@@ -517,7 +517,7 @@ def scattered_seeds(draw):
     centers = draw(st.sets(st.integers(0, product.n - 1), min_size=3, max_size=5))
     seed = set(centers)
     for c in sorted(centers):
-        seed |= draw(st.sets(st.sampled_from(product.neighbors(c)), max_size=2))
+        seed |= draw(st.sets(st.sampled_from(product.adjacency[c]), max_size=2))
     return factors, product, sorted(seed)
 
 
@@ -547,7 +547,7 @@ def test_promoted_skeleton_matches_the_graph_hyperplane_pass(factors, data):
     pd = space.pairwise_distances(ids)
     least = max(1, minimal_connection_constant(pd, range(len(ids))))
     C = data.draw(st.integers(least, max(least, int(pd.max()))))
-    res = promote_to_cube_complex([space.decode(v) for v in ids], factors, C)
+    res = promote_to_cube_complex(np.stack(space.decode_bulk(ids), axis=1), factors, C)
     g = res.skeleton.graph
     expected = hyperplane_decomposition(MedianAlgebra.from_graph(g))
     assert res.skeleton.hyperplanes == expected.hyperplanes
@@ -579,7 +579,7 @@ def hull_graphs(draw):
 @given(hull_graphs(), st.data())
 def test_space_hull_matches_the_all_pairs_hull(g, data):
     pts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
-    mask = space_hull(g.distance_matrix, pts)
+    mask = space_hull(g, pts)
     assert np.flatnonzero(mask).tolist() == oracle_hull(g.n, g.edges, pts)
 
 
@@ -587,9 +587,9 @@ def test_space_hull_scans_all_pairs_off_trees():
     # from the anchor 0 alone, the geodesics of K_{2,3} miss vertex 1, which
     # lies between 2 and 3; on a 6-cycle the anchor 0 misses the arc 2..4
     k23 = complete_bipartite_graph(2, 3)
-    assert np.flatnonzero(space_hull(k23.distance_matrix, [0, 2, 3])).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(space_hull(k23, [0, 2, 3])).tolist() == [0, 1, 2, 3]
     c6 = cycle_graph(6)
-    assert np.flatnonzero(space_hull(c6.distance_matrix, [0, 2, 4])).tolist() == list(range(6))
+    assert np.flatnonzero(space_hull(c6, [0, 2, 4])).tolist() == list(range(6))
 
 
 @PROPERTY
@@ -785,7 +785,7 @@ def test_promoted_rank_and_hausdorff_match_the_products(case):
     res = connectify_and_close_in(space, seed, C)
     at = np.searchsorted(sorted(res.closure), seed)
     assert res.hausdorff == oracle_hamming_hausdorff(res.orientations, at)
-    promoted = promote_to_cube_complex([space.decode(v) for v in seed], space.factors, C)
+    promoted = promote_to_cube_complex(np.stack(space.decode_bulk(seed), axis=1), space.factors, C)
     assert promoted.hausdorff == res.hausdorff
     rank = oracle_max_crossing(res.orientations.T)
     assert promoted.dimension == rank == oracle_max_crossing(promoted.skeleton.sides)
