@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -39,9 +38,9 @@ class TreeProduct:
     holds the target; no n x n `next_hop` table is built); `toward` takes
     the least such id.  Medians are computed factorwise: each factor is a
     tree, and its median is the XOR of the three pairwise lowest common
-    ancestors (`TreeIndex.median`), read from a dense table of the factor's
-    `TreeIndex.lca`, built on first use.  The walls are the factor trees'
-    edges, factor by factor.
+    ancestors, which the factor's `TreeIndex.median` climbs to; no n x n
+    table of ancestors is built.  The walls are the factor trees' edges,
+    factor by factor.
     """
 
     def __init__(self, factors: tuple[UnitGraph, ...]):
@@ -64,15 +63,6 @@ class TreeProduct:
         self.sides = tuple(
             D[:, f.edge_array[:, 1]] < D[:, f.edge_array[:, 0]]
             for f, D in zip(self.factors, self.dists)
-        )
-
-    @cached_property
-    def lcas(self) -> tuple[np.ndarray, ...]:
-        """lcas[f][u * s + v] is the lowest common ancestor of u and v in
-        factor f, rooted at vertex 0, where s = f.n."""
-        return tuple(
-            f.tree_index.lca(np.arange(f.n)[:, None], np.arange(f.n)).ravel()
-            for f in self.factors
         )
 
     def encode(self, coords):
@@ -98,14 +88,12 @@ class TreeProduct:
 
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a
-        vertex or an array aligned with b_arr.  In each factor the median is
-        lca(a, b) ^ lca(b, c) ^ lca(a, c), as `TreeIndex.median` proves, with
-        the three ancestors read from the factor's table."""
+        vertex or an array aligned with b_arr.  The median is taken factor
+        by factor, by the factor's `TreeIndex.median`."""
         ca, cb, cc = (self.decode_bulk(x) for x in (a, b_arr, c))
         meds = 0
-        for L, s, xa, xb, xc in zip(self.lcas, self.sizes, ca, cb, cc):
-            ra = xa * s
-            meds = meds * s + (L.take(ra + xb) ^ L.take(xb * s + xc) ^ L.take(ra + xc))
+        for f, s, xa, xb, xc in zip(self.factors, self.sizes, ca, cb, cc):
+            meds = meds * s + f.tree_index.median(xa, xb, xc)
         return meds
 
     def wall_sides(self, verts) -> np.ndarray:
@@ -197,11 +185,16 @@ class TreeApproxResult:
     multiplicative: Fraction
 
 
-def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult:
+# Past this many vertices, tree_approximate tries every (n // MAX_ROOTS)-th
+# vertex as a root instead of all of them.
+MAX_ROOTS = 64
+
+
+def tree_approximate(q: QuasiTreeSpace) -> TreeApproxResult:
     """Shortest-path spanning tree of least distortion over candidate roots.
 
-    The candidates are every vertex, or every (n // max_roots)-th one beyond
-    `max_roots` vertices.  In the tree of root r, each vertex v != r hangs from
+    The candidates are every vertex, or every (n // MAX_ROOTS)-th one beyond
+    `MAX_ROOTS` vertices.  In the tree of root r, each vertex v != r hangs from
     its least neighbour u with d(r, u) + w(u, v) = d(r, v).  That rule reads
     only row r of the distance matrix, not a visit order, so one numpy pass
     over the arcs (v <- u, w) sorted by (v, u, w) finds the parents for all
@@ -219,24 +212,26 @@ def tree_approximate(q: QuasiTreeSpace, max_roots: int = 64) -> TreeApproxResult
     experiment, `TreeProduct` and the promote C default do not compute it
     again; its `tree_index` is built on first use.
 
-    A quasitree that is already a tree of unit edges is its own answer, with
-    no search: every root's shortest-path tree is q itself, so every root
-    ties at additive 0 and multiplicative 1, and the least, 0, wins.  The
-    answer is then q's `graph` (the piece itself when there is one piece),
-    returned before q's int64 matrix is read: the tree shares the graph's
-    `TreeIndex` and cached `distance_matrix`, so nothing of an
-    already-indexed tree is built again.
+    A quasitree that is already a tree of unit edges, one with a
+    `tree_index`, is its own answer, with no search: every root's
+    shortest-path tree is q itself, so every root ties at additive 0 and
+    multiplicative 1, and the least, 0, wins.  The answer is then q's
+    `graph` (the piece itself when there is one piece), returned before q's
+    int64 matrix is read: the tree shares the graph's `TreeIndex` and cached
+    `distance_matrix`, so nothing of an already-indexed tree is built again.
+    A tree with a longer edge has no `tree_index` and goes through the
+    search.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
     if q.scale != 1:
         raise PipelineError("tree approximation requires integer edge lengths")
-    if q.tree_index is not None and all(w == 1 for _, _, w in q.edges):
+    if q.tree_index is not None:
         q.graph.distance_matrix  # carried, as the search's winner carries its td
         return TreeApproxResult(tree=q.graph, root=0, additive=Fraction(0), multiplicative=Fraction(1))
     n = q.n
     mat = q.distance_matrix
-    roots = np.arange(n) if n <= max_roots else np.arange(0, n, max(1, n // max_roots))
+    roots = np.arange(n) if n <= MAX_ROOTS else np.arange(0, n, max(1, n // MAX_ROOTS))
     parent = np.zeros((len(roots), n), dtype=np.int64)
     if n > 1:
         u, v, w = np.array([(a, b, int(c)) for a, b, c in q.edges], dtype=np.int64).T

@@ -50,9 +50,7 @@ class ColouredSystem:
         return len(self.class_ids)
 
 
-def build_coloured_system(
-    h: HHSInstance, colouring: Colouring, K, L, orbit=None
-) -> ColouredSystem:
+def build_coloured_system(h: HHSInstance, colouring: Colouring, K, L) -> ColouredSystem:
     """Per-colour systems from the rho tables, each at its measured
     constant, their quasitrees, and the basepoint assignment; refuses K
     below any colour's measured constant."""
@@ -89,10 +87,7 @@ def build_coloured_system(
                 if U.id != V.id:
                     col = U.setdist[:, sorted(h.rho_of(V, U))].min(axis=1)
                     np.maximum(worst[pos], col, out=worst[pos])
-        if orbit is not None:
-            table = tuple(cls.index(orbit[ci][g]) for g in range(h.n))
-        else:
-            table = tuple(np.argmin(worst, axis=0).tolist())
+        table = tuple(np.argmin(worst, axis=0).tolist())
         slack = max(slack, int(worst[table, np.arange(h.n)].max()))
         orbit_tables.append(table)
     return ColouredSystem(
@@ -127,8 +122,9 @@ def psi_map(cs: ColouredSystem) -> PsiImage:
 def _quasitree_dists(cs: ColouredSystem, us, vs) -> np.ndarray:
     """chi x m int64 matrix of the distances, in units of 1/scale, between
     us[i][k] and vs[i][k] in the quasitree of colour i (by `TreeIndex` query
-    on a tree).  Raises ProjectionError, as QuasiTreeSpace.dist does, for the
-    first pair (least k, then least colour) that lies in two components."""
+    on a tree of unit edges).  Raises ProjectionError, as QuasiTreeSpace.dist
+    does, for the first pair (least k, then least colour) that lies in two
+    components."""
     dists = np.array([
         q.tree_index.dist(u, v) if q.tree_index is not None else q.distance_matrix[u, v]
         for q, u, v in zip(cs.quasitrees, us, vs)
@@ -210,9 +206,8 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, floor: Fraction) -> Fraction:
 def _codomain_medians(q: QuasiTreeSpace, a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """Per triple of the aligned arrays a, b, c: the exact graph median of the
     quasitree when the triple has one, else the least-index sum-of-distances
-    minimizer, flagged True.  On a tree every triple has one, which
-    `TreeIndex.median` gives; other quasitrees scan intervals by
-    `interval_medians`."""
+    minimizer, flagged True.  On a tree of unit edges `TreeIndex.median`
+    gives it; other quasitrees scan intervals by `interval_medians`."""
     if q.tree_index is not None:
         return q.tree_index.median(a, b, c), np.zeros(len(a), dtype=bool)
     mat = q.distance_matrix

@@ -121,14 +121,14 @@ def _add_tree_domain(tree: UnitGraph, axes: list[list[int]], doms: list[Domain])
     return out + [tree_dom]
 
 
-def tree_with_axes(
-    n: int,
-    k_axes: int,
-    seed: int,
-    include_tree_domain: bool = True,
-    overlap_cap: int = 2,
-    min_length: int = 3,
-) -> HHSInstance:
+# tree_with_axes draws axes of at least AXIS_MIN_LENGTH edges, and refuses
+# an axis whose gates onto another, or another's onto it, span more than
+# AXIS_OVERLAP_CAP.
+AXIS_MIN_LENGTH = 3
+AXIS_OVERLAP_CAP = 2
+
+
+def tree_with_axes(n: int, k_axes: int, seed: int, include_tree_domain: bool = True) -> HHSInstance:
     """Random tree with k leaf-to-leaf geodesic axes of small pairwise overlap.
 
     The axes are pairwise transverse domains; with include_tree_domain the
@@ -139,13 +139,13 @@ def tree_with_axes(
     tree = random_tree(n, rng)
     D = tree.distance_matrix
     leaves = [v for v in range(n) if tree.degree(v) == 1]
-    _require_leaf_pairs(D, leaves, k_axes, "axes", min_length)
+    _require_leaf_pairs(D, leaves, k_axes, "axes", AXIS_MIN_LENGTH)
     axes: list[list[int]] = []
     attempts = 0
     while len(axes) < k_axes and attempts < 400:
         attempts += 1
         a, b = (int(x) for x in rng.choice(leaves, size=2, replace=False))
-        if D[a, b] < min_length:
+        if D[a, b] < AXIS_MIN_LENGTH:
             continue
         path = tree.tree_index.path(a, b)
         if any(set(path) == set(ax) for ax in axes):
@@ -154,7 +154,7 @@ def tree_with_axes(
         for ax in axes:
             for line, other in ((ax, path), (path, ax)):
                 idx = sorted(set(gate_map(D[other], line).tolist()))
-                if len(idx) > 1 and int(D[np.ix_(idx, idx)].max()) > overlap_cap:
+                if len(idx) > 1 and int(D[np.ix_(idx, idx)].max()) > AXIS_OVERLAP_CAP:
                     ok = False
         if not ok:
             continue

@@ -4,23 +4,26 @@ Vertices are integers 0..n-1.  Distances are geodesic edge counts, computed
 once per graph and cached.  Construction rejects loops and multi-edges;
 connectivity is enforced wherever a metric is needed.
 
-Every single tree of the package (unit graphs and quasitrees that are trees)
+Every tree of unit edges in the package (a unit graph with n - 1 edges, a
+quasitree whose glued space is such a tree, a factor of a product of trees)
 is served by one table, `TreeIndex`, built from one iterative preorder and
-built once per tree: a quasitree of unit edges shares its graph's.  It
-answers lowest common ancestor, distance and median queries on vertex arrays
-by binary lifting, and the next step from u toward v from the subtree runs
-of the preorder, so a caller that reads sampled pairs asks it for those
-pairs (`UnitGraph.pair_distances`) and a caller that walks geodesics asks it
-for steps (`applications.TreeProduct`), and neither builds an n x n matrix;
-its dense form, `distance_matrix`, comes from the same subtree runs.  The
-n x n `UnitGraph.next_hop` table is for median graphs that are not trees.
+built once per tree: a quasitree of unit edges shares its graph's, and an
+instance parses equal graphs into one object (`hhs.HHSInstance.from_dict`).
+It answers lowest common ancestor, distance and median queries on vertex
+arrays by binary lifting, and the next step from u toward v from the
+subtree runs of the preorder, so a caller that reads sampled pairs asks it
+for those pairs (`UnitGraph.pair_distances`) and a caller that walks
+geodesics or takes medians in a product asks it for steps and medians
+(`applications.TreeProduct`), and neither builds an n x n matrix; its dense
+form, `distance_matrix`, comes from the same subtree runs.  The n x n
+`UnitGraph.next_hop` table is for median graphs that are not trees.
 Candidate trees, given by parent arrays, get their metrics in batches from
-`tree_metrics`.  Every other metric (unit graphs that are not trees,
-quasitrees with cycles at any L, their lengths scaled to integers) comes
-from `integer_distance_matrix`, Dial's bucketed shortest paths from all
-sources at once.  Connected components come from one labelling over an
-arc list, `arc_component_labels`, and cliques from one Bron-Kerbosch search,
-`maximal_cliques`.  All of it runs on numpy alone.
+`tree_metrics`.  Every other metric (unit graphs that are not trees, and
+quasitrees with a cycle or an edge longer than 1, their lengths scaled to
+integers) comes from `integer_distance_matrix`, Dial's bucketed shortest
+paths from all sources at once.  Connected components come from one
+labelling over an arc list, `arc_component_labels`, and cliques from one
+Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class UnitGraph:
         on either path.
         """
         if len(self.edges) == self.n - 1:
-            return self.tree_index.distance_matrix().astype(np.int32)
+            return self.tree_index.distance_matrix()
         self.require_connected()
         return integer_distance_matrix(self.n, [(u, v, 1) for u, v in self.edges]).astype(np.int32)
 
@@ -140,7 +143,7 @@ class UnitGraph:
     def tree_index(self) -> "TreeIndex":
         """The `TreeIndex` of a graph with n - 1 edges, rooted at vertex 0;
         it raises as `distance_matrix` does when the graph is no tree."""
-        return TreeIndex(self.n, [(u, v, 1) for u, v in self.edges])
+        return TreeIndex(self.n, self.edges)
 
     def pair_distances(self, u, v) -> np.ndarray:
         """d(u, v) over broadcast vertex arrays, int64: from the `tree_index`
@@ -195,63 +198,61 @@ class UnitGraph:
 
 
 def _preorder(n: int, edges):
-    """One iterative preorder, from vertex 0, of the tree with edges (u, v, w):
-    int64 arrays order, parent (the root its own), depth, weighted depth,
-    pos (pos[order] = 0..n-1) and stop, v's subtree being the contiguous run
-    of positions pos[v] .. stop[v] - 1.  Raises GraphError unless there are
-    n - 1 edges, and DisconnectedGraphError(0, x), x the least vertex not
-    reached from 0, when they do not join every vertex."""
+    """One iterative preorder, from vertex 0, of the tree with edges (u, v):
+    int64 arrays order, parent (the root its own), depth, pos (pos[order] =
+    0..n-1) and stop, v's subtree being the contiguous run of positions
+    pos[v] .. stop[v] - 1.  Raises GraphError unless there are n - 1 edges,
+    and DisconnectedGraphError(0, x), x the least vertex not reached from 0,
+    when they do not join every vertex."""
     if len(edges) != n - 1:
         raise GraphError(f"a tree on {n} vertices has {n - 1} edges, not {len(edges)}")
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, c in edges:
-        nbrs[a].append((b, c))
-        nbrs[b].append((a, c))
-    parent, depth, wd = [0] * n, [0] * n, [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    parent, depth = [0] * n, [0] * n
     seen = [True] + [False] * (n - 1)
     order = []
     stack = [0]
     while stack:
         x = stack.pop()
         order.append(x)
-        for y, c in nbrs[x]:
+        for y in nbrs[x]:
             if not seen[y]:
                 seen[y] = True
-                parent[y], depth[y], wd[y] = x, depth[x] + 1, wd[x] + c
+                parent[y], depth[y] = x, depth[x] + 1
                 stack.append(y)
     if len(order) < n:
         raise DisconnectedGraphError(0, seen.index(False))
     size = [1] * n
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
-    arrays = (np.array(a, dtype=np.int64) for a in (order, parent, depth, wd, size))
-    order, parent, depth, wd, size = arrays
+    order, parent, depth, size = (np.array(a, dtype=np.int64) for a in (order, parent, depth, size))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    return order, parent, depth, wd, pos, pos + size
+    return order, parent, depth, pos, pos + size
 
 
 class TreeIndex:
-    """Lowest common ancestors, distances and medians of a tree with positive
-    integer edge lengths, given by its n - 1 edges (u, v, w), rooted at 0.
+    """Lowest common ancestors, distances and medians of a tree of unit
+    edges, given by its n - 1 edges (u, v), rooted at 0.
 
-    From one iterative preorder (`_preorder`) it holds each vertex's parent,
-    depth and weighted depth `wdepth`, and a binary-lifting table over
-    preorder positions: jumps[k, p], the position of the ancestor 2^k steps
-    above position p, or of the root (n log n entries).  Queries take
-    broadcastable int arrays.  For lca(u, v) let pos[u] > pos[v]: the run of
-    an ancestor y of u holds u, so it holds v once it starts at or before
-    v, and y lies above v exactly when pos[y] <= pos[v].  Halving jumps
-    climb from u to its highest ancestor x with pos[x] > pos[v]; the parent
-    of x is the answer (Bender & Farach-Colton, "The LCA problem revisited",
-    LATIN 2000).  dist(u, v) = wdepth[u] + wdepth[v] - 2 wdepth[lca(u, v)].
+    From one iterative preorder (`_preorder`) it holds each vertex's parent
+    and depth, and a binary-lifting table over preorder positions:
+    jumps[k, p], the position of the ancestor 2^k steps above position p, or
+    of the root (n log n entries).  Queries take broadcastable int arrays.
+    For lca(u, v) let pos[u] > pos[v]: the run of an ancestor y of u holds
+    u, so it holds v once it starts at or before v, and y lies above v
+    exactly when pos[y] <= pos[v].  Halving jumps climb from u to its
+    highest ancestor x with pos[x] > pos[v]; the parent of x is the answer
+    (Bender & Farach-Colton, "The LCA problem revisited", LATIN 2000).  dist(u, v) = depth[u] + depth[v] - 2 depth[lca(u, v)].
     The step from u toward v (`toward`) reads the same runs: the parent of
     u, unless v lies in u's run, below u.  Raises as `_preorder` does.
     """
 
     def __init__(self, n: int, edges):
         self.n = n
-        self.order, self.parent, self.depth, self.wdepth, self.pos, self.stop = _preorder(n, edges)
+        self.order, self.parent, self.depth, self.pos, self.stop = _preorder(n, edges)
 
     @cached_property
     def jumps(self) -> np.ndarray:
@@ -270,7 +271,7 @@ class TreeIndex:
         return self.order[np.where(x == low, low, self.jumps[0][x])]
 
     def dist(self, u, v) -> np.ndarray:
-        return self.wdepth[u] + self.wdepth[v] - 2 * self.wdepth[self.lca(u, v)]
+        return self.depth[u] + self.depth[v] - 2 * self.depth[self.lca(u, v)]
 
     @cached_property
     def _child_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -313,25 +314,24 @@ class TreeIndex:
         return self.lca(a, b) ^ self.lca(b, c) ^ self.lca(a, c)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs distances, int64.  Seen from a child v of p, across the
-        edge of length w, every vertex outside v's subtree is w farther than
-        from p and every vertex inside it w nearer: row(v) = row(p) + w,
-        minus 2w on v's run.  Rows are built in preorder-position columns,
-        the root's the weighted depth, inner vertices parent first, the
-        leaves (whose run is their own position) in one batch."""
+        """All-pairs distances, int32.  Seen from a child v of p, every
+        vertex outside v's subtree is one step farther than from p and every
+        vertex inside it one nearer: row(v) = row(p) + 1, minus 2 on v's
+        run.  Rows are built in preorder-position columns, the root's the
+        depth, inner vertices parent first, the leaves (whose run is their
+        own position) in one batch."""
         rest = self.order[1:]
         leafy = self.stop[rest] - self.pos[rest] == 1
         inner, leaf = rest[~leafy], rest[leafy]
-        up = self.wdepth - self.wdepth[self.parent]
-        R = np.empty((self.n, self.n), dtype=np.int64)  # R[v, pos[x]] = d(v, x)
-        R[0] = self.wdepth[self.order]
-        cols = (inner, self.parent[inner], self.pos[inner], self.stop[inner], up[inner])
-        for v, p, a, b, w in zip(*(c.tolist() for c in cols)):
+        R = np.empty((self.n, self.n), dtype=np.int32)  # R[v, pos[x]] = d(v, x)
+        R[0] = self.depth[self.order]
+        cols = (inner, self.parent[inner], self.pos[inner], self.stop[inner])
+        for v, p, a, b in zip(*(c.tolist() for c in cols)):
             row = R[v]
-            np.add(R[p], w, out=row)
+            np.add(R[p], 1, out=row)
             run = row[a:b]
-            np.subtract(run, 2 * w, out=run)
-        R[leaf] = R[self.parent[leaf]] + up[leaf, None]
+            np.subtract(run, 2, out=run)
+        R[leaf] = R[self.parent[leaf]] + 1
         R[leaf, self.pos[leaf]] = 0
         return R[:, self.pos]
 

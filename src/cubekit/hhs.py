@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import UnitGraph
 from .jsonio import expect, flat_int_rows, ints, member
-from .median import BLOCK, _blockwise  # noqa: F401  (BLOCK is re-exported)
+from .median import _blockwise
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
 
 REL_NESTED = "nested"      # self is strictly nested in other
@@ -92,10 +92,7 @@ class SetRows:
         return len(self.members) if self.offsets is None else len(self.offsets) - 1
 
     def __getitem__(self, x):
-        """Row x: its sorted members, a slice of `members`; a slice of rows
-        is a table of those rows."""
-        if isinstance(x, slice):
-            return SetRows.from_rows([self[i] for i in range(len(self))[x]])
+        """Row x: its sorted members, a slice of `members`."""
         if self.offsets is None:
             return self.members[x, None]
         x = range(len(self))[x]  # an IndexError past the end, as a sequence gives
@@ -116,11 +113,9 @@ class SetRows:
         """Where each row begins in `members`."""
         return np.arange(len(self)) if self.offsets is None else self.offsets[:-1]
 
-    def image(self, rows=None) -> np.ndarray:
-        """The sorted distinct members of the given rows (of all when None)."""
-        if rows is None:
-            return np.unique(self.members)
-        return np.unique(np.concatenate([self[x] for x in rows]))
+    def image(self) -> np.ndarray:
+        """The sorted distinct members of all rows."""
+        return np.unique(self.members)
 
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """(M, ok): row x of the matrix M starts with row x's members, marked
@@ -250,6 +245,17 @@ class HHSInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "HHSInstance":
+        """The instance of the JSON object `data`.  The ambient graph is
+        parsed first, and a domain space equal to a graph parsed before it
+        is that graph: a tree domain over the ambient tree shares its
+        `TreeIndex` and distance matrix."""
+        graphs: dict[UnitGraph, UnitGraph] = {}
+
+        def graph(d: dict, path: str) -> UnitGraph:
+            g = UnitGraph.from_dict(d, path)
+            return graphs.setdefault(g, g)
+
+        ambient = graph(member(data, "ambient", dict), "ambient")
         domains = []
         for i, dd in enumerate(member(data, "domains", list)):
             dom = f"domains[{i}]"
@@ -259,18 +265,14 @@ class HHSInstance:
             domains.append(
                 Domain(
                     id=member(dd, "id", str, dom),
-                    space=UnitGraph.from_dict(member(dd, "space", dict, dom), f"{dom}.space"),
+                    space=graph(member(dd, "space", dict, dom), f"{dom}.space"),
                     pi=SetRows(*flat_int_rows(member(dd, "pi", list, dom), f"{dom}.pi")),
                     rel={str(k): str(v) for k, v in member(dd, "rel", dict, dom).items()},
                     rho={str(k): frozenset(ints(s, f"{dom}.rho.{k}")) for k, s in rho.items()},
                     rho_map={str(k): SetRows(*flat_int_rows(v, f"{dom}.rho_map.{k}")) for k, v in rho_map.items()},
                 )
             )
-        return HHSInstance(
-            ambient=UnitGraph.from_dict(member(data, "ambient", dict), "ambient"),
-            domains=tuple(domains),
-            E=member(data, "E", int),
-        )
+        return HHSInstance(ambient=ambient, domains=tuple(domains), E=member(data, "E", int))
 
 
 # ---------------------------------------------------------------------------

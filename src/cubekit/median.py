@@ -203,6 +203,8 @@ class MedianAlgebra:
 # m(a[i], b_arr[i], c[i]), stays on both classes all the same: the Helly
 # point reads it through `MedianAlgebra.median`, tests check it against
 # brute-force medians, and perfbench's tracer counts the rows it is given.
+# MedianAlgebra scans the intervals of its metric for it; TreeProduct asks
+# each factor's `TreeIndex.median`, again with no n x n table.
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:

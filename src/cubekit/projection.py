@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import TreeIndex, UnitGraph, gate_map, integer_distance_matrix
+from .graphs import UnitGraph, gate_map, integer_distance_matrix
 from .jsonio import ShapeError, as_number, at, encode_number, expect, ints, member, number
 
 
@@ -194,7 +194,9 @@ class QuasiTreeSpace:
     `edges`; `build_quasitree` hands over the one it built to check
     connectivity, the piece itself when there is one piece.  A tree whose
     edges all measure 1 in units of 1/scale is measured through that graph:
-    its `tree_index` is the graph's, so no second index of it is built."""
+    its `tree_index` is the graph's, so no second index of it is built.
+    Every other glued space, a tree with a longer edge among them, is
+    measured by its `distance_matrix`."""
 
     system: ProjectionSystem
     K: Number
@@ -224,29 +226,19 @@ class QuasiTreeSpace:
         return UnitGraph(self.n, tuple((u, v) for u, v, _ in self.edges))
 
     @cached_property
-    def tree_index(self) -> TreeIndex | None:
-        """The `TreeIndex` of the glued space, on the scaled weights, when it
-        is a connected tree, else None: the graph's own when every scaled
-        weight is 1.  LCAs do not see weights."""
-        if not self.connected or len(self.edges) != self.n - 1:
-            return None
-        scaled = self._scaled_edges
-        if all(w == 1 for _, _, w in scaled):
+    def tree_index(self):
+        """The graph's `TreeIndex` when the glued space is a connected tree
+        whose scaled weights are all 1, else None."""
+        tree = self.connected and len(self.edges) == self.n - 1
+        if tree and all(w * self.scale == 1 for _, _, w in self.edges):
             return self.graph.tree_index
-        return TreeIndex(self.n, scaled)
-
-    @property
-    def _scaled_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, int(w * self.scale)) for u, v, w in self.edges]
+        return None
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Exact all-pairs distances in units of 1/scale, int64: from the
-        `tree_index` when the glued space is a tree, else from
+        """Exact all-pairs distances in units of 1/scale, int64, from
         `integer_distance_matrix` (-1 between components)."""
-        if self.tree_index is not None:
-            return self.tree_index.distance_matrix()
-        return integer_distance_matrix(self.n, self._scaled_edges)
+        return integer_distance_matrix(self.n, [(u, v, int(w * self.scale)) for u, v, w in self.edges])
 
     def dist(self, u: int, v: int) -> Number:
         d = int(self.distance_matrix[u, v])
@@ -265,11 +257,6 @@ class QuasiTreeSpace:
             "attachments": [list(a) for a in self.attachments],
             "connected": self.connected,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "QuasiTreeSpace":
-        system = ProjectionSystem.from_dict(member(d, "system", dict), "system")
-        return build_quasitree(system, number(d, "K"), number(d, "L"))
 
 
 def build_quasitree(s: ProjectionSystem, K, L) -> QuasiTreeSpace:

@@ -345,14 +345,13 @@ def oracle_codomain_median(distfn, n, a, b, c):
     return score.index(min(score)), True
 
 
-def oracle_orbit(n, doms, table=None):
+def oracle_orbit(n, doms):
     """Orbit table and slack of one colour class, one vertex at a time.
 
     `doms` lists (dist, pi, rho) per domain of the class, where rho[j] is the
-    shadow of the class's j-th domain in this one.  Unless a table is given,
-    vertex g goes to the least position V minimizing max over U != V of
-    d_U(pi_U(g), rho_U(V)); the slack is the largest such value at the
-    table's positions.
+    shadow of the class's j-th domain in this one.  Vertex g goes to the
+    least position V minimizing max over U != V of d_U(pi_U(g), rho_U(V));
+    the slack is the largest such value at the table's positions.
     """
     def worst(g, pos):
         vals = [
@@ -362,11 +361,10 @@ def oracle_orbit(n, doms, table=None):
         ]
         return max(vals, default=0)
 
-    if table is None:
-        table = []
-        for g in range(n):
-            vals = [worst(g, pos) for pos in range(len(doms))]
-            table.append(vals.index(min(vals)))
+    table = []
+    for g in range(n):
+        vals = [worst(g, pos) for pos in range(len(doms))]
+        table.append(vals.index(min(vals)))
     return table, max(worst(g, table[g]) for g in range(n))
 
 

@@ -199,14 +199,16 @@ def relabel_quasitree(q, perm):
     )
 
 
-def check_tree_approximate(q, max_roots=64):
-    res = tree_approximate(q, max_roots)
+def check_tree_approximate(q, max_roots=applications.MAX_ROOTS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(applications, "MAX_ROOTS", max_roots)
+        res = tree_approximate(q)
     root, add, mult, tree = oracle_tree_approximate(q.n, q.edges, max_roots)
     assert (res.root, res.additive, res.multiplicative) == (root, add, mult)
     assert list(res.tree.edges) == tree
     # the tree carries the metric it was scored on, the same as a fresh one
     assert "distance_matrix" in vars(res.tree)
-    if q.tree_index is None or any(w != 1 for _, _, w in q.edges):
+    if q.tree_index is None:
         # the search's winner; a unit tree shares the index of q's graph
         assert "tree_index" not in vars(res.tree)  # built on first use
     carried = res.tree.distance_matrix
@@ -282,10 +284,11 @@ def test_a_unit_tree_quasitree_returns_itself_without_the_search(q, max_roots):
 
 def test_a_tree_quasitree_with_longer_edges_goes_through_the_search(monkeypatch):
     # at L = 2 the glued space is still a tree, but its gluing edge weighs
-    # 2, so every root is scored and the distortion is measured
+    # 2, so it has no index, every root is scored and the distortion is
+    # measured
     pieces = (path_graph(4), random_tree(6, np.random.default_rng(3)))
     q = build_quasitree(ProjectionSystem(pieces, {(0, 1): {2}, (1, 0): {5}}, 0), 10**6, 2)
-    assert q.tree_index is not None and len(q.edges) == q.n - 1
+    assert q.connected and len(q.edges) == q.n - 1 and q.tree_index is None
     scored = counting_tree_metrics(monkeypatch)
     res = check_tree_approximate(q)
     assert scored and res.additive == 1

@@ -409,6 +409,9 @@ FIXTURES = {
     # closures past the size of the unit tests: one grows (spider), one is large
     "spider-large": ["spider-axes", "--legs", "12", "--leg-length", "20", "--tree-domain"],
     "tree-300": ["tree-axes", "--n", "300"],
+    # two axes and the tree: at L != 1 the quasitree of the axes is a tree
+    # with an edge longer than 1, measured as every weighted quasitree is
+    "spider-4": ["spider-axes", "--legs", "4", "--leg-length", "5", "--tree-domain"],
 }
 
 # 3x4 grid (median) and K_{2,3} (not median), as graph JSON
@@ -451,6 +454,9 @@ CASES = {
     "df-check-tree-300": ["df-check", "--in", "{tree-300}", "--s", "1300", "--samples", "2000"],
     "psi-tree-300": ["psi", "--in", "{tree-300}", "--samples", "2000"],
     "pack-tree-300": ["pack", "--in", "{tree-300}", "--R", "3"],
+    "psi-spider-4-fraction": ["psi", "--in", "{spider-4}", "--samples", "40", "--L", "3/2"],
+    "promote-spider-4-L2": ["promote", "--in", "{spider-4}", "--L", "2"],
+    "helly-spider-4-L2": ["helly", "--in", "{spider-4}", "--R", "5", "--L", "2"],
     "missing-input": ["validate", "--in", "{missing}"],
     "unknown-subcommand": ["frobnicate"],
 }
@@ -464,6 +470,7 @@ PINS = {
     "gen-q3": (0, "304547cddc539efcfd1a499410ceea7196e41fc4f5d4ffb4ea8d2ad9d9f2865c"),
     "gen-spider-large": (0, "2e8c7e87a750d78a8b5327fd9b4b44fc56eaa564b18d8259391ba50a89ef7de6"),
     "gen-tree-300": (0, "340eaad2845d9a5dc966c4216fec1006390de5586ef675d4766ed4de87bea43a"),
+    "gen-spider-4": (0, "7dd36685612861fa58ebc95b82cc7575fc53f26810a9f47c334fb6c0af18b91c"),
     "validate-tree": (0, "4f53fb8fdd29356f3778cbdfc5c3e19214d5a4bea1079a65f411b693bb1af5b6"),
     "validate-lines": (0, "f4bb296dd1a7afc4576887c67e59491043e31a0fd63f61375b56f1621735feee"),
     "validate-spider": (0, "b452dd80299acf18f5a19c9a67a93ec2f88e33e3c6b16f6b4239b759a4f4c5c3"),
@@ -490,6 +497,9 @@ PINS = {
     "df-check-tree-300": (0, "abfb1ee62a61840cd72cb3f8a51a4933f38240967c207fceb562e17bbc5acc3b"),
     "psi-tree-300": (0, "9f427baa60df8e5d6439702eb899cfabd09bccab622c1247f8b246f877e67f29"),
     "pack-tree-300": (0, "4f381a8caf753c1cfac958be33173326beca7dda928ff8f2f4ed97ce9f97c7f0"),
+    "psi-spider-4-fraction": (0, "b8000a961ed71061090a44d8554592197ca48bc635622440882160b85e1288c9"),
+    "promote-spider-4-L2": (0, "7523b100f8f523b207de5ad063824d7faba057c8af3262f2b688f126c2fbffa6"),
+    "helly-spider-4-L2": (0, "031f2d739b75007d39cdcc05342127f43ad9918aa51e8f7b2db09ac131bb285c"),
     "missing-input": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "unknown-subcommand": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }

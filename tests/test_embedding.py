@@ -28,7 +28,6 @@ from cubekit.embedding import (
 from cubekit.fixtures import tree_with_axes
 from cubekit.graphs import grid_graph, path_graph
 from cubekit.hhs import (
-    BLOCK,
     REL_ORTH,
     Domain,
     HHSInstance,
@@ -37,6 +36,7 @@ from cubekit.hhs import (
     hhs_median,
     projection_sum,
 )
+from cubekit.median import BLOCK
 from cubekit.projection import ProjectionError
 from helpers import (
     oracle_all_dists,
@@ -197,8 +197,8 @@ def oracle_class(h, cls):
 
 
 @PROPERTY
-@given(axes_instances(), st.data())
-def test_orbit_table_and_slack_match_the_per_vertex_loop(h, data):
+@given(axes_instances())
+def test_orbit_table_and_slack_match_the_per_vertex_loop(h):
     cs = coloured(h, 1)
     slack = 0
     for ci, cls in enumerate(cs.class_ids):
@@ -206,17 +206,6 @@ def test_orbit_table_and_slack_match_the_per_vertex_loop(h, data):
         assert cs.orbit[ci] == tuple(table)
         slack = max(slack, s)
     assert cs.orbit_slack == slack
-
-    orbit = [
-        [data.draw(st.sampled_from(cls)) for _ in range(h.n)] for cls in cs.class_ids
-    ]
-    given_cs = build_coloured_system(h, cs.colouring, cs.quasitrees[0].K, 1, orbit=orbit)
-    slack = 0
-    for ci, cls in enumerate(cs.class_ids):
-        table = [cls.index(u) for u in orbit[ci]]
-        assert given_cs.orbit[ci] == tuple(table)
-        slack = max(slack, oracle_orbit(h.n, oracle_class(h, cls), table)[1])
-    assert given_cs.orbit_slack == slack
 
 
 @PROPERTY

@@ -130,11 +130,11 @@ def weighted_trees(draw, max_n=40, max_w=1):
 
 
 @PROPERTY
-@given(weighted_trees(max_w=1) | weighted_trees(max_w=4))
+@given(weighted_trees(max_w=1))
 def test_tree_kernel_matches_scipy(tree):
     n, edges = tree
-    D = TreeIndex(n, edges).distance_matrix()
-    assert D.dtype == np.int64
+    D = TreeIndex(n, [(u, v) for u, v, _ in edges]).distance_matrix()
+    assert D.dtype == np.int32
     assert (D == scipy_distances(n, edges)).all()
 
 
@@ -149,13 +149,13 @@ def test_tree_graph_distances_match_bfs(tree):
 
 def test_tree_kernel_on_one_and_two_vertices():
     assert TreeIndex(1, []).distance_matrix().tolist() == [[0]]
-    assert TreeIndex(2, [(1, 0, 3)]).distance_matrix().tolist() == [[0, 3], [3, 0]]
+    assert TreeIndex(2, [(1, 0)]).distance_matrix().tolist() == [[0, 1], [1, 0]]
     assert UnitGraph(2, ((0, 1),)).distance_matrix.tolist() == [[0, 1], [1, 0]]
 
 
 def test_tree_kernel_refuses_a_wrong_edge_count():
     with pytest.raises(GraphError):
-        TreeIndex(3, [(0, 1, 1)]).distance_matrix()
+        TreeIndex(3, [(0, 1)]).distance_matrix()
 
 
 def test_tree_kernel_runs_a_long_path_without_recursion():
@@ -164,7 +164,7 @@ def test_tree_kernel_runs_a_long_path_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        D = TreeIndex(n, [(i, i + 1, 1) for i in range(n - 1)]).distance_matrix()
+        D = TreeIndex(n, [(i, i + 1) for i in range(n - 1)]).distance_matrix()
     finally:
         sys.setrecursionlimit(limit)
     line = np.arange(n)
@@ -192,7 +192,7 @@ def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
     assert (exc.value.u, exc.value.v) == tuple(old.tolist())
     if len(edges) == n - 1:
         with pytest.raises(DisconnectedGraphError) as exc:
-            TreeIndex(n, [(u, v, 1) for u, v in edges]).distance_matrix()
+            TreeIndex(n, edges).distance_matrix()
         assert (exc.value.u, exc.value.v) == tuple(old.tolist())
 
 
@@ -200,10 +200,10 @@ def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
 
 
 @PROPERTY
-@given(weighted_trees(max_w=1) | weighted_trees(max_w=4), st.data())
+@given(weighted_trees(max_w=1), st.data())
 def test_tree_index_queries_match_brute_force(tree, data):
     n, edges = tree
-    index = TreeIndex(n, edges)
+    index = TreeIndex(n, [(u, v) for u, v, _ in edges])
     paths = oracle_root_paths(n, edges)
     D = scipy_distances(n, edges)
     u, v = np.divmod(np.arange(n * n), n)
@@ -257,7 +257,7 @@ def test_tree_index_on_a_long_path_and_on_one_and_two_vertices():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        index = TreeIndex(n, [(i, i + 1, 1) for i in range(n - 1)])
+        index = TreeIndex(n, [(i, i + 1) for i in range(n - 1)])
     finally:
         sys.setrecursionlimit(limit)
     rng = np.random.default_rng(0)
@@ -270,9 +270,9 @@ def test_tree_index_on_a_long_path_and_on_one_and_two_vertices():
     one = TreeIndex(1, [])
     assert int(one.lca(0, 0)) == 0 and one.distance_matrix().tolist() == [[0]]
     assert int(one.dist(0, 0)) == 0 and int(one.median(0, 0, 0)) == 0
-    two = TreeIndex(2, [(1, 0, 3)])
+    two = TreeIndex(2, [(1, 0)])
     assert two.lca(np.arange(2)[:, None], np.arange(2)).tolist() == [[0, 0], [0, 1]]
-    assert two.dist([0, 1, 1], [1, 0, 1]).tolist() == [3, 3, 0]
+    assert two.dist([0, 1, 1], [1, 0, 1]).tolist() == [1, 1, 0]
     assert two.median([0, 1], [1, 1], [1, 0]).tolist() == [1, 1]
 
 
@@ -364,7 +364,7 @@ def expected_integer_distances(n, edges):
 
 
 @PROPERTY
-@given(weighted_graphs(max_w=1) | weighted_graphs(max_w=4))
+@given(weighted_graphs(max_w=1) | weighted_graphs(max_w=4) | weighted_trees(max_w=4))
 def test_integer_kernel_matches_scipy(graph):
     n, edges = graph
     D = integer_distance_matrix(n, edges)

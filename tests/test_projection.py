@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubekit.fixtures import random_axes_system
-from cubekit.graphs import UnitGraph, integer_distance_matrix, path_graph, spider_graph
+from cubekit.graphs import UnitGraph, path_graph, spider_graph
 from cubekit.projection import (
     ProjectionError,
     ProjectionSystem,
@@ -159,12 +159,12 @@ def test_fractional_length():
     s = two_piece_system(4, 4)
     q = build_quasitree(s, K=1, L=Fraction(3, 2))
     assert q.dist(q.offsets[0], q.offsets[1]) == Fraction(3, 2)
-    # the tree index serves a fractional L too, in units of 1/scale
-    assert q.scale == 2
-    u, v = np.arange(q.n)[:, None], np.arange(q.n)
-    assert (q.tree_index.dist(u, v) == q.distance_matrix).all()
+    # a tree with an edge of 3 halves has no index: its matrix, in halves,
+    # measures it
+    assert q.scale == 2 and q.tree_index is None
     dist = oracle_metric(q.n, q.edges)
     assert all(q.dist(a, b) == dist(a, b) for a in range(q.n) for b in range(q.n))
+    assert all(q.distance_matrix[a, b] == 2 * dist(a, b) for a in range(q.n) for b in range(q.n))
 
 
 # (system, K): tree quasitrees, then ones with cycles
@@ -182,11 +182,13 @@ QUASITREES = {
 def test_dist_matches_the_weighted_oracle_at_every_L(case, L):
     make, K = QUASITREES[case]
     q = build_quasitree(make(), K=K, L=L)
-    assert (q.tree_index is not None) == case.startswith(("two", "chain-gated"))
+    # only a tree of unit edges has an index
+    assert (q.tree_index is not None) == (case.startswith(("two", "chain-gated")) and L == 1)
     assert q.scale == Fraction(L).denominator
     dist = oracle_metric(q.n, q.edges)
     for a in range(q.n):
         assert [q.dist(a, b) for b in range(q.n)] == [dist(a, b) for b in range(q.n)]
+        assert q.distance_matrix[a].tolist() == [dist(a, b) * q.scale for b in range(q.n)]
 
 
 @pytest.mark.parametrize(
@@ -203,23 +205,28 @@ def test_refuses_L_beyond_exact_int64_distances(L):
 def test_tree_quasitree_index_reads_its_weighted_metric(L):
     q = build_quasitree(two_piece_system(5, 7, 2, 3), K=1, L=L)
     assert len(q.edges) == q.n - 1 and q.connected
-    u, v = np.arange(q.n)[:, None], np.arange(q.n)
-    assert (q.tree_index.dist(u, v) == integer_distance_matrix(q.n, q.edges)).all()
-    assert q.tree_index.dist(q.offsets[0] + 2, q.offsets[1] + 3) == L
-    assert (q.tree_index is q.graph.tree_index) == (L == 1)  # unit edges share the graph's
+    dist = oracle_metric(q.n, q.edges)
+    D = np.array([[dist(a, b) for b in range(q.n)] for a in range(q.n)])
+    assert (q.distance_matrix == D).all() and q.dist(q.offsets[0] + 2, q.offsets[1] + 3) == L
+    if L == 1:  # unit edges: the graph's index, reading the same metric
+        assert q.tree_index is q.graph.tree_index
+        u, v = np.arange(q.n)[:, None], np.arange(q.n)
+        assert (q.tree_index.dist(u, v) == D).all()
+    else:  # a longer gluing edge: no index, the matrix measures the tree
+        assert q.tree_index is None
     # no index once the glued space has a cycle
     assert build_quasitree(tripod_system(3), K=5, L=L).tree_index is None
 
 
 @pytest.mark.parametrize("L", [Fraction(3, 2), 2], ids=str)
-def test_a_glued_tree_at_other_lengths_builds_its_own_scaled_index(L):
+def test_a_glued_tree_at_other_lengths_is_measured_by_its_scaled_matrix(L):
     q = build_quasitree(two_piece_system(5, 7, 2, 3), K=1, L=L)
-    assert q.tree_index is not None and q.tree_index is not q.graph.tree_index
-    scaled = [(u, v, int(w * q.scale)) for u, v, w in q.edges]
-    u, v = np.arange(q.n)[:, None], np.arange(q.n)
-    D = integer_distance_matrix(q.n, scaled)
-    assert (q.tree_index.dist(u, v) == D).all()
+    assert q.connected and len(q.edges) == q.n - 1 and q.tree_index is None
+    dist = oracle_metric(q.n, q.edges)
+    D = np.array([[int(dist(a, b) * q.scale) for b in range(q.n)] for a in range(q.n)])
     assert q.distance_matrix.dtype == np.int64 and (q.distance_matrix == D).all()
+    # the graph, lengths dropped, still has its unit index
+    assert q.graph.tree_index.dist(q.offsets[0] + 2, q.offsets[1] + 3) == 1
 
 
 # --- flat projections and distances -------------------------------------------
@@ -423,14 +430,3 @@ def test_system_json_roundtrip():
     s = tripod_system(3)
     assert ProjectionSystem.from_dict(s.to_dict()).proj == s.proj
 
-
-def test_quasitree_json_roundtrip(tripod_q):
-    import json
-
-    d = tripod_q.to_dict()
-    blob = json.dumps(d, sort_keys=True)
-    from cubekit.projection import QuasiTreeSpace
-
-    q2 = QuasiTreeSpace.from_dict(json.loads(blob))
-    assert q2.edges == tripod_q.edges
-    assert q2.attachments == tripod_q.attachments
