@@ -23,7 +23,6 @@ from .applications import (
     promote_to_cube_complex,
     tree_approximate,
 )
-from .cubes import CubeSkeleton
 from .embedding import (
     EmbeddingError,
     build_coloured_system,
@@ -41,7 +40,7 @@ from .hhs import (
     product_region,
     validate_instance,
 )
-from .jsonio import as_number, atomic_write, canonical_dumps, load_json
+from .jsonio import as_number, atomic_write, canonical_dumps, encode_rows, load_json
 from .median import MedianError, is_median_graph
 from .projection import (
     ProjectionError,
@@ -87,15 +86,6 @@ def _emit(report: dict, out: str | None) -> None:
         atomic_write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _skeleton_dict(c: CubeSkeleton) -> dict:
-    return {
-        "graph": c.graph.to_dict(),
-        "hyperplanes": c.hyperplane_lists(),
-        "halfspaces": c.halfspace_lists(),
-        "dimension": c.dimension,
-    }
 
 
 def _parser(cmd: str) -> argparse.ArgumentParser:
@@ -204,7 +194,7 @@ def cmd_dual(args) -> int:
     dual = dual_cube_complex(w)
     report = {
         "command": "dual",
-        "skeleton": _skeleton_dict(dual.skeleton),
+        "skeleton": dual.skeleton.to_dict(),
         "orientations": [list(o.sides) for o in dual.orientations],
         "exhaustive": True,  # the search lists every coherent orientation
     }
@@ -247,10 +237,10 @@ def cmd_df_check(args) -> int:
         "B": fit.B,
         "max_upper_slack": fit.max_upper_slack,
         "max_lower_slack": fit.max_lower_slack,
-        "sample_rows": [
-            {"pair": pair, "distance": d, "sum": s13}
-            for pair, d, s13 in zip(fit.pairs.tolist(), fit.distances.tolist(), fit.sums.tolist())
-        ],
+        "sample_rows": encode_rows(
+            '{"distance":%d,"pair":[%d,%d],"sum":%d}',
+            np.column_stack([fit.distances, fit.pairs, fit.sums]),
+        ),
     }
     _emit(report, a.out)
     return 0
@@ -291,7 +281,7 @@ def cmd_psi(args) -> int:
         "kappa_lower": emb.kappa_lower,
         "kappa_upper": emb.kappa_upper,
         "additive": emb.additive,
-        "pairs": emb.pairs.tolist(),
+        "pairs": encode_rows("[%d,%d]", emb.pairs),
         "quasimedian_max_defect": qm.max_defect,
         "quasimedian_histogram": [[k, v] for k, v in qm.histogram],
         "fallback_colours": list(qm.fallback_colours),
@@ -330,7 +320,7 @@ def cmd_promote(args) -> int:
         "isometric": res.isometric,
         "input_size": res.input_size,
         "closure_size": res.closure_size,
-        "skeleton": _skeleton_dict(res.skeleton),
+        "skeleton": res.skeleton.to_dict(),
     }
     _emit(report, a.out)
     return 0

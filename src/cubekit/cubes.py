@@ -6,11 +6,17 @@ bipartition; its two sides are convex halfspaces.  The classes of a graph
 come from one np.unique over the sides of its edges, or, for the dual of a
 wallspace, from the search that built it (`orientation_skeleton`): an
 edge's class is the wall it flips.  A `CubeSkeleton` keeps a label per
-edge and a side mask per class, and reads its report lists off them.
+edge and a side mask per class.  Its report (`CubeSkeleton.to_dict`) never
+lists them in Python: `jsonio.encode_rows` writes the hyperplanes from the
+label-sorted edge array, runs of edges per class, and the halfspaces from
+the side masks stacked two rows a class (vertex 0's side first), runs of
+vertices per side and two sides per class.  Those are most of a `promote`
+report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +24,7 @@ import numpy as np
 
 from .graphs import UnitGraph
 from .hhs import space_hull
+from .jsonio import encode_rows
 from .median import MedianAlgebra, _row_keys
 
 
@@ -52,12 +59,6 @@ def crossing_dimension(g: UnitGraph) -> int:
     return int(np.bincount(np.where(d0[u] < d0[v], v, u), minlength=1).max())
 
 
-def _runs(flat: list, counts: np.ndarray) -> list[list]:
-    """`flat` cut into consecutive runs of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-
 @dataclass(frozen=True, eq=False)
 class CubeSkeleton:
     """A median graph with its hyperplane classes, kept as arrays: edge i of
@@ -79,24 +80,37 @@ class CubeSkeleton:
     def n(self) -> int:
         return self.median.n
 
-    def hyperplane_lists(self) -> list[list[list[int]]]:
-        """Each class's edges, sorted, by one stable argsort of the labels."""
-        edges = self.graph.edge_array[np.argsort(self.label, kind="stable")].tolist()
-        return _runs(edges, np.bincount(self.label, minlength=len(self.sides)))
-
-    def halfspace_lists(self) -> list[list[list[int]]]:
-        """Each class's two sides as sorted vertex lists, vertex 0's first,
-        by np.nonzero on the masks."""
-        sides = [_runs(np.nonzero(s)[1].tolist(), s.sum(axis=1)) for s in (~self.sides, self.sides)]
-        return [list(pair) for pair in zip(*sides)]
-
     @cached_property
     def hyperplanes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple(map(tuple, h)) for h in self.hyperplane_lists())
+        """Each class's edges, sorted, by one stable argsort of the labels."""
+        edges = map(tuple, self.graph.edge_array[np.argsort(self.label, kind="stable")].tolist())
+        sizes = np.bincount(self.label, minlength=len(self.sides)).tolist()
+        return tuple(tuple(itertools.islice(edges, k)) for k in sizes)
 
     @cached_property
     def halfspaces(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-        return tuple((frozenset(a), frozenset(b)) for a, b in self.halfspace_lists())
+        """Each class's two sides, vertex 0's first, off its mask."""
+        return tuple(
+            (frozenset(np.flatnonzero(~s).tolist()), frozenset(np.flatnonzero(s).tolist())) for s in self.sides
+        )
+
+    def to_dict(self) -> dict:
+        """The skeleton's report: the graph, the dimension and, written by
+        `encode_rows` straight from the arrays, each class's sorted edges
+        (the label-sorted `edge_array`) and its two sorted sides, vertex 0's
+        first (the stacked masks, two rows a class)."""
+        sides = np.stack([~self.sides, self.sides], axis=1).reshape(-1, self.n)
+        members = np.flatnonzero(sides)
+        members %= self.n  # the vertex of each member, in place: one int64 array, not nonzero's two
+        order = np.argsort(self.label, kind="stable")
+        return {
+            "graph": self.graph.to_dict(),
+            "hyperplanes": encode_rows(
+                "[%d,%d]", self.graph.edge_array[order], np.bincount(self.label, minlength=len(self.sides))
+            ),
+            "halfspaces": encode_rows("%d", members, sides.sum(axis=1), np.full(len(self.sides), 2)),
+            "dimension": self.dimension,
+        }
 
 
 def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:

@@ -6,6 +6,16 @@ Identical in-memory reports serialize to identical bytes, in one C-level
 `json.dumps` where no float or non-str key needs the exact path
 (`canonical_dumps`).  An input value of the wrong kind is a `ShapeError`
 that names its path in the document, such as `domains[2].pi[0]`.
+
+The big int tables of a report (sampled rows, pairs, hyperplanes and
+halfspaces) never become Python lists.  `encode_rows` writes a table
+straight from its int64 array as JSON text: each row is a literal template
+with `%d` slots, such as `[%d,%d]`, optionally nested in groups of runs of
+rows, and the rows are %-formatted in blocks of `_BLOCK` members, so only
+one block's Python ints are alive at once.  The text is an `Encoded`
+fragment: `canonical_dumps` sorts the keys around it and splices its text
+in as is, and `jsonable` decodes it with `json.loads`, so the exact path and
+any independent re-encoding see plain lists.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,11 +55,70 @@ def encode_number(x):
     raise TypeError(f"not a number: {x!r}")
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A JSON value already written as canonical text (sorted keys, no
+    spaces, no floats), spliced into `canonical_dumps` as is."""
+
+    text: str
+
+
+_BLOCK = 1 << 20  # members %-formatted per block
+
+
+def encode_rows(template: str, table, *groups: np.ndarray) -> Encoded:
+    """The JSON array of the rows of an int table, each row written as
+    `template`, a literal with one `%d` per column (`[%d,%d]`, or `%d` for a
+    flat array, one member a row).
+
+    `groups` nests the rows: the first gives the sizes of consecutive runs
+    of rows, each run wrapped in `[...]`; the next the sizes of consecutive
+    runs of those runs; and so on.  Every size is positive and each level's
+    sizes add up to the count of the level below.  A row's text is its
+    template with one `[` per run it opens, one `]` per run it closes and a
+    comma, so a block of about `_BLOCK` members is one %-format of its rows'
+    joined texts over its values.
+    """
+    flat = np.asarray(table, dtype=np.int64).reshape(-1)
+    slots = template.count("%d")
+    rows = len(flat) // slots
+    depth = len(groups) + 1
+    # a row's text is texts[opens * depth + closes], its code
+    texts = np.array(
+        ["[" * o + template + "]" * c + "," for o in range(depth) for c in range(depth)], dtype=object
+    )
+    marks = []  # (the rows that open, or close, one run of a level; their weight in the code)
+    first = last = np.arange(rows)  # the first and the last row of each run of the level below
+    for sizes in groups:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if (sizes < 1).any() or int(sizes.sum()) != len(first):
+            raise ValueError(f"group sizes {sizes.tolist()} do not cut {len(first)} runs")
+        ends = np.cumsum(sizes)
+        first, last = first[ends - sizes], last[ends - 1]
+        marks += [(first, depth), (last, 1)]
+    step = max(1, _BLOCK // slots)
+    out = ["["]
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        code = np.zeros(b - a, dtype=np.int64)
+        for at, weight in marks:
+            cut = at[np.searchsorted(at, a) : np.searchsorted(at, b)] - a
+            code += weight * np.bincount(cut, minlength=b - a)
+        out.append("".join(texts[code].tolist()) % tuple(flat[a * slots : b * slots].tolist()))
+    if rows:
+        out[-1] = out[-1][:-1]  # the last row's comma
+    out.append("]")
+    return Encoded("".join(out))
+
+
 def jsonable(obj):
-    """Recursively convert values (numpy, Fraction, sets) to JSON-safe types."""
+    """Recursively convert values (numpy, Fraction, sets) to JSON-safe types;
+    an `Encoded` fragment is decoded."""
     t = type(obj)
     if t is int or t is str:  # most scalars of a report; type(True) is bool
         return obj
+    if t is Encoded:
+        return json.loads(obj.text)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,17 +135,37 @@ def jsonable(obj):
 
 
 _FLOAT_MARKS = (".", "e+", "e-")  # in the repr of any finite float, never of an int
+_SLOT = "\x00"  # stands in for a fragment in the encoder's input
+_SLOT_TEXT = json.dumps(_SLOT)  # and in its output
 
 
 def canonical_dumps(obj) -> str:
     """json.dumps(jsonable(obj)), key-sorted and spaceless, and a newline, in
-    one C-level json.dumps with `jsonable` as its hook.  A float mark in the
-    text (even in a string), a NaN (ValueError) or keys mixing str with
-    others (TypeError) send obj down the exact path.  Keys must be str."""
+    one C-level json.dumps with `jsonable` as its hook.  Each `Encoded`
+    fragment is written as a placeholder string, in text order, and its text
+    is spliced in at the placeholder afterwards; the float-mark scan reads
+    only the text around the fragments.  A float mark there (even in a
+    string), a NaN (ValueError), keys mixing str with others (TypeError) or
+    a placeholder's text met in a string send obj down the exact path, where
+    `jsonable` decodes the fragments.  Keys must be str."""
+    fragments = []
+
+    def hook(value):
+        if type(value) is Encoded:
+            fragments.append(value.text)
+            return _SLOT
+        return jsonable(value)
+
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=jsonable, allow_nan=False)
-        if not any(mark in text for mark in _FLOAT_MARKS):
-            return text + "\n"
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=hook, allow_nan=False)
+        parts = text.split(_SLOT_TEXT)
+        if len(parts) == len(fragments) + 1 and not any(
+            mark in part for part in parts for mark in _FLOAT_MARKS
+        ):
+            spliced = [parts[0]]
+            for fragment, part in zip(fragments, parts[1:]):
+                spliced += (fragment, part)
+            return "".join([*spliced, "\n"])
     except (TypeError, ValueError):
         pass
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"

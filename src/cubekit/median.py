@@ -224,6 +224,9 @@ def row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(keys[at] == wanted, at, -1)
 
 
+_GRAM_EXACT = 1 << 24  # float32 holds every count up to this many points
+
+
 def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coherent orientations of the walls of H, and the flips between them.
 
@@ -239,12 +242,16 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that count as an integer row, and a flip of w adds row w of a fixed
     (walls x walls) step matrix to its parent's row.  An orientation of
     layer d + 1 is one flip from layer d and none from an earlier layer, so
-    one np.unique per layer drops repeats.  Returns (O, flips): O[i, w] is
+    one np.unique per layer drops repeats.  The Gram matrix is formed in
+    float32, whose integers are exact up to 2^24: more points than that are
+    a MedianError, not a float64 product.  Returns (O, flips): O[i, w] is
     the side orientation i picks of wall w, layer by layer from row 0; the
     rows (i, j) of flips are the dual's edges, j in the later layer.
     """
-    A = np.asarray(H, dtype=np.float64).T
-    gram = A @ A.T  # gram[v, w]: points on side 1 of both v and w
+    if len(H) > _GRAM_EXACT:
+        raise MedianError(f"{len(H)} points: the orientation search counts at most 2^24 exactly")
+    A = np.asarray(H, dtype=np.float32).T
+    gram = A @ A.T  # gram[v, w]: points on side 1 of both v and w, exact in float32
     # inside0[v, w]: side 0 of v lies in side 0 of w, as side 1 of w lies in
     # side 1 of v; side 1 of v does when gram[v, w] = 0.  So an orientation
     # O blocks the flip of wall w by (column w of inside0).sum() + (O @ step)[w]

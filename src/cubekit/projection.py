@@ -195,8 +195,8 @@ class QuasiTreeSpace:
     connectivity, the piece itself when there is one piece.  A tree whose
     edges all measure 1 in units of 1/scale is measured through that graph:
     its `tree_index` is the graph's, so no second index of it is built.
-    Every other glued space, a tree with a longer edge among them, is
-    measured by its `distance_matrix`."""
+    Every other glued space is measured by its `distance_matrix`, which for
+    a tree whose edges all measure one w is w times the graph's."""
 
     system: ProjectionSystem
     K: Number
@@ -226,18 +226,28 @@ class QuasiTreeSpace:
         return UnitGraph(self.n, tuple((u, v) for u, v, _ in self.edges))
 
     @cached_property
-    def tree_index(self):
-        """The graph's `TreeIndex` when the glued space is a connected tree
-        whose scaled weights are all 1, else None."""
-        tree = self.connected and len(self.edges) == self.n - 1
-        if tree and all(w * self.scale == 1 for _, _, w in self.edges):
-            return self.graph.tree_index
+    def tree_weight(self) -> int | None:
+        """The scaled weight w of every edge when the glued space is a
+        connected tree whose scaled weights all equal w (1 without edges),
+        else None."""
+        weights = {int(w * self.scale) for w in {w for _, _, w in self.edges}}
+        if self.connected and len(self.edges) == self.n - 1 and len(weights) <= 1:
+            return weights.pop() if weights else 1
         return None
 
     @cached_property
+    def tree_index(self):
+        """The graph's `TreeIndex` when the glued space is a connected tree
+        whose scaled weights are all 1, else None."""
+        return self.graph.tree_index if self.tree_weight == 1 else None
+
+    @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Exact all-pairs distances in units of 1/scale, int64, from
-        `integer_distance_matrix` (-1 between components)."""
+        """Exact all-pairs distances in units of 1/scale, int64 (-1 between
+        components): w times the graph's distance matrix for a tree with one
+        scaled weight w, else from `integer_distance_matrix`."""
+        if self.tree_weight is not None:
+            return np.multiply(self.graph.distance_matrix, self.tree_weight, dtype=np.int64)
         return integer_distance_matrix(self.n, [(u, v, int(w * self.scale)) for u, v, w in self.edges])
 
     def dist(self, u: int, v: int) -> Number:

@@ -676,6 +676,26 @@ def convex_hull(c, S):
     return frozenset(np.flatnonzero((c.sides[whole] == on[whole, :1]).all(axis=0)).tolist())
 
 
+def _runs(flat: list, counts) -> list[list]:
+    """`flat` cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def hyperplane_lists(c) -> list[list[list[int]]]:
+    """Each class's sorted edges of the `CubeSkeleton` c, as the report
+    once listed them: by one stable argsort of the labels."""
+    edges = c.graph.edge_array[np.argsort(c.label, kind="stable")].tolist()
+    return _runs(edges, np.bincount(c.label, minlength=len(c.sides)))
+
+
+def halfspace_lists(c) -> list[list[list[int]]]:
+    """Each class's two sides of the `CubeSkeleton` c as sorted vertex
+    lists, vertex 0's first, as the report once listed them."""
+    sides = [_runs(np.nonzero(s)[1].tolist(), s.sum(axis=1)) for s in (~c.sides, c.sides)]
+    return [list(pair) for pair in zip(*sides)]
+
+
 def principal_orientation(w, x):
     """Orient every wall toward the side containing the ground point x."""
     return Orientation(tuple(0 if x in l else 1 for l, _ in w.walls))

@@ -245,6 +245,14 @@ def test_closure_of_the_whole_grid_is_its_dual():
     assert (found[flips[:, 0]] <= found[flips[:, 1]]).all()
 
 
+def test_orientation_search_refuses_more_points_than_float32_counts():
+    # the Gram matrix is float32, exact up to 2^24 points; one more is refused
+    # before any product is formed
+    H = np.zeros((2**24 + 1, 1), dtype=bool)
+    with pytest.raises(MedianError, match=r"16777217 points: .* at most 2\^24"):
+        orientation_search(H)
+
+
 def test_row_index_finds_rows_and_marks_the_rest():
     table = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=bool)
     rows = np.array([[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]], dtype=bool)

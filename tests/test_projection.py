@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cubekit.fixtures import random_axes_system
 from cubekit.graphs import UnitGraph, path_graph, spider_graph
+from cubekit import projection
 from cubekit.projection import (
     ProjectionError,
     ProjectionSystem,
@@ -227,6 +228,21 @@ def test_a_glued_tree_at_other_lengths_is_measured_by_its_scaled_matrix(L):
     assert q.distance_matrix.dtype == np.int64 and (q.distance_matrix == D).all()
     # the graph, lengths dropped, still has its unit index
     assert q.graph.tree_index.dist(q.offsets[0] + 2, q.offsets[1] + 3) == 1
+
+
+@pytest.mark.parametrize("L", [Fraction(3, 2), Fraction(1, 3)], ids=str)
+def test_a_tree_of_one_scaled_weight_is_its_graph_times_that_weight(L, monkeypatch):
+    # one piece: every edge weighs scale units, so no Dial search is run
+    tree = spider_graph(4, 5)
+    q = build_quasitree(ProjectionSystem((tree,), {}), K=1, L=L)
+    assert q.tree_weight == q.scale > 1 and q.tree_index is None
+    monkeypatch.setattr(projection, "integer_distance_matrix", None)
+    D = q.distance_matrix
+    dist = oracle_metric(q.n, q.edges)
+    assert D.dtype == np.int64 and (D == q.scale * tree.distance_matrix).all()
+    assert all(D[a, b] == dist(a, b) * q.scale for a in range(q.n) for b in range(q.n))
+    # two weights in one tree: no one weight, the matrix comes from Dial's search
+    assert build_quasitree(two_piece_system(5, 7, 2, 3), K=1, L=L).tree_weight is None
 
 
 # --- flat projections and distances -------------------------------------------
