@@ -7,7 +7,6 @@ runs.
 from .graphs import (
     UnitGraph,
     grid_graph,
-    hypercube_graph,
     path_graph,
     random_tree,
 )
@@ -24,7 +23,6 @@ from .walls import (
     Orientation,
     Wallspace,
     dual_cube_complex,
-    walls_of_skeleton,
 )
 from .projection import (
     ProjectionSystem,

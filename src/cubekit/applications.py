@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubes import CubeSkeleton, crossing_dimension, helly_intersection, orientation_skeleton
+from .cubes import CubeSkeleton, helly_intersection, orientation_skeleton
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
 from .graphs import UnitGraph, maximal_cliques, tree_metrics
 from .hhs import HHSInstance, space_hull
-from .median import MedianAlgebra, connectify_and_close_in, row_index
+from .median import connectify_and_close_in, row_index
 from .projection import QuasiTreeSpace
 
 
@@ -32,11 +32,11 @@ class TreeProduct:
     """Virtual median graph: the product of factor trees under the l1 metric.
 
     Vertices are mixed-radix encoded tuples, factor 0 the most significant
-    digit.  Implements the median-space protocol of `median`.  A step from
-    u toward v moves one differing coordinate one edge toward v, as the
-    factor's `TreeIndex.toward` says (its parent, or the child whose subtree
-    holds the target; no n x n `next_hop` table is built); `toward` takes
-    the least such id.  Medians are computed factorwise: each factor is a
+    digit.  It is the one median space of the package (see "the median
+    space" in `median`).  A step from u toward v moves one differing
+    coordinate one edge toward v, as the factor's `TreeIndex.toward` says
+    (its parent, or the child whose subtree holds the target; no n x n
+    table is built); `toward` takes the least such id.  Medians are computed factorwise: each factor is a
     tree, and its median is the XOR of the three pairwise lowest common
     ancestors, which the factor's `TreeIndex.median` climbs to; no n x n
     table of ancestors is built.  The walls are the factor trees' edges,
@@ -89,7 +89,9 @@ class TreeProduct:
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr; `a` and `c` are each a
         vertex or an array aligned with b_arr.  The median is taken factor
-        by factor, by the factor's `TreeIndex.median`."""
+        by factor, by the factor's `TreeIndex.median`.  No subcommand calls
+        it: perfbench's tracer patches it, and it goes once the tracer stops
+        patching."""
         ca, cb, cc = (self.decode_bulk(x) for x in (a, b_arr, c))
         meds = 0
         for f, s, xa, xb, xc in zip(self.factors, self.sizes, ca, cb, cc):
@@ -292,9 +294,14 @@ def coarse_helly_experiment(
     cs: ColouredSystem, psi: PsiImage, sets, R: int, trees: list[TreeApproxResult]
 ) -> HellyExperimentResult:
     """Push pairwise-close sets through the pipeline, intersect their inflated
-    convex images factorwise, and pull the common point back.  The families
-    and the psi maps are int arrays: the pull-back is one argmin over the
-    summed tree distances of every ambient vertex, the least vertex winning
+    convex images factorwise, and pull the common point back.  Each factor
+    is a tree: the convex image of a set is the subtree it spans
+    (`hhs.space_hull`), the common point the tree's Helly point
+    (`cubes.helly_intersection`), and the hull bound, the rank times the
+    inflation, is the inflation: a tree's rank is 1 (on one vertex every
+    distance is 0).  The families and the
+    psi maps are int arrays: the pull-back is one argmin over the summed
+    tree distances of every ambient vertex, the least vertex winning
     ties."""
     h = cs.instance
     DG = h.dist
@@ -314,19 +321,15 @@ def coarse_helly_experiment(
     r_infl = (worst + 1) // 2
     helly_points = []
     hull_bound_ok = True
-    for ci in range(cs.chi):
-        tree = tgraphs[ci]
-        tdist = tdists[ci]
-        # a tree is a median graph, so it needs no recognition or class pass
-        median = MedianAlgebra(tree, crossing_dimension(tree))
+    for ci, (tree, tdist) in enumerate(zip(tgraphs, tdists)):
         inflated = []
         for hv in hulls[ci]:
             ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
             hull = np.flatnonzero(space_hull(tree, ball))
-            if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > median.rank * r_infl:
+            if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > r_infl:
                 hull_bound_ok = False
             inflated.append(hull)
-        res = helly_intersection(median, inflated)
+        res = helly_intersection(tree, inflated)
         if not res.found:
             raise EmbeddingError(
                 f"inflated images in colour {ci} fail to intersect (pair {res.witness_pair})"

@@ -146,13 +146,9 @@ def cmd_gen_fixture(args) -> int:
     elif a.kind == "axes-system":
         data = fixtures.random_axes_system(a.n, a.lines, a.seed).to_dict()
     else:
-        from .cubes import hyperplane_decomposition
-        from .graphs import hypercube_graph
-        from .median import MedianAlgebra
-        from .walls import walls_of_skeleton
-
-        skel = hyperplane_decomposition(MedianAlgebra.from_graph(hypercube_graph(3)))
-        data = walls_of_skeleton(skel).to_dict()
+        # the walls of the 3-cube: {v : bit b of v is 0} against the rest
+        sides = [frozenset(v for v in range(8) if not v >> b & 1) for b in range(3)]
+        data = Wallspace(8, tuple((s, frozenset(range(8)) - s) for s in sides)).to_dict()
     _emit(data, a.out)
     return 0
 

@@ -1,17 +1,19 @@
-"""Hyperplane structure on median graphs: halfspaces, dimension,
-convexity and the Helly property.
+"""Hyperplane structure of the dual median graph of a wallspace, and the
+Helly property of subtrees.
 
 An edge class (hyperplane) is the set of edges inducing the same vertex
-bipartition; its two sides are convex halfspaces.  The classes of a graph
-come from one np.unique over the sides of its edges, or, for the dual of a
-wallspace, from the search that built it (`orientation_skeleton`): an
+bipartition; its two sides are convex halfspaces.  The package builds one
+kind of median graph that is not a tree: the dual of a wallspace, from the
+search that lists its orientations (`orientation_skeleton`), where an
 edge's class is the wall it flips.  A `CubeSkeleton` keeps a label per
 edge and a side mask per class.  Its report (`CubeSkeleton.to_dict`) never
 lists them in Python: `jsonio.encode_rows` writes the hyperplanes from the
 label-sorted edge array, runs of edges per class, and the halfspaces from
 the side masks stacked two rows a class (vertex 0's side first), runs of
 vertices per side and two sides per class.  Those are most of a `promote`
-report.
+report.  Helly (`helly_intersection`) runs on a tree, the approximation of
+one quasitree: its convex sets are subtrees, read off the tree's
+`TreeIndex` (`hhs.space_hull`), and its median is the index's.
 """
 
 from __future__ import annotations
@@ -25,38 +27,11 @@ import numpy as np
 from .graphs import UnitGraph
 from .hhs import space_hull
 from .jsonio import encode_rows
-from .median import MedianAlgebra, _row_keys
+from .median import MedianAlgebra
 
 
 class ConvexityError(ValueError):
     pass
-
-
-def _edge_classes(g: UnitGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-classes of g: an edge (u, v) splits off the vertices nearer u
-    than v, XORed with vertex 0's side, and equal splits are one class.
-    Returns the class label of each edge and the (classes x n) side masks."""
-    D = g.distance_matrix
-    u, v = g.edge_array.T
-    sides = (D[:, u] < D[:, v]) ^ (D[0, u] < D[0, v])
-    if not (cut := sides.any(axis=0)).all():
-        a, b = g.edges[int(np.argmin(cut))]
-        raise ConvexityError(f"edge ({a},{b}) does not separate; graph not bipartite")
-    _, first, label = np.unique(_row_keys(sides.T), return_index=True, return_inverse=True)
-    return label, sides[:, first].T
-
-
-def crossing_dimension(g: UnitGraph) -> int:
-    """Max size of a pairwise-crossing family of edge classes of a graph
-    verified to be median: its largest cube's dimension.  By the downward
-    cube property the edges below a vertex, seen from vertex 0, span a cube
-    (Mulder 1980; Bandelt & Chepoi, "Metric graph theory and geometry",
-    2008), and a cube's vertex farthest from 0 has all its cube edges below
-    it; so this is the most edges with one far end from 0.
-    """
-    d0 = g.distance_matrix[0]
-    u, v = g.edge_array.T
-    return int(np.bincount(np.where(d0[u] < d0[v], v, u), minlength=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +39,8 @@ class CubeSkeleton:
     """A median graph with its hyperplane classes, kept as arrays: edge i of
     the graph's sorted `edge_array` lies in class label[i], the classes
     numbered in the order of their first edge, and sides[k] is the side
-    mask of class k, False on vertex 0's side.  `hyperplanes` and
-    `halfspaces` hold the same classes as tuples and frozensets."""
+    mask of class k, False on vertex 0's side.  `hyperplanes` holds each
+    class's edges as tuples."""
 
     median: MedianAlgebra
     label: np.ndarray
@@ -87,13 +62,6 @@ class CubeSkeleton:
         sizes = np.bincount(self.label, minlength=len(self.sides)).tolist()
         return tuple(tuple(itertools.islice(edges, k)) for k in sizes)
 
-    @cached_property
-    def halfspaces(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-        """Each class's two sides, vertex 0's first, off its mask."""
-        return tuple(
-            (frozenset(np.flatnonzero(~s).tolist()), frozenset(np.flatnonzero(s).tolist())) for s in self.sides
-        )
-
     def to_dict(self) -> dict:
         """The skeleton's report: the graph, the dimension and, written by
         `encode_rows` straight from the arrays, each class's sorted edges
@@ -113,7 +81,7 @@ class CubeSkeleton:
         }
 
 
-def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
+def hyperplane_decomposition(m: MedianAlgebra, classes) -> CubeSkeleton:
     """Group edges into parallelism classes (hyperplanes) with their halfspaces.
 
     Both halfspaces of every class are convex, by the theorem that the
@@ -122,11 +90,10 @@ def hyperplane_decomposition(m: MedianAlgebra, classes=None) -> CubeSkeleton:
     re-checked here.  The dimension is the algebra's rank.
 
     `classes` is (labels, side masks) of the Theta-classes over the sorted
-    edges, as `_edge_classes` returns them, when the caller already knows
-    them (`orientation_skeleton`); by default they are computed from the
-    graph.  The classes are renumbered in the order of their first edge.
+    edges, as the construction of m knows them (`orientation_skeleton`).
+    The classes are renumbered in the order of their first edge.
     """
-    label, masks = _edge_classes(m.graph) if classes is None else classes
+    label, masks = classes
     order = np.argsort(np.unique(label, return_index=True)[1])
     rank = np.argsort(order)
     return CubeSkeleton(m, rank[label], masks[order] ^ masks[order, :1], m.rank)  # False at vertex 0
@@ -140,17 +107,21 @@ def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
     is its class, and that wall's column of O is a side mask of the class.
     The rank, the largest pairwise-crossing family of walls, is the most
     flips into one orientation from the layer before it, by the downward
-    cube property (`crossing_dimension`): the search's root is the base."""
+    cube property: the edges below a vertex, seen from the search's root,
+    span a cube, and a cube's vertex farthest from the root has all its cube
+    edges below it (Mulder 1980; Bandelt & Chepoi, "Metric graph theory and
+    geometry", 2008)."""
     g = UnitGraph(len(O), np.sort(flips, axis=1))
     u, v = g.edge_array.T
     median = MedianAlgebra(g, int(np.bincount(flips[:, 1], minlength=1).max()))
     return hyperplane_decomposition(median, (np.nonzero(O[u] != O[v])[1], O.T))  # one wall a row
 
 
-def is_convex(m: MedianAlgebra, S) -> bool:
-    """Interval-closure convexity: every geodesic between members stays inside."""
+def is_convex(tree: UnitGraph, S) -> bool:
+    """Whether the vertex set S of a tree is a subtree: it holds the subtree
+    its members span (`space_hull`)."""
     members = np.unique(np.fromiter(S, dtype=np.int64))
-    return int(space_hull(m.graph, members).sum()) == len(members)
+    return int(space_hull(tree, members).sum()) == len(members)
 
 
 @dataclass(frozen=True)
@@ -160,13 +131,15 @@ class HellyResult:
     witness_pair: tuple[int, int] | None
 
 
-def helly_intersection(m: MedianAlgebra, family) -> HellyResult:
-    """Common vertex of pairwise-intersecting convex sets of a median graph,
-    or a disjoint pair.
+def helly_intersection(tree: UnitGraph, family) -> HellyResult:
+    """Common vertex of pairwise-intersecting subtrees of a tree, or a
+    disjoint pair.
 
-    For up to three members the point is the median of pairwise picks; larger
-    families fold the last two members into their (convex) intersection.
-    Only the metric and the median are read, so no hyperplane pass is needed.
+    For up to three members the point is the median of pairwise picks, by
+    the tree's `TreeIndex.median`; larger families fold the last two members
+    into their (convex) intersection.  A member that is not a subtree is a
+    ConvexityError, a tree's hull being read off its `TreeIndex`
+    (`space_hull`); a graph that is not a tree gets the index's GraphError.
     """
     sets = [np.unique(np.fromiter(S, dtype=np.int64)) for S in family]
     if not sets:
@@ -174,13 +147,13 @@ def helly_intersection(m: MedianAlgebra, family) -> HellyResult:
     for idx, S in enumerate(sets):
         if not S.size:
             raise ConvexityError(f"family member {idx} is empty")
-        if not is_convex(m, S):
+        if not is_convex(tree, S):
             raise ConvexityError(f"family member {idx} is not convex")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if not _meet(sets[i], sets[j]).size:
                 return HellyResult(False, None, (i, j))
-    vertex = _helly_point(m, sets)
+    vertex = _helly_point(tree, sets)
     assert all(vertex in S for S in sets)
     return HellyResult(True, vertex, None)
 
@@ -190,11 +163,12 @@ def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.intersect1d(a, b, assume_unique=True)
 
 
-def _helly_point(m: MedianAlgebra, sets: list[np.ndarray]) -> int:
+def _helly_point(tree: UnitGraph, sets: list[np.ndarray]) -> int:
     if len(sets) == 1:
         return int(sets[0][0])
     if len(sets) == 2:
         return int(_meet(sets[0], sets[1])[0])
     if len(sets) == 3:
-        return m.median(*(int(_meet(sets[i], sets[j])[0]) for i, j in ((1, 2), (0, 2), (0, 1))))
-    return _helly_point(m, sets[:-2] + [_meet(sets[-2], sets[-1])])
+        picks = (int(_meet(sets[i], sets[j])[0]) for i, j in ((1, 2), (0, 2), (0, 1)))
+        return int(tree.tree_index.median(*picks))
+    return _helly_point(tree, sets[:-2] + [_meet(sets[-2], sets[-1])])

@@ -14,9 +14,9 @@ arrays by binary lifting, and the next step from u toward v from the
 subtree runs of the preorder, so a caller that reads sampled pairs asks it
 for those pairs (`UnitGraph.pair_distances`) and a caller that walks
 geodesics or takes medians in a product asks it for steps and medians
-(`applications.TreeProduct`), and neither builds an n x n matrix; its dense
-form, `distance_matrix`, comes from the same subtree runs.  The n x n
-`UnitGraph.next_hop` table is for median graphs that are not trees.
+(`applications.TreeProduct`), and neither builds an n x n matrix.  The
+subtree a point set spans (`hhs.space_hull`) and the dense form,
+`distance_matrix`, come from the same subtree runs.
 Candidate trees, given by parent arrays, get their metrics in batches from
 `tree_metrics`.  Every other metric (unit graphs that are not trees, and
 quasitrees with a cycle or an edge longer than 1, their lengths scaled to
@@ -103,26 +103,6 @@ class UnitGraph:
             nbr[u].append(v)
             nbr[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbr)
-
-    def toward(self, u, v):
-        """`next_hop` of aligned vertex arrays u != v, or an int for one pair."""
-        hop = self.next_hop[u, v]
-        return hop if np.ndim(hop) else int(hop)
-
-    @cached_property
-    def next_hop(self) -> np.ndarray:
-        """n x n: next_hop[u, v] is the least neighbour of u one step closer
-        to v (u itself at v), the least head w nearer v among the arcs
-        (u, w), by one `np.minimum.reduceat` over the arcs of each u."""
-        D = self.distance_matrix
-        if self.n == 1:
-            return np.zeros((1, 1), dtype=np.int64)
-        arcs = np.concatenate([self.edge_array, self.edge_array[:, ::-1]])
-        u, w = arcs[arcs[:, 0].argsort()].T
-        nearer = np.where(D[w] < D[u], w[:, None], self.n)  # w where it is nearer v, else n
-        hop = np.minimum.reduceat(nearer, np.searchsorted(u, np.arange(self.n)))
-        np.fill_diagonal(hop, np.arange(self.n))
-        return hop
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -529,13 +509,6 @@ def grid_graph(rows: int, cols: int) -> UnitGraph:
     """rows x cols grid; vertex (r, c) has index r*cols + c."""
     v = np.arange(rows * cols).reshape(rows, cols)
     return UnitGraph(rows * cols, np.concatenate([_row_paths(v), _row_paths(v.T)]))
-
-
-def hypercube_graph(d: int) -> UnitGraph:
-    """d-cube: vertices are bitmasks, edges flip one bit."""
-    n = 1 << d
-    edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
-    return UnitGraph(n, tuple(edges))
 
 
 def spider_graph(legs: int, leg_length: int) -> UnitGraph:

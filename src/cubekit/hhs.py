@@ -522,23 +522,24 @@ def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
 
 
 def space_hull(g: UnitGraph, points) -> np.ndarray:
-    """Union of all geodesics of the connected unit graph g between pairs of
-    `points`, as a boolean mask, read off g's cached metric.
+    """The subtree of the tree g spanned by `points`, the union of the
+    geodesics between them, as a boolean mask, read off g's `TreeIndex`.
 
-    On a tree (g's cached `is_tree`) one anchor a among the points
-    suffices: for members p and q, the median m of a, p, q lies on all
-    three geodesics, so [p, q] = [p, m] + [m, q] lies in [a, p] + [a, q].
-    The geodesics from a to the other members thus cover every pair's, and
-    their union is the subtree spanned by `points`.  Other graphs scan all
-    pairs.
+    Let inside[v] count the distinct points in v's preorder run, its
+    subtree: two `searchsorted` over the points' sorted positions.  A
+    geodesic from a point below v to one outside v's subtree passes v, and
+    one between points on the same side of v does not, unless v is its top:
+    so v is in the hull iff 0 < inside[v] < |P|, or v is the deepest vertex
+    with inside[v] = |P|, the lowest common ancestor of the points.  No
+    n x n table is read.  A graph that is not a tree gets the GraphError of
+    its `tree_index`.
     """
-    pts = np.unique(np.fromiter(points, dtype=np.int64))
-    D = g.distance_matrix
-    mask = np.zeros(g.n, dtype=bool)
-    mask[pts] = True
-    for a in pts[:1] if g.is_tree() else pts:
-        rows = D[a][None, :] + D[pts, :] == D[a, pts][:, None]
-        mask |= rows.any(axis=0)
+    t = g.tree_index
+    pos = np.unique(t.pos[np.fromiter(points, dtype=np.int64)])
+    inside = np.searchsorted(pos, t.stop) - np.searchsorted(pos, t.pos)
+    mask = (inside > 0) & (inside < len(pos))
+    if len(pos):
+        mask[np.argmax(np.where(inside == len(pos), t.depth, -1))] = True
     return mask
 
 

@@ -1,31 +1,28 @@
-"""Median graphs: recognition, the ternary median operation, subalgebras,
-and the connectify-and-close procedure.
+"""Median graphs: recognition, the median closure and the
+connectify-and-close procedure, on one median space.
 
-The median of a triple is realized as the unique vertex in the triple
-intersection of pairwise metric intervals, or factorwise from lowest common
-ancestors in a product of trees.  `interval_medians` is the one interval
-scan: for aligned triples it gives the least vertex between each pair and
-how many there are, from a distance matrix, in `BLOCK`-row blocks
+Recognition (`is_median_graph`) is for graphs of unknown type, the input of
+`median-check`; a graph whose construction already makes it median, a tree
+or a promoted closure, is not re-scanned.  `interval_medians` is the one
+interval scan: for aligned triples it gives the least vertex between each
+pair and how many there are, from a distance matrix, in `BLOCK`-row blocks
 (`_blockwise`, the one row-block policy for every (triples x vertices)
-array).  The median closure evaluates no median: by the duality of median
-algebras and wallspaces (Sageev 1995; Roller 1998), the subalgebra
-generated by S is the set of coherent orientations of the walls that the
-space's halfspaces trace on S, and `orientation_search` lists those from one
-point of S outward with the flips between them, which
-`connectify_and_close_in` hands on as the closure's dual graph
-(`cubes.orientation_skeleton`).  The flips also give what is measured of
-the closure: its rank, the most flips into one orientation, and its
-Hausdorff distance to S, one breadth-first search along them; no product
-over the orientations is formed.
-Recognition (`is_median_graph`) is for graphs of unknown type; a graph whose
-construction already makes it median, such as a promoted closure, is not
-re-scanned.
+array).  The closure and bridging run in one median space, a product of
+trees (`applications.TreeProduct`, see "the median space" below).  The
+median closure evaluates no median: by the duality of median algebras and
+wallspaces (Sageev 1995; Roller 1998), the subalgebra generated by S is the
+set of coherent orientations of the walls that the space's halfspaces trace
+on S, and `orientation_search` lists those from one point of S outward with
+the flips between them, which `connectify_and_close_in` hands on as the
+closure's dual graph (`cubes.orientation_skeleton`).  The flips also give
+what is measured of the closure: its rank, the most flips into one
+orientation, and its Hausdorff distance to S, one breadth-first search
+along them; no product over the orientations is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -114,97 +111,49 @@ def is_median_graph(g: UnitGraph) -> tuple[bool, tuple[int, int, int] | None]:
 
 @dataclass(frozen=True)
 class MedianAlgebra:
-    """A median graph together with its metric and rank.
-
-    `from_graph` verifies medianness and computes the rank.  A caller may
-    construct `MedianAlgebra(g, rank)` directly only when the construction
-    of g already guarantees medianness: for instance the graph of the
-    coherent orientations of a wallspace joined one flip apart
-    (`cubes.orientation_skeleton`, behind `walls.dual_cube_complex` and
-    `applications.promote_to_cube_complex`), or a tree
-    (`applications.coarse_helly_experiment`).
+    """A graph whose construction proves it median, with its rank: the
+    carrier of a `cubes.CubeSkeleton`.  The one construction in the package
+    is the graph of the coherent orientations of a wallspace joined one flip
+    apart (`cubes.orientation_skeleton`, behind `walls.dual_cube_complex`
+    and `applications.promote_to_cube_complex`), so no recognition runs
+    here; a graph of unknown type goes to `is_median_graph`.
     """
 
     graph: UnitGraph
     rank: int
 
-    @staticmethod
-    def from_graph(g: UnitGraph) -> "MedianAlgebra":
-        ok, witness = is_median_graph(g)
-        if not ok:
-            _, count = interval_medians(g.distance_matrix, *np.array(witness)[:, None])
-            raise NotMedianGraphError(witness, int(count[0]))
-        from . import cubes  # rank is a hyperplane quantity; lazy to avoid a cycle
-
-        rank = cubes.crossing_dimension(g)
-        return MedianAlgebra(g, rank)
-
     @property
     def n(self) -> int:
         return self.graph.n
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        return self.graph.distance_matrix
-
-    def toward(self, u, v):
-        return self.graph.toward(u, v)
-
-    def pairwise_distances(self, verts) -> np.ndarray:
-        idx = np.asarray(verts, dtype=np.int64)
-        return self.dist[np.ix_(idx, idx)]
-
-    def median(self, x: int, y: int, z: int) -> int:
-        return int(self.median_bulk(x, [y], z)[0])
-
     def median_bulk(self, a, b_arr: np.ndarray, c) -> np.ndarray:
         """Medians m(a, b, c) for every b in b_arr, vectorized; `a` and `c`
-        are each a vertex or an array aligned with b_arr."""
+        are each a vertex or an array aligned with b_arr.  No subcommand
+        calls it: perfbench's tracer patches it, and it goes once the tracer
+        stops patching."""
         b_arr = np.asarray(b_arr, dtype=np.int64)
         a, c = (np.broadcast_to(np.asarray(x, dtype=np.int64), b_arr.shape) for x in (a, c))
-        meds, counts = interval_medians(self.dist, a, b_arr, c)
+        meds, counts = interval_medians(self.graph.distance_matrix, a, b_arr, c)
         bad = np.flatnonzero(counts != 1)
         if bad.size:
             i = bad[0]
             raise NotMedianGraphError((int(a[i]), int(b_arr[i]), int(c[i])), int(counts[i]))
         return meds
 
-    @cached_property
-    def _sides(self) -> np.ndarray:
-        """(vertices x Theta-classes) bool: the side of each class, a wall,
-        that each vertex lies on."""
-        from . import cubes  # the classes are a hyperplane quantity
-
-        return cubes._edge_classes(self.graph)[1].T
-
-    def wall_sides(self, verts) -> np.ndarray:
-        return self._sides[np.asarray(verts, dtype=np.int64)]
-
-    def vertices_of(self, sides: np.ndarray) -> np.ndarray:
-        return row_index(self._sides, sides)
-
 
 # ---------------------------------------------------------------------------
-# subalgebras
+# the median space
 #
-# The closure and bridging engines work against any median space, a
-# `MedianAlgebra` or an `applications.TreeProduct`, through four methods
-# over integer vertex ids.  closure_search reads two: wall_sides(verts), the
-# bool matrix of the side of each wall (halfspace pair) each vertex lies
-# on, and vertices_of(sides), which maps such rows back to vertices, -1
-# where none is.  MedianAlgebra's walls are its Theta-classes, TreeProduct's
-# the edges of its factor trees.  connectify_and_close_in adds two for its
-# bridges: pairwise_distances(verts), the distance matrix of a vertex list,
-# and toward(u, v), for u != v the least neighbour of u one step closer to
-# v, over aligned vertex arrays (a scalar pair gives an int).  MedianAlgebra
-# reads that step from its graph's n x n `next_hop` table; TreeProduct asks
-# each factor's `TreeIndex.toward`, and builds no table.  Neither
-# engine evaluates a median.  median_bulk(a, b_arr, c), whose row i is
-# m(a[i], b_arr[i], c[i]), stays on both classes all the same: the Helly
-# point reads it through `MedianAlgebra.median`, tests check it against
-# brute-force medians, and perfbench's tracer counts the rows it is given.
-# MedianAlgebra scans the intervals of its metric for it; TreeProduct asks
-# each factor's `TreeIndex.median`, again with no n x n table.
+# The closure and bridging engines run on one median space,
+# `applications.TreeProduct`, through four methods over integer vertex ids.
+# closure_search reads two: wall_sides(verts), the bool matrix of the side
+# of each wall (an edge of a factor tree) each vertex lies on, and
+# vertices_of(sides), which maps such rows back to vertices, -1 where none
+# is.  connectify_and_close_in adds two for its bridges:
+# pairwise_distances(verts), the distance matrix of a vertex list, and
+# toward(u, v), for u != v the least neighbour of u one step closer to v,
+# over aligned vertex arrays (a scalar pair gives an int), which each
+# factor's `TreeIndex.toward` answers.  Neither engine evaluates a median.
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
@@ -258,7 +207,8 @@ def orientation_search(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # picked sides; the root, O = 0, by the first term alone.
     inside0 = gram == np.diag(gram)[None, :]
     np.fill_diagonal(inside0, False)
-    step = (gram == 0).astype(np.int32) - inside0
+    step = (gram == 0).view(np.int8)  # -1, 0 or 1, built in place over the bool matrix
+    step -= inside0
     del gram
     layer = np.zeros((1, A.shape[0]), dtype=bool)
     blocked = inside0.sum(axis=0, dtype=np.int32)[None, :]  # one row per orientation
@@ -367,7 +317,7 @@ def _depth_from(n: int, edges: np.ndarray, sources: np.ndarray) -> int:
 def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     """Bridge C-close 1-connected pieces of A with geodesics, then close.
 
-    `space` is a median space (see "subalgebras" above).  Every ordered pair
+    `space` is a median space (see "the median space" above).  Every ordered pair
     of pieces at most C apart is joined by the lex-least geodesic from its
     lexicographically least closest pair (u, v), all walked together
     (`lex_least_geodesics`).  Those pairs come from one stable sort of the

@@ -90,8 +90,3 @@ def dual_cube_complex(w: Wallspace) -> DualComplex:
         skeleton=orientation_skeleton(O, flips),
         orientations=tuple(Orientation(tuple(o)) for o in O.astype(np.int64).tolist()),
     )
-
-
-def walls_of_skeleton(c: CubeSkeleton) -> Wallspace:
-    """The wallspace whose walls are the skeleton's halfspace pairs."""
-    return Wallspace(c.n, tuple(c.halfspaces))

@@ -4,28 +4,43 @@ Everything here is deliberately naive and self-contained: plain-Python BFS,
 exhaustive triple scans.  The oracles never
 call into the code paths they check.  The section after them keeps, as
 reference kernels, the numpy products the package once used for the rank,
-the orientation search and the Hausdorff distance of a closure.  The last
-section holds the checks and fixtures that only tests use: property checks
-built on the package's types, and small graphs, instances and projection
-systems.
+the orientation search and the Hausdorff distance of a closure.  Then comes
+the general-graph median space, `GraphMedianSpace`: the package runs its
+closure and bridging only in a product of trees, and the grid tests hand the
+same engines this reference, which reads its walls off the Theta-classes and
+its steps off a next-hop table.  The last section holds the checks and
+fixtures that only tests use: property checks built on the package's types,
+and small graphs, instances and projection systems.
 """
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from cubekit.cubes import ConvexityError
+from cubekit.cubes import ConvexityError, hyperplane_decomposition
 from cubekit.fixtures import _with_measured_E
 from cubekit.graphs import GraphError, UnitGraph, component_labels, path_graph, spider_graph
 from cubekit.hhs import Domain, HHSInstance, SetRows
 from cubekit.jsonio import as_number
-from cubekit.median import MedianError, closure_search, lex_least_geodesics
+from cubekit.median import (
+    MedianAlgebra,
+    MedianError,
+    NotMedianGraphError,
+    _row_keys,
+    closure_search,
+    interval_medians,
+    is_median_graph,
+    lex_least_geodesics,
+    row_index,
+)
 from cubekit.projection import Number, ProjectionError, ProjectionSystem, axes_in_tree_system
-from cubekit.walls import Orientation, dual_cube_complex, walls_of_skeleton
+from cubekit.walls import Orientation, Wallspace, dual_cube_complex
 
 
 def oracle_bfs(n, edges, src):
@@ -547,6 +562,111 @@ def oracle_hamming_hausdorff(O, at):
 
 
 # ---------------------------------------------------------------------------
+# the general-graph median space
+
+
+def edge_classes(g):
+    """Theta-classes of g: an edge (u, v) splits off the vertices nearer u
+    than v, XORed with vertex 0's side, and equal splits are one class.
+    Returns the class label of each edge and the (classes x n) side masks."""
+    D = g.distance_matrix
+    u, v = g.edge_array.T
+    sides = (D[:, u] < D[:, v]) ^ (D[0, u] < D[0, v])
+    if not (cut := sides.any(axis=0)).all():
+        a, b = g.edges[int(np.argmin(cut))]
+        raise ConvexityError(f"edge ({a},{b}) does not separate; graph not bipartite")
+    _, first, label = np.unique(_row_keys(sides.T), return_index=True, return_inverse=True)
+    return label, sides[:, first].T
+
+
+def crossing_dimension(g):
+    """Max size of a pairwise-crossing family of edge classes of a median
+    graph: its largest cube's dimension.  By the downward cube property the
+    edges below a vertex, seen from vertex 0, span a cube (Mulder 1980), and
+    a cube's vertex farthest from 0 has all its cube edges below it; so this
+    is the most edges with one far end from 0."""
+    d0 = g.distance_matrix[0]
+    u, v = g.edge_array.T
+    return int(np.bincount(np.where(d0[u] < d0[v], v, u), minlength=1).max())
+
+
+class GraphMedianSpace(MedianAlgebra):
+    """A graph verified to be median (`is_median_graph`; a refusal names a
+    witness triple and its count of medians), with its rank, as a median
+    space of the closure and bridging engines: its walls are the
+    Theta-classes, its step toward a target the least neighbour one step
+    closer, and its median the interval scan of `median_bulk`."""
+
+    def __init__(self, g):
+        ok, witness = is_median_graph(g)
+        if not ok:
+            _, count = interval_medians(g.distance_matrix, *np.array(witness)[:, None])
+            raise NotMedianGraphError(witness, int(count[0]))
+        super().__init__(g, crossing_dimension(g))
+
+    @property
+    def dist(self):
+        return self.graph.distance_matrix
+
+    def median(self, x, y, z):
+        return int(self.median_bulk(x, [y], z)[0])
+
+    @cached_property
+    def next_hop(self):
+        """n x n: next_hop[u, v] is the least neighbour of u one step closer
+        to v (u itself at v), the least head w nearer v among the arcs
+        (u, w), by one `np.minimum.reduceat` over the arcs of each u."""
+        g, D = self.graph, self.dist
+        if g.n == 1:
+            return np.zeros((1, 1), dtype=np.int64)
+        arcs = np.concatenate([g.edge_array, g.edge_array[:, ::-1]])
+        u, w = arcs[arcs[:, 0].argsort()].T
+        nearer = np.where(D[w] < D[u], w[:, None], g.n)  # w where it is nearer v, else n
+        hop = np.minimum.reduceat(nearer, np.searchsorted(u, np.arange(g.n)))
+        np.fill_diagonal(hop, np.arange(g.n))
+        return hop
+
+    def toward(self, u, v):
+        """`next_hop` of aligned vertex arrays u != v, or an int for one pair."""
+        hop = self.next_hop[u, v]
+        return hop if np.ndim(hop) else int(hop)
+
+    def pairwise_distances(self, verts):
+        idx = np.asarray(verts, dtype=np.int64)
+        return self.dist[np.ix_(idx, idx)]
+
+    @cached_property
+    def _sides(self):
+        """(vertices x Theta-classes) bool: the side of each class, a wall,
+        that each vertex lies on."""
+        return edge_classes(self.graph)[1].T
+
+    def wall_sides(self, verts):
+        return self._sides[np.asarray(verts, dtype=np.int64)]
+
+    def vertices_of(self, sides):
+        return row_index(self._sides, sides)
+
+
+def skeleton_of(g):
+    """The `CubeSkeleton` of a median graph, from its Theta-classes."""
+    return hyperplane_decomposition(GraphMedianSpace(g), edge_classes(g))
+
+
+def halfspaces(c):
+    """Each class's two sides of the `CubeSkeleton` c as frozensets, vertex
+    0's first, off its mask."""
+    return tuple(
+        (frozenset(np.flatnonzero(~s).tolist()), frozenset(np.flatnonzero(s).tolist())) for s in c.sides
+    )
+
+
+def walls_of_skeleton(c):
+    """The wallspace whose walls are the skeleton's halfspace pairs."""
+    return Wallspace(c.n, halfspaces(c))
+
+
+# ---------------------------------------------------------------------------
 # checks and fixtures that only tests use
 
 
@@ -558,6 +678,29 @@ def closure_of(space, seed):
 def lex_least_geodesic(space, u, v):
     """The one walk from u to v of `lex_least_geodesics`, as a list."""
     return lex_least_geodesics(space, [u], [v])[:, 0].tolist()
+
+
+@st.composite
+def shaped_trees(draw, max_n=60):
+    """A relabelled random tree, path or star of 1 to max_n vertices, n = 1
+    and n = 2 drawn as often as any other size."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, max_n))
+    kind = draw(st.sampled_from(["random", "path", "star"]))
+    if kind == "random":
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    elif kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        edges = [(0, i) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return UnitGraph(n, tuple((perm[a], perm[b]) for a, b in edges))
+
+
+def hypercube_graph(d):
+    """d-cube: vertices are bitmasks, edges flip one bit."""
+    n = 1 << d
+    edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
+    return UnitGraph(n, tuple(edges))
 
 
 def cycle_graph(n):

@@ -30,7 +30,7 @@ from cubekit.graphs import UnitGraph, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
 from cubekit.median import BLOCK
 from cubekit.projection import ProjectionSystem, build_quasitree
-from helpers import identity_instance, oracle_tree_approximate
+from helpers import halfspaces, identity_instance, oracle_tree_approximate
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -68,7 +68,7 @@ def test_promoted_corner_path_and_square():
     res = promote_to_cube_complex([(0, 0), (1, 1)], (path_graph(2), path_graph(2)), 2)
     assert res.vertex_tuples == ((0, 0), (0, 1), (1, 1))
     assert res.skeleton.hyperplanes == (((0, 1),), ((1, 2),))
-    assert res.skeleton.halfspaces == (
+    assert halfspaces(res.skeleton) == (
         (frozenset({0}), frozenset({1, 2})),
         (frozenset({0, 1}), frozenset({2})),
     )

@@ -1,29 +1,37 @@
 import numpy as np
 import pytest
 
-from cubekit.cubes import (
-    ConvexityError,
-    helly_intersection,
-    hyperplane_decomposition,
-    is_convex,
+from cubekit.cubes import ConvexityError, helly_intersection, is_convex
+from cubekit.graphs import (
+    GraphError,
+    gate_map,
+    grid_graph,
+    path_graph,
+    random_tree,
+    spider_graph,
 )
-from cubekit.graphs import gate_map, grid_graph, hypercube_graph, path_graph, random_tree
-from cubekit.median import MedianAlgebra
-from helpers import convex_hull, grid_v, oracle_interval_closure
+from helpers import (
+    convex_hull,
+    halfspaces,
+    hypercube_graph,
+    oracle_hull,
+    oracle_interval_closure,
+    skeleton_of,
+)
 
 
 @pytest.fixture(scope="module")
 def grid33_skel():
-    return hyperplane_decomposition(MedianAlgebra.from_graph(grid_graph(3, 3)))
+    return skeleton_of(grid_graph(3, 3))
 
 
 @pytest.fixture(scope="module")
 def q3_skel():
-    return hyperplane_decomposition(MedianAlgebra.from_graph(hypercube_graph(3)))
+    return skeleton_of(hypercube_graph(3))
 
 
 def test_path_hyperplanes():
-    c = hyperplane_decomposition(MedianAlgebra.from_graph(path_graph(3)))
+    c = skeleton_of(path_graph(3))
     assert len(c.hyperplanes) == 2
     assert c.dimension == 1
 
@@ -34,8 +42,8 @@ def test_cube_hyperplanes_pairwise_crossing(q3_skel):
     # exhaustive: all three pairs cross (all four quarters nonempty)
     for i in range(3):
         for j in range(i + 1, 3):
-            a0, a1 = (set(s) for s in q3_skel.halfspaces[i])
-            b0, b1 = (set(s) for s in q3_skel.halfspaces[j])
+            a0, a1 = (set(s) for s in halfspaces(q3_skel)[i])
+            b0, b1 = (set(s) for s in halfspaces(q3_skel)[j])
             assert a0 & b0 and a0 & b1 and a1 & b0 and a1 & b1
 
 
@@ -54,11 +62,11 @@ def test_each_edge_in_one_class(grid33_skel):
 
 
 def test_halfspaces_partition_and_convex(grid33_skel):
-    n = grid33_skel.n
-    for h0, h1 in grid33_skel.halfspaces:
-        assert h0 | h1 == frozenset(range(n)) and not (h0 & h1)
-        assert is_convex(grid33_skel.median, h0)
-        assert is_convex(grid33_skel.median, h1)
+    g = grid33_skel.graph
+    for h0, h1 in halfspaces(grid33_skel):
+        assert h0 | h1 == frozenset(range(g.n)) and not (h0 & h1)
+        assert oracle_interval_closure(g.n, g.edges, h0) == set(h0)
+        assert oracle_interval_closure(g.n, g.edges, h1) == set(h1)
         assert convex_hull(grid33_skel, h0) == h0
 
 
@@ -77,12 +85,12 @@ def test_hull_opposite_corners_is_whole_grid(grid33_skel):
 
 
 def test_hull_path_endpoints():
-    c = hyperplane_decomposition(MedianAlgebra.from_graph(path_graph(5)))
+    c = skeleton_of(path_graph(5))
     assert convex_hull(c, [0, 4]) == frozenset(range(5))
 
 
 def test_hull_equals_interval_closure_random():
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(grid_graph(4, 5)))
+    skel = skeleton_of(grid_graph(4, 5))
     rng = np.random.default_rng(5)
     for _ in range(15):
         k = int(rng.integers(1, 5))
@@ -97,72 +105,105 @@ def test_hull_empty_raises(grid33_skel):
         convex_hull(grid33_skel, [])
 
 
-def test_helly_empty_family_raises(grid33_skel):
+# --- Helly, on trees ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def spider():
+    """Three legs of three edges about the centre 0: leg i is 0, 3i + 1,
+    3i + 2, 3i + 3."""
+    return spider_graph(3, 3)
+
+
+def _legs(*legs):
+    """The subtree of the spider made of the centre and the given legs."""
+    return [0] + [3 * i + k for i in legs for k in (1, 2, 3)]
+
+
+def test_helly_empty_family_raises(spider):
     with pytest.raises(ConvexityError, match="empty family"):
-        helly_intersection(grid33_skel.median, [])
+        helly_intersection(spider, [])
 
 
-def test_helly_empty_member_raises(grid33_skel):
+def test_helly_empty_member_raises(spider):
     with pytest.raises(ConvexityError, match="member 0 is empty"):
-        helly_intersection(grid33_skel.median, [[]])
+        helly_intersection(spider, [[]])
 
 
-# --- Helly --------------------------------------------------------------------
+def test_helly_whole_twice(spider):
+    res = helly_intersection(spider, [range(spider.n), range(spider.n)])
+    assert res.found and 0 <= res.vertex < spider.n
 
 
-def test_helly_whole_twice(grid33_skel):
-    res = helly_intersection(grid33_skel.median, [range(9), range(9)])
-    assert res.found and 0 <= res.vertex < 9
+def test_helly_three_subtrees(spider):
+    # each pair of two-leg paths shares one leg; the three share the centre,
+    # the median of one vertex from each pairwise meet
+    family = [_legs(0, 1), _legs(1, 2), _legs(0, 2)]
+    res = helly_intersection(spider, family)
+    assert res.found and res.vertex == 0
 
 
-def test_helly_three_strips(grid33_skel):
-    rows01 = [grid_v(r, c, 3) for r in (0, 1) for c in range(3)]
-    cols12 = [grid_v(r, c, 3) for r in range(3) for c in (1, 2)]
-    diag_hull = convex_hull(grid33_skel, [0, 8])
-    res = helly_intersection(grid33_skel.median, [rows01, cols12, diag_hull])
-    assert res.found
-    expected = set(rows01) & set(cols12) & diag_hull
-    assert res.vertex in expected
+def test_helly_folds_a_fourth_member(spider):
+    family = [_legs(0, 1), _legs(1, 2), _legs(0, 2), [0, 1, 2]]
+    res = helly_intersection(spider, family)
+    assert res.found and res.vertex == 0
 
 
-def test_helly_disjoint_witness(grid33_skel):
-    res = helly_intersection(grid33_skel.median, [[0], [8]])
-    assert not res.found and res.witness_pair == (0, 1)
+def test_helly_disjoint_witness(spider):
+    res = helly_intersection(spider, [_legs(0, 1), [0, 1], [6]])
+    assert not res.found and res.witness_pair == (1, 2)
 
 
-def test_helly_nonconvex_member(grid33_skel):
-    with pytest.raises(ConvexityError):
-        helly_intersection(grid33_skel.median, [[0, 8]])
+def test_helly_nonconvex_member(spider):
+    # two leg ends without the path between them
+    with pytest.raises(ConvexityError, match="member 1 is not convex"):
+        helly_intersection(spider, [_legs(0), [3, 6]])
+
+
+def test_helly_on_a_graph_that_is_no_tree_raises():
+    with pytest.raises(GraphError):
+        helly_intersection(grid_graph(2, 2), [[0]])
 
 
 def test_helly_random_families():
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(grid_graph(4, 5)))
+    # subtrees spanned by random points (the all-pairs oracle hull), against
+    # the brute-force common vertices: the first disjoint pair, or else a
+    # common vertex, which a pairwise-meeting family of subtrees has
     rng = np.random.default_rng(8)
-    done = 0
-    while done < 12:
-        fam = []
-        for _ in range(int(rng.integers(2, 6))):
-            k = int(rng.integers(1, 4))
-            fam.append(convex_hull(skel, [int(v) for v in rng.choice(20, size=k, replace=False)]))
-        if all(a & b for a in fam for b in fam):
-            res = helly_intersection(skel.median, fam)
-            assert res.found
-            assert all(res.vertex in S for S in fam)
-            done += 1
+    found = 0
+    for _ in range(60):
+        tree = random_tree(int(rng.integers(1, 20)), rng)
+        fam = [
+            oracle_hull(tree.n, tree.edges, rng.choice(tree.n, size=int(rng.integers(1, 4))).tolist())
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
+        disjoint = [(i, j) for i, j in pairs if not set(fam[i]) & set(fam[j])]
+        res = helly_intersection(tree, fam)
+        if disjoint:
+            assert not res.found and res.witness_pair == disjoint[0]
+        else:
+            common = set.intersection(*map(set, fam))
+            assert common and res.found and res.vertex in common
+            found += 1
+    assert 12 <= found < 60
 
 
 def test_helly_on_tree():
     tree = random_tree(25, np.random.default_rng(9))
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(tree))
-    a = convex_hull(skel, [0, 10])
-    b = convex_hull(skel, [10, 20])
-    c = convex_hull(skel, [0, 20])
-    res = helly_intersection(skel.median, [a, b, c])
-    assert res.found
+    a, b, c = (oracle_hull(tree.n, tree.edges, p) for p in ([0, 10], [10, 20], [0, 20]))
+    res = helly_intersection(tree, [a, b, c])
+    assert res.found and res.vertex in set(a) & set(b) & set(c)
+
+
+def test_is_convex_on_a_tree():
+    path = path_graph(5)
+    assert is_convex(path, [1, 2, 3]) and is_convex(path, [4])
+    assert not is_convex(path, [0, 2])
 
 
 def test_gate_unique(grid33_skel):
-    h0 = sorted(grid33_skel.halfspaces[0][0])
+    h0 = sorted(halfspaces(grid33_skel)[0][0])
     d = grid33_skel.median.dist
     gates = gate_map(d, h0)
     for x in range(9):

@@ -14,7 +14,6 @@ from cubekit.graphs import (
     TreeIndex,
     UnitGraph,
     grid_graph,
-    hypercube_graph,
     integer_distance_matrix,
     path_graph,
     random_tree,
@@ -23,13 +22,16 @@ from cubekit.graphs import (
 )
 from cubekit.median import BLOCK
 from helpers import (
+    GraphMedianSpace,
     are_isomorphic,
     complete_bipartite_graph,
     cycle_graph,
+    hypercube_graph,
     oracle_all_dists,
     oracle_lca,
     oracle_medians_of,
     oracle_root_paths,
+    shaped_trees,
     star_graph,
     verify_isomorphism,
 )
@@ -220,34 +222,19 @@ def test_tree_index_queries_match_brute_force(tree, data):
     assert int(index.lca(a[0], b[0])) == oracle_lca(paths, int(a[0]), int(b[0]))
 
 
-@st.composite
-def shaped_trees(draw):
-    """A relabelled random tree, path or star of 1 to 60 vertices, n = 1 and
-    n = 2 drawn as often as any other size."""
-    n = draw(st.sampled_from([1, 2]) | st.integers(1, 60))
-    kind = draw(st.sampled_from(["random", "path", "star"]))
-    if kind == "random":
-        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    elif kind == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
-    else:
-        edges = [(0, i) for i in range(1, n)]
-    perm = draw(st.permutations(range(n)))
-    return UnitGraph(n, tuple((perm[a], perm[b]) for a, b in edges))
-
-
 @PROPERTY
 @given(shaped_trees(), st.data())
 def test_tree_index_toward_is_the_graph_step(g, data):
-    """`TreeIndex.toward` against the graph's `next_hop` step, on every
-    ordered pair as aligned arrays and on drawn pairs as scalars."""
-    index = g.tree_index
+    """`TreeIndex.toward` against the next-hop step of the general-graph
+    space, on every ordered pair as aligned arrays and on drawn pairs as
+    scalars."""
+    index, space = g.tree_index, GraphMedianSpace(g)
     u, v = np.divmod(np.arange(g.n * g.n), g.n)
     u, v = u[u != v], v[u != v]
     if g.n > 1:
-        assert (index.toward(u, v) == g.toward(u, v)).all()
+        assert (index.toward(u, v) == space.toward(u, v)).all()
         a, b = data.draw(st.sampled_from(list(zip(u.tolist(), v.tolist()))))
-        assert int(index.toward(a, b)) == g.toward(a, b)
+        assert int(index.toward(a, b)) == space.toward(a, b)
     # one vertex: no children, and the step from the root is the root
     assert int(index.toward(0, 0)) == int(index.parent[0]) == 0
 

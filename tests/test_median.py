@@ -8,7 +8,6 @@ from cubekit.graphs import (
     UnitGraph,
     component_labels,
     grid_graph,
-    hypercube_graph,
     path_graph,
     random_tree,
 )
@@ -24,11 +23,13 @@ from cubekit.median import (
     row_index,
 )
 from helpers import (
+    GraphMedianSpace,
     check_isometric_subalgebra,
     closure_of,
     complete_bipartite_graph,
     cycle_graph,
     grid_v,
+    hypercube_graph,
     is_median_closed,
     oracle_all_dists,
     oracle_closure,
@@ -39,12 +40,12 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def grid33():
-    return MedianAlgebra.from_graph(grid_graph(3, 3))
+    return GraphMedianSpace(grid_graph(3, 3))
 
 
 @pytest.fixture(scope="module")
 def grid55():
-    return MedianAlgebra.from_graph(grid_graph(5, 5))
+    return GraphMedianSpace(grid_graph(5, 5))
 
 
 # --- recognition ----------------------------------------------------------
@@ -100,7 +101,7 @@ def test_agrees_with_oracle_random():
 
 
 def test_path_midpoint():
-    m = MedianAlgebra.from_graph(path_graph(3))
+    m = GraphMedianSpace(path_graph(3))
     assert m.median(0, 1, 2) == 1
 
 
@@ -116,7 +117,7 @@ def test_cube_median_frozen_from_bruteforce():
     dist = oracle_all_dists(g.n, g.edges)
     meds = oracle_medians_of(dist, 4, 2, 1)  # bitmasks 100, 010, 001
     assert meds == [0]
-    m = MedianAlgebra.from_graph(g)
+    m = GraphMedianSpace(g)
     assert m.median(4, 2, 1) == 0
 
 
@@ -142,8 +143,8 @@ def test_median_one_lipschitz(grid55):
 
 def test_rank_is_cube_dimension(grid33):
     assert grid33.rank == 2
-    assert MedianAlgebra.from_graph(hypercube_graph(3)).rank == 3
-    assert MedianAlgebra.from_graph(path_graph(6)).rank == 1
+    assert GraphMedianSpace(hypercube_graph(3)).rank == 3
+    assert GraphMedianSpace(path_graph(6)).rank == 1
 
 
 # --- closures --------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_closure_matches_oracle_random(grid55):
 
 
 def test_median_closed_witness_is_least_a_then_c_then_b():
-    m = MedianAlgebra.from_graph(grid_graph(4, 4))
+    m = GraphMedianSpace(grid_graph(4, 4))
     S = [0, 1, 4, 7, 13]
     # escaping triples include (1, 7, 4) (least c) and (0, 13, 7) (least a)
     assert m.median(1, 7, 4) == 5 and m.median(0, 13, 7) == 5
@@ -204,7 +205,7 @@ def test_median_bulk_on_a_non_median_graph_names_the_triple():
 @pytest.mark.parametrize("g", [complete_bipartite_graph(2, 3), cycle_graph(5)], ids=["K23", "C5"])
 def test_from_graph_refusal_counts_the_witness_medians(g):
     with pytest.raises(NotMedianGraphError) as err:
-        MedianAlgebra.from_graph(g)
+        GraphMedianSpace(g)
     dist = oracle_all_dists(g.n, g.edges)
     assert err.value.count == len(oracle_medians_of(dist, *err.value.witness)) != 1
 
@@ -236,7 +237,7 @@ def test_closure_of_the_whole_grid_is_its_dual():
     # 3 x 4 grid: five walls, every vertex an orientation, the search from
     # corner 0 walks it in layers out to the far corner, 5 flips away
     g = grid_graph(3, 4)
-    H = MedianAlgebra.from_graph(g).wall_sides(range(g.n))
+    H = GraphMedianSpace(g).wall_sides(range(g.n))
     found, flips = orientation_search(H ^ H[0])
     assert len(found) == g.n and len({row.tobytes() for row in found}) == g.n
     assert found.sum(axis=1).tolist() == sorted(found.sum(axis=1).tolist())
@@ -302,7 +303,7 @@ def test_connectify_fixpoint(grid33):
 
 
 def test_connectify_two_segments():
-    m = MedianAlgebra.from_graph(grid_graph(4, 4))
+    m = GraphMedianSpace(grid_graph(4, 4))
     seg_a = [grid_v(r, 0, 4) for r in range(4)]
     seg_b = [grid_v(r, 2, 4) for r in range(4)]
     res = connectify_and_close_in(m, seg_a + seg_b, C=2)
@@ -318,7 +319,7 @@ def test_connectify_two_segments():
 
 
 def test_connectify_sparse_path():
-    m = MedianAlgebra.from_graph(path_graph(11))
+    m = GraphMedianSpace(path_graph(11))
     res = connectify_and_close_in(m, [0, 2, 4, 6, 8, 10], C=2)
     assert _one_connected(m, res.closure)
     assert res.closure == frozenset(range(11))
@@ -357,7 +358,7 @@ def test_closure_of_bridged_corners_isometric(grid33):
 
 
 def test_l_shape_isometric():
-    m = MedianAlgebra.from_graph(grid_graph(4, 4))
+    m = GraphMedianSpace(grid_graph(4, 4))
     L = [grid_v(r, 0, 4) for r in range(4)] + [grid_v(3, c, 4) for c in range(1, 4)]
     ok_closed, _ = is_median_closed(m, L)
     assert ok_closed

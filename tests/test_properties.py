@@ -7,8 +7,9 @@ are taken on trust at run time; here they are checked against the
 brute-force oracles of `helpers` on small grids, hypercubes, random trees and
 products of trees.  The component labelling over arc lists, the maximal
 clique search and the promoted skeleton (its edges and BFS metric against
-the product metric) are checked the same way.  The one-anchor hull on
-trees is checked against the all-pairs hull.  The median operation of
+the product metric) are checked the same way.  The tree hull, read off the
+preorder runs, is checked against the all-pairs hull, and a graph that is
+no tree is refused.  The median operation of
 products of random trees obeys the median axioms, and a wallspace comes
 back from its dual cube complex, whose orientation search matches the
 enumeration of all orientations and whose skeleton, read off that search,
@@ -34,7 +35,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubekit.applications import TreeProduct, promote_to_cube_complex
-from cubekit.cubes import crossing_dimension, hyperplane_decomposition
 from cubekit.graphs import (
     GraphError,
     UnitGraph,
@@ -42,7 +42,6 @@ from cubekit.graphs import (
     component_labels,
     gate_map,
     grid_graph,
-    hypercube_graph,
     maximal_cliques,
 )
 from cubekit.hhs import space_hull
@@ -51,7 +50,6 @@ from cubekit.walls import (
     Orientation,
     Wallspace,
     dual_cube_complex,
-    walls_of_skeleton,
 )
 from cubekit.median import (
     MedianAlgebra,
@@ -61,10 +59,14 @@ from cubekit.median import (
     orientation_search,
 )
 from helpers import (
+    GraphMedianSpace,
     check_isometric_subalgebra,
     closure_of,
     complete_bipartite_graph,
+    crossing_dimension,
     cycle_graph,
+    halfspaces,
+    hypercube_graph,
     lex_geodesic,
     lex_least_geodesic,
     minimal_connection_constant,
@@ -81,6 +83,9 @@ from helpers import (
     oracle_orientation_search,
     oracle_toward,
     principal_orientation,
+    shaped_trees,
+    skeleton_of,
+    walls_of_skeleton,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -153,12 +158,12 @@ def oracle_dimension(halfspaces) -> int:
 @PROPERTY
 @given(median_graphs())
 def test_halfspaces_are_convex_and_dimension_is_max_crossing(g):
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
-    for h0, h1 in skel.halfspaces:
+    skel = skeleton_of(g)
+    for h0, h1 in halfspaces(skel):
         assert h0 | h1 == frozenset(range(g.n)) and not h0 & h1
         for side in (h0, h1):
             assert oracle_interval_closure(g.n, g.edges, side) == set(side)
-    assert skel.dimension == oracle_dimension(skel.halfspaces)
+    assert skel.dimension == oracle_dimension(halfspaces(skel))
 
 
 @PROPERTY
@@ -174,7 +179,7 @@ def test_trees_are_median_graphs(tree):
 @given(trees(min_n=2), st.data())
 def test_gate_map_is_the_nearest_point_of_a_tree_path(tree, data):
     a, b = data.draw(st.lists(st.integers(0, tree.n - 1), min_size=2, max_size=2))
-    path = lex_least_geodesic(tree, a, b)
+    path = lex_geodesic(tree, a, b)
     dist = oracle_all_dists(tree.n, tree.edges)
     gates = gate_map(tree.distance_matrix, path)
     for v in range(tree.n):
@@ -320,7 +325,7 @@ def test_number_codec_round_trip(x, scale):
 def test_closure_of_matches_the_saturation_oracle(g, data):
     seed = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=4))
     expected = oracle_closure(g.n, g.edges, seed)
-    assert closure_of(MedianAlgebra.from_graph(g), seed) == frozenset(expected)
+    assert closure_of(GraphMedianSpace(g), seed) == frozenset(expected)
 
 
 @PROPERTY
@@ -371,10 +376,10 @@ def growing_seeds(draw):
     kind = draw(st.sampled_from(["grid", "explicit", "product"]))
     if kind == "grid":
         g = grid_graph(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
-        space = MedianAlgebra.from_graph(relabel(g, draw))
+        space = GraphMedianSpace(relabel(g, draw))
     elif kind == "explicit":
         g = tree_product(draw(trees(min_n=4, max_n=6)), draw(trees(min_n=4, max_n=6)))
-        space = MedianAlgebra.from_graph(relabel(g, draw))
+        space = GraphMedianSpace(relabel(g, draw))
     else:
         space = TreeProduct(tuple(draw(trees(min_n=3, max_n=5)) for _ in range(3)))
     seed = draw(st.sets(st.integers(0, space.n - 1), min_size=3, max_size=8))
@@ -466,12 +471,12 @@ def trees_and_grids(draw):
 @PROPERTY
 @given(trees_and_grids())
 def test_toward_is_the_least_neighbour_one_step_closer(g):
-    m = MedianAlgebra.from_graph(g)
+    m = GraphMedianSpace(g)
     for v in range(g.n):
         expected = oracle_toward(g.n, g.edges, v)
         for u in range(g.n):
             if u != v:
-                assert g.toward(u, v) == m.toward(u, v) == expected[u]
+                assert m.toward(u, v) == expected[u]
 
 
 @PROPERTY
@@ -480,7 +485,7 @@ def test_batched_walks_on_graphs_are_the_lex_least_geodesics(g, data):
     vertices = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=8)
     us = data.draw(vertices)
     vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=len(us), max_size=len(us)))
-    _assert_walks_are_the_geodesics(MedianAlgebra.from_graph(g), g, us, vs)
+    _assert_walks_are_the_geodesics(GraphMedianSpace(g), g, us, vs)
 
 
 @PROPERTY
@@ -549,47 +554,41 @@ def test_promoted_skeleton_matches_the_graph_hyperplane_pass(factors, data):
     C = data.draw(st.integers(least, max(least, int(pd.max()))))
     res = promote_to_cube_complex(np.stack(space.decode_bulk(ids), axis=1), factors, C)
     g = res.skeleton.graph
-    expected = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+    expected = skeleton_of(g)
     assert res.skeleton.hyperplanes == expected.hyperplanes
-    assert res.skeleton.halfspaces == expected.halfspaces
+    assert halfspaces(res.skeleton) == halfspaces(expected)
     assert res.skeleton.dimension == res.dimension == expected.dimension
     assert res.isometric and res.one_connected
     closure = [space.encode(t) for t in res.vertex_tuples]
-    explicit = MedianAlgebra.from_graph(tree_product(*factors))
+    explicit = GraphMedianSpace(tree_product(*factors))
     assert check_isometric_subalgebra(explicit, closure)
 
 
 @st.composite
-def hull_graphs(draw):
-    """A relabelled tree, where `space_hull` takes one anchor, or a grid,
-    cycle or K_{2,3}, where it must scan all pairs."""
-    kind = draw(st.sampled_from(["tree", "grid", "cycle", "k23"]))
-    if kind == "tree":
-        g = draw(trees())
-    elif kind == "grid":
-        g = grid_graph(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-    elif kind == "cycle":
-        g = cycle_graph(draw(st.integers(3, 9)))
-    else:
-        g = complete_bipartite_graph(2, 3)
-    return relabel(g, draw)
+def hull_points(draw, g):
+    """One point, every point, or a list of points with repeats."""
+    kind = draw(st.sampled_from(["one", "all", "some"]))
+    if kind == "one":
+        return [draw(st.integers(0, g.n - 1))]
+    if kind == "all":
+        return list(range(g.n))
+    return draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=8))
 
 
-@PROPERTY
-@given(hull_graphs(), st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shaped_trees(max_n=40), st.data())
 def test_space_hull_matches_the_all_pairs_hull(g, data):
-    pts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    pts = data.draw(hull_points(g))
     mask = space_hull(g, pts)
     assert np.flatnonzero(mask).tolist() == oracle_hull(g.n, g.edges, pts)
 
 
-def test_space_hull_scans_all_pairs_off_trees():
-    # from the anchor 0 alone, the geodesics of K_{2,3} miss vertex 1, which
-    # lies between 2 and 3; on a 6-cycle the anchor 0 misses the arc 2..4
-    k23 = complete_bipartite_graph(2, 3)
-    assert np.flatnonzero(space_hull(k23, [0, 2, 3])).tolist() == [0, 1, 2, 3]
-    c6 = cycle_graph(6)
-    assert np.flatnonzero(space_hull(c6, [0, 2, 4])).tolist() == list(range(6))
+def test_space_hull_refuses_a_graph_that_is_no_tree():
+    # K_{2,3} and a 6-cycle have too many edges; a triangle beside a lone
+    # vertex has n - 1 edges but no path to the lone vertex
+    for g in (complete_bipartite_graph(2, 3), cycle_graph(6), UnitGraph(4, ((0, 1), (1, 2), (0, 2)))):
+        with pytest.raises(GraphError):
+            space_hull(g, [0, 1])
 
 
 @PROPERTY
@@ -599,7 +598,7 @@ def test_median_axioms_on_products_of_random_trees(factors):
     m(m(x, w, y), w, z) = m(x, w, m(y, w, z)) over every triple and
     quadruple of vertices of the explicit product graph."""
     g = tree_product(*factors)
-    m = MedianAlgebra.from_graph(g)
+    m = GraphMedianSpace(g)
     n = g.n
     x, y, z = (a.ravel() for a in np.indices((n, n, n)))
     M = m.median_bulk(x, y, z).reshape(n, n, n)
@@ -623,7 +622,7 @@ def wallspaces(draw):
     median graph with its points relabelled, or random bipartitions."""
     if draw(st.booleans()):
         g = draw(median_graphs())
-        return Wallspace(g.n, hyperplane_decomposition(MedianAlgebra.from_graph(g)).halfspaces)
+        return Wallspace(g.n, halfspaces(skeleton_of(g)))
     n = draw(st.integers(2, 6))
     sides = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), max_size=5))
     return Wallspace(n, tuple(sorted({wall(n, a) for a in sides}, key=lambda w: sorted(w[0]))))
@@ -668,9 +667,9 @@ def _assert_dual_skeleton_is_the_graph_pass(w: Wallspace) -> None:
     """dual reads its hyperplanes, halfspaces and rank off the orientation
     search; recognition and the hyperplane pass of the dual graph agree."""
     dual = dual_cube_complex(w).skeleton
-    expected = hyperplane_decomposition(MedianAlgebra.from_graph(dual.graph))
+    expected = skeleton_of(dual.graph)
     assert dual.hyperplanes == expected.hyperplanes
-    assert dual.halfspaces == expected.halfspaces
+    assert halfspaces(dual) == halfspaces(expected)
     assert dual.dimension == expected.dimension == dual.median.rank
 
 
@@ -741,7 +740,7 @@ def wall_traces(draw):
     """The walls a seed of 1 to 8 points of a random median graph traces on
     it, or a random bool matrix of up to 8 points and 8 walls."""
     if draw(st.booleans()):
-        m = MedianAlgebra.from_graph(draw(median_graphs()))
+        m = GraphMedianSpace(draw(median_graphs()))
         seed = sorted(draw(st.sets(st.integers(0, m.n - 1), min_size=1, max_size=8)))
         return _as_traces(m.wall_sides(seed))
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(0, 8))
@@ -794,7 +793,7 @@ def test_promoted_rank_and_hausdorff_match_the_products(case):
 @PROPERTY
 @given(median_graphs())
 def test_crossing_dimension_is_the_largest_crossing_family(g):
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+    skel = skeleton_of(g)
     assert crossing_dimension(g) == skel.dimension == oracle_max_crossing(skel.sides)
 
 
@@ -815,6 +814,7 @@ def test_crossing_dimension_of_grids_hypercubes_and_tree_products():
 def test_tree_path_is_the_lex_least_geodesic(tree):
     # a tree's geodesic is unique, so climbing parents to the lowest common
     # ancestor finds the same path as the next-hop walk
+    space = GraphMedianSpace(tree)
     for a in range(tree.n):
         for b in range(tree.n):
-            assert tree.tree_index.path(a, b) == lex_least_geodesic(tree, a, b)
+            assert tree.tree_index.path(a, b) == lex_least_geodesic(space, a, b)

@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
 
-from cubekit.cubes import hyperplane_decomposition
 from cubekit.graphs import (
     grid_graph,
-    hypercube_graph,
     path_graph,
     random_tree,
 )
-from cubekit.median import MedianAlgebra
 from cubekit.walls import (
     Orientation,
     Wallspace,
     WallspaceError,
     dual_cube_complex,
+)
+from helpers import (
+    are_isomorphic,
+    duality_roundtrip,
+    halfspaces,
+    hypercube_graph,
+    oracle_is_coherent,
+    skeleton_of,
     walls_of_skeleton,
 )
-from helpers import are_isomorphic, duality_roundtrip, oracle_is_coherent
 
 
 def _crossing_walls(k):
@@ -102,7 +106,7 @@ def test_dual_of_nested_walls_is_path():
 
 
 def test_dual_of_q3_walls_is_q3():
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(hypercube_graph(3)))
+    skel = skeleton_of(hypercube_graph(3))
     dual = dual_cube_complex(walls_of_skeleton(skel))
     assert dual.skeleton.n == 8
     assert are_isomorphic(dual.skeleton.graph, hypercube_graph(3))
@@ -116,7 +120,7 @@ def test_roundtrip_fixtures():
         random_tree(20, np.random.default_rng(10)),
     ]
     for g in graphs:
-        skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
+        skel = skeleton_of(g)
         ok, dual, mapping = duality_roundtrip(skel)
         assert ok
         assert len(mapping) == g.n
@@ -125,8 +129,8 @@ def test_roundtrip_fixtures():
 def test_roundtrip_of_a_30_wall_tree():
     # the tree has one wall per edge; every coherent orientation is a vertex
     g = random_tree(31, np.random.default_rng(11))
-    skel = hyperplane_decomposition(MedianAlgebra.from_graph(g))
-    assert len(skel.halfspaces) == 30
+    skel = skeleton_of(g)
+    assert len(halfspaces(skel)) == 30
     ok, dual, mapping = duality_roundtrip(skel)
     assert ok and len(dual.orientations) == len(mapping) == 31
 
