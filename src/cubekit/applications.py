@@ -5,7 +5,6 @@ experiment, and packing counts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +13,7 @@ import numpy as np
 
 from .cubes import CubeSkeleton, helly_intersection, orientation_skeleton
 from .embedding import ColouredSystem, EmbeddingError, PsiImage
-from .graphs import UnitGraph, maximal_cliques, tree_metrics
+from .graphs import UnitGraph, bfs_distances, maximal_cliques, tree_metrics
 from .hhs import HHSInstance, space_hull
 from .median import connectify_and_close_in, row_index
 from .projection import QuasiTreeSpace
@@ -210,26 +209,25 @@ def tree_approximate(q: QuasiTreeSpace) -> TreeApproxResult:
     d > 0, a float ratio rounded by `limit_denominator(10**6)`.  At L = 1 the
     tree is a subgraph of a unit-weight graph, so td >= d.  Distortion is
     reported, never assumed.  Only the winner's td is kept: the returned
-    tree carries it as its cached `distance_matrix` (int32), so the Helly
-    experiment, `TreeProduct` and the promote C default do not compute it
-    again; its `tree_index` is built on first use.
+    tree carries it as its cached `distance_matrix` (int32), so
+    `TreeProduct` and the promote C default do not compute it again; its
+    `tree_index` is built on first use.
 
     A quasitree that is already a tree of unit edges, one with a
     `tree_index`, is its own answer, with no search: every root's
     shortest-path tree is q itself, so every root ties at additive 0 and
     multiplicative 1, and the least, 0, wins.  The answer is then q's
-    `graph` (the piece itself when there is one piece), returned before q's
-    int64 matrix is read: the tree shares the graph's `TreeIndex` and cached
-    `distance_matrix`, so nothing of an already-indexed tree is built again.
-    A tree with a longer edge has no `tree_index` and goes through the
-    search.
+    `graph` (the piece itself when there is one piece), returned before any
+    matrix of q is read: the tree shares the graph's `TreeIndex` and, once
+    built, its cached `distance_matrix`, which only `promote` reads (the
+    Helly experiment asks the index and `bfs_distances`).  A tree with a
+    longer edge has no `tree_index` and goes through the search.
     """
     if not q.connected:
         raise PipelineError("quasitree space is disconnected")
     if q.scale != 1:
         raise PipelineError("tree approximation requires integer edge lengths")
     if q.tree_index is not None:
-        q.graph.distance_matrix  # carried, as the search's winner carries its td
         return TreeApproxResult(tree=q.graph, root=0, additive=Fraction(0), multiplicative=Fraction(1))
     n = q.n
     mat = q.distance_matrix
@@ -299,36 +297,51 @@ def coarse_helly_experiment(
     (`hhs.space_hull`), the common point the tree's Helly point
     (`cubes.helly_intersection`), and the hull bound, the rank times the
     inflation, is the inflation: a tree's rank is 1 (on one vertex every
-    distance is 0).  The families and the
-    psi maps are int arrays: the pull-back is one argmin over the summed
-    tree distances of every ambient vertex, the least vertex winning
-    ties."""
+    distance is 0).
+
+    Every distance read is from a vertex set, one `bfs_distances` search,
+    so no n x n table of the ambient graph or of a tree is built: a search
+    from each set gives its gaps to the later sets, and a search from each
+    image in each tree its gaps to the other images and, cut at r, its
+    ball.  The ball's hull breaks the bound exactly when it holds a vertex
+    outside the ball.  The pull-back is one argmin over the summed
+    `TreeIndex.dist` from every ambient vertex's images to the Helly
+    points, the least vertex winning ties, and r one search from it.  A
+    disconnected ambient graph gets its DisconnectedGraphError first, and
+    an empty set, which a search would leave at -1 everywhere, an
+    EmbeddingError."""
     h = cs.instance
-    DG = h.dist
+    G = h.ambient
+    G.require_connected()
     families = [np.unique(np.fromiter(S, dtype=np.int64)) for S in sets]
-    pairs = list(itertools.combinations(range(len(families)), 2))
-    for i, j in pairs:
-        d = int(DG[np.ix_(families[i], families[j])].min())
-        if d > R:
-            raise EmbeddingError(f"sets {i} and {j} are {d} apart, exceeding R={R}")
+    for i, S in enumerate(families):
+        if not S.size:
+            raise EmbeddingError(f"set {i} is empty")
+    k = len(families)
+    for i in range(k - 1):
+        row = bfs_distances(G.n, G.edge_array, families[i])
+        for j in range(i + 1, k):
+            if (d := int(row[families[j]].min())) > R:
+                raise EmbeddingError(f"sets {i} and {j} are {d} apart, exceeding R={R}")
     maps = np.array(psi.maps, dtype=np.int64).reshape(cs.chi, h.n)
     tgraphs = [trees[ci].tree for ci in range(cs.chi)]
-    tdists = [t.distance_matrix for t in tgraphs]
     hulls = [[np.flatnonzero(space_hull(t, m[S])) for S in families] for t, m in zip(tgraphs, maps)]
+    # rows[ci][i][v] = d(v, image of set i) in tree ci
+    rows = [[bfs_distances(t.n, t.edge_array, hv) for hv in hs] for t, hs in zip(tgraphs, hulls)]
     # product distance between convex images decomposes over the factors
-    gap = lambda i, j: sum(int(td[np.ix_(hs[i], hs[j])].min()) for td, hs in zip(tdists, hulls))
-    worst = max((gap(i, j) for i, j in pairs), default=0)
+    gap = lambda i, j: sum(int(r[i][hs[j]].min()) for r, hs in zip(rows, hulls))
+    worst = max((gap(i, j) for i in range(k) for j in range(i + 1, k)), default=0)
     r_infl = (worst + 1) // 2
     helly_points = []
     hull_bound_ok = True
-    for ci, (tree, tdist) in enumerate(zip(tgraphs, tdists)):
+    for ci, tree in enumerate(tgraphs):
         inflated = []
-        for hv in hulls[ci]:
-            ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
-            hull = np.flatnonzero(space_hull(tree, ball))
-            if int(tdist[np.ix_(hull, hv)].min(axis=1).max()) > r_infl:
+        for row in rows[ci]:
+            ball = row <= r_infl
+            hull = space_hull(tree, np.flatnonzero(ball))
+            if (hull & ~ball).any():
                 hull_bound_ok = False
-            inflated.append(hull)
+            inflated.append(np.flatnonzero(hull))
         res = helly_intersection(tree, inflated)
         if not res.found:
             raise EmbeddingError(
@@ -336,9 +349,10 @@ def coarse_helly_experiment(
             )
         helly_points.append(res.vertex)
     # pull back: ambient vertex whose image is l1-nearest to the Helly point
-    total = sum(td[m, p] for td, m, p in zip(tdists, maps, helly_points))
+    total = sum(t.tree_index.dist(m, p) for t, m, p in zip(tgraphs, maps, helly_points))
     center = int(np.argmin(total))
-    r_out = max(int(DG[center, S].min()) for S in families)
+    row = bfs_distances(G.n, G.edge_array, [center])
+    r_out = max(int(row[S].min()) for S in families)
     return HellyExperimentResult(
         center=center,
         r=r_out,

@@ -21,7 +21,11 @@ Candidate trees, given by parent arrays, get their metrics in batches from
 `tree_metrics`.  Every other metric (unit graphs that are not trees, and
 quasitrees with a cycle or an edge longer than 1, their lengths scaled to
 integers) comes from `integer_distance_matrix`, Dial's bucketed shortest
-paths from all sources at once.  Connected components come from one
+paths from all sources at once.  A question of how far each vertex lies
+from one vertex set (a ball about it, its gap to another set, the depth of
+a search from it) is one frontier search, `bfs_distances`, which reads no
+matrix: `helly` asks only such questions of its trees and ambient graph,
+so it builds no n x n table of either.  Connected components come from one
 labelling over an arc list, `arc_component_labels`, and cliques from one
 Bron-Kerbosch search, `maximal_cliques`.  All of it runs on numpy alone.
 """
@@ -142,6 +146,13 @@ class UnitGraph:
         return bool(self.components.max() == 0)
 
     def require_connected(self) -> None:
+        """Raise DisconnectedGraphError(0, v), v the least vertex not joined
+        to 0, unless the graph is connected.  A graph with n - 1 edges is
+        checked by building its `tree_index`, whose preorder from 0 names
+        the same vertex, so a tree is walked once for both."""
+        if len(self.edges) == self.n - 1:
+            self.tree_index
+            return
         lab = self.components
         if lab.max() > 0:
             u = int(np.argmax(lab == 0))
@@ -398,6 +409,36 @@ def integer_distance_matrix(n: int, edges) -> np.ndarray:
             if len(sel):
                 buckets.setdefault(t + c, []).append(sel)
     return D.reshape(n, n)
+
+
+def bfs_distances(n: int, edges, sources, limit: int | None = None) -> np.ndarray:
+    """d(v, sources) for every vertex v of the graph on n vertices with these
+    unit edges (an (m x 2) array), int64; -1 for a vertex farther than
+    `limit` or joined to no source (every vertex when there are none).
+
+    One pass over both directions of every edge per level: the unreached
+    heads of the arcs leaving the frontier mask make the next level.  No
+    matrix is read; eccentricity k costs O(k (n + m)), which on the shallow
+    graphs searched here beats gathering only the frontier's arcs from a
+    sorted arc list, whose per-level `repeat` and dedup cost more.
+    """
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    tail, head = np.concatenate([u, v]), np.concatenate([v, u])
+    dist = np.full(n, -1, dtype=np.int64)
+    front = np.zeros(n, dtype=bool)
+    if limit is None or limit >= 0:  # else every vertex lies farther than limit
+        front[np.asarray(sources, dtype=np.int64)] = True
+    dist[front] = 0
+    level = 0
+    while limit is None or level < limit:
+        reached = head[front[tail]]
+        reached = reached[dist[reached] < 0]
+        if not reached.size:
+            break
+        level += 1
+        dist[reached] = level
+        front = dist == level
+    return dist
 
 
 def arc_component_labels(n: int, u, v) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import UnitGraph
+from .graphs import UnitGraph, bfs_distances
 from .jsonio import expect, flat_int_rows, ints, member
 from .median import _blockwise
 from .median import is_median_graph  # noqa: F401  (perfbench traces this binding)
@@ -221,10 +221,18 @@ class HHSInstance:
         return np.minimum.reduceat(U.setdist[:, U.pi.members], U.pi.starts, axis=1)
 
     def rho_of(self, source: Domain, target: Domain) -> frozenset[int]:
-        """The shadow of `source` inside `target`'s space."""
+        """The shadow of `source` inside `target`'s space; a rho that is
+        missing, empty or names a vertex outside that space is an
+        InstanceError naming both domains (`validate_instance` reports such
+        a pair as its `rho-presence` finding instead)."""
         if target.id not in source.rho:
             raise InstanceError(f"missing rho of {source.id} in {target.id}")
-        return source.rho[target.id]
+        rho = source.rho[target.id]
+        if not rho:
+            raise InstanceError(f"empty rho of {source.id} in {target.id}")
+        if not _in_range(rho, n := target.space.n):
+            raise InstanceError(f"rho of {source.id} in {target.id} names a vertex outside its space of {n} vertices")
+        return rho
 
     def to_dict(self) -> dict:
         return {
@@ -510,36 +518,50 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
 
 def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
     """Vertices projecting E-close to the rho of U on every transverse or
-    strictly larger domain.  May be empty; emptiness is an instance defect."""
+    strictly larger domain.  May be empty; emptiness is an instance defect.
+
+    For each such V, one search in V's space (`bfs_distances` to depth E
+    from rho(U, V)) marks the vertices E-close to the rho; x is kept when
+    a member of its projection is marked, read at `reps` when every
+    projection is one vertex, else by one `logical_or.reduceat` over the
+    projection rows.  No distance matrix of V is built.  A disconnected
+    space gets its DisconnectedGraphError before the search, as a matrix
+    of it would."""
     U = h.by_id[U_id]
     keep = np.ones(h.n, dtype=bool)
     for V in h.domains:
         if V.id == U.id:
             continue
         if U.rel[V.id] in (REL_TRANS, REL_NESTED):
-            keep &= V.setdist[:, sorted(h.rho_of(U, V))].min(axis=1) <= h.E
+            rho = np.fromiter(h.rho_of(U, V), dtype=np.int64)
+            V.space.require_connected()
+            near = bfs_distances(V.space.n, V.space.edge_array, rho, limit=h.E) >= 0
+            keep &= near[V.reps] if V.singleton else np.logical_or.reduceat(near[V.pi.members], V.pi.starts)
     return frozenset(int(v) for v in np.flatnonzero(keep))
 
 
 def space_hull(g: UnitGraph, points) -> np.ndarray:
-    """The subtree of the tree g spanned by `points`, the union of the
-    geodesics between them, as a boolean mask, read off g's `TreeIndex`.
+    """The subtree of the tree g spanned by `points` (an int array or a
+    list, repeats allowed), the union of the geodesics between them, as a
+    boolean mask, read off g's `TreeIndex`.
 
     Let inside[v] count the distinct points in v's preorder run, its
-    subtree: two `searchsorted` over the points' sorted positions.  A
-    geodesic from a point below v to one outside v's subtree passes v, and
-    one between points on the same side of v does not, unless v is its top:
-    so v is in the hull iff 0 < inside[v] < |P|, or v is the deepest vertex
-    with inside[v] = |P|, the lowest common ancestor of the points.  No
-    n x n table is read.  A graph that is not a tree gets the GraphError of
-    its `tree_index`.
+    subtree: the difference of one prefix count of the marked preorder
+    positions at the run's ends.  A geodesic from a point below v to one
+    outside v's subtree passes v, and one between points on the same side
+    of v does not, unless v is its top: so v is in the hull iff
+    0 < inside[v] < |P|, or v is the deepest vertex with inside[v] = |P|,
+    the lowest common ancestor of the points.  No n x n table is read.  A
+    graph that is not a tree gets the GraphError of its `tree_index`.
     """
     t = g.tree_index
-    pos = np.unique(t.pos[np.fromiter(points, dtype=np.int64)])
-    inside = np.searchsorted(pos, t.stop) - np.searchsorted(pos, t.pos)
-    mask = (inside > 0) & (inside < len(pos))
-    if len(pos):
-        mask[np.argmax(np.where(inside == len(pos), t.depth, -1))] = True
+    marked = np.zeros(g.n + 1, dtype=np.int64)
+    marked[t.pos[np.asarray(points, dtype=np.int64)] + 1] = 1
+    below = np.cumsum(marked)  # below[p]: the points at positions before p
+    inside, count = below[t.stop] - below[t.pos], below[-1]
+    mask = (inside > 0) & (inside < count)
+    if count:
+        mask[np.argmax(np.where(inside == count, t.depth, -1))] = True
     return mask
 
 

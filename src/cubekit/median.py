@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import UnitGraph, component_labels
+from .graphs import UnitGraph, bfs_distances, component_labels
 
 
 class MedianError(ValueError):
@@ -300,20 +300,6 @@ class ConnectifyResult:
     flips: np.ndarray = field(compare=False, repr=False)
 
 
-def _depth_from(n: int, edges: np.ndarray, sources: np.ndarray) -> int:
-    """Largest distance from the sources to a vertex of the connected graph
-    on n vertices with these edges: pass k over the arcs grows the ball of
-    radius k - 1 about the sources to radius k."""
-    tail, head = np.concatenate([edges, edges[:, ::-1]]).T
-    seen = np.zeros(n, dtype=bool)
-    seen[sources] = True
-    depth = 0
-    while not seen.all():
-        seen[head[seen[tail]]] = True
-        depth += 1
-    return depth
-
-
 def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     """Bridge C-close 1-connected pieces of A with geodesics, then close.
 
@@ -328,7 +314,8 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     bridged set A' is 1-connected, so the closure's skeleton, its
     orientations joined by the flips, is isometric in the space (proof in
     `applications.promote_to_cube_complex`): the Hausdorff distance is the
-    depth of one breadth-first search from A along the flips.
+    depth of one breadth-first search from A along the flips
+    (`graphs.bfs_distances`).
     """
     members = np.unique(np.fromiter(A, dtype=np.int64))
     if not members.size:
@@ -353,5 +340,5 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     pick = order[first]
     a_prime = np.union1d(members, lex_least_geodesics(space, members[u[pick]], members[v[pick]]))
     points, O, flips = closure_search(space, a_prime)
-    haus = _depth_from(len(points), flips, np.searchsorted(points, members))
+    haus = int(bfs_distances(len(points), flips, np.searchsorted(points, members)).max())
     return ConnectifyResult(frozenset(a_prime.tolist()), frozenset(points.tolist()), haus, O, flips)

@@ -4,13 +4,15 @@ Everything here is deliberately naive and self-contained: plain-Python BFS,
 exhaustive triple scans.  The oracles never
 call into the code paths they check.  The section after them keeps, as
 reference kernels, the numpy products the package once used for the rank,
-the orientation search and the Hausdorff distance of a closure.  Then comes
-the general-graph median space, `GraphMedianSpace`: the package runs its
-closure and bridging only in a product of trees, and the grid tests hand the
-same engines this reference, which reads its walls off the Theta-classes and
-its steps off a next-hop table.  The last section holds the checks and
-fixtures that only tests use: property checks built on the package's types,
-and small graphs, instances and projection systems.
+the orientation search and the Hausdorff distance of a closure, and the
+dense matrix reads `helly` once made for its product regions, gaps, balls
+and hull bound.  Then comes the general-graph median space,
+`GraphMedianSpace`: the package runs its closure and bridging only in a
+product of trees, and the grid tests hand the same engines this reference,
+which reads its walls off the Theta-classes and its steps off a next-hop
+table.  The last section holds the checks and fixtures that only tests use:
+property checks built on the package's types, and small graphs, instances
+and projection systems.
 """
 
 import itertools
@@ -23,10 +25,12 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from cubekit.cubes import ConvexityError, hyperplane_decomposition
+from cubekit.applications import HellyExperimentResult
+from cubekit.cubes import ConvexityError, helly_intersection, hyperplane_decomposition
+from cubekit.embedding import EmbeddingError
 from cubekit.fixtures import _with_measured_E
 from cubekit.graphs import GraphError, UnitGraph, component_labels, path_graph, spider_graph
-from cubekit.hhs import Domain, HHSInstance, SetRows
+from cubekit.hhs import REL_NESTED, REL_TRANS, Domain, HHSInstance, SetRows, space_hull
 from cubekit.jsonio import as_number
 from cubekit.median import (
     MedianAlgebra,
@@ -559,6 +563,62 @@ def oracle_hamming_hausdorff(O, at):
     size = H.sum(axis=1)
     hamming = size[:, None] + size[at] - 2 * (H @ H[at].T)
     return int(hamming.min(axis=1).max())
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: `helly`'s distances to a set, read off n x n matrices
+
+
+def dense_product_region(h, U_id):
+    """`hhs.product_region` from each space's distance matrix: x is kept when
+    V.setdist[x, rho].min() <= E on every V transverse to or larger than U."""
+    U = h.by_id[U_id]
+    keep = np.ones(h.n, dtype=bool)
+    for V in h.domains:
+        if V.id != U.id and U.rel[V.id] in (REL_TRANS, REL_NESTED):
+            keep &= V.setdist[:, sorted(h.rho_of(U, V))].min(axis=1) <= h.E
+    return frozenset(int(v) for v in np.flatnonzero(keep))
+
+
+def dense_coarse_helly_experiment(cs, psi, sets, R, trees):
+    """`applications.coarse_helly_experiment` from the distance matrices of
+    the ambient graph and of each tree: the gaps, balls and hull bound are
+    gathers of their columns, the pull-back one gather per tree.  It shares
+    `space_hull` and `helly_intersection`, which have their own tests."""
+    h = cs.instance
+    DG = h.dist
+    families = [np.unique(np.fromiter(S, dtype=np.int64)) for S in sets]
+    pairs = list(itertools.combinations(range(len(families)), 2))
+    for i, j in pairs:
+        d = int(DG[np.ix_(families[i], families[j])].min())
+        if d > R:
+            raise EmbeddingError(f"sets {i} and {j} are {d} apart, exceeding R={R}")
+    maps = np.array(psi.maps, dtype=np.int64).reshape(cs.chi, h.n)
+    tgraphs = [t.tree for t in trees]
+    tdists = [t.distance_matrix for t in tgraphs]
+    hulls = [[np.flatnonzero(space_hull(t, m[S])) for S in families] for t, m in zip(tgraphs, maps)]
+    gap = lambda i, j: sum(int(td[np.ix_(hs[i], hs[j])].min()) for td, hs in zip(tdists, hulls))
+    r_infl = (max((gap(i, j) for i, j in pairs), default=0) + 1) // 2
+    helly_points, hull_bound_ok = [], True
+    for ci, (tree, tdist) in enumerate(zip(tgraphs, tdists)):
+        inflated = []
+        for hv in hulls[ci]:
+            ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
+            hull = np.flatnonzero(space_hull(tree, ball))
+            hull_bound_ok &= int(tdist[np.ix_(hull, hv)].min(axis=1).max()) <= r_infl
+            inflated.append(hull)
+        res = helly_intersection(tree, inflated)
+        if not res.found:
+            raise EmbeddingError(f"inflated images in colour {ci} fail to intersect (pair {res.witness_pair})")
+        helly_points.append(res.vertex)
+    center = int(np.argmin(sum(td[m, p] for td, m, p in zip(tdists, maps, helly_points))))
+    return HellyExperimentResult(
+        center=center,
+        r=max(int(DG[center, S].min()) for S in families),
+        inflation=r_infl,
+        helly_points=tuple(helly_points),
+        hull_bound_ok=bool(hull_bound_ok),
+    )
 
 
 # ---------------------------------------------------------------------------

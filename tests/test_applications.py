@@ -25,12 +25,18 @@ from cubekit.embedding import (
     default_constants,
     psi_map,
 )
-from cubekit.fixtures import tree_with_axes
+from cubekit.fixtures import spider_with_axes, tree_with_axes
 from cubekit.graphs import UnitGraph, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
 from cubekit.median import BLOCK
 from cubekit.projection import ProjectionSystem, build_quasitree
-from helpers import halfspaces, identity_instance, oracle_tree_approximate
+from helpers import (
+    dense_coarse_helly_experiment,
+    dense_product_region,
+    halfspaces,
+    identity_instance,
+    oracle_tree_approximate,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -159,6 +165,54 @@ def test_coarse_helly_refuses_sets_farther_apart_than_r(helly_setup):
     d = int(h.dist[np.ix_(sets[0], sets[1])].min())
     with pytest.raises(EmbeddingError, match=f"sets 0 and 1 are {d} apart"):
         coarse_helly_experiment(cs, psi, sets[:2], d - 1, trees)
+    # an empty set has no distance to the others, not -1
+    with pytest.raises(EmbeddingError, match="set 1 is empty"):
+        coarse_helly_experiment(cs, psi, [sets[0], []], 5, trees)
+
+
+_HELLY_INSTANCES = {
+    **{f"tree-{n}-{seed}": (tree_with_axes, n, 4, seed) for n in (30, 60, 150) for seed in (0, 1, 2)},
+    "spider-12x20": (spider_with_axes, 12, 20, True),
+    "spider-4x5": (spider_with_axes, 4, 5, True),
+}
+
+
+def _outcome(f, *args):
+    """f's result, or the text of the EmbeddingError it raises."""
+    try:
+        return f(*args)
+    except EmbeddingError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("name", list(_HELLY_INSTANCES))
+def test_searches_from_a_set_match_the_dense_reads(name, L):
+    """The product regions and the Helly experiment, whose every distance
+    to a set is one `bfs_distances` search, equal their dense forms, which
+    read the columns of n x n matrices: the regions at several E, and the
+    experiment on the first three nonempty regions, as `helly` runs it, and
+    on three random sets of one or two vertices, with R = 1 (mostly
+    refused) and R = n (never)."""
+    make, *args = _HELLY_INSTANCES[name]
+    h = make(*args)
+    ids = sorted(h.domain_ids())
+    for E in sorted({0, 1, 3, h.E}):
+        at_E = dataclasses.replace(h, E=E)
+        assert [product_region(at_E, u) for u in ids] == [dense_product_region(at_E, u) for u in ids]
+    _, K = default_constants(h)
+    cs = build_coloured_system(h, find_bbf_colouring(h), K, L)
+    psi = psi_map(cs)
+    trees = [tree_approximate(q) for q in cs.quasitrees]
+    rng = np.random.default_rng(len(name))
+    families = [
+        [sorted(r) for r in (product_region(h, u) for u in ids) if r][:3],
+        [rng.choice(h.n, size=rng.integers(1, 3), replace=False).tolist() for _ in range(3)],
+    ]
+    for sets in families:
+        for R in (1, h.n):
+            got = _outcome(coarse_helly_experiment, cs, psi, sets, R, trees)
+            assert got == _outcome(dense_coarse_helly_experiment, cs, psi, sets, R, trees)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +260,13 @@ def check_tree_approximate(q, max_roots=applications.MAX_ROOTS):
     root, add, mult, tree = oracle_tree_approximate(q.n, q.edges, max_roots)
     assert (res.root, res.additive, res.multiplicative) == (root, add, mult)
     assert list(res.tree.edges) == tree
-    # the tree carries the metric it was scored on, the same as a fresh one
-    assert "distance_matrix" in vars(res.tree)
     if q.tree_index is None:
-        # the search's winner; a unit tree shares the index of q's graph
+        # the search's winner carries the metric it was scored on; a unit
+        # tree is q's graph, whose index it shares and whose matrix is built
+        # only when read
+        assert "distance_matrix" in vars(res.tree)
         assert "tree_index" not in vars(res.tree)  # built on first use
+    # either way the metric equals a fresh one
     carried = res.tree.distance_matrix
     assert carried.dtype == np.int32
     assert (carried == UnitGraph(q.n, res.tree.edges).distance_matrix).all()

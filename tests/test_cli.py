@@ -12,7 +12,8 @@ import cubekit
 from cubekit import cli
 from cubekit.cli import main
 from cubekit.jsonio import canonical_dumps, jsonable
-from cubekit.fixtures import spider_with_axes
+from cubekit.fixtures import spider_with_axes, tree_with_axes
+from cubekit.graphs import TreeIndex
 from cubekit.hhs import HHSInstance
 
 
@@ -259,6 +260,64 @@ def test_bad_projection_row_leaves_no_traceback(tmp_path):
     run = _fresh_cli(["psi", "--in", str(inp)])
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr == "error: domains[0].pi holds an integer outside the 64-bit range\n"
+
+
+def _tree_axes_30() -> dict:
+    """The tree-axes instance of 30 vertices, seed 0, as JSON: domains axis0
+    to axis3 and "tree", the ambient tree, whose last edge is [23, 27]."""
+    return tree_with_axes(30, 4, 0).to_dict()
+
+
+def _domain(data: dict, id: str) -> dict:
+    return next(d for d in data["domains"] if d["id"] == id)
+
+
+@pytest.mark.parametrize("graph", ["ambient", "tree"])
+def test_helly_on_a_disconnected_graph_names_the_cut(graph, tmp_path, capsys):
+    # without its last edge, 27 hangs off the rest; the searches of `helly`
+    # would leave it at -1, so the graph is checked first, as a matrix was
+    data = _tree_axes_30()
+    g = data["ambient"] if graph == "ambient" else _domain(data, "tree")["space"]
+    g["edges"] = g["edges"][:-1]
+    inp = tmp_path / "cut.json"
+    inp.write_text(json.dumps(data))
+    assert main(["helly", "--in", str(inp), "--R", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0] == "error: graph is disconnected: no path joins vertex 0 to vertex 27"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rho", [[999], [-1], []])
+def test_rho_outside_its_target_space_is_refused_naming_both_domains(rho, tmp_path, capsys):
+    # refused before any search reads it: 999 indexes past the space, and -1
+    # would wrap to its last vertex
+    data = _tree_axes_30()
+    _domain(data, "axis0")["rho"]["tree"] = rho
+    inp = tmp_path / "rho.json"
+    inp.write_text(json.dumps(data))
+    assert main(["helly", "--in", str(inp), "--R", "5"]) == 1
+    cause = "rho of axis0 in tree names a vertex outside its space of 30 vertices" if rho else "empty rho of axis0 in tree"
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    # the axiom scan reports the pair instead
+    out = tmp_path / "report.json"
+    assert main(["validate", "--in", str(inp), "--out", str(out)]) == 2
+    bad = [f for f in json.loads(out.read_text())["findings"] if f["check"] == "rho-presence"]
+    assert bad[0]["witness"] == ["axis0", "tree"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_helly_builds_no_matrix_of_a_large_tree(seed, tmp_path, monkeypatch):
+    # every tree question of `helly` is a distance to a set, one search
+    inp = tmp_path / "t.json"
+    inp.write_text(json.dumps(tree_with_axes(400, 4, seed).to_dict()))
+    dense = TreeIndex.distance_matrix
+
+    def small_only(index):
+        assert index.n <= 100, f"an n x n table of a tree of {index.n} vertices"
+        return dense(index)
+
+    monkeypatch.setattr(TreeIndex, "distance_matrix", small_only)
+    assert main(["helly", "--in", str(inp), "--R", "5", "--out", str(tmp_path / "r.json")]) == 0
 
 
 _PIECES = [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}]

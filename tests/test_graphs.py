@@ -13,6 +13,7 @@ from cubekit.graphs import (
     GraphError,
     TreeIndex,
     UnitGraph,
+    bfs_distances,
     grid_graph,
     integer_distance_matrix,
     path_graph,
@@ -192,10 +193,52 @@ def test_disconnected_graph_keeps_the_bfs_witness(n, edges):
     with pytest.raises(DisconnectedGraphError) as exc:
         g.distance_matrix
     assert (exc.value.u, exc.value.v) == tuple(old.tolist())
+    with pytest.raises(DisconnectedGraphError) as exc:
+        g.require_connected()  # through the tree index when there are n - 1 edges
+    assert (exc.value.u, exc.value.v) == tuple(old.tolist())
     if len(edges) == n - 1:
         with pytest.raises(DisconnectedGraphError) as exc:
             TreeIndex(n, edges).distance_matrix()
         assert (exc.value.u, exc.value.v) == tuple(old.tolist())
+
+
+# --- distances to a set ------------------------------------------------------
+
+
+@st.composite
+def sparse_graphs(draw, max_n=25):
+    """A graph of 1 to max_n vertices with up to 2n random edges: often
+    disconnected, sometimes with cycles."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return UnitGraph(n, tuple(edges))
+
+
+@PROPERTY
+@given(sparse_graphs() | shaped_trees(max_n=30) | st.builds(grid_graph, *[st.integers(1, 6)] * 2), st.data())
+def test_bfs_distances_match_the_dense_oracle(g, data):
+    """d(v, S) = D[:, S].min(axis=1), the dense oracle, for drawn sources
+    (repeats allowed) and limits; -1 past the limit or off S's components."""
+    D = np.array([[np.inf if d is None else d for d in row] for row in oracle_all_dists(g.n, g.edges)], dtype=float)
+    S = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6))
+    limit = data.draw(st.none() | st.integers(0, g.n))
+    near = D[:, S].min(axis=1)
+    if limit is not None:
+        near[near > limit] = np.inf
+    got = bfs_distances(g.n, g.edge_array, S, limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.where(np.isinf(near), -1, near).astype(np.int64).tolist()
+
+
+def test_bfs_distances_edge_cases():
+    assert bfs_distances(1, np.empty((0, 2), dtype=np.int64), [0]).tolist() == [0]
+    assert bfs_distances(1, [], [0, 0], limit=0).tolist() == [0]
+    g = UnitGraph(6, ((0, 1), (1, 2), (3, 4)))  # 5 isolated
+    assert bfs_distances(6, g.edge_array, [2, 2, 1]).tolist() == [1, 0, 0, -1, -1, -1]
+    assert bfs_distances(6, g.edge_array, [0, 4], limit=1).tolist() == [0, 1, -1, 1, 0, -1]
+    assert bfs_distances(6, g.edge_array, []).tolist() == [-1] * 6
+    assert bfs_distances(6, g.edge_array, [0], limit=-1).tolist() == [-1] * 6
 
 
 # --- the tree index ----------------------------------------------------------
