@@ -303,17 +303,20 @@ def coarse_helly_experiment(
     so no n x n table of the ambient graph or of a tree is built: a search
     from each set gives its gaps to the later sets, and a search from each
     image in each tree its gaps to the other images and, cut at r, its
-    ball.  The ball's hull breaks the bound exactly when it holds a vertex
-    outside the ball.  The pull-back is one argmin over the summed
-    `TreeIndex.dist` from every ambient vertex's images to the Helly
-    points, the least vertex winning ties, and r one search from it.  A
-    disconnected ambient graph gets its DisconnectedGraphError first, and
-    an empty set, which a search would leave at -1 everywhere, an
-    EmbeddingError."""
+    ball, the inflated image.  No ball is hulled: each vertex on the
+    geodesic from a v within r of a subtree S to v's gate in S is nearer
+    the gate than v is, so within r of S.  The ball is connected, so it is
+    a subtree, its own hull, all within r of S: `hull_bound_ok` is True by
+    proof, as `promote` reports `median_closed`.  The pull-back is one
+    argmin over the summed `TreeIndex.dist` from every ambient vertex's
+    images to the Helly points, the least vertex winning ties, and r one
+    search from it.  A disconnected ambient graph gets its
+    DisconnectedGraphError first, and an empty set, which a search would
+    leave at -1 everywhere, an EmbeddingError."""
     h = cs.instance
     G = h.ambient
     G.require_connected()
-    families = [np.unique(np.fromiter(S, dtype=np.int64)) for S in sets]
+    families = [np.unique(np.asarray(S, dtype=np.int64)) for S in sets]
     for i, S in enumerate(families):
         if not S.size:
             raise EmbeddingError(f"set {i} is empty")
@@ -333,16 +336,8 @@ def coarse_helly_experiment(
     worst = max((gap(i, j) for i in range(k) for j in range(i + 1, k)), default=0)
     r_infl = (worst + 1) // 2
     helly_points = []
-    hull_bound_ok = True
     for ci, tree in enumerate(tgraphs):
-        inflated = []
-        for row in rows[ci]:
-            ball = row <= r_infl
-            hull = space_hull(tree, np.flatnonzero(ball))
-            if (hull & ~ball).any():
-                hull_bound_ok = False
-            inflated.append(np.flatnonzero(hull))
-        res = helly_intersection(tree, inflated)
+        res = helly_intersection(tree, [np.flatnonzero(row <= r_infl) for row in rows[ci]])
         if not res.found:
             raise EmbeddingError(
                 f"inflated images in colour {ci} fail to intersect (pair {res.witness_pair})"
@@ -354,11 +349,7 @@ def coarse_helly_experiment(
     row = bfs_distances(G.n, G.edge_array, [center])
     r_out = max(int(row[S].min()) for S in families)
     return HellyExperimentResult(
-        center=center,
-        r=r_out,
-        inflation=r_infl,
-        helly_points=tuple(helly_points),
-        hull_bound_ok=hull_bound_ok,
+        center=center, r=r_out, inflation=r_infl, helly_points=tuple(helly_points), hull_bound_ok=True
     )
 
 

@@ -332,8 +332,8 @@ def cmd_helly(args) -> int:
     sets = []
     for uid in sorted(h.domain_ids()):
         pr = product_region(h, uid)
-        if pr:
-            sets.append(sorted(pr))
+        if pr.size:
+            sets.append(pr)
         if len(sets) == 3:
             break
     if len(sets) < 2:

@@ -12,8 +12,8 @@ label-sorted edge array, runs of edges per class, and the halfspaces from
 the side masks stacked two rows a class (vertex 0's side first), runs of
 vertices per side and two sides per class.  Those are most of a `promote`
 report.  Helly (`helly_intersection`) runs on a tree, the approximation of
-one quasitree: its convex sets are subtrees, read off the tree's
-`TreeIndex` (`hhs.space_hull`), and its median is the index's.
+one quasitree: its convex sets are subtrees, told by one parent count
+on the tree's `TreeIndex` (`is_convex`), and its median is the index's.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import UnitGraph
-from .hhs import space_hull
 from .jsonio import encode_rows
 from .median import MedianAlgebra
 
@@ -118,10 +117,14 @@ def orientation_skeleton(O: np.ndarray, flips: np.ndarray) -> CubeSkeleton:
 
 
 def is_convex(tree: UnitGraph, S) -> bool:
-    """Whether the vertex set S of a tree is a subtree: it holds the subtree
-    its members span (`space_hull`)."""
-    members = np.unique(np.fromiter(S, dtype=np.int64))
-    return int(space_hull(tree, members).sum()) == len(members)
+    """Whether the vertex set S of a tree is a subtree: each component of S
+    has one top, a member whose `TreeIndex` parent lies outside it, or the
+    root 0, its own parent.  So S, the empty set too, is a subtree iff
+    #{x in S : parent(x) not in S} + [0 in S] <= 1.  A non-tree raises GraphError."""
+    parent = tree.tree_index.parent
+    inside = np.zeros(tree.n, dtype=bool)
+    inside[np.asarray(S, dtype=np.int64)] = True
+    return int(np.count_nonzero(~inside[parent[inside]])) + int(inside[0]) <= 1
 
 
 @dataclass(frozen=True)
@@ -137,11 +140,12 @@ def helly_intersection(tree: UnitGraph, family) -> HellyResult:
 
     For up to three members the point is the median of pairwise picks, by
     the tree's `TreeIndex.median`; larger families fold the last two members
-    into their (convex) intersection.  A member that is not a subtree is a
-    ConvexityError, a tree's hull being read off its `TreeIndex`
-    (`space_hull`); a graph that is not a tree gets the index's GraphError.
+    into their (convex) intersection.  The members are read as sorted int64
+    arrays.  An empty family, an empty member and a member that is not a
+    subtree (`is_convex`, one parent count) are each a ConvexityError; a
+    graph that is not a tree gets the GraphError of its `tree_index`.
     """
-    sets = [np.unique(np.fromiter(S, dtype=np.int64)) for S in family]
+    sets = [np.unique(np.asarray(S, dtype=np.int64)) for S in family]
     if not sets:
         raise ConvexityError("Helly intersection of an empty family is undefined")
     for idx, S in enumerate(sets):

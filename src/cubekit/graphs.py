@@ -143,7 +143,12 @@ class UnitGraph:
         return arc_component_labels(self.n, u, v)
 
     def is_connected(self) -> bool:
-        return bool(self.components.max() == 0)
+        """`require_connected` as a bool: a graph of n - 1 edges keeps the `tree_index` it builds."""
+        try:
+            self.require_connected()
+        except DisconnectedGraphError:
+            return False
+        return True
 
     def require_connected(self) -> None:
         """Raise DisconnectedGraphError(0, v), v the least vertex not joined

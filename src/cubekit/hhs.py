@@ -516,9 +516,9 @@ def distance_formula_fit(h: HHSInstance, s, samples) -> DistanceFormulaFit:
 # product regions and hulls
 
 
-def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
+def product_region(h: HHSInstance, U_id: str) -> np.ndarray:
     """Vertices projecting E-close to the rho of U on every transverse or
-    strictly larger domain.  May be empty; emptiness is an instance defect.
+    strictly larger domain, a sorted int64 array, empty on a defect.
 
     For each such V, one search in V's space (`bfs_distances` to depth E
     from rho(U, V)) marks the vertices E-close to the rho; x is kept when
@@ -537,7 +537,7 @@ def product_region(h: HHSInstance, U_id: str) -> frozenset[int]:
             V.space.require_connected()
             near = bfs_distances(V.space.n, V.space.edge_array, rho, limit=h.E) >= 0
             keep &= near[V.reps] if V.singleton else np.logical_or.reduceat(near[V.pi.members], V.pi.starts)
-    return frozenset(int(v) for v in np.flatnonzero(keep))
+    return np.flatnonzero(keep)
 
 
 def space_hull(g: UnitGraph, points) -> np.ndarray:

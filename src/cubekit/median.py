@@ -250,7 +250,7 @@ def closure_search(space, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the orientation of points[i] (one column per merged wall), and the
     flips the pairs of rows one wall apart.
     """
-    S = np.unique(np.fromiter(seed, dtype=np.int64))
+    S = np.unique(np.asarray(seed, dtype=np.int64))
     if not S.size:
         raise MedianError("closure of the empty set is undefined")
     T = space.wall_sides(S)
@@ -317,7 +317,7 @@ def connectify_and_close_in(space, A, C: int) -> ConnectifyResult:
     depth of one breadth-first search from A along the flips
     (`graphs.bfs_distances`).
     """
-    members = np.unique(np.fromiter(A, dtype=np.int64))
+    members = np.unique(np.asarray(A, dtype=np.int64))
     if not members.size:
         raise MedianError("empty subset")
     sub = space.pairwise_distances(members)

@@ -583,11 +583,14 @@ def dense_product_region(h, U_id):
 def dense_coarse_helly_experiment(cs, psi, sets, R, trees):
     """`applications.coarse_helly_experiment` from the distance matrices of
     the ambient graph and of each tree: the gaps, balls and hull bound are
-    gathers of their columns, the pull-back one gather per tree.  It shares
-    `space_hull` and `helly_intersection`, which have their own tests."""
+    gathers of their columns, the pull-back one gather per tree.  Each ball
+    is hulled by the brute-force `oracle_hull`, and the hull bound read off
+    the matrix, where `src` takes the ball as its own hull and the bound as
+    proved.  It shares `space_hull` (the images' hulls) and
+    `helly_intersection`, which have their own tests."""
     h = cs.instance
     DG = h.dist
-    families = [np.unique(np.fromiter(S, dtype=np.int64)) for S in sets]
+    families = [np.unique(np.asarray(S, dtype=np.int64)) for S in sets]
     pairs = list(itertools.combinations(range(len(families)), 2))
     for i, j in pairs:
         d = int(DG[np.ix_(families[i], families[j])].min())
@@ -604,7 +607,7 @@ def dense_coarse_helly_experiment(cs, psi, sets, R, trees):
         inflated = []
         for hv in hulls[ci]:
             ball = np.flatnonzero(tdist[:, hv].min(axis=1) <= r_infl)
-            hull = np.flatnonzero(space_hull(tree, ball))
+            hull = np.array(oracle_hull(tree.n, tree.edges, ball.tolist()), dtype=np.int64)
             hull_bound_ok &= int(tdist[np.ix_(hull, hv)].min(axis=1).max()) <= r_infl
             inflated.append(hull)
         res = helly_intersection(tree, inflated)
@@ -731,8 +734,9 @@ def walls_of_skeleton(c):
 
 
 def closure_of(space, seed):
-    """The points of `closure_search`, as a frozenset."""
-    return frozenset(closure_search(space, seed)[0].tolist())
+    """The points of `closure_search` from a seed given as any iterable (a
+    Python set too), as a frozenset."""
+    return frozenset(closure_search(space, np.fromiter(seed, dtype=np.int64))[0].tolist())
 
 
 def lex_least_geodesic(space, u, v):

@@ -26,7 +26,7 @@ from cubekit.embedding import (
     psi_map,
 )
 from cubekit.fixtures import spider_with_axes, tree_with_axes
-from cubekit.graphs import UnitGraph, path_graph, random_tree, tree_metrics
+from cubekit.graphs import UnitGraph, bfs_distances, path_graph, random_tree, tree_metrics
 from cubekit.hhs import find_bbf_colouring, product_region, space_hull
 from cubekit.median import BLOCK
 from cubekit.projection import ProjectionSystem, build_quasitree
@@ -35,6 +35,7 @@ from helpers import (
     dense_product_region,
     halfspaces,
     identity_instance,
+    oracle_hull,
     oracle_tree_approximate,
 )
 
@@ -138,7 +139,7 @@ def helly_setup():
     _, K = default_constants(h)
     cs = build_coloured_system(h, find_bbf_colouring(h), K, 1)
     psi = psi_map(cs)
-    sets = [sorted(r) for r in (product_region(h, u) for u in sorted(h.domain_ids())) if r][:3]
+    sets = [r for r in (product_region(h, u) for u in sorted(h.domain_ids())) if r.size][:3]
     trees = [tree_approximate(q) for q in cs.quasitrees]
     return h, cs, psi, sets, trees
 
@@ -158,6 +159,19 @@ def test_coarse_helly_point_is_close_to_every_set(helly_setup):
     l1 = [sum(int(t.tree.distance_matrix[psi.maps[ci][g], res.helly_points[ci]])
               for ci, t in enumerate(trees)) for g in range(h.n)]
     assert l1[res.center] == min(l1) and res.center == l1.index(min(l1))
+
+
+def test_a_ball_about_a_subtree_is_its_own_hull():
+    # what `coarse_helly_experiment` takes as proved: on random trees, the
+    # r-ball about a subtree S (the all-pairs oracle hull of random points)
+    # is a subtree for every r up to the diameter, equal to its oracle hull
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        t = random_tree(int(rng.integers(1, 80)), rng)
+        S = oracle_hull(t.n, t.edges, rng.choice(t.n, size=int(rng.integers(1, 4))).tolist())
+        for r in range(int(t.distance_matrix.max()) + 1):
+            ball = np.flatnonzero(bfs_distances(t.n, t.edge_array, S, limit=r) >= 0).tolist()
+            assert oracle_hull(t.n, t.edges, ball) == ball
 
 
 def test_coarse_helly_refuses_sets_farther_apart_than_r(helly_setup):
@@ -199,14 +213,16 @@ def test_searches_from_a_set_match_the_dense_reads(name, L):
     ids = sorted(h.domain_ids())
     for E in sorted({0, 1, 3, h.E}):
         at_E = dataclasses.replace(h, E=E)
-        assert [product_region(at_E, u) for u in ids] == [dense_product_region(at_E, u) for u in ids]
+        regions = [product_region(at_E, u) for u in ids]
+        assert all(r.dtype == np.int64 for r in regions)
+        assert [r.tolist() for r in regions] == [sorted(dense_product_region(at_E, u)) for u in ids]
     _, K = default_constants(h)
     cs = build_coloured_system(h, find_bbf_colouring(h), K, L)
     psi = psi_map(cs)
     trees = [tree_approximate(q) for q in cs.quasitrees]
     rng = np.random.default_rng(len(name))
     families = [
-        [sorted(r) for r in (product_region(h, u) for u in ids) if r][:3],
+        [r for r in (product_region(h, u) for u in ids) if r.size][:3],
         [rng.choice(h.n, size=rng.integers(1, 3), replace=False).tolist() for _ in range(3)],
     ]
     for sets in families:

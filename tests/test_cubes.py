@@ -4,6 +4,7 @@ import pytest
 from cubekit.cubes import ConvexityError, helly_intersection, is_convex
 from cubekit.graphs import (
     GraphError,
+    UnitGraph,
     gate_map,
     grid_graph,
     path_graph,
@@ -200,6 +201,33 @@ def test_is_convex_on_a_tree():
     path = path_graph(5)
     assert is_convex(path, [1, 2, 3]) and is_convex(path, [4])
     assert not is_convex(path, [0, 2])
+
+
+def test_is_convex_is_the_brute_force_hull_test():
+    # random vertex sets of relabelled random trees, connected or not, the
+    # empty set, single vertices, and sets with and without the root 0:
+    # S is convex iff its all-pairs oracle hull adds no vertex
+    rng = np.random.default_rng(29)
+    seen = {"convex": 0, "not": 0, "root in": 0, "root out": 0}
+    for _ in range(60):
+        t = random_tree(int(rng.integers(1, 25)), rng)
+        perm = rng.permutation(t.n)
+        tree = UnitGraph(t.n, tuple((int(perm[u]), int(perm[v])) for u, v in t.edges))
+        cases = [[], [int(rng.integers(0, tree.n))], [0], list(range(tree.n))]
+        sizes = rng.integers(1, tree.n + 1, size=4)
+        cases += [rng.choice(tree.n, size=int(k), replace=False).tolist() for k in sizes]
+        cases += [oracle_hull(tree.n, tree.edges, rng.choice(tree.n, size=2).tolist()) for _ in range(2)]
+        for S in cases:
+            expected = len(oracle_hull(tree.n, tree.edges, S)) == len(S)
+            assert is_convex(tree, S) is expected
+            seen["convex" if expected else "not"] += 1
+            seen["root in" if 0 in S else "root out"] += 1
+    assert min(seen.values()) >= 60
+
+
+def test_is_convex_on_a_graph_that_is_no_tree_raises():
+    with pytest.raises(GraphError):
+        is_convex(grid_graph(2, 2), [0])
 
 
 def test_gate_unique(grid33_skel):

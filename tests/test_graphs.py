@@ -450,6 +450,28 @@ def test_pair_distances_read_the_distance_matrix_metric(graph):
     assert ("distance_matrix" in vars(fresh)) == (len(g.edges) != n - 1)
 
 
+def test_is_connected_agrees_with_the_component_labels():
+    # seeded random trees, relabelled so that 0 is no special vertex, and
+    # graphs of n - 1 edges that are no tree, against the labels of
+    # `components`; a tree answers through its `tree_index`, which it keeps
+    rng = np.random.default_rng(29)
+    graphs = [UnitGraph(1, ())]  # one vertex, no edge
+    for _ in range(30):
+        t = random_tree(int(rng.integers(2, 60)), rng)
+        perm = rng.permutation(t.n)
+        graphs.append(UnitGraph(t.n, tuple((int(perm[u]), int(perm[v])) for u, v in t.edges)))
+    for k in (3, 4, 7):  # a k-cycle and one isolated vertex, k edges on k + 1 vertices
+        graphs += [UnitGraph(k + 1, tuple((i, (i + 1) % k) for i in range(k))),
+                   UnitGraph(k + 1, tuple((i + 1, (i + 1) % k + 1) for i in range(k)))]
+    for g in graphs:
+        expected = bool(g.components.max() == 0)
+        fresh = UnitGraph(g.n, g.edges)
+        assert fresh.is_connected() is expected
+        assert fresh.is_tree() is expected
+        assert ("tree_index" in vars(fresh)) is expected
+    assert sum(g.is_connected() for g in graphs) == 31
+
+
 @pytest.mark.parametrize(
     "n, edges",
     [(4, ((0, 1), (1, 2), (2, 0))), (4, ((1, 2), (2, 3), (3, 1))), (5, ((0, 1), (2, 3), (3, 4)))],

@@ -180,7 +180,7 @@ def test_df_spider_finite(spider):
 
 
 def test_product_region_whole_grid(grid9):
-    assert product_region(grid9, "x") == frozenset(range(81))
+    assert product_region(grid9, "x").tolist() == list(range(81))
 
 
 def test_product_region_spider(spider):
@@ -196,8 +196,8 @@ def test_product_region_spider(spider):
                 ok = False
         if ok:
             expected.add(x)
-    assert pr == frozenset(expected)
-    assert pr  # nonempty on a healthy fixture
+    assert pr.tolist() == sorted(expected)
+    assert pr.size  # nonempty on a healthy fixture
 
 
 def test_product_region_empty_is_reported():
@@ -207,7 +207,7 @@ def test_product_region_empty_is_reported():
     a = Domain("a", line, pi, {"b": REL_TRANS}, {"b": frozenset([8])})
     b = Domain("b", line, pi, {"a": REL_TRANS}, {"a": frozenset([8])})
     h = HHSInstance(path_graph(9), (a, b), E=0)
-    assert product_region(h, "a") == frozenset([8])
+    assert product_region(h, "a").tolist() == [8]
     h0 = HHSInstance(
         path_graph(9),
         (
@@ -218,7 +218,7 @@ def test_product_region_empty_is_reported():
     )
     # pi never sits at both ends at once: empty region, reported not raised
     region = product_region(h0, "a")
-    assert region == frozenset([0])
+    assert region.tolist() == [0]
 
 
 # --- colourings -------------------------------------------------------------------------
